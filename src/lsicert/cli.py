@@ -5,9 +5,11 @@ file and emits a JSON report; `verify` runs one verification suite and
 emits a pass/fail CSV table; `toeplitz` reports symbol and
 finite-section spectra for a banded coupling.
 
-Exit codes: 0 success, 1 usage error, 2 invalid model, 3 no certificate,
-4 verification failure.  Output is byte-identical across runs for equal
-inputs and seeds; all randomness derives from --seed.
+Exit codes: 0 success, 1 usage error (including `verify` on a model with
+a quartic term, since the closed-form verifiers need a Gaussian model),
+2 invalid model, 3 no certificate, 4 verification failure.  Output is
+strict JSON or CSV, byte-identical across runs for equal inputs and
+seeds; all randomness derives from --seed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import fokker_planck, gibbs, instances, oracles
 from .criteria import CertificateError, criteria_report, toeplitz_spectrum_report
 from .gaussian import GaussianDist, gaussian_target
-from .model import ModelError, default_probes, load_model, model_to_dict
+from .model import ModelError, load_model, model_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,7 +52,7 @@ def _json_value(v):
     raise TypeError(f"unexpected report value {v!r}")
 
 
-def _report_json(model, report, tol, seed) -> str:
+def _report_json(model, report) -> str:
     doc = {
         "model": model_to_dict(model),
         "rho_k": [float(r) for r in report.rho_k],
@@ -60,20 +62,15 @@ def _report_json(model, report, tol, seed) -> str:
         "flags": list(report.flags),
         "certified": bool(report.certified),
         "norm_A0": float(report.norm_A0),
-        "lambda_max_A0": _json_value(report.lambda_max_A0),
-        "tol": float(tol),
-        "seed": int(seed),
+        "lambda_max_A0": float(report.lambda_max_A0),
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_criteria(args) -> int:
     model = load_model(args.model)
-    probes = None
-    if not model.is_gaussian:
-        probes = default_probes(model, count=args.probes, seed=args.seed)
-    report = criteria_report(model, tol=args.tol, probes=probes)
-    _write_text(_report_json(model, report, args.tol, args.seed), args.out)
+    report = criteria_report(model)
+    _write_text(_report_json(model, report), args.out)
     if report.rho_marton is None:
         print("no certificate: delta <= 0", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
@@ -164,7 +161,11 @@ def _rows_dissipation(model, report):
 
 def cmd_verify(args) -> int:
     model = load_model(args.model)
-    report = criteria_report(model, tol=1e-10)
+    if not model.is_gaussian:
+        print("usage error: the closed-form verifiers need a Gaussian model "
+              "(quartic = 0)", file=sys.stderr)
+        return EXIT_USAGE
+    report = criteria_report(model)
     if report.rho_marton is None:
         print("no certificate: delta <= 0", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
@@ -208,7 +209,7 @@ def cmd_toeplitz(args) -> int:
                                       grid_points=args.grid_points)
     doc = dataclasses.asdict(report)
     doc["band"] = [[int(off), float(coeff)] for off, coeff in report.band]
-    _write_text(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
     return EXIT_OK
 
 
@@ -221,12 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("criteria", help="evaluate spectral certificates")
     pc.add_argument("model", help="path to a model JSON file")
-    pc.add_argument("--tol", type=float, default=1e-10,
-                    help="bisection tolerance on the certified constant")
-    pc.add_argument("--probes", type=int, default=8,
-                    help="Latin hypercube probe count for quartic models")
-    pc.add_argument("--seed", type=int, default=0,
-                    help="seed for probe generation")
     pc.add_argument("--out", default=None, help="write the JSON report here")
 
     pv = sub.add_parser("verify", help="run a verification suite")

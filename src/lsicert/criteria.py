@@ -3,30 +3,31 @@
 Two sufficient criteria are implemented for a block Gibbs model with
 per-block curvature constants rho_k:
 
-* an interaction-matrix criterion: with A^rho the cross-block Hessian
-  rescaled by 1/sqrt((rho_k - rho)(rho_l - rho)), the measure satisfies a
-  log-Sobolev inequality with constant rho whenever sup ||A^rho|| <= 1;
-* a block-matrix criterion: the n x n matrix with diagonal rho_k and
-  off-diagonal -kappa_kl (largest singular values of the cross blocks)
-  minus rho * I stays positive semidefinite.
+* an interaction-matrix criterion (Marton): with A^rho the cross-block
+  Hessian rescaled by 1/sqrt((rho_k - rho)(rho_l - rho)), the measure
+  satisfies a log-Sobolev inequality with constant rho whenever
+  sup ||A^rho|| <= 1;
+* a block-matrix criterion (Otto-Reznikoff): the n x n matrix with
+  diagonal rho_k and off-diagonal -kappa_kl (largest singular values of
+  the cross blocks) minus rho * I stays positive semidefinite.
 
-Both thresholds are monotone in rho, so the largest certified constant is
-found by bisection.  The module also reports symbol and finite-section
-spectra for banded Toeplitz couplings.
+The quartic Hessian term is diagonal, so the cross-block Hessian is the
+off-block part C of K at every point and both thresholds have closed
+forms: with D0 = diag(rho_k(i)), ||A^rho|| <= 1 iff D0 +- C >= rho I, so
+the certificates are least eigenvalues of D0 +- C and of
+diag(rho_k) - kappa, rounded down by the eigensolver's error bound.  The
+module also reports symbol and finite-section spectra for banded
+Toeplitz couplings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .model import GibbsModel, default_probes, hessian, toeplitz_matrix
+from .model import GibbsModel, toeplitz_matrix
 
-BISECTION_TOL = 1e-10
-_MAX_BISECT = 64
-_BOUNDARY_PAD = 1e-13
 TOEPLITZ_GRID_POINTS = 1_000_001
 
 
@@ -39,8 +40,8 @@ class CriteriaReport:
     """Certificates and diagnostics for one model.
 
     rho_marton / rho_or are None when the corresponding criterion yields
-    no positive constant.  certified is False whenever any ingredient was
-    sampled rather than evaluated exactly.
+    no positive constant; certified is True exactly when rho_marton is
+    present.
     """
 
     rho_k: tuple
@@ -48,7 +49,7 @@ class CriteriaReport:
     norm_A0: float
     rho_marton: float | None
     rho_or: float | None
-    lambda_max_A0: float | None
+    lambda_max_A0: float
     certified: bool
     flags: tuple
 
@@ -94,237 +95,125 @@ def _coordinate_scale(model: GibbsModel, rho: float) -> np.ndarray:
     return 1.0 / np.sqrt(gaps[model.partition.coordinate_block])
 
 
-def _cross_matrix(model: GibbsModel, probe=None) -> np.ndarray:
-    """Cross-block Hessian with zeroed diagonal blocks.
+def _cross_matrix(model: GibbsModel) -> np.ndarray:
+    """Cross-block Hessian: the off-block part of K.
 
-    Column block l is read from the Hessian at the point that follows x
-    off block l and xi on block l; entries inside a diagonal block are
-    dropped.  For Gaussian models this is just the off-block part of K.
+    The quartic Hessian term 12 lam_i x_i^2 is diagonal, so this is the
+    cross-block Hessian at every point, for quartic models as well.
     """
-    part = model.partition
-    if model.is_gaussian:
-        cross = np.array(model.precision)
-        for k in range(part.n):
-            idx = part.block(k)
-            cross[np.ix_(idx, idx)] = 0.0
-        return cross
-    if probe is None:
-        raise ValueError("a probe pair (x, xi) is required when quartic != 0")
-    x, xi = (np.asarray(v, dtype=float) for v in probe)
-    if x.shape != (model.dim,) or xi.shape != (model.dim,):
-        raise ValueError("probe points must have the model dimension")
-    cross = np.zeros((model.dim, model.dim))
-    for ell in range(part.n):
-        col = part.block(ell)
-        z = np.array(x)
-        z[col] = xi[col]
-        hess = hessian(model, z)
-        cross[:, col] = hess[:, col]
-        cross[np.ix_(col, col)] = 0.0
-    return cross
+    owner = model.partition.coordinate_block
+    return np.where(owner[:, None] == owner[None, :], 0.0, model.precision)
 
 
-def build_A_rho(model: GibbsModel, rho: float, probe=None) -> np.ndarray:
-    """Interaction matrix A^rho at one probe pair.
+def build_A_rho(model: GibbsModel, rho: float) -> np.ndarray:
+    """Interaction matrix A^rho.
 
     Entry (i, j) with i in block k and j in block l != k is the cross
     Hessian entry divided by sqrt((rho_k - rho)(rho_l - rho)); diagonal
     blocks are zero.  Requires rho below every block constant.
     """
     scale = _coordinate_scale(model, rho)
-    cross = _cross_matrix(model, probe)
-    return scale[:, None] * cross * scale[None, :]
+    return scale[:, None] * _cross_matrix(model) * scale[None, :]
 
 
-def _probe_pairs(model: GibbsModel, probes) -> list:
-    """Ordered probe pairs (x, xi) for sampled suprema."""
-    if model.is_gaussian:
-        return [None]
-    pts = np.asarray(probes, dtype=float) if probes is not None \
-        else default_probes(model)
-    if pts.ndim != 2 or pts.shape[1] != model.dim:
-        raise ValueError("probes must be an (npts, dim) array")
-    return [(x, xi) for x, xi in product(pts, pts)]
+def _lambda_min_lower(mat: np.ndarray) -> float:
+    """Least eigenvalue rounded down by the eigensolver's a-priori error
+    bound n * eps * max|lambda|, so rounding never inflates a certificate."""
+    evals = np.linalg.eigvalsh(mat)
+    err = len(evals) * np.finfo(float).eps * np.abs(evals).max()
+    return float(evals[0] - err)
 
 
-def sup_interaction_norm(model: GibbsModel, rho: float, probes=None) -> float:
-    """sup over probe pairs of ||A^rho(x, xi)||; exact for Gaussian models."""
-    pairs = _probe_pairs(model, probes)
-    crosses = [_cross_matrix(model, pair) for pair in pairs]
-    scale = _coordinate_scale(model, rho)
-    return max(op_norm(scale[:, None] * c * scale[None, :]) for c in crosses)
-
-
-def _bisect_largest(feasible, lo: float, hi: float, tol: float) -> float:
-    """Largest point of a down-closed feasible set inside [lo, hi].
-
-    feasible(lo) must hold; the returned value is always feasible, within
-    tol of the true boundary.
-    """
-    if feasible(hi):
-        return hi
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def solve_rho_marton(model: GibbsModel, tol: float = BISECTION_TOL,
-                     probes=None) -> float:
-    """Largest rho certified by the interaction-matrix criterion.
-
-    Bisects on sup ||A^rho|| <= 1, which is monotone increasing in rho.
-    Returns min_k rho_k when the threshold never binds below it (the
-    supremum is then not attained).  Raises CertificateError when there is
-    no positive margin at rho = 0.
-    """
+def _positive_block_constants(model: GibbsModel) -> np.ndarray:
     rho_k = block_lsi_constants(model)
-    rho_min = float(rho_k.min())
-    if rho_min <= 0:
+    if rho_k.min() <= 0:
         raise CertificateError(
             "a diagonal precision block is not positive definite")
-    pairs = _probe_pairs(model, probes)
-    crosses = [_cross_matrix(model, pair) for pair in pairs]
+    return rho_k
 
-    def norm_at(rho: float) -> float:
-        scale = _coordinate_scale(model, rho)
-        return max(op_norm(scale[:, None] * c * scale[None, :])
-                   for c in crosses)
 
-    norm0 = norm_at(0.0)
-    if norm0 >= 1.0:
+def solve_rho_marton(model: GibbsModel) -> float:
+    """Largest rho certified by the interaction-matrix criterion.
+
+    With D0 = diag(rho_k(i)) and C the cross-block Hessian,
+    ||A^rho|| <= 1 holds exactly when D0 - rho I +- C is positive
+    semidefinite, so the certificate is min(lambda_min(D0 - C),
+    lambda_min(D0 + C)).  That never exceeds min_k rho_k, the diagonal of
+    both matrices, which is returned exactly when C = 0.  Raises
+    CertificateError when the certificate is not positive.
+    """
+    rho_k = _positive_block_constants(model)
+    cross = _cross_matrix(model)
+    if not cross.any():
+        return float(rho_k.min())
+    d0 = np.diag(rho_k[model.partition.coordinate_block])
+    rho = min(_lambda_min_lower(d0 - cross), _lambda_min_lower(d0 + cross))
+    if rho <= 0:
         raise CertificateError(
-            f"no certificate: ||A|| = {norm0:.6g} >= 1 at rho = 0")
-    if norm0 == 0.0:
-        return rho_min
-
-    hi = rho_min * (1.0 - _BOUNDARY_PAD)
-    rho = _bisect_largest(lambda r: norm_at(r) <= 1.0, 0.0, hi, tol)
-    if rho == hi:
-        return rho_min
+            f"no certificate: lambda_min(D0 +- C) = {rho:.6g} <= 0")
     return rho
 
 
-def cross_block_norms(model: GibbsModel, probes=None) -> np.ndarray:
+def cross_block_norms(model: GibbsModel) -> np.ndarray:
     """Symmetric matrix of largest singular values of the cross blocks."""
     part = model.partition
-    pairs = _probe_pairs(model, probes)
     kappa = np.zeros((part.n, part.n))
-    for pair in pairs:
-        cross = _cross_matrix(model, pair)
-        for k in range(part.n):
-            for ell in range(k + 1, part.n):
-                val = op_norm(cross[np.ix_(part.block(k), part.block(ell))])
-                kappa[k, ell] = max(kappa[k, ell], val)
-    kappa = np.maximum(kappa, kappa.T)
-    return kappa
+    for k in range(part.n):
+        for ell in range(k + 1, part.n):
+            kappa[k, ell] = op_norm(
+                model.precision[np.ix_(part.block(k), part.block(ell))])
+    return kappa + kappa.T
 
 
-def _psd(mat: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def otto_reznikoff(model: GibbsModel) -> float:
+    """Largest rho certified by the block-matrix criterion:
+    lambda_min(diag(rho_k) - kappa), or min_k rho_k exactly when kappa = 0.
 
-
-def otto_reznikoff(model: GibbsModel, tol: float = BISECTION_TOL,
-                   probes=None) -> float:
-    """Largest rho certified by the block-matrix criterion.
-
-    Bisects positive semidefiniteness of diag(rho_k) - kappa - rho I via
-    Cholesky, and cross-checks against the equivalent scaled form whose
-    largest eigenvalue must stay at most 1.  Raises CertificateError when
-    already infeasible at rho = 0.
+    Raises CertificateError when diag(rho_k) - kappa is not positive
+    definite.
     """
-    rho_k = block_lsi_constants(model)
-    rho_min = float(rho_k.min())
-    if rho_min <= 0:
-        raise CertificateError(
-            "a diagonal precision block is not positive definite")
-    kappa = cross_block_norms(model, probes)
-    block_mat = np.diag(rho_k) - kappa
-    if not _psd(block_mat):
+    rho_k = _positive_block_constants(model)
+    kappa = cross_block_norms(model)
+    if not kappa.any():
+        return float(rho_k.min())
+    rho = _lambda_min_lower(np.diag(rho_k) - kappa)
+    if rho <= 0:
         raise CertificateError(
             "block criterion infeasible at rho = 0: diag(rho_k) - kappa "
             "is not positive definite")
-    if np.all(kappa == 0.0):
-        return rho_min
-
-    hi = rho_min * (1.0 - _BOUNDARY_PAD)
-    eye = np.eye(len(rho_k))
-    rho_psd = _bisect_largest(lambda r: _psd(block_mat - r * eye),
-                              0.0, hi, tol)
-
-    def perron_feasible(r: float) -> bool:
-        gaps = rho_k - r
-        scale = 1.0 / np.sqrt(gaps)
-        scaled = scale[:, None] * kappa * scale[None, :]
-        return float(np.linalg.eigvalsh(scaled)[-1]) <= 1.0
-
-    rho_perron = _bisect_largest(perron_feasible, 0.0, hi, tol)
-    agreement = max(100.0 * tol, 1e-8)
-    if abs(rho_psd - rho_perron) > agreement:
-        raise AssertionError(
-            f"block criterion forms disagree: {rho_psd} vs {rho_perron}")
-
-    if rho_psd == hi:
-        return rho_min
-    return rho_psd
+    return rho
 
 
-def criteria_report(model: GibbsModel, tol: float = BISECTION_TOL,
-                    probes=None) -> CriteriaReport:
+def criteria_report(model: GibbsModel) -> CriteriaReport:
     """Evaluate both criteria and collect certificates plus diagnostics."""
-    rho_k = block_lsi_constants(model)
+    rho_k = _positive_block_constants(model)
     rho_min = float(rho_k.min())
-    if rho_min <= 0:
-        raise CertificateError(
-            "a diagonal precision block is not positive definite; no "
-            "certifiable block structure")
-
+    a0 = build_A_rho(model, 0.0)
+    norm0 = op_norm(a0)
     flags = []
-    if not model.is_gaussian:
-        flags.append("sampled_bounds")
-    norm0 = sup_interaction_norm(model, 0.0, probes)
-    delta = 1.0 - norm0
-    if model.is_gaussian:
-        a0 = build_A_rho(model, 0.0)
-        lambda_max_a0 = float(np.linalg.eigvalsh(0.5 * (a0 + a0.T))[-1]) \
-            if np.allclose(a0, a0.T) else None
-    else:
-        lambda_max_a0 = None
-
-    rho_marton = None
-    rho_or = None
-    if delta <= 0:
-        flags.append("no_certificate")
-    else:
-        rho_marton = solve_rho_marton(model, tol=tol, probes=probes)
+    try:
+        rho_marton = solve_rho_marton(model)
         if rho_marton >= rho_min * (1.0 - 1e-12):
             flags.append("rho_marton_supremum")
+    except CertificateError:
+        rho_marton = None
+        flags.append("no_certificate")
     try:
-        rho_or = otto_reznikoff(model, tol=tol, probes=probes)
+        rho_or = otto_reznikoff(model)
         if rho_or >= rho_min * (1.0 - 1e-12):
             flags.append("rho_or_supremum")
     except CertificateError:
         rho_or = None
         flags.append("or_infeasible")
 
-    certified = model.is_gaussian and rho_marton is not None
     return CriteriaReport(
         rho_k=tuple(float(r) for r in rho_k),
-        delta=float(delta),
-        norm_A0=float(norm0),
+        delta=1.0 - norm0,
+        norm_A0=norm0,
         rho_marton=rho_marton,
         rho_or=rho_or,
-        lambda_max_A0=lambda_max_a0,
-        certified=certified,
+        lambda_max_A0=float(np.linalg.eigvalsh(a0)[-1]),
+        certified=rho_marton is not None,
         flags=tuple(flags),
     )
 

@@ -17,6 +17,7 @@ symmetric K, so positive definiteness is not required.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,10 +117,10 @@ class GibbsModel:
         if float(np.abs(prec - prec.T).max()) > SYMMETRY_TOL * scale:
             raise ModelValidationError("precision matrix is not symmetric")
         prec = 0.5 * (prec + prec.T)
+        if not all(np.all(np.isfinite(arr)) for arr in (prec, mean, quart)):
+            raise ModelValidationError("model entries must be finite")
         if np.any(quart < 0):
             raise ModelValidationError("quartic coefficients must be >= 0")
-        if not np.all(np.isfinite(prec)) or not np.all(np.isfinite(mean)):
-            raise ModelValidationError("model entries must be finite")
         if np.all(quart == 0):
             lam_min = float(np.linalg.eigvalsh(prec)[0])
             if lam_min <= 0:
@@ -146,10 +147,9 @@ class AssumptionReport:
     """Outcome of the structural checks backing the spectral criteria.
 
     rho_k are per-block curvature constants, block_hessian_lower_bounds the
-    corresponding lower bounds on the conditional Hessians, and delta the
-    interaction margin 1 - ||A(x, xi)|| at the reference scaling (present
-    only when positive).  sampled_bounds marks values obtained from probe
-    points rather than exact evaluation; such bounds are not certificates.
+    infima of the conditional Hessians' least eigenvalues, and delta the
+    interaction margin 1 - ||A|| at the reference scaling (present only
+    when positive).
     """
 
     rho_k: tuple
@@ -158,7 +158,6 @@ class AssumptionReport:
     assumption2_ok: bool
     assumption3_ok: bool
     delta: float | None
-    sampled_bounds: bool
 
     def __post_init__(self):
         has_margin = self.delta is not None and self.delta > 0
@@ -200,77 +199,33 @@ def grad_potential(model: GibbsModel, x: np.ndarray) -> np.ndarray:
     return (x - model.mean) @ model.precision + 4.0 * model.quartic * x ** 3
 
 
-def latin_hypercube_probes(dim: int, count: int, radius: float,
-                           seed: int = 0) -> np.ndarray:
-    """Latin hypercube point set on the cube [-radius, radius]^dim."""
-    rng = np.random.default_rng(seed)
-    strata = np.tile(np.arange(count, dtype=float), (dim, 1))
-    strata = rng.permuted(strata, axis=1).T
-    u = (strata + rng.random((count, dim))) / count
-    return (2.0 * u - 1.0) * radius
-
-
-def default_probes(model: GibbsModel, count: int = 8,
-                   seed: int = 0) -> np.ndarray:
-    """Probe points for sampled Hessian bounds on quartic models.
-
-    Covers a cube three stationary deviations wide around the location m,
-    with the origin and m appended.
-    """
-    diag = np.abs(np.diag(model.precision))
-    spread = 1.0 / np.sqrt(np.maximum(diag, 1e-2))
-    radius = 3.0 * float(np.max(spread))
-    pts = model.mean + latin_hypercube_probes(model.dim, count, radius, seed)
-    return np.vstack([pts, model.mean, np.zeros(model.dim)])
-
-
-def verify_assumptions(model: GibbsModel,
-                       probe_points: np.ndarray | None = None) -> AssumptionReport:
+def verify_assumptions(model: GibbsModel) -> AssumptionReport:
     """Check the curvature and interaction assumptions behind the criteria.
 
-    For Gaussian models every quantity is exact.  Otherwise suprema and
-    infima over the state space are approximated on probe points and the
-    report is flagged as sampled.
+    Every quantity is exact.  The quartic Hessian term 12 lam_i x_i^2 is
+    diagonal and non-negative, so the infimum over x of lambda_min of a
+    block Hessian is lambda_min(K_kk), attained at x_k = 0, and the
+    cross-block Hessian is the off-block part of K everywhere.
     """
     from . import criteria
 
     rho_k = criteria.block_lsi_constants(model)
     assumption1 = bool(np.all(rho_k > 0))
-
-    if model.is_gaussian:
-        probes = None
-        bounds = rho_k.copy()
-        sampled = False
-    else:
-        probes = (np.asarray(probe_points, dtype=float)
-                  if probe_points is not None else default_probes(model))
-        if probes.ndim != 2 or probes.shape[1] != model.dim:
-            raise ModelFormatError("probe points must be an (npts, dim) array")
-        bounds = np.full(model.partition.n, np.inf)
-        for x in probes:
-            hess = hessian(model, x)
-            for k in range(model.partition.n):
-                idx = model.partition.block(k)
-                sub = hess[np.ix_(idx, idx)]
-                bounds[k] = min(bounds[k], float(np.linalg.eigvalsh(sub)[0]))
-        sampled = True
-    assumption2 = bool(np.all(np.isfinite(bounds)))
+    assumption2 = bool(np.all(np.isfinite(rho_k)))
 
     if assumption1:
-        norm_a0 = criteria.sup_interaction_norm(model, 0.0, probes)
-        delta_val = 1.0 - norm_a0
+        delta_val = 1.0 - criteria.op_norm(criteria.build_A_rho(model, 0.0))
     else:
         delta_val = None
     assumption3 = delta_val is not None and delta_val > 0
 
     return AssumptionReport(
         rho_k=tuple(float(r) for r in rho_k),
-        block_hessian_lower_bounds=tuple(float(b) for b in bounds),
+        block_hessian_lower_bounds=tuple(float(r) for r in rho_k),
         assumption1_ok=assumption1,
         assumption2_ok=assumption2,
         assumption3_ok=assumption3,
         delta=float(delta_val) if assumption3 else None,
-        sampled_bounds=sampled,
     )
 
 
@@ -280,9 +235,8 @@ def model_from_dict(doc: dict) -> GibbsModel:
         raise ModelFormatError("model document must be a JSON object")
     if "dim" not in doc or "partition" not in doc:
         raise ModelFormatError("model document needs 'dim' and 'partition'")
-    try:
-        dim = int(doc["dim"])
-    except (TypeError, ValueError):
+    dim = doc["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
         raise ModelFormatError("'dim' must be an integer")
     partition = BlockPartition(tuple(tuple(blk) for blk in doc["partition"]))
     if partition.dim != dim:

@@ -1,9 +1,9 @@
 """Independent estimators used to cross-check the closed-form calculus.
 
-Grid quadrature for divergence and Fisher information (dimensions 1 to
-3), the sorted-sample coupling for one-dimensional W2, and closed-form
-checkers for the transport inequality and the per-block mean-shift
-comparison.  Everything here is deliberately implemented by a different
+Bisection on the two certificate thresholds, grid quadrature for
+divergence and Fisher information (dimensions 1 to 3), the sorted-sample
+coupling for one-dimensional W2, and closed-form checkers for the
+transport inequality and the per-block mean-shift comparison.  Everything here is deliberately implemented by a different
 route than the main modules so agreement is evidence of correctness.
 """
 
@@ -13,12 +13,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CertificateError, CriteriaReport
+from .criteria import (
+    CertificateError,
+    CriteriaReport,
+    block_lsi_constants,
+    build_A_rho,
+    cross_block_norms,
+    op_norm,
+)
 from .gaussian import GaussianDist, gaussian_target, kl, w2
 from .model import GibbsModel
 
 MASS_DEFECT_LIMIT = 1e-4
 _TINY = 1e-300
+
+
+def _bisect_largest(feasible, rho_min: float) -> float | None:
+    """Largest rho in (0, rho_min] with feasible(rho), for a feasible set
+    that is an interval starting at 0; None when no positive rho is
+    feasible.  Sixty halvings resolve rho to rho_min * 2^-60.  rho_min
+    itself is never evaluated, as the scalings are singular there;
+    feasibility just below it stands for the supremum.
+    """
+    if rho_min <= 0:
+        return None
+    hi = rho_min * (1.0 - 1e-13)
+    if feasible(hi):
+        return rho_min
+    lo = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo if lo > 0 else None
+
+
+def bisect_rho_marton(model: GibbsModel) -> float | None:
+    """Interaction-matrix certificate by bisection on ||A^rho|| <= 1."""
+    return _bisect_largest(lambda r: op_norm(build_A_rho(model, r)) <= 1.0,
+                           float(block_lsi_constants(model).min()))
+
+
+def bisect_rho_or(model: GibbsModel) -> float | None:
+    """Block-matrix certificate by bisection on the Perron form
+    lambda_max(S kappa S) <= 1, S = diag((rho_k - rho)^-1/2)."""
+    rho_k = block_lsi_constants(model)
+    kappa = cross_block_norms(model)
+
+    def feasible(r: float) -> bool:
+        scale = 1.0 / np.sqrt(rho_k - r)
+        scaled = scale[:, None] * kappa * scale[None, :]
+        return np.linalg.eigvalsh(scaled)[-1] <= 1.0
+
+    return _bisect_largest(feasible, float(rho_k.min()))
 
 
 class QuadratureError(ValueError):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from lsicert import cli
-from lsicert.instances import model_2d
-from lsicert.model import save_model
+from lsicert.instances import model_2d, random_quartic_model
+from lsicert.model import model_to_dict, save_model
 
 
 @pytest.fixture
@@ -40,10 +40,29 @@ def uncertified_model_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def quartic_model_path(tmp_path):
+    path = tmp_path / "quartic.json"
+    save_model(random_quartic_model(np.random.default_rng(3), dim=4), path)
+    return str(path)
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def run(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_loads(text):
+    def refuse(token):
+        raise ValueError(f"non-RFC JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 # ---- criteria ----
@@ -60,7 +79,7 @@ def test_criteria_json_report(model_path, capsys):
     assert doc["rho_or"] == pytest.approx(0.5, abs=1e-9)
     assert doc["certified"] is True
     assert doc["flags"] == []
-    assert doc["seed"] == 0
+    assert "tol" not in doc and "seed" not in doc
 
 
 def test_criteria_deterministic_bytes(model_path, tmp_path, capsys):
@@ -88,6 +107,58 @@ def test_criteria_no_certificate_exit(uncertified_model_path, capsys):
 def test_criteria_missing_file(tmp_path, capsys):
     code, _, err = run(["criteria", str(tmp_path / "nope.json")], capsys)
     assert code == 2
+
+
+def test_criteria_quartic_certified(quartic_model_path, capsys):
+    code, out, _ = run(["criteria", quartic_model_path], capsys)
+    assert code == 0
+    doc = strict_loads(out)
+    assert doc["certified"] is True
+    assert "sampled_bounds" not in doc["flags"]
+    assert isinstance(doc["lambda_max_A0"], float)
+
+
+def test_criteria_strict_json(model_path, quartic_model_path,
+                              uncertified_model_path, capsys):
+    for path, want in ((model_path, 0), (quartic_model_path, 0),
+                       (uncertified_model_path, 3)):
+        code, out, _ = run(["criteria", path], capsys)
+        assert code == want
+        strict_loads(out)
+    code, out, _ = run(["toeplitz", "--m", "16", "--band", "1=1,2=-1",
+                        "--grid-points", "1001"], capsys)
+    assert code == 0
+    strict_loads(out)
+    code, out, _ = run(["toeplitz", "--m", "16", "--band", "1=nan"], capsys)
+    assert code == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_criteria_rejects_non_finite_quartic(tmp_path, capsys, value):
+    doc = model_to_dict(model_2d())
+    doc["quartic"] = [value, 0.0]
+    code, out, err = run(["criteria", write_doc(tmp_path, doc)], capsys)
+    assert code == 2
+    assert "invalid model" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("dim", [True, 2.0, 2.5, "2"])
+def test_criteria_rejects_non_integer_dim(tmp_path, capsys, dim):
+    doc = model_to_dict(model_2d())
+    doc["dim"] = dim
+    code, _, err = run(["criteria", write_doc(tmp_path, doc)], capsys)
+    assert code == 2
+    assert "'dim' must be an integer" in err
+
+
+@pytest.mark.parametrize("option", [["--tol", "1e-10"], ["--probes", "8"],
+                                    ["--seed", "0"]])
+def test_criteria_removed_options(model_path, capsys, option):
+    code, out, _ = run(["criteria", model_path, *option], capsys)
+    assert code == 1
+    assert out == ""
 
 
 # ---- verify ----
@@ -161,6 +232,18 @@ def test_verify_failure_exit_code(model_path, capsys, monkeypatch):
     code, out, _ = run(["verify", model_path, "dissipation"], capsys)
     assert code == 4
     assert out.strip().endswith("fail")
+
+
+def test_verify_quartic_model_usage_error(tmp_path, capsys):
+    # rejected before any certificate work: this quartic model has no
+    # certificate, yet the exit code is 1, not 3
+    doc = {"dim": 2, "partition": [[0], [1]],
+           "precision": [[1.0, 2.0], [2.0, 1.0]], "quartic": [0.5, 0.5]}
+    code, out, err = run(["verify", write_doc(tmp_path, doc), "theorem1"],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert "need a Gaussian model" in err
 
 
 def test_verify_small_sample_usage_error(model_path, capsys):

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lsicert.criteria import (
     CertificateError,
     CriteriaReport,
+    _cross_matrix,
     block_lsi_constants,
     build_A_rho,
     criteria_report,
@@ -21,7 +22,6 @@ from lsicert.criteria import (
     op_norm,
     otto_reznikoff,
     solve_rho_marton,
-    sup_interaction_norm,
     toeplitz_spectrum_report,
 )
 from lsicert.instances import (
@@ -30,7 +30,8 @@ from lsicert.instances import (
     random_certified_model,
     random_quartic_model,
 )
-from lsicert.model import BlockPartition, GibbsModel, toeplitz_matrix
+from lsicert.model import BlockPartition, GibbsModel, hessian, toeplitz_matrix
+from lsicert.oracles import bisect_rho_marton, bisect_rho_or
 
 RHO_2D = 0.5   # hand derivation: ||A^rho|| = 0.5 / (1 - rho) hits 1 at 0.5
 
@@ -62,6 +63,30 @@ def banded_model(m, diag, quartic=0.0):
     part = BlockPartition(tuple((i,) for i in range(m)))
     return GibbsModel(partition=part, precision=prec, mean=np.zeros(m),
                       quartic=np.full(m, float(quartic)))
+
+
+@st.composite
+def oracle_models(draw):
+    """Random Gaussian models, and quartic models whose coupling is
+    rescaled so that some of them have no certificate at all."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return random_certified_model(rng)
+    model = random_quartic_model(rng)
+    scale = draw(st.floats(0.5, 2.5))
+    return GibbsModel(partition=model.partition,
+                      precision=model.precision
+                      + (scale - 1.0) * _cross_matrix(model),
+                      mean=model.mean, quartic=model.quartic)
+
+
+def assert_matches_oracle(closed_form, oracle, model):
+    ref = oracle(model)
+    if ref is None:
+        with pytest.raises(CertificateError):
+            closed_form(model)
+    else:
+        assert closed_form(model) == pytest.approx(ref, abs=1e-9)
 
 
 # ---- building blocks ----
@@ -97,8 +122,7 @@ def test_build_A_rho_reference(model2d):
     assert_allclose(a0, [[0.0, -0.5], [-0.5, 0.0]], atol=1e-15)
     a_half = build_A_rho(model2d, RHO_2D)
     assert_allclose(a_half, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
-    assert sup_interaction_norm(model2d, RHO_2D) == pytest.approx(1.0,
-                                                                  abs=1e-12)
+    assert op_norm(a_half) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_A_rho_rejects_rho_at_block_constant(model2d):
@@ -106,24 +130,26 @@ def test_build_A_rho_rejects_rho_at_block_constant(model2d):
         build_A_rho(model2d, 1.0)
 
 
-def test_build_A_rho_quartic_needs_probe(rng):
-    model = random_quartic_model(rng, dim=3)
-    with pytest.raises(ValueError):
-        build_A_rho(model, 0.0)
-    probe = (np.zeros(3), np.ones(3))
-    a0 = build_A_rho(model, 0.0, probe=probe)
-    assert a0.shape == (3, 3)
-
-
 def test_cross_matrix_constant_in_probe_for_quartic(rng):
     # the quartic Hessian contribution is diagonal, so the cross-block
-    # part never depends on where it is probed
+    # Hessian is the same at every point and each block's curvature
+    # infimum rho_k is attained at x = 0: this is what makes the
+    # certificates closed forms for quartic models
     model = random_quartic_model(rng, dim=4)
-    lo = sup_interaction_norm(model, 0.0,
-                              probes=np.zeros((1, 4)))
-    hi = sup_interaction_norm(model, 0.0,
-                              probes=rng.normal(size=(3, 4)))
-    assert lo == pytest.approx(hi, rel=1e-12)
+    part = model.partition
+    rho_k = block_lsi_constants(model)
+    cross = _cross_matrix(model)
+    for x in [np.zeros(4), *rng.normal(scale=2.0, size=(5, 4))]:
+        hess = hessian(model, x)
+        off_block = hess.copy()
+        for k in range(part.n):
+            idx = part.block(k)
+            off_block[np.ix_(idx, idx)] = 0.0
+            lam = float(np.linalg.eigvalsh(hess[np.ix_(idx, idx)])[0])
+            assert lam >= rho_k[k] - 1e-12
+            if not x.any():
+                assert lam == pytest.approx(rho_k[k], abs=1e-12)
+        assert_array_equal(off_block, cross)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -133,7 +159,7 @@ def test_interaction_norm_monotone_in_rho(seed):
     model = random_certified_model(rng)
     rho_min = float(block_lsi_constants(model).min())
     rhos = np.linspace(0.0, 0.9 * rho_min, 5)
-    norms = [sup_interaction_norm(model, float(r)) for r in rhos]
+    norms = [op_norm(build_A_rho(model, float(r))) for r in rhos]
     assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -213,11 +239,10 @@ def test_marton_matches_or_banded():
 
 def test_otto_reznikoff_banded_quartic_infeasible():
     model = banded_model(64, 3.0, quartic=1e-4)
-    probes = np.zeros((1, 64))
     with pytest.raises(CertificateError):
-        otto_reznikoff(model, probes=probes)
+        otto_reznikoff(model)
     with pytest.raises(CertificateError):
-        solve_rho_marton(model, probes=probes)
+        solve_rho_marton(model)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -232,21 +257,17 @@ def test_or_never_exceeds_marton(seed):
     assert rho_or <= solve_rho_marton(model) * (1 + 1e-8) + 1e-10
 
 
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=25)
-def test_or_matches_direct_eigensolve(seed):
-    # for the bisection route vs the free closed form
-    rng = np.random.default_rng(seed)
-    model = random_certified_model(rng)
-    rho_k = block_lsi_constants(model)
-    kappa = cross_block_norms(model)
-    direct = float(np.linalg.eigvalsh(np.diag(rho_k) - kappa)[0])
-    try:
-        rho_or = otto_reznikoff(model)
-    except CertificateError:
-        assert direct <= 1e-10
-        return
-    assert rho_or == pytest.approx(min(direct, float(rho_k.min())), abs=1e-8)
+@given(oracle_models())
+@settings(max_examples=40)
+def test_or_matches_direct_eigensolve(model):
+    # the eigensolve against bisection on the equivalent Perron form
+    assert_matches_oracle(otto_reznikoff, bisect_rho_or, model)
+
+
+@given(oracle_models())
+@settings(max_examples=40)
+def test_marton_matches_bisection_oracle(model):
+    assert_matches_oracle(solve_rho_marton, bisect_rho_marton, model)
 
 
 def test_cross_block_norms_reference(model2d):
@@ -285,12 +306,16 @@ def test_criteria_report_no_certificate():
     assert "or_infeasible" in rep.flags
 
 
-def test_criteria_report_quartic_not_certified(rng):
+def test_criteria_report_quartic_certified(rng):
+    # the quartic term leaves the cross-block Hessian equal to the
+    # off-block part of K, so the report is exact and certifies
     model = random_quartic_model(rng, dim=3)
+    gaussian = GibbsModel(partition=model.partition,
+                          precision=model.precision, mean=model.mean,
+                          quartic=np.zeros(3))
     rep = criteria_report(model)
-    assert "sampled_bounds" in rep.flags
-    assert not rep.certified
-    assert rep.lambda_max_A0 is None
+    assert rep.certified
+    assert rep == criteria_report(gaussian)
 
 
 def test_criteria_report_rejects_indefinite_block():

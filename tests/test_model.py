@@ -11,9 +11,7 @@ from lsicert.model import (
     GibbsModel,
     ModelFormatError,
     ModelValidationError,
-    default_probes,
     hessian,
-    latin_hypercube_probes,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -215,15 +213,6 @@ def test_model_to_dict_roundtrip_values(model2d):
     assert doc["quartic"] == [0.0, 0.0]
 
 
-def test_latin_hypercube_probes_strata():
-    pts = latin_hypercube_probes(3, 16, 2.5, seed=1)
-    assert pts.shape == (16, 3)
-    assert np.all(np.abs(pts) <= 2.5)
-    for d in range(3):
-        strata = np.floor((pts[:, d] / 2.5 + 1.0) / 2.0 * 16).astype(int)
-        assert sorted(strata.tolist()) == list(range(16))
-
-
 def test_verify_assumptions_reference(model2d):
     report = verify_assumptions(model2d)
     assert report.rho_k == (1.0, 1.0)
@@ -231,7 +220,6 @@ def test_verify_assumptions_reference(model2d):
     assert report.assumption1_ok and report.assumption2_ok
     assert report.assumption3_ok
     assert report.delta == pytest.approx(0.5, abs=1e-12)
-    assert not report.sampled_bounds
 
 
 def test_verify_assumptions_near_critical_coupling():
@@ -256,19 +244,17 @@ def test_verify_assumptions_no_margin():
     assert report.delta is None
 
 
-def test_verify_assumptions_quartic_sampled():
+def test_verify_assumptions_quartic_exact():
     part = BlockPartition(((0,), (1,)))
     model = GibbsModel(partition=part,
                        precision=np.array([[1.0, -0.5], [-0.5, 1.0]]),
                        mean=np.zeros(2), quartic=np.array([0.2, 0.2]))
     report = verify_assumptions(model)
-    assert report.sampled_bounds
-    assert report.assumption1_ok
-    # quartic Hessian contribution is non-negative, so sampled bounds
-    # cannot drop below the quadratic block constants
-    assert all(b >= r - 1e-12 for b, r in
-               zip(report.block_hessian_lower_bounds, report.rho_k))
-    assert report.delta == pytest.approx(0.5, abs=1e-9)
+    assert report.assumption1_ok and report.assumption2_ok
+    # the quartic Hessian term vanishes at x = 0, where each block
+    # attains its infimum curvature
+    assert report.block_hessian_lower_bounds == report.rho_k == (1.0, 1.0)
+    assert report.delta == pytest.approx(0.5, abs=1e-12)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 1.0))
@@ -288,10 +274,3 @@ def test_delta_monotone_in_coupling_scale(seed, scale):
     d_shrunk = verify_assumptions(shrunk).delta
     assert d_shrunk >= d_full - 1e-12
 
-
-def test_default_probes_shape(model2d):
-    model = GibbsModel(partition=model2d.partition,
-                       precision=model2d.precision, mean=model2d.mean,
-                       quartic=np.array([0.1, 0.1]))
-    pts = default_probes(model, count=6, seed=3)
-    assert pts.shape == (8, 2)
