@@ -6,10 +6,11 @@ emits a pass/fail CSV table; `toeplitz` reports symbol and
 finite-section spectra for a banded coupling.
 
 Exit codes: 0 success, 1 usage error (including `verify` on a model with
-a quartic term, since the closed-form verifiers need a Gaussian model),
-2 invalid model, 3 no certificate, 4 verification failure.  Output is
-strict JSON or CSV, byte-identical across runs for equal inputs and
-seeds; all randomness derives from --seed.
+a quartic term, since the closed-form verifiers need a Gaussian model,
+and `verify gibbs` when the exact mixture would exceed the component cap
+or the byte budget), 2 invalid model, 3 no certificate, 4 verification
+failure.  Output is strict JSON or CSV, byte-identical across runs for
+equal inputs and seeds; all randomness derives from --seed.
 """
 
 from __future__ import annotations

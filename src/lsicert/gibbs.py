@@ -5,41 +5,82 @@ Gaussian law through an affine update, so the weighted block sampler maps
 finite Gaussian mixtures to finite Gaussian mixtures exactly.  This gives
 closed-form entropy drops per block and Monte Carlo estimates of the
 mixture-to-target divergence along the sampler trajectory.
+
+A block update is idempotent (Gamma_k Gamma_k = Gamma_k), so each mixture
+component carries its collapsed block word: the index of the component it
+started from, then the blocks applied to it with repeats collapsed.
+Components with equal words are the same law and are merged by summing
+their weights, which keeps the mixture exact at n sum_{j<m} (n-1)^j
+components after m sweeps of an n-block sampler instead of n^m.  Mixture
+densities are evaluated for all components at once, in row chunks of
+bounded size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .criteria import CertificateError, CriteriaReport
-from .gaussian import GaussianDist, avg_conditional_kl, gaussian_target, kl
+from .gaussian import (_LOG_2PI, GaussianDist, avg_conditional_kl,
+                       gaussian_target, kl)
 from .model import GibbsModel
 
 DEFAULT_COMPONENT_CAP = 100_000
+# Largest covariance storage (components x d^2 x 8 bytes) a swept mixture
+# may take; checked before any component is built.
+MIXTURE_BYTE_BUDGET = 1 << 30
+# Size of the (components x d) x rows working block of GaussianMixture.logpdf.
+_LOGPDF_CHUNK_BYTES = 16 << 20
 THEOREM1_SLACK = 1e-9
 MIN_MC_SAMPLES = 1_000
 
 
 class MixtureCapError(RuntimeError):
-    """Exact mixture tracking would exceed the component cap."""
+    """Exact mixture tracking would exceed the component cap or the
+    byte budget."""
+
+
+def _check_budget(count: int, dim: int, cap: int) -> None:
+    if count > cap:
+        raise MixtureCapError(
+            f"mixture would have {count} components, cap is {cap}")
+    size = count * dim * dim * 8
+    if size > MIXTURE_BYTE_BUDGET:
+        raise MixtureCapError(
+            f"mixture of {count} components in dimension {dim} needs "
+            f"{size} bytes of covariances, budget is {MIXTURE_BYTE_BUDGET}")
+
+
+def collapsed_word_count(n_blocks: int, sweeps: int) -> int:
+    """Distinct component laws after `sweeps` sweeps from one Gaussian:
+    n (n-1)^j collapsed words with j + 1 block letters, summed over
+    j < sweeps."""
+    return n_blocks * sum((n_blocks - 1) ** j for j in range(sweeps))
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Finite Gaussian mixture with positive normalized weights."""
+    """Finite Gaussian mixture with positive normalized weights.
+
+    words[c] is the collapsed block word of component c under one model's
+    sampler: its origin component, then the blocks applied since.  None
+    means every component is its own origin, with no block applied yet.
+    """
 
     weights: np.ndarray
     components: tuple
+    words: tuple | None = None
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
         comps = tuple(self.components)
         if weights.ndim != 1 or weights.size != len(comps):
             raise ValueError("need one weight per component")
+        if self.words is not None and len(self.words) != len(comps):
+            raise ValueError("need one word per component")
         if weights.size == 0:
             raise ValueError("mixture needs at least one component")
         if np.any(weights <= 0):
@@ -55,6 +96,8 @@ class GaussianMixture:
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "components", comps)
+        if self.words is not None:
+            object.__setattr__(self, "words", tuple(map(tuple, self.words)))
 
     @classmethod
     def single(cls, g: GaussianDist) -> "GaussianMixture":
@@ -68,10 +111,43 @@ class GaussianMixture:
     def n_components(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def _whitening(self) -> tuple:
+        """(W, b, const) such that rows c d .. c d + d - 1 of W @ x.T - b
+        are L_c^-1 (x - mean_c) for each of the C components, and
+        const_c = log w_c - (d log 2pi + log det cov_c) / 2.
+        """
+        chol = np.stack([c.chol for c in self.components])
+        inv = np.linalg.inv(chol)
+        means = np.stack([c.mean for c in self.components])
+        whitened = np.einsum("cij,cj->ci", inv, means).reshape(-1, 1)
+        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        const = np.log(self.weights) - 0.5 * (self.dim * _LOG_2PI + log_det)
+        return inv.reshape(-1, self.dim), whitened, const[:, None]
+
     def logpdf(self, x: np.ndarray) -> np.ndarray:
+        """Log density, vectorized over rows of x.
+
+        All components are evaluated by one product per chunk of rows;
+        chunks keep the (C d) x rows working block near 16 MiB.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        stacked = np.stack([c.logpdf(x) for c in self.components])
-        return logsumexp(stacked + np.log(self.weights)[:, None], axis=0)
+        w, b, const = self._whitening
+        n_comp, d = const.shape[0], self.dim
+        rows = max(1, _LOGPDF_CHUNK_BYTES // (8 * n_comp * d))
+        out = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], rows):
+            z = w @ x[start:start + rows].T
+            z -= b
+            z *= z
+            terms = np.add.reduce(z.reshape(n_comp, d, -1), axis=1)
+            terms *= -0.5
+            terms += const
+            top = terms.max(axis=0)
+            terms -= top
+            np.exp(terms, out=terms)
+            out[start:start + rows] = top + np.log(terms.sum(axis=0))
+        return out
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         counts = rng.multinomial(n, self.weights)
@@ -124,45 +200,68 @@ def _require_gaussian(model: GibbsModel):
             "exact Gibbs updates need a Gaussian model (zero quartic term)")
 
 
-def apply_gibbs_block(p: GaussianMixture, model: GibbsModel,
-                      k: int) -> GaussianMixture:
-    """Image of the mixture p under the exact block-k Gibbs update."""
+def _check_mixture(p: GaussianMixture, model: GibbsModel) -> None:
     _require_gaussian(model)
     if p.dim != model.dim:
         raise ValueError("mixture dimension does not match model")
-    lin, offset, noise = _block_update_map(model, k)
-    comps = tuple(_push_gaussian(c, lin, offset, noise) for c in p.components)
-    return GaussianMixture(weights=np.array(p.weights), components=comps)
+
+
+def _image(p: GaussianMixture, model: GibbsModel, moves,
+           cap: int = DEFAULT_COMPONENT_CAP) -> GaussianMixture:
+    """Merged mixture of the moves (k, c, weight): component c of p sent
+    through the block-k update, carrying that weight.
+
+    Each move is keyed by its collapsed word.  A component whose word
+    already ends in k is its own image and is kept as is; equal keys sum
+    their weights in first-seen order, and every other key is pushed
+    through the update once.  Raises MixtureCapError before any push when
+    the merged mixture would exceed cap or the byte budget.
+    """
+    words = p.words or tuple((c,) for c in range(p.n_components))
+    weights, sources = {}, {}
+    for k, c, weight in moves:
+        word = words[c]
+        kept = len(word) > 1 and word[-1] == k
+        key = word if kept else word + (k,)
+        weights[key] = weights.get(key, 0.0) + weight
+        if kept or key not in sources:
+            sources[key] = (k, c, kept)
+    _check_budget(len(weights), p.dim, cap)
+    comps = tuple(
+        p.components[c] if kept
+        else _push_gaussian(p.components[c], *_block_update_map(model, k))
+        for k, c, kept in sources.values())
+    return GaussianMixture(weights=np.fromiter(weights.values(), float),
+                           components=comps, words=tuple(weights))
+
+
+def apply_gibbs_block(p: GaussianMixture, model: GibbsModel,
+                      k: int) -> GaussianMixture:
+    """Image of the mixture p under the exact block-k Gibbs update."""
+    _check_mixture(p, model)
+    return _image(p, model, ((k, c, w) for c, w in enumerate(p.weights)))
 
 
 def apply_weighted_gibbs(p: GaussianMixture, model: GibbsModel, rho,
                          cap: int = DEFAULT_COMPONENT_CAP) -> GaussianMixture:
     """One sweep of the weighted block sampler: block k with weight rho_k/R.
 
-    The image has n_blocks times as many components; raises
-    MixtureCapError instead of exceeding cap.
+    The image is the exact merged mixture: every component goes through
+    every block, components are keyed by collapsed block word, and equal
+    keys are summed, in block-major order.  Raises MixtureCapError instead
+    of exceeding cap or MIXTURE_BYTE_BUDGET.
     """
-    _require_gaussian(model)
-    if p.dim != model.dim:
-        raise ValueError("mixture dimension does not match model")
+    _check_mixture(p, model)
     rho = np.asarray(rho, dtype=float)
     part = model.partition
     if rho.shape != (part.n,):
         raise ValueError(f"need one weight per block, got shape {rho.shape}")
     if np.any(rho <= 0):
         raise ValueError("block weights must be positive")
-    new_count = part.n * p.n_components
-    if new_count > cap:
-        raise MixtureCapError(
-            f"sweep would produce {new_count} components, cap is {cap}")
     share = rho / rho.sum()
-    weights = np.concatenate([share[k] * p.weights for k in range(part.n)])
-    comps = []
-    for k in range(part.n):
-        lin, offset, noise = _block_update_map(model, k)
-        comps.extend(_push_gaussian(c, lin, offset, noise)
-                     for c in p.components)
-    return GaussianMixture(weights=weights, components=tuple(comps))
+    moves = ((k, c, share[k] * w) for k in range(part.n)
+             for c, w in enumerate(p.weights))
+    return _image(p, model, moves, cap=cap)
 
 
 @dataclass(frozen=True)
@@ -253,19 +352,17 @@ class ContractionStep:
 
 def _subsample_sweep(p: GaussianMixture, model: GibbsModel, rho, cap: int,
                      rng: np.random.Generator) -> GaussianMixture:
-    """Approximate sweep image: cap component paths sampled by weight."""
+    """Approximate sweep image: component paths sampled by weight, as
+    many as both cap and the byte budget allow."""
     part = model.partition
     share = rho / rho.sum()
-    ks = rng.choice(part.n, size=cap, p=share)
-    cs = rng.choice(p.n_components, size=cap, p=p.weights)
+    paths = max(1, min(cap, MIXTURE_BYTE_BUDGET // (8 * model.dim ** 2)))
+    ks = rng.choice(part.n, size=paths, p=share)
+    cs = rng.choice(p.n_components, size=paths, p=p.weights)
     flat, counts = np.unique(ks * p.n_components + cs, return_counts=True)
-    weights = counts / float(cap)
-    comps = []
-    for code in flat:
-        k, c = divmod(int(code), p.n_components)
-        lin, offset, noise = _block_update_map(model, k)
-        comps.append(_push_gaussian(p.components[c], lin, offset, noise))
-    return GaussianMixture(weights=weights, components=tuple(comps))
+    moves = ((*divmod(int(code), p.n_components), cnt / paths)
+             for code, cnt in zip(flat, counts))
+    return _image(p, model, moves, cap=cap)
 
 
 def verify_contraction(p0: GaussianDist, model: GibbsModel,
@@ -276,14 +373,18 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
     geometric bound (1 - rho/R)^m D(p0||q).
 
     Step 0 is exact; later steps are Monte Carlo estimates flagged as
-    within the bound when estimate - 3 SE <= bound.  When exact mixture
-    tracking would exceed cap, mc_fallback=True switches to a sampled
-    component-path approximation (law no longer exact); otherwise the
-    overflow raises MixtureCapError.
+    within the bound when estimate - 3 SE <= bound.  The exact law after
+    m sweeps has collapsed_word_count(n_blocks, m) components.  When that
+    would exceed cap or MIXTURE_BYTE_BUDGET, mc_fallback=True switches to
+    a sampled component-path approximation (law no longer exact);
+    otherwise MixtureCapError is raised before the first sweep.
     """
     if report.rho_marton is None:
         raise CertificateError("report carries no certified constant")
     _require_gaussian(model)
+    if not mc_fallback:
+        _check_budget(collapsed_word_count(model.partition.n, steps),
+                      model.dim, cap)
     rho = float(report.rho_marton)
     rho_k = np.asarray(report.rho_k, dtype=float)
     total = float(rho_k.sum())
@@ -298,15 +399,13 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
     mix = GaussianMixture.single(p0)
     exact = True
     for m in range(1, steps + 1):
-        if model.partition.n * mix.n_components > cap:
+        try:
+            mix = apply_weighted_gibbs(mix, model, rho_k, cap=cap)
+        except MixtureCapError:
             if not mc_fallback:
-                raise MixtureCapError(
-                    f"step {m} would exceed the {cap}-component cap; "
-                    "enable mc_fallback for an approximate law")
+                raise
             mix = _subsample_sweep(mix, model, rho_k, cap, rng)
             exact = False
-        else:
-            mix = apply_weighted_gibbs(mix, model, rho_k, cap=cap)
         est = kl_mixture_mc(mix, q, nsamples, int(mc_seeds[m - 1]))
         bound = factor ** m * d0
         within = est.estimate - 3.0 * est.std_error <= bound

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from lsicert import cli
+from lsicert import cli, gibbs
 from lsicert.instances import model_2d, random_quartic_model
-from lsicert.model import model_to_dict, save_model
+from lsicert.model import (BlockPartition, GibbsModel, model_to_dict,
+                           save_model, toeplitz_matrix)
 
 
 @pytest.fixture
@@ -244,6 +245,28 @@ def test_verify_quartic_model_usage_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "need a Gaussian model" in err
+
+
+def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
+                                                  monkeypatch):
+    # 256 singleton blocks, 2 sweeps: 65 536 components of 256 x 256 fit
+    # the component cap but not the byte budget; nothing may be swept
+    m = 256
+    model = GibbsModel(partition=BlockPartition(tuple((i,) for i in range(m))),
+                       precision=toeplitz_matrix(m, 4.0, {1: 1.0}),
+                       mean=np.zeros(m), quartic=np.zeros(m))
+    path = tmp_path / "t256.json"
+    save_model(model, path)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the budget check")
+
+    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", no_sweep)
+    code, out, err = run(["verify", str(path), "gibbs", "--steps", "2",
+                          "--samples", "2000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "65536 components" in err and "budget" in err
 
 
 def test_verify_small_sample_usage_error(model_path, capsys):

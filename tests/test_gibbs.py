@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
+from lsicert import gibbs
 from lsicert.criteria import CertificateError, criteria_report
 from lsicert.gaussian import GaussianDist, gaussian_target, kl
 from lsicert.gibbs import (
@@ -17,12 +19,14 @@ from lsicert.gibbs import (
     MixtureCapError,
     apply_gibbs_block,
     apply_weighted_gibbs,
+    collapsed_word_count,
     entropy_drop_identity,
     kl_mixture_mc,
     verify_contraction,
     verify_theorem1,
 )
-from lsicert.instances import random_certified_model, random_gaussian
+from lsicert.instances import (random_certified_model, random_gaussian,
+                               random_spd)
 from lsicert.model import BlockPartition, GibbsModel
 from lsicert.oracles import quad_kl
 
@@ -107,6 +111,53 @@ def test_weighted_sweep_component_layout(model2d):
     assert_allclose(out.components[2].mean, direct1.components[0].mean)
 
 
+def test_block_update_keeps_updated_components(model2d, rng):
+    # Gamma_k Gamma_k = Gamma_k: a second block-k update is the identity
+    mix = GaussianMixture(weights=np.array([0.4, 0.6]),
+                          components=(random_gaussian(rng, 2),
+                                      random_gaussian(rng, 2)))
+    once = apply_gibbs_block(mix, model2d, 1)
+    twice = apply_gibbs_block(once, model2d, 1)
+    assert once.words == ((0, 1), (1, 1))
+    assert twice.words == once.words
+    assert all(a is b for a, b in zip(twice.components, once.components))
+    assert_allclose(twice.weights, once.weights)
+
+
+def naive_sweep(mix, model, rho):
+    """Unmerged sweep image: one push per (block, component) pair."""
+    share = np.asarray(rho) / np.sum(rho)
+    weights, comps = [], []
+    for k in range(model.partition.n):
+        for w, comp in zip(mix.weights, mix.components):
+            image = apply_gibbs_block(GaussianMixture.single(comp), model, k)
+            weights.append(share[k] * w)
+            comps.append(image.components[0])
+    return GaussianMixture(weights=np.array(weights), components=tuple(comps))
+
+
+@given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40)
+def test_merged_sweep_matches_naive_law(n_blocks, sweeps, seed):
+    rng = np.random.default_rng(seed)
+    dim = n_blocks + 1
+    part = BlockPartition(tuple((i,) for i in range(n_blocks - 1))
+                          + ((n_blocks - 1, n_blocks),))
+    model = GibbsModel(partition=part, precision=random_spd(rng, dim),
+                       mean=rng.normal(size=dim), quartic=np.zeros(dim))
+    rho = rng.uniform(0.5, 2.0, size=n_blocks)
+    merged = naive = GaussianMixture.single(random_gaussian(rng, dim))
+    for _ in range(sweeps):
+        merged = apply_weighted_gibbs(merged, model, rho)
+        naive = naive_sweep(naive, model, rho)
+    assert naive.n_components == n_blocks ** sweeps
+    assert merged.n_components == collapsed_word_count(n_blocks, sweeps) \
+        == n_blocks * sum((n_blocks - 1) ** j for j in range(sweeps))
+    x = np.vstack([naive.sample(rng, 50), rng.normal(scale=3.0,
+                                                     size=(50, dim))])
+    assert_allclose(merged.logpdf(x), naive.logpdf(x), rtol=1e-10)
+
+
 def test_weighted_sweep_fixes_target(model2d):
     q = gaussian_target(model2d)
     mix = apply_weighted_gibbs(GaussianMixture.single(q), model2d,
@@ -150,6 +201,26 @@ def test_mixture_logpdf_matches_manual():
     x = np.array([[0.5], [2.0]])
     manual = np.log(0.3 * np.exp(a.logpdf(x)) + 0.7 * np.exp(b.logpdf(x)))
     assert_allclose(mix.logpdf(x), manual, atol=1e-12)
+
+
+def reference_logpdf(mix, x):
+    stacked = np.stack([c.logpdf(x) for c in mix.components])
+    return logsumexp(stacked + np.log(mix.weights)[:, None], axis=0)
+
+
+@pytest.mark.parametrize("dim,n_comp,chunks",
+                         [(1, 1, 0), (1, 5, 0), (3, 1, 0), (4, 7, 0),
+                          (6, 300, 2)])
+def test_mixture_logpdf_matches_reference(dim, n_comp, chunks, rng):
+    # chunks > 0: enough rows to fill that many full row chunks and more
+    comps = tuple(random_gaussian(rng, dim) for _ in range(n_comp))
+    weights = rng.uniform(0.1, 1.0, size=n_comp)
+    mix = GaussianMixture(weights=weights / weights.sum(), components=comps)
+    rows_per_chunk = gibbs._LOGPDF_CHUNK_BYTES // (8 * n_comp * dim)
+    x = rng.normal(scale=4.0, size=(chunks * rows_per_chunk + 300, dim))
+    assert_allclose(mix.logpdf(x), reference_logpdf(mix, x), rtol=1e-10)
+    assert_allclose(mix.logpdf(x[0]), reference_logpdf(mix, x[:1]),
+                    rtol=1e-10)
 
 
 def test_kl_mixture_mc_matches_closed_form(model2d):
@@ -282,6 +353,19 @@ def test_contraction_cap_fallback(model2d):
                            seed=0, cap=4)
     rows = verify_contraction(p0, model2d, rep, steps=4, nsamples=1000,
                               seed=0, cap=4, mc_fallback=True)
+    assert [r.exact_law for r in rows] == [True, True, True, False, False]
+
+
+def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
+    # room for 5 covariances of 2 x 2: steps 1 and 2 (2 and 4 components)
+    # stay exact, the sampled steps must fit the budget as well
+    monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET", 5 * 2 * 2 * 8)
+    rep = criteria_report(model2d)
+    p0 = shifted_target(model2d, [2.0, -1.0])
+    with pytest.raises(MixtureCapError):
+        verify_contraction(p0, model2d, rep, steps=3, nsamples=1000, seed=0)
+    rows = verify_contraction(p0, model2d, rep, steps=4, nsamples=1000,
+                              seed=0, mc_fallback=True)
     assert [r.exact_law for r in rows] == [True, True, True, False, False]
 
 
