@@ -9,8 +9,6 @@ Usage: python scripts/contraction_demo.py [model.json] [--steps 8]
 
 import argparse
 
-import numpy as np
-
 from lsicert.criteria import criteria_report
 from lsicert.gaussian import GaussianDist, gaussian_target, kl
 from lsicert.gibbs import verify_contraction

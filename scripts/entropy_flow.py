@@ -14,10 +14,9 @@ import numpy as np
 
 from lsicert.criteria import criteria_report
 from lsicert.fokker_planck import (
+    DECAY_ATOL,
     curvature_bound,
     dissipation_check,
-    entropy_trace,
-    exp_decay_check,
     langevin_particles,
     write_entropy_csv,
 )
@@ -44,16 +43,16 @@ def main():
     p0 = GaussianDist(q.mean + 2.0, q.cov)
     times = np.linspace(0.0, args.horizon, args.nodes)
 
-    trace = entropy_trace(p0, model, times, rho=rho)
+    res = dissipation_check(p0, model, times, rho=rho)
+    trace = res.trace
     print(f"certified rho = {rho:.6f}")
     print(f"D(p0||q) = {trace.kl_values[0]:.6f}, "
           f"D(p_T||q) = {trace.kl_values[-1]:.3e} at T = {args.horizon}")
 
-    res = dissipation_check(p0, model, times)
     print(f"dissipation residual {res.max_residual:.3e} "
           f"(tolerance {res.tolerance:.3e}) -> "
           f"{'ok' if res.ok else 'FAIL'}")
-    decay = exp_decay_check(p0, model, rho, times)
+    decay = res.decay_excess <= DECAY_ATOL
     print(f"exp(-2 rho t) decay bound -> {'ok' if decay else 'FAIL'}")
 
     lam = curvature_bound(model, p0)

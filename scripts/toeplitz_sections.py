@@ -10,7 +10,7 @@ Usage: python scripts/toeplitz_sections.py [--diag D] [--band '1=1,2=-1']
 
 import argparse
 
-from lsicert.cli import _parse_band
+from lsicert.cli import parse_band
 from lsicert.criteria import toeplitz_spectrum_report
 
 
@@ -21,7 +21,7 @@ def main():
     ap.add_argument("--sizes", default="8,16,32,64,128,256,512")
     args = ap.parse_args()
 
-    band = _parse_band(args.band)
+    band = parse_band(args.band)
     sizes = [int(s) for s in args.sizes.split(",")]
 
     header = f"{'m':>5} {'lam_min':>12} {'lam_max':>12} {'op_norm':>12}"

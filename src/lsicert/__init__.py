@@ -50,7 +50,6 @@ from .gibbs import (
     verify_theorem1,
 )
 from .model import (
-    AssumptionReport,
     BlockPartition,
     GibbsModel,
     ModelError,
@@ -62,7 +61,6 @@ from .model import (
     model_to_dict,
     save_model,
     toeplitz_matrix,
-    verify_assumptions,
 )
 from .oracles import (
     QuadratureError,

@@ -16,8 +16,8 @@ off-block part C of K at every point and both thresholds have closed
 forms: with D0 = diag(rho_k(i)), ||A^rho|| <= 1 iff D0 +- C >= rho I, so
 the certificates are least eigenvalues of D0 +- C and of
 diag(rho_k) - kappa, rounded down by the eigensolver's error bound.  The
-module also reports symbol and finite-section spectra for banded
-Toeplitz couplings.
+module also reports exact symbol extrema and finite-section spectra for
+banded Toeplitz couplings.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .model import GibbsModel, toeplitz_matrix
-
-TOEPLITZ_GRID_POINTS = 1_000_001
 
 
 class CertificateError(Exception):
@@ -188,8 +187,8 @@ def criteria_report(model: GibbsModel) -> CriteriaReport:
     """Evaluate both criteria and collect certificates plus diagnostics."""
     rho_k = _positive_block_constants(model)
     rho_min = float(rho_k.min())
-    a0 = build_A_rho(model, 0.0)
-    norm0 = op_norm(a0)
+    evals_a0 = np.linalg.eigvalsh(build_A_rho(model, 0.0))
+    norm0 = float(np.abs(evals_a0).max())
     flags = []
     try:
         rho_marton = solve_rho_marton(model)
@@ -212,7 +211,7 @@ def criteria_report(model: GibbsModel) -> CriteriaReport:
         norm_A0=norm0,
         rho_marton=rho_marton,
         rho_or=rho_or,
-        lambda_max_A0=float(np.linalg.eigvalsh(a0)[-1]),
+        lambda_max_A0=float(evals_a0[-1]),
         certified=rho_marton is not None,
         flags=tuple(flags),
     )
@@ -220,7 +219,7 @@ def criteria_report(model: GibbsModel) -> CriteriaReport:
 
 @dataclass(frozen=True)
 class ToeplitzSpectrumReport:
-    """Symbol extrema and finite-section spectra for a banded coupling.
+    """Exact symbol extrema and finite-section spectra for a banded coupling.
 
     Reports the same quantities for the matrix itself and for its
     entrywise absolute value; note documents when the largest symbol
@@ -230,7 +229,6 @@ class ToeplitzSpectrumReport:
     m: int
     diag: float
     band: tuple
-    grid_points: int
     max_symbol: float
     min_symbol: float
     sup_abs_symbol: float
@@ -246,18 +244,27 @@ class ToeplitzSpectrumReport:
     note: str
 
 
-def _symbol_extrema(diag: float, band: dict, grid_points: int):
-    theta = np.linspace(0.0, np.pi, grid_points)
-    sym = np.full(grid_points, float(diag))
+def _symbol_extrema(diag: float, band: dict):
+    """Exact (max, min, sup|.|) of f(theta) = diag + 2 sum_j b_j cos(j theta).
+
+    With x = cos(theta), f is the Chebyshev series diag + sum_j 2 b_j T_j(x)
+    on [-1, 1], so its extrema lie at x = +-1 or at a real root of f'.
+    Every root is projected onto [-1, 1]; the projections are points of
+    the domain, so they can only add admissible candidates.
+    """
+    coef = np.zeros(max(band, default=0) + 1)
+    coef[0] = diag
     for off, coeff in band.items():
-        sym += 2.0 * coeff * np.cos(off * theta)
+        coef[off] = 2.0 * coeff
+    roots = chebyshev.chebroots(chebyshev.chebder(coef))
+    cand = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))
+    sym = chebyshev.chebval(cand, coef)
     return float(sym.max()), float(sym.min()), float(np.abs(sym).max())
 
 
-def toeplitz_spectrum_report(m: int, diag: float, band: dict,
-                             grid_points: int = TOEPLITZ_GRID_POINTS
-                             ) -> ToeplitzSpectrumReport:
-    """Symbol extrema (dense grid on [0, pi]) and finite-section spectra.
+def toeplitz_spectrum_report(m: int, diag: float,
+                             band: dict) -> ToeplitzSpectrumReport:
+    """Exact symbol extrema and finite-section spectra.
 
     The symbol of diag*I + sum_j b_j (E_j + E_-j) is
     f(theta) = diag + 2 sum_j b_j cos(j theta); the finite sections have
@@ -267,16 +274,14 @@ def toeplitz_spectrum_report(m: int, diag: float, band: dict,
     if m < 4:
         raise ValueError("finite sections below size 4 are not informative")
     band = {int(k): float(v) for k, v in band.items()}
-    mat = toeplitz_matrix(m, diag, band)
-    abs_mat = np.abs(mat)
+    mat = toeplitz_matrix(m, diag, band)  # rejects offsets outside 1..m-1
 
-    max_sym, min_sym, sup_abs = _symbol_extrema(diag, band, grid_points)
+    max_sym, min_sym, sup_abs = _symbol_extrema(diag, band)
     abs_band = {k: abs(v) for k, v in band.items()}
-    amax_sym, amin_sym, asup_abs = _symbol_extrema(abs(diag), abs_band,
-                                                   grid_points)
+    amax_sym, amin_sym, asup_abs = _symbol_extrema(abs(diag), abs_band)
 
     evals = np.linalg.eigvalsh(mat)
-    aevals = np.linalg.eigvalsh(abs_mat)
+    aevals = np.linalg.eigvalsh(np.abs(mat))
 
     note = ""
     if sup_abs > max_sym + 1e-12:
@@ -290,21 +295,12 @@ def toeplitz_spectrum_report(m: int, diag: float, band: dict,
         )
 
     return ToeplitzSpectrumReport(
-        m=m,
-        diag=float(diag),
-        band=tuple(sorted(band.items())),
-        grid_points=grid_points,
-        max_symbol=max_sym,
-        min_symbol=min_sym,
-        sup_abs_symbol=sup_abs,
-        lambda_max_bm=float(evals[-1]),
-        lambda_min_bm=float(evals[0]),
-        svd_norm_bm=float(max(abs(evals[0]), abs(evals[-1]))),
-        abs_max_symbol=amax_sym,
-        abs_min_symbol=amin_sym,
+        m=m, diag=float(diag), band=tuple(sorted(band.items())),
+        max_symbol=max_sym, min_symbol=min_sym, sup_abs_symbol=sup_abs,
+        lambda_max_bm=float(evals[-1]), lambda_min_bm=float(evals[0]),
+        svd_norm_bm=float(np.abs(evals).max()),
+        abs_max_symbol=amax_sym, abs_min_symbol=amin_sym,
         abs_sup_abs_symbol=asup_abs,
         abs_lambda_max_bm=float(aevals[-1]),
         abs_lambda_min_bm=float(aevals[0]),
-        abs_svd_norm_bm=float(max(abs(aevals[0]), abs(aevals[-1]))),
-        note=note,
-    )
+        abs_svd_norm_bm=float(np.abs(aevals).max()), note=note)

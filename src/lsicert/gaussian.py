@@ -110,30 +110,35 @@ def marginal(g: GaussianDist, indices) -> GaussianDist:
     return GaussianDist(g.mean[idx], g.cov[np.ix_(idx, idx)])
 
 
+def block_conditional(precision: np.ndarray, idx: np.ndarray,
+                      rest: np.ndarray) -> tuple:
+    """(cov, gain) of the law of coordinates idx given the values xbar of
+    rest, the other coordinates, under precision P: cov = inv(P_idx,idx)
+    and the mean is m_idx + gain (xbar - m_rest), gain = -cov P_idx,rest."""
+    rows = precision[idx]
+    cov = np.linalg.inv(rows[:, idx])
+    cov = 0.5 * (cov + cov.T)
+    return cov, -cov @ rows[:, rest]
+
+
 def conditional(g: GaussianDist, part: BlockPartition, k: int,
                 xbar) -> GaussianDist:
     """Conditional law of block k given the remaining coordinates.
 
     xbar lists the conditioning values on the complement of block k in
-    ascending index order.  Worked in precision form: the conditional
-    covariance is the inverse of the block-k principal submatrix of the
-    precision, so it does not depend on xbar.
+    ascending index order; see block_conditional.
     """
     if part.dim != g.dim:
         raise ValueError("partition does not match distribution dimension")
-    idx = part.block(k)
     rest = part.complement(k)
     if rest.size == 0:
         return g
     xbar = np.asarray(xbar, dtype=float)
     if xbar.shape != (rest.size,):
         raise ValueError(f"conditioning vector must have length {rest.size}")
-    prec = g.precision
-    prec_ii = prec[np.ix_(idx, idx)]
-    prec_ir = prec[np.ix_(idx, rest)]
-    cov_c = np.linalg.inv(prec_ii)
-    cov_c = 0.5 * (cov_c + cov_c.T)
-    mean_c = g.mean[idx] - cov_c @ (prec_ir @ (xbar - g.mean[rest]))
+    idx = part.block(k)
+    cov_c, gain = block_conditional(g.precision, idx, rest)
+    mean_c = g.mean[idx] + gain @ (xbar - g.mean[rest])
     return GaussianDist(mean_c, cov_c)
 
 
@@ -227,15 +232,9 @@ def avg_conditional_kl(p: GaussianDist, q: GaussianDist,
     if rest.size == 0:
         return kl(p, q)
 
-    prec_p = p.precision
-    prec_q = q.precision
-    cov_p = np.linalg.inv(prec_p[np.ix_(idx, idx)])
-    cov_p = 0.5 * (cov_p + cov_p.T)
-    prec_q_ii = prec_q[np.ix_(idx, idx)]
-    cov_q = np.linalg.inv(prec_q_ii)
-    cov_q = 0.5 * (cov_q + cov_q.T)
-    gain_p = -cov_p @ prec_p[np.ix_(idx, rest)]
-    gain_q = -cov_q @ prec_q[np.ix_(idx, rest)]
+    cov_p, gain_p = block_conditional(p.precision, idx, rest)
+    cov_q, gain_q = block_conditional(q.precision, idx, rest)
+    prec_q_ii = q.precision[np.ix_(idx, idx)]
 
     offset = (p.mean[idx] - q.mean[idx]) - gain_q @ (p.mean[rest] - q.mean[rest])
     gain_diff = gain_p - gain_q

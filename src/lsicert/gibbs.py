@@ -25,12 +25,12 @@ import numpy as np
 
 from .criteria import CertificateError, CriteriaReport
 from .gaussian import (_LOG_2PI, GaussianDist, avg_conditional_kl,
-                       gaussian_target, kl)
+                       block_conditional, gaussian_target, kl)
 from .model import GibbsModel
 
 DEFAULT_COMPONENT_CAP = 100_000
-# Largest covariance storage (components x d^2 x 8 bytes) a swept mixture
-# may take; checked before any component is built.
+# Largest storage a swept mixture may take; checked before any component
+# is built.
 MIXTURE_BYTE_BUDGET = 1 << 30
 # Size of the (components x d) x rows working block of GaussianMixture.logpdf.
 _LOGPDF_CHUNK_BYTES = 16 << 20
@@ -43,15 +43,21 @@ class MixtureCapError(RuntimeError):
     byte budget."""
 
 
+def _component_bytes(dim: int) -> int:
+    """Peak bytes of one component: its cov and chol plus its slices of
+    the stacked factors and their inverse in GaussianMixture._whitening."""
+    return 4 * dim * dim * 8
+
+
 def _check_budget(count: int, dim: int, cap: int) -> None:
     if count > cap:
         raise MixtureCapError(
             f"mixture would have {count} components, cap is {cap}")
-    size = count * dim * dim * 8
+    size = count * _component_bytes(dim)
     if size > MIXTURE_BYTE_BUDGET:
         raise MixtureCapError(
             f"mixture of {count} components in dimension {dim} needs "
-            f"{size} bytes of covariances, budget is {MIXTURE_BYTE_BUDGET}")
+            f"{size} bytes, budget is {MIXTURE_BYTE_BUDGET}")
 
 
 def collapsed_word_count(n_blocks: int, sweeps: int) -> int:
@@ -167,22 +173,14 @@ def _block_update_map(model: GibbsModel, k: int):
     idx = part.block(k)
     rest = part.complement(k)
     n = model.dim
+    cov_c, gain = block_conditional(model.precision, idx, rest)
     lin = np.zeros((n, n))
+    lin[rest, rest] = 1.0
+    lin[np.ix_(idx, rest)] = gain
     offset = np.zeros(n)
+    offset[idx] = model.mean[idx] - gain @ model.mean[rest]
     noise = np.zeros((n, n))
-    if rest.size == 0:
-        cov = np.linalg.inv(model.precision)
-        noise[:] = 0.5 * (cov + cov.T)
-        offset[:] = model.mean
-    else:
-        lin[rest, rest] = 1.0
-        prec_ii = model.precision[np.ix_(idx, idx)]
-        cov_c = np.linalg.inv(prec_ii)
-        cov_c = 0.5 * (cov_c + cov_c.T)
-        gain = -cov_c @ model.precision[np.ix_(idx, rest)]
-        lin[np.ix_(idx, rest)] = gain
-        offset[idx] = model.mean[idx] - gain @ model.mean[rest]
-        noise[np.ix_(idx, idx)] = cov_c
+    noise[np.ix_(idx, idx)] = cov_c
     for arr in (lin, offset, noise):
         arr.flags.writeable = False
     return lin, offset, noise
@@ -356,7 +354,8 @@ def _subsample_sweep(p: GaussianMixture, model: GibbsModel, rho, cap: int,
     many as both cap and the byte budget allow."""
     part = model.partition
     share = rho / rho.sum()
-    paths = max(1, min(cap, MIXTURE_BYTE_BUDGET // (8 * model.dim ** 2)))
+    budget = MIXTURE_BYTE_BUDGET // _component_bytes(model.dim)
+    paths = max(1, min(cap, budget))
     ks = rng.choice(part.n, size=paths, p=share)
     cs = rng.choice(p.n_components, size=paths, p=p.weights)
     flat, counts = np.unique(ks * p.n_components + cs, return_counts=True)

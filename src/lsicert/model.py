@@ -142,29 +142,6 @@ class GibbsModel:
         return bool(np.all(self.quartic == 0))
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Outcome of the structural checks backing the spectral criteria.
-
-    rho_k are per-block curvature constants, block_hessian_lower_bounds the
-    infima of the conditional Hessians' least eigenvalues, and delta the
-    interaction margin 1 - ||A|| at the reference scaling (present only
-    when positive).
-    """
-
-    rho_k: tuple
-    block_hessian_lower_bounds: tuple
-    assumption1_ok: bool
-    assumption2_ok: bool
-    assumption3_ok: bool
-    delta: float | None
-
-    def __post_init__(self):
-        has_margin = self.delta is not None and self.delta > 0
-        if self.assumption3_ok != has_margin:
-            raise ValueError("assumption3_ok must mirror a positive delta")
-
-
 def toeplitz_matrix(m: int, diag: float, band: dict) -> np.ndarray:
     """Symmetric banded Toeplitz matrix diag*I + sum_j b_j (E_j + E_-j).
 
@@ -197,36 +174,6 @@ def grad_potential(model: GibbsModel, x: np.ndarray) -> np.ndarray:
     """Gradient of the potential, vectorized over rows of x."""
     x = np.asarray(x, dtype=float)
     return (x - model.mean) @ model.precision + 4.0 * model.quartic * x ** 3
-
-
-def verify_assumptions(model: GibbsModel) -> AssumptionReport:
-    """Check the curvature and interaction assumptions behind the criteria.
-
-    Every quantity is exact.  The quartic Hessian term 12 lam_i x_i^2 is
-    diagonal and non-negative, so the infimum over x of lambda_min of a
-    block Hessian is lambda_min(K_kk), attained at x_k = 0, and the
-    cross-block Hessian is the off-block part of K everywhere.
-    """
-    from . import criteria
-
-    rho_k = criteria.block_lsi_constants(model)
-    assumption1 = bool(np.all(rho_k > 0))
-    assumption2 = bool(np.all(np.isfinite(rho_k)))
-
-    if assumption1:
-        delta_val = 1.0 - criteria.op_norm(criteria.build_A_rho(model, 0.0))
-    else:
-        delta_val = None
-    assumption3 = delta_val is not None and delta_val > 0
-
-    return AssumptionReport(
-        rho_k=tuple(float(r) for r in rho_k),
-        block_hessian_lower_bounds=tuple(float(r) for r in rho_k),
-        assumption1_ok=assumption1,
-        assumption2_ok=assumption2,
-        assumption3_ok=assumption3,
-        delta=float(delta_val) if assumption3 else None,
-    )
 
 
 def model_from_dict(doc: dict) -> GibbsModel:

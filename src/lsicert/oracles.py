@@ -3,8 +3,9 @@
 Bisection on the two certificate thresholds, grid quadrature for
 divergence and Fisher information (dimensions 1 to 3), the sorted-sample
 coupling for one-dimensional W2, and closed-form checkers for the
-transport inequality and the per-block mean-shift comparison.  Everything here is deliberately implemented by a different
-route than the main modules so agreement is evidence of correctness.
+transport inequality and the per-block mean-shift comparison.  The
+estimators take a different route than the main modules, so agreement
+with them is evidence of correctness.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .criteria import (
     cross_block_norms,
     op_norm,
 )
-from .gaussian import GaussianDist, gaussian_target, kl, w2
+from .gaussian import (GaussianDist, block_conditional, gaussian_target, kl,
+                       w2)
 from .model import GibbsModel
 
 MASS_DEFECT_LIMIT = 1e-4
@@ -211,21 +213,16 @@ def prop4_check(model: GibbsModel, report: CriteriaReport, z,
     part = model.partition
     rho_k = np.asarray(report.rho_k, dtype=float)
     prec = model.precision
-    lhs = 0.0
-    mid = 0.0
-    rhs_sum = 0.0
+    diff = z - u
+    lhs = mid = rhs_sum = 0.0
     for k in range(part.n):
         idx = part.block(k)
         rest = part.complement(k)
-        diff_rest = (z - u)[rest]
-        if rest.size:
-            delta_k = -np.linalg.solve(prec[np.ix_(idx, idx)],
-                                       prec[np.ix_(idx, rest)] @ diff_rest)
-        else:
-            delta_k = np.zeros(idx.size)
+        _, gain = block_conditional(prec, idx, rest)
+        delta_k = gain @ diff[rest]
         lhs += rho_k[k] * float(delta_k @ delta_k)
         mid += float(delta_k @ prec[np.ix_(idx, idx)] @ delta_k)
-        rhs_sum += rho_k[k] * float((z - u)[idx] @ (z - u)[idx])
+        rhs_sum += rho_k[k] * float(diff[idx] @ diff[idx])
     rhs = (1.0 - report.delta) ** 2 * rhs_sum
     return MeanShiftResult(
         lhs_w2_sum=lhs, mid_kl_sum=mid, rhs=rhs,

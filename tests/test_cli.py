@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from lsicert import cli, gibbs
+from lsicert.criteria import criteria_report
+from lsicert.fokker_planck import dissipation_check
+from lsicert.gaussian import GaussianDist, gaussian_target
 from lsicert.instances import model_2d, random_quartic_model
 from lsicert.model import (BlockPartition, GibbsModel, model_to_dict,
                            save_model, toeplitz_matrix)
@@ -126,8 +129,8 @@ def test_criteria_strict_json(model_path, quartic_model_path,
         code, out, _ = run(["criteria", path], capsys)
         assert code == want
         strict_loads(out)
-    code, out, _ = run(["toeplitz", "--m", "16", "--band", "1=1,2=-1",
-                        "--grid-points", "1001"], capsys)
+    code, out, _ = run(["toeplitz", "--m", "16", "--band", "1=1,2=-1"],
+                       capsys)
     assert code == 0
     strict_loads(out)
     code, out, _ = run(["toeplitz", "--m", "16", "--band", "1=nan"], capsys)
@@ -155,11 +158,14 @@ def test_criteria_rejects_non_integer_dim(tmp_path, capsys, dim):
 
 
 @pytest.mark.parametrize("option", [["--tol", "1e-10"], ["--probes", "8"],
-                                    ["--seed", "0"]])
+                                    ["--seed", "0"],
+                                    ["--grid-points", "1001"]])
 def test_criteria_removed_options(model_path, capsys, option):
-    code, out, _ = run(["criteria", model_path, *option], capsys)
-    assert code == 1
-    assert out == ""
+    for command in (["criteria", model_path],
+                    ["toeplitz", "--m", "16", "--band", "1=1"]):
+        code, out, _ = run([*command, *option], capsys)
+        assert code == 1
+        assert out == ""
 
 
 # ---- verify ----
@@ -207,6 +213,20 @@ def test_verify_dissipation(model_path, capsys):
     params = [line.split(",")[1] for line in lines[2:]]
     assert params == ["max_residual", "integral_identity_rel_err",
                       "exp_decay_max_excess"]
+
+
+def test_verify_dissipation_rows_are_library_fields(model_path, capsys):
+    model = model_2d()
+    q = gaussian_target(model)
+    res = dissipation_check(GaussianDist(q.mean + 1.0, q.cov), model,
+                            np.linspace(0.0, 5.0, 5001),
+                            rho=criteria_report(model).rho_marton)
+    code, out, _ = run(["verify", model_path, "dissipation"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in check_csv_shape(out, 0)[2:]]
+    values = [float(row[2]) for row in rows]
+    assert values == [res.max_residual, res.integral_rel_err,
+                      res.decay_excess]
 
 
 def test_verify_deterministic_bytes(model_path, tmp_path, capsys):
@@ -279,11 +299,12 @@ def test_verify_small_sample_usage_error(model_path, capsys):
 # ---- toeplitz ----
 
 def test_toeplitz_report(capsys):
-    code, out, _ = run(["toeplitz", "--m", "64", "--band", "1=1,2=-1",
-                        "--grid-points", "100001"], capsys)
+    code, out, _ = run(["toeplitz", "--m", "64", "--band", "1=1,2=-1"],
+                       capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["max_symbol"] == pytest.approx(2.25, abs=1e-7)
+    assert "grid_points" not in doc
+    assert doc["max_symbol"] == pytest.approx(2.25, abs=1e-12)
     assert doc["min_symbol"] == pytest.approx(-4.0, abs=1e-10)
     assert doc["sup_abs_symbol"] == pytest.approx(4.0, abs=1e-10)
     assert doc["note"]
@@ -294,6 +315,16 @@ def test_toeplitz_bad_band(capsys):
     code, _, err = run(["toeplitz", "--m", "16", "--band", "oops"], capsys)
     assert code == 1
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("band", ["-1=1", "-2=1", "0=1", "16=1", "100000=1"])
+def test_toeplitz_band_offset_out_of_range(band, capsys):
+    # offsets are checked against 1..m-1 before the symbol is built, so a
+    # huge offset is rejected at once instead of sizing the Chebyshev series
+    code, out, err = run(["toeplitz", "--m", "16", f"--band={band}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid model" in err
 
 
 def test_unknown_subcommand(capsys):

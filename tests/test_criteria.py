@@ -30,7 +30,8 @@ from lsicert.instances import (
     random_certified_model,
     random_quartic_model,
 )
-from lsicert.model import BlockPartition, GibbsModel, hessian, toeplitz_matrix
+from lsicert.model import (BlockPartition, GibbsModel, ModelValidationError,
+                           hessian, toeplitz_matrix)
 from lsicert.oracles import bisect_rho_marton, bisect_rho_or
 
 RHO_2D = 0.5   # hand derivation: ||A^rho|| = 0.5 / (1 - rho) hits 1 at 0.5
@@ -343,9 +344,8 @@ def test_report_invariant_violation_raises():
 # ---- banded spectra ----
 
 def test_toeplitz_report_reference_values():
-    rep = toeplitz_spectrum_report(64, 0.0, {1: 1.0, 2: -1.0},
-                                   grid_points=200_001)
-    assert rep.max_symbol == pytest.approx(2.25, abs=1e-8)
+    rep = toeplitz_spectrum_report(64, 0.0, {1: 1.0, 2: -1.0})
+    assert rep.max_symbol == pytest.approx(2.25, abs=1e-12)
     assert rep.min_symbol == pytest.approx(-4.0, abs=1e-12)
     assert rep.sup_abs_symbol == pytest.approx(4.0, abs=1e-12)
     assert rep.abs_max_symbol == pytest.approx(4.0, abs=1e-12)
@@ -367,7 +367,7 @@ def test_toeplitz_report_interlacing_and_monotone():
     band = {1: 1.0, 2: -1.0}
     prev = -np.inf
     for m in (8, 16, 32, 64):
-        rep = toeplitz_spectrum_report(m, 0.0, band, grid_points=50_001)
+        rep = toeplitz_spectrum_report(m, 0.0, band)
         assert rep.min_symbol - 1e-9 <= rep.lambda_min_bm
         assert rep.lambda_max_bm <= rep.max_symbol + 1e-9
         assert rep.lambda_max_bm >= prev - 1e-12
@@ -375,10 +375,24 @@ def test_toeplitz_report_interlacing_and_monotone():
 
 
 def test_toeplitz_report_no_note_when_positive():
-    rep = toeplitz_spectrum_report(16, 3.0, {1: -1.0}, grid_points=50_001)
+    rep = toeplitz_spectrum_report(16, 3.0, {1: -1.0})
     assert rep.min_symbol == pytest.approx(1.0, abs=1e-12)
     assert rep.max_symbol == pytest.approx(5.0, abs=1e-12)
     assert rep.note == ""
+
+
+def test_toeplitz_report_empty_band_is_constant_symbol():
+    rep = toeplitz_spectrum_report(8, -1.5, {})
+    assert rep.max_symbol == rep.min_symbol == -1.5
+    assert rep.sup_abs_symbol == 1.5
+    assert rep.lambda_max_bm == rep.lambda_min_bm == -1.5
+    assert rep.abs_max_symbol == 1.5
+
+
+@pytest.mark.parametrize("off", [-1, 0, 8, 100_000])
+def test_toeplitz_report_rejects_offsets_outside_section(off):
+    with pytest.raises(ModelValidationError):
+        toeplitz_spectrum_report(8, 0.0, {off: 1.0})
 
 
 def test_toeplitz_report_rejects_tiny_sections():

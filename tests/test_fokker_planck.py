@@ -174,6 +174,9 @@ def test_dissipation_integral_identity(model2d):
     integral = float(np.trapezoid(trace.fisher_values, times))
     drop = float(trace.kl_values[0] - trace.kl_values[-1])
     assert integral == pytest.approx(drop, rel=1e-4)
+    res = dissipation_check(p0, model2d, times)
+    assert res.integral_rel_err == abs(drop - integral) / trace.kl_values[0]
+    assert res.decay_excess is None
 
 
 def test_exp_decay_tight_and_falsified():

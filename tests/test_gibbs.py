@@ -357,9 +357,10 @@ def test_contraction_cap_fallback(model2d):
 
 
 def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
-    # room for 5 covariances of 2 x 2: steps 1 and 2 (2 and 4 components)
-    # stay exact, the sampled steps must fit the budget as well
-    monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET", 5 * 2 * 2 * 8)
+    # room for 5 components of 2 x 2 (four d x d arrays each): steps 1
+    # and 2 (2 and 4 components) stay exact, the sampled steps must fit
+    # the budget as well
+    monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET", 5 * 4 * 2 * 2 * 8)
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [2.0, -1.0])
     with pytest.raises(MixtureCapError):

@@ -17,8 +17,8 @@ from lsicert.model import (
     model_to_dict,
     save_model,
     toeplitz_matrix,
-    verify_assumptions,
 )
+from lsicert.criteria import criteria_report
 from lsicert.instances import model_2d, random_certified_model
 
 
@@ -213,12 +213,13 @@ def test_model_to_dict_roundtrip_values(model2d):
     assert doc["quartic"] == [0.0, 0.0]
 
 
+# The curvature (rho_k > 0) and interaction (delta > 0) assumptions behind
+# the criteria, read from criteria_report.
+
 def test_verify_assumptions_reference(model2d):
-    report = verify_assumptions(model2d)
+    report = criteria_report(model2d)
     assert report.rho_k == (1.0, 1.0)
-    assert report.block_hessian_lower_bounds == (1.0, 1.0)
-    assert report.assumption1_ok and report.assumption2_ok
-    assert report.assumption3_ok
+    assert report.certified
     assert report.delta == pytest.approx(0.5, abs=1e-12)
 
 
@@ -227,8 +228,8 @@ def test_verify_assumptions_near_critical_coupling():
     model = GibbsModel(partition=part,
                        precision=np.array([[1.0, 0.999], [0.999, 1.0]]),
                        mean=np.zeros(2), quartic=np.zeros(2))
-    report = verify_assumptions(model)
-    assert report.assumption3_ok
+    report = criteria_report(model)
+    assert report.certified
     assert report.delta == pytest.approx(0.001, abs=1e-12)
 
 
@@ -238,10 +239,10 @@ def test_verify_assumptions_no_margin():
     np.fill_diagonal(prec, 1.0)
     model = GibbsModel(partition=part, precision=prec, mean=np.zeros(3),
                        quartic=np.zeros(3))
-    report = verify_assumptions(model)
-    assert report.assumption1_ok
-    assert not report.assumption3_ok
-    assert report.delta is None
+    report = criteria_report(model)
+    assert min(report.rho_k) > 0
+    assert report.delta <= 0
+    assert report.rho_marton is None
 
 
 def test_verify_assumptions_quartic_exact():
@@ -249,11 +250,10 @@ def test_verify_assumptions_quartic_exact():
     model = GibbsModel(partition=part,
                        precision=np.array([[1.0, -0.5], [-0.5, 1.0]]),
                        mean=np.zeros(2), quartic=np.array([0.2, 0.2]))
-    report = verify_assumptions(model)
-    assert report.assumption1_ok and report.assumption2_ok
+    report = criteria_report(model)
     # the quartic Hessian term vanishes at x = 0, where each block
     # attains its infimum curvature
-    assert report.block_hessian_lower_bounds == report.rho_k == (1.0, 1.0)
+    assert report.rho_k == (1.0, 1.0)
     assert report.delta == pytest.approx(0.5, abs=1e-12)
 
 
@@ -270,7 +270,7 @@ def test_delta_monotone_in_coupling_scale(seed, scale):
     shrunk = GibbsModel(partition=model.partition,
                         precision=diag_part + scale * cross,
                         mean=model.mean, quartic=model.quartic)
-    d_full = verify_assumptions(model).delta
-    d_shrunk = verify_assumptions(shrunk).delta
+    d_full = criteria_report(model).delta
+    d_shrunk = criteria_report(shrunk).delta
     assert d_shrunk >= d_full - 1e-12
 
