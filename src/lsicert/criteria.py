@@ -60,20 +60,29 @@ class CriteriaReport:
                 raise ValueError("certified constant exceeds min block constant")
 
 
+def _index_table(part, ks) -> np.ndarray:
+    """Coordinate indices of blocks ks, one row per block; the blocks must
+    share one size."""
+    return np.array([part.blocks[k] for k in ks], dtype=int)
+
+
 def block_lsi_constants(model: GibbsModel) -> np.ndarray:
     """Per-block curvature constants: smallest eigenvalue of each diagonal
     precision block.
 
     For models with a quartic term this is still a valid lower bound on
     the conditional curvature, since the quartic Hessian contribution is
-    diagonal and non-negative.
+    diagonal and non-negative.  Blocks of one size are stacked and share
+    one batched eigvalsh call.
     """
     part = model.partition
+    sizes = np.asarray(part.sizes)
     out = np.empty(part.n)
-    for k in range(part.n):
-        idx = part.block(k)
-        sub = model.precision[np.ix_(idx, idx)]
-        out[k] = np.linalg.eigvalsh(sub)[0]
+    for size in np.unique(sizes):
+        ks = np.flatnonzero(sizes == size)
+        idx = _index_table(part, ks)
+        subs = model.precision[idx[:, :, None], idx[:, None, :]]
+        out[ks] = np.linalg.eigvalsh(subs)[:, 0]
     return out
 
 
@@ -83,15 +92,6 @@ def op_norm(mat: np.ndarray) -> float:
     if mat.size == 0:
         return 0.0
     return float(np.linalg.norm(mat, 2))
-
-
-def _coordinate_scale(model: GibbsModel, rho: float) -> np.ndarray:
-    rho_k = block_lsi_constants(model)
-    gaps = rho_k - rho
-    if np.any(gaps <= 0):
-        raise CertificateError(
-            f"rho = {rho} is not below every block constant")
-    return 1.0 / np.sqrt(gaps[model.partition.coordinate_block])
 
 
 def _cross_matrix(model: GibbsModel) -> np.ndarray:
@@ -104,6 +104,18 @@ def _cross_matrix(model: GibbsModel) -> np.ndarray:
     return np.where(owner[:, None] == owner[None, :], 0.0, model.precision)
 
 
+def _interaction_matrix(rho_coord: np.ndarray, cross: np.ndarray,
+                        rho: float) -> np.ndarray:
+    """A^rho from the block constant of each coordinate's block and the
+    cross-block Hessian."""
+    gaps = rho_coord - rho
+    if np.any(gaps <= 0):
+        raise CertificateError(
+            f"rho = {rho} is not below every block constant")
+    scale = 1.0 / np.sqrt(gaps)
+    return scale[:, None] * cross * scale[None, :]
+
+
 def build_A_rho(model: GibbsModel, rho: float) -> np.ndarray:
     """Interaction matrix A^rho.
 
@@ -111,8 +123,9 @@ def build_A_rho(model: GibbsModel, rho: float) -> np.ndarray:
     Hessian entry divided by sqrt((rho_k - rho)(rho_l - rho)); diagonal
     blocks are zero.  Requires rho below every block constant.
     """
-    scale = _coordinate_scale(model, rho)
-    return scale[:, None] * _cross_matrix(model) * scale[None, :]
+    rho_k = block_lsi_constants(model)
+    return _interaction_matrix(rho_k[model.partition.coordinate_block],
+                               _cross_matrix(model), rho)
 
 
 def _lambda_min_lower(mat: np.ndarray) -> float:
@@ -131,6 +144,17 @@ def _positive_block_constants(model: GibbsModel) -> np.ndarray:
     return rho_k
 
 
+def _marton(rho_coord: np.ndarray, cross: np.ndarray) -> float:
+    if not cross.any():
+        return float(rho_coord.min())
+    d0 = np.diag(rho_coord)
+    rho = min(_lambda_min_lower(d0 - cross), _lambda_min_lower(d0 + cross))
+    if rho <= 0:
+        raise CertificateError(
+            f"no certificate: lambda_min(D0 +- C) = {rho:.6g} <= 0")
+    return rho
+
+
 def solve_rho_marton(model: GibbsModel) -> float:
     """Largest rho certified by the interaction-matrix criterion.
 
@@ -142,37 +166,40 @@ def solve_rho_marton(model: GibbsModel) -> float:
     CertificateError when the certificate is not positive.
     """
     rho_k = _positive_block_constants(model)
-    cross = _cross_matrix(model)
-    if not cross.any():
-        return float(rho_k.min())
-    d0 = np.diag(rho_k[model.partition.coordinate_block])
-    rho = min(_lambda_min_lower(d0 - cross), _lambda_min_lower(d0 + cross))
-    if rho <= 0:
-        raise CertificateError(
-            f"no certificate: lambda_min(D0 +- C) = {rho:.6g} <= 0")
-    return rho
+    return _marton(rho_k[model.partition.coordinate_block],
+                   _cross_matrix(model))
 
 
 def cross_block_norms(model: GibbsModel) -> np.ndarray:
-    """Symmetric matrix of largest singular values of the cross blocks."""
+    """Symmetric matrix of largest singular values of the cross blocks.
+
+    Only block pairs with a nonzero cross entry are evaluated; every
+    other pair has kappa = 0 exactly.  The coupled pairs are grouped by
+    block shape, each group's cross blocks are gathered into one
+    (pairs, a, b) stack by a single fancy index, and one batched
+    np.linalg.norm(stack, 2) call gives their norms: the same LAPACK SVD
+    per matrix as op_norm, so the same values.
+    """
     part = model.partition
+    owner = part.coordinate_block
+    rows, cols = np.nonzero(model.precision)
+    first, second = owner[rows], owner[cols]
+    coupled = first < second  # K is symmetric, so each pair appears once
+    pairs = np.unique(first[coupled] * part.n + second[coupled])
+    ks, ls = np.divmod(pairs, part.n)
+    sizes = np.asarray(part.sizes)
+    shapes = np.stack([sizes[ks], sizes[ls]], axis=1)
     kappa = np.zeros((part.n, part.n))
-    for k in range(part.n):
-        for ell in range(k + 1, part.n):
-            kappa[k, ell] = op_norm(
-                model.precision[np.ix_(part.block(k), part.block(ell))])
+    for shape in np.unique(shapes, axis=0):
+        sel = np.all(shapes == shape, axis=1)
+        row_idx = _index_table(part, ks[sel])
+        col_idx = _index_table(part, ls[sel])
+        stack = model.precision[row_idx[:, :, None], col_idx[:, None, :]]
+        kappa[ks[sel], ls[sel]] = np.linalg.norm(stack, 2, axis=(1, 2))
     return kappa + kappa.T
 
 
-def otto_reznikoff(model: GibbsModel) -> float:
-    """Largest rho certified by the block-matrix criterion:
-    lambda_min(diag(rho_k) - kappa), or min_k rho_k exactly when kappa = 0.
-
-    Raises CertificateError when diag(rho_k) - kappa is not positive
-    definite.
-    """
-    rho_k = _positive_block_constants(model)
-    kappa = cross_block_norms(model)
+def _block_criterion(rho_k: np.ndarray, kappa: np.ndarray) -> float:
     if not kappa.any():
         return float(rho_k.min())
     rho = _lambda_min_lower(np.diag(rho_k) - kappa)
@@ -183,22 +210,39 @@ def otto_reznikoff(model: GibbsModel) -> float:
     return rho
 
 
+def otto_reznikoff(model: GibbsModel) -> float:
+    """Largest rho certified by the block-matrix criterion:
+    lambda_min(diag(rho_k) - kappa), or min_k rho_k exactly when kappa = 0.
+
+    Raises CertificateError when diag(rho_k) - kappa is not positive
+    definite.
+    """
+    return _block_criterion(_positive_block_constants(model),
+                            cross_block_norms(model))
+
+
 def criteria_report(model: GibbsModel) -> CriteriaReport:
-    """Evaluate both criteria and collect certificates plus diagnostics."""
+    """Evaluate both criteria and collect certificates plus diagnostics.
+
+    The block constants and the cross-block Hessian are computed once and
+    shared by A0 and both certificates.
+    """
     rho_k = _positive_block_constants(model)
+    rho_coord = rho_k[model.partition.coordinate_block]
+    cross = _cross_matrix(model)
     rho_min = float(rho_k.min())
-    evals_a0 = np.linalg.eigvalsh(build_A_rho(model, 0.0))
+    evals_a0 = np.linalg.eigvalsh(_interaction_matrix(rho_coord, cross, 0.0))
     norm0 = float(np.abs(evals_a0).max())
     flags = []
     try:
-        rho_marton = solve_rho_marton(model)
+        rho_marton = _marton(rho_coord, cross)
         if rho_marton >= rho_min * (1.0 - 1e-12):
             flags.append("rho_marton_supremum")
     except CertificateError:
         rho_marton = None
         flags.append("no_certificate")
     try:
-        rho_or = otto_reznikoff(model)
+        rho_or = _block_criterion(rho_k, cross_block_norms(model))
         if rho_or >= rho_min * (1.0 - 1e-12):
             flags.append("rho_or_supremum")
     except CertificateError:

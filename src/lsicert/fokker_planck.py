@@ -129,11 +129,10 @@ def _trace_arrays(p0: GaussianDist, model: GibbsModel, times: np.ndarray):
     quad = np.einsum('ti,i,ti->t', means, w, means)
     kls = 0.5 * (trace_term - d + quad + logdet_q - logdets)
 
-    precs = np.linalg.inv(covs)
-    smat = np.zeros_like(covs)
-    smat[:, np.arange(d), np.arange(d)] = w
-    smat -= precs
-    term_cov = np.einsum('tij,tjk,tki->t', smat, covs, smat)
+    smat = np.linalg.inv(covs)  # becomes diag(w) - inv(covs) in place
+    smat *= -1.0
+    smat[:, np.arange(d), np.arange(d)] += w
+    term_cov = np.einsum('tij,tji->t', smat @ covs, smat)
     term_mean = np.einsum('ti,i,i,ti->t', means, w, w, means)
     fis = term_cov + term_mean
     return np.maximum(kls, 0.0), np.maximum(fis, 0.0)

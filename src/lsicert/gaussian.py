@@ -10,7 +10,7 @@ information is I(p||q) = E_p[|grad log(dp/dq)|^2].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -55,9 +55,11 @@ class GaussianDist:
     @cached_property
     def chol(self) -> np.ndarray:
         try:
-            return np.linalg.cholesky(self.cov)
+            chol = np.linalg.cholesky(self.cov)
         except np.linalg.LinAlgError:
             raise ValueError("cov must be positive definite")
+        chol.flags.writeable = False
+        return chol
 
     @cached_property
     def precision(self) -> np.ndarray:
@@ -67,6 +69,7 @@ class GaussianDist:
         if defect > _INVERSE_TOL:
             raise ValueError(
                 f"covariance too ill-conditioned to invert (defect {defect:.3g})")
+        prec.flags.writeable = False
         return prec
 
     @cached_property
@@ -86,8 +89,12 @@ class GaussianDist:
         return self.mean + z @ self.chol.T
 
 
+@lru_cache(maxsize=8)
 def gaussian_target(model: GibbsModel) -> GaussianDist:
-    """Stationary Gaussian N(m, K^-1) of a quartic-free model."""
+    """Stationary Gaussian N(m, K^-1) of a quartic-free model.
+
+    Memoized per model: the model and the returned law are read-only.
+    """
     if not model.is_gaussian:
         raise ValueError("model has a quartic term; its law is not Gaussian")
     cov = np.linalg.inv(model.precision)

@@ -65,7 +65,7 @@ class BlockPartition:
     def n(self) -> int:
         return len(self.blocks)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(len(blk) for blk in self.blocks)
 
@@ -79,8 +79,7 @@ class BlockPartition:
 
     def complement(self, k: int) -> np.ndarray:
         """Indices outside block k, ascending."""
-        inside = set(self.blocks[k])
-        return np.asarray([i for i in range(self.dim) if i not in inside], dtype=int)
+        return np.flatnonzero(self.coordinate_block != k)
 
     @cached_property
     def coordinate_block(self) -> np.ndarray:
@@ -221,9 +220,9 @@ def model_to_dict(model: GibbsModel) -> dict:
     return {
         "dim": model.dim,
         "partition": [list(blk) for blk in model.partition.blocks],
-        "mean": [float(v) for v in model.mean],
-        "precision": [[float(v) for v in row] for row in model.precision],
-        "quartic": [float(v) for v in model.quartic],
+        "mean": model.mean.tolist(),
+        "precision": model.precision.tolist(),
+        "quartic": model.quartic.tolist(),
     }
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lsicert import criteria
 from lsicert.criteria import (
     CertificateError,
     CriteriaReport,
@@ -273,6 +274,70 @@ def test_marton_matches_bisection_oracle(model):
 
 def test_cross_block_norms_reference(model2d):
     assert_allclose(cross_block_norms(model2d), [[0.0, 0.5], [0.5, 0.0]])
+
+
+def _partitioned(prec, blocks):
+    dim = prec.shape[0]
+    return GibbsModel(partition=BlockPartition(blocks), precision=prec,
+                      mean=np.zeros(dim), quartic=np.zeros(dim))
+
+
+def _batching_models():
+    rng = np.random.default_rng(7)
+    perm = rng.permutation(15)
+    mixed, start = [], 0
+    for size in (3, 1, 2, 4, 1, 2, 2):
+        mixed.append(tuple(perm[start:start + size]))
+        start += size
+    raw = rng.standard_normal((15, 15))
+    dense = raw @ raw.T + 15.0 * np.eye(15)
+    banded = toeplitz_matrix(12, 3.0, {1: 0.7})
+    return {
+        "mixed sizes": _partitioned(dense, tuple(mixed)),
+        "banded, zero cross blocks": _partitioned(
+            banded, tuple(tuple(range(i, i + 3)) for i in range(0, 12, 3))),
+        "all singletons": _partitioned(
+            banded, tuple((i,) for i in range(12))),
+        "one block": _partitioned(dense, (tuple(range(15)),)),
+    }
+
+
+BATCHING_MODELS = _batching_models()
+
+
+@pytest.mark.parametrize("name", sorted(BATCHING_MODELS))
+def test_cross_block_norms_match_per_pair_loop(name):
+    model = BATCHING_MODELS[name]
+    part = model.partition
+    want = np.zeros((part.n, part.n))
+    for k in range(part.n):
+        for ell in range(k + 1, part.n):
+            want[k, ell] = want[ell, k] = op_norm(
+                model.precision[np.ix_(part.block(k), part.block(ell))])
+    assert_array_equal(cross_block_norms(model), want)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHING_MODELS))
+def test_block_constants_match_per_block_loop(name):
+    model = BATCHING_MODELS[name]
+    part = model.partition
+    want = [np.linalg.eigvalsh(
+        model.precision[np.ix_(part.block(k), part.block(k))])[0]
+        for k in range(part.n)]
+    assert_array_equal(block_lsi_constants(model), want)
+
+
+def test_criteria_report_computes_block_constants_once(monkeypatch):
+    calls = []
+    original = criteria.block_lsi_constants
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    monkeypatch.setattr(criteria, "block_lsi_constants", counted)
+    criteria_report(model_2d())
+    assert len(calls) == 1
 
 
 # ---- combined report ----
