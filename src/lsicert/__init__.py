@@ -31,6 +31,7 @@ from .fokker_planck import (
 from .gaussian import (
     GaussianDist,
     avg_conditional_kl,
+    block_conditionals,
     conditional,
     fisher,
     gaussian_target,

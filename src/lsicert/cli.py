@@ -8,10 +8,12 @@ spectra for a banded coupling.
 
 Exit codes: 0 success, 1 usage error (including `verify` on a model with
 a quartic term, since the closed-form verifiers need a Gaussian model,
-and `verify gibbs` when the exact mixture would exceed the component cap
-or the byte budget), 2 invalid model, 3 no certificate, 4 verification
-failure.  Output is strict JSON or CSV, byte-identical across runs for
-equal inputs and seeds; all randomness derives from --seed.
+`verify` with --trials or --steps below 1 or gibbs --samples below
+MIN_MC_SAMPLES, refused before any work, and `verify gibbs` when the
+exact mixture would exceed the component cap or the byte budget), 2
+invalid model, 3 no certificate, 4 verification failure.  Output is
+strict JSON or CSV, byte-identical across runs for equal inputs and
+seeds; all randomness derives from --seed.
 """
 
 from __future__ import annotations
@@ -156,6 +158,13 @@ def _rows_dissipation(model, report):
 
 
 def cmd_verify(args) -> int:
+    trials = args.trials if args.trials is not None \
+        else _DEFAULT_TRIALS.get(args.subcheck, 1)
+    if min(trials, args.steps) < 1 or (
+            args.subcheck == "gibbs" and args.samples < gibbs.MIN_MC_SAMPLES):
+        print(f"usage error: need --trials >= 1, --steps >= 1 and gibbs "
+              f"--samples >= {gibbs.MIN_MC_SAMPLES}", file=sys.stderr)
+        return EXIT_USAGE
     model = load_model(args.model)
     if not model.is_gaussian:
         print("usage error: the closed-form verifiers need a Gaussian model "
@@ -165,8 +174,6 @@ def cmd_verify(args) -> int:
     if report.rho_marton is None:
         print("no certificate: delta <= 0", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
-    trials = args.trials if args.trials is not None \
-        else _DEFAULT_TRIALS.get(args.subcheck, 1)
     rng = np.random.default_rng(args.seed)
     if args.subcheck == "theorem1":
         rows = _rows_theorem1(model, report, rng, trials)

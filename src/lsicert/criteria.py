@@ -60,12 +60,6 @@ class CriteriaReport:
                 raise ValueError("certified constant exceeds min block constant")
 
 
-def _index_table(part, ks) -> np.ndarray:
-    """Coordinate indices of blocks ks, one row per block; the blocks must
-    share one size."""
-    return np.array([part.blocks[k] for k in ks], dtype=int)
-
-
 def block_lsi_constants(model: GibbsModel) -> np.ndarray:
     """Per-block curvature constants: smallest eigenvalue of each diagonal
     precision block.
@@ -75,12 +69,8 @@ def block_lsi_constants(model: GibbsModel) -> np.ndarray:
     diagonal and non-negative.  Blocks of one size are stacked and share
     one batched eigvalsh call.
     """
-    part = model.partition
-    sizes = np.asarray(part.sizes)
-    out = np.empty(part.n)
-    for size in np.unique(sizes):
-        ks = np.flatnonzero(sizes == size)
-        idx = _index_table(part, ks)
+    out = np.empty(model.partition.n)
+    for ks, idx in model.partition.size_groups:
         subs = model.precision[idx[:, :, None], idx[:, None, :]]
         out[ks] = np.linalg.eigvalsh(subs)[:, 0]
     return out
@@ -92,16 +82,6 @@ def op_norm(mat: np.ndarray) -> float:
     if mat.size == 0:
         return 0.0
     return float(np.linalg.norm(mat, 2))
-
-
-def _cross_matrix(model: GibbsModel) -> np.ndarray:
-    """Cross-block Hessian: the off-block part of K.
-
-    The quartic Hessian term 12 lam_i x_i^2 is diagonal, so this is the
-    cross-block Hessian at every point, for quartic models as well.
-    """
-    owner = model.partition.coordinate_block
-    return np.where(owner[:, None] == owner[None, :], 0.0, model.precision)
 
 
 def _interaction_matrix(rho_coord: np.ndarray, cross: np.ndarray,
@@ -125,7 +105,7 @@ def build_A_rho(model: GibbsModel, rho: float) -> np.ndarray:
     """
     rho_k = block_lsi_constants(model)
     return _interaction_matrix(rho_k[model.partition.coordinate_block],
-                               _cross_matrix(model), rho)
+                               model.cross, rho)
 
 
 def _lambda_min_lower(mat: np.ndarray) -> float:
@@ -166,8 +146,7 @@ def solve_rho_marton(model: GibbsModel) -> float:
     CertificateError when the certificate is not positive.
     """
     rho_k = _positive_block_constants(model)
-    return _marton(rho_k[model.partition.coordinate_block],
-                   _cross_matrix(model))
+    return _marton(rho_k[model.partition.coordinate_block], model.cross)
 
 
 def cross_block_norms(model: GibbsModel) -> np.ndarray:
@@ -192,8 +171,8 @@ def cross_block_norms(model: GibbsModel) -> np.ndarray:
     kappa = np.zeros((part.n, part.n))
     for shape in np.unique(shapes, axis=0):
         sel = np.all(shapes == shape, axis=1)
-        row_idx = _index_table(part, ks[sel])
-        col_idx = _index_table(part, ls[sel])
+        row_idx = np.array([part.blocks[k] for k in ks[sel]])
+        col_idx = np.array([part.blocks[k] for k in ls[sel]])
         stack = model.precision[row_idx[:, :, None], col_idx[:, None, :]]
         kappa[ks[sel], ls[sel]] = np.linalg.norm(stack, 2, axis=(1, 2))
     return kappa + kappa.T
@@ -229,13 +208,12 @@ def criteria_report(model: GibbsModel) -> CriteriaReport:
     """
     rho_k = _positive_block_constants(model)
     rho_coord = rho_k[model.partition.coordinate_block]
-    cross = _cross_matrix(model)
     rho_min = float(rho_k.min())
-    evals_a0 = np.linalg.eigvalsh(_interaction_matrix(rho_coord, cross, 0.0))
+    evals_a0 = np.linalg.eigvalsh(_interaction_matrix(rho_coord, model.cross, 0.0))
     norm0 = float(np.abs(evals_a0).max())
     flags = []
     try:
-        rho_marton = _marton(rho_coord, cross)
+        rho_marton = _marton(rho_coord, model.cross)
         if rho_marton >= rho_min * (1.0 - 1e-12):
             flags.append("rho_marton_supremum")
     except CertificateError:

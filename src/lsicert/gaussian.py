@@ -3,8 +3,10 @@
 Implements relative entropy, relative Fisher information, quadratic
 Wasserstein distance (Bures form), Schur-complement conditionals and the
 averaged conditional divergence that drives the block entropy estimates.
-Relative entropy D(p||q) is E_p[log(dp/dq)] in nats; relative Fisher
-information is I(p||q) = E_p[|grad log(dp/dq)|^2].
+The conditionals and divergences of all blocks are taken in one pass,
+with one batched inverse per block size.  Relative entropy D(p||q) is
+E_p[log(dp/dq)] in nats; relative Fisher information is
+I(p||q) = E_p[|grad log(dp/dq)|^2].
 """
 
 from __future__ import annotations
@@ -117,15 +119,44 @@ def marginal(g: GaussianDist, indices) -> GaussianDist:
     return GaussianDist(g.mean[idx], g.cov[np.ix_(idx, idx)])
 
 
-def block_conditional(precision: np.ndarray, idx: np.ndarray,
-                      rest: np.ndarray) -> tuple:
-    """(cov, gain) of the law of coordinates idx given the values xbar of
-    rest, the other coordinates, under precision P: cov = inv(P_idx,idx)
-    and the mean is m_idx + gain (xbar - m_rest), gain = -cov P_idx,rest."""
-    rows = precision[idx]
-    cov = np.linalg.inv(rows[:, idx])
-    cov = 0.5 * (cov + cov.T)
-    return cov, -cov @ rows[:, rest]
+def _blockdiag_matmul(diag, mat, part: BlockPartition) -> np.ndarray:
+    """blockdiag(diag) @ mat by one (n, s, s) @ (n, s, m) product per size s."""
+    out = np.empty((part.dim, mat.shape[1]))
+    for _, idx in part.size_groups:
+        out[idx] = diag[idx[:, :, None], idx[:, None, :]] @ mat[idx]
+    return out
+
+
+def block_conditionals(precision: np.ndarray, part: BlockPartition) -> tuple:
+    """(cov, gain, logdet) of every block conditional under precision P.
+
+    With B = blockdiag(P_kk), cov = B^-1 and gain = -B^-1 (P - B) (zero on
+    the diagonal blocks): given the other coordinates, block k has
+    covariance cov_kk, log det logdet[k] and mean m_k + (gain (x - m))_k.
+    """
+    if precision.shape != (part.dim, part.dim):
+        raise ValueError("partition does not match distribution dimension")
+    cov = np.zeros_like(precision)
+    logdet = np.empty(part.n)
+    for ks, idx in part.size_groups:
+        inv = np.linalg.inv(precision[idx[:, :, None], idx[:, None, :]])
+        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+        sign, logdet[ks] = np.linalg.slogdet(inv)
+        if np.any(sign <= 0):
+            raise ValueError("conditional covariances must be positive definite")
+        cov[idx[:, :, None], idx[:, None, :]] = inv
+    owner = part.coordinate_block
+    cross = np.where(owner[:, None] == owner, 0.0, precision)
+    return cov, _blockdiag_matmul(-cov, cross, part), logdet
+
+
+@lru_cache(maxsize=8)
+def model_conditionals(model: GibbsModel) -> tuple:
+    """Read-only block_conditionals of the model, memoized per model."""
+    out = block_conditionals(model.precision, model.partition)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def conditional(g: GaussianDist, part: BlockPartition, k: int,
@@ -133,10 +164,9 @@ def conditional(g: GaussianDist, part: BlockPartition, k: int,
     """Conditional law of block k given the remaining coordinates.
 
     xbar lists the conditioning values on the complement of block k in
-    ascending index order; see block_conditional.
+    ascending index order; see block_conditionals.
     """
-    if part.dim != g.dim:
-        raise ValueError("partition does not match distribution dimension")
+    cov, gain, _ = block_conditionals(g.precision, part)
     rest = part.complement(k)
     if rest.size == 0:
         return g
@@ -144,9 +174,8 @@ def conditional(g: GaussianDist, part: BlockPartition, k: int,
     if xbar.shape != (rest.size,):
         raise ValueError(f"conditioning vector must have length {rest.size}")
     idx = part.block(k)
-    cov_c, gain = block_conditional(g.precision, idx, rest)
-    mean_c = g.mean[idx] + gain @ (xbar - g.mean[rest])
-    return GaussianDist(mean_c, cov_c)
+    mean_c = g.mean[idx] + gain[np.ix_(idx, rest)] @ (xbar - g.mean[rest])
+    return GaussianDist(mean_c, cov[np.ix_(idx, idx)])
 
 
 def kl(p: GaussianDist, q: GaussianDist) -> float:
@@ -223,37 +252,21 @@ def weighted_w2(p: GaussianDist, q: GaussianDist, part: BlockPartition,
 
 
 def avg_conditional_kl(p: GaussianDist, q: GaussianDist,
-                       part: BlockPartition, k: int) -> float:
-    """E_{xbar ~ p} [ D( p(.|xbar) || q(.|xbar) ) ] for block k.
+                       part: BlockPartition) -> np.ndarray:
+    """E_{xbar ~ p} [ D( p(.|xbar) || q(.|xbar) ) ] for every block k.
 
-    Both conditionals are Gaussian with xbar-independent covariances and
-    affine means a + G xbar, so the average is available in closed form:
-    the mean-shift term decomposes into a constant offset plus a linear
-    image of the p-marginal fluctuation on the conditioning block.
+    The conditional means differ by a + M (x - mu_p), with a = B_q^-1 Q
+    (mu_p - mu_q) and M = G_p - G_q (see block_conditionals), so block k's
+    term is half of tr(Q_kk P_kk^-1) - |k| + log det P_kk - log det Q_kk
+    + (a' B_q a)_k + the block-k trace of B_q M Sigma_p M'.
     """
-    _check_same_dim(p, q)
-    if part.dim != p.dim:
-        raise ValueError("partition does not match distribution dimension")
-    idx = part.block(k)
-    rest = part.complement(k)
-    if rest.size == 0:
-        return kl(p, q)
-
-    cov_p, gain_p = block_conditional(p.precision, idx, rest)
-    cov_q, gain_q = block_conditional(q.precision, idx, rest)
-    prec_q_ii = q.precision[np.ix_(idx, idx)]
-
-    offset = (p.mean[idx] - q.mean[idx]) - gain_q @ (p.mean[rest] - q.mean[rest])
+    cov_p, gain_p, logdet_p = block_conditionals(p.precision, part)
+    cov_q, gain_q, logdet_q = block_conditionals(q.precision, part)
+    shift = q.precision @ (p.mean - q.mean)  # B_q a
     gain_diff = gain_p - gain_q
-    cov_rest = p.cov[np.ix_(rest, rest)]
-
-    sign_p, logdet_p = np.linalg.slogdet(cov_p)
-    sign_q, logdet_q = np.linalg.slogdet(cov_q)
-    if sign_p <= 0 or sign_q <= 0:
-        raise ValueError("conditional covariances must be positive definite")
-
-    val = 0.5 * (float(np.sum(prec_q_ii * cov_p)) - idx.size
-                 + logdet_q - logdet_p
-                 + float(offset @ prec_q_ii @ offset)
-                 + float(np.sum((prec_q_ii @ gain_diff) * (gain_diff @ cov_rest))))
-    return max(val, 0.0)
+    rows = (np.sum(q.precision * cov_p, axis=1) + (cov_q @ shift) * shift
+            + np.sum(_blockdiag_matmul(q.precision, gain_diff, part)
+                     * (gain_diff @ p.cov), axis=1))
+    sums = np.bincount(part.coordinate_block, weights=rows, minlength=part.n)
+    vals = 0.5 * (sums - np.asarray(part.sizes) + logdet_q - logdet_p)
+    return np.maximum(vals, 0.0)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .criteria import CertificateError, CriteriaReport
 from .gaussian import (_LOG_2PI, GaussianDist, avg_conditional_kl,
-                       block_conditional, gaussian_target, kl)
+                       gaussian_target, kl, model_conditionals)
 from .model import GibbsModel
 
 DEFAULT_COMPONENT_CAP = 100_000
@@ -169,18 +169,15 @@ def _block_update_map(model: GibbsModel, k: int):
     Resampling block k from the target conditional sends a point y to
     lin y + offset plus Gaussian noise supported on block k.
     """
-    part = model.partition
-    idx = part.block(k)
-    rest = part.complement(k)
-    n = model.dim
-    cov_c, gain = block_conditional(model.precision, idx, rest)
-    lin = np.zeros((n, n))
-    lin[rest, rest] = 1.0
-    lin[np.ix_(idx, rest)] = gain
-    offset = np.zeros(n)
-    offset[idx] = model.mean[idx] - gain @ model.mean[rest]
-    noise = np.zeros((n, n))
-    noise[np.ix_(idx, idx)] = cov_c
+    idx = model.partition.block(k)
+    cov, gain, _ = model_conditionals(model)
+    lin = np.eye(model.dim)
+    lin[idx] = gain[idx]
+    offset = np.zeros(model.dim)
+    rest = model.partition.complement(k)
+    offset[idx] = model.mean[idx] - gain[np.ix_(idx, rest)] @ model.mean[rest]
+    noise = np.zeros_like(cov)
+    noise[idx] = cov[idx]
     for arr in (lin, offset, noise):
         arr.flags.writeable = False
     return lin, offset, noise
@@ -308,10 +305,8 @@ def verify_theorem1(p: GaussianDist, model: GibbsModel,
         raise CertificateError("report carries no certified constant")
     q = gaussian_target(model)
     lhs = kl(p, q)
-    acc = 0.0
-    for k in range(model.partition.n):
-        acc += report.rho_k[k] * avg_conditional_kl(p, q, model.partition, k)
-    rhs = acc / report.rho_marton
+    terms = avg_conditional_kl(p, q, model.partition)
+    rhs = float(np.asarray(report.rho_k) @ terms) / report.rho_marton
     return TheoremCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + THEOREM1_SLACK))
 
 
@@ -331,10 +326,9 @@ def entropy_drop_identity(p: GaussianDist, model: GibbsModel,
     """
     _require_gaussian(model)
     q = gaussian_target(model)
-    lin, offset, noise = _block_update_map(model, k)
-    image = _push_gaussian(p, lin, offset, noise)
+    image = _push_gaussian(p, *_block_update_map(model, k))
     lhs = kl(p, q) - kl(image, q)
-    rhs = avg_conditional_kl(p, q, model.partition, k)
+    rhs = float(avg_conditional_kl(p, q, model.partition)[k])
     return EntropyDropCheck(lhs=lhs, rhs=rhs, gap=lhs - rhs)
 
 

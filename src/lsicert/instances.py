@@ -90,9 +90,7 @@ def random_certified_model(rng: np.random.Generator, dim: int | None = None,
 
     cross = rng.standard_normal((dim, dim))
     cross = 0.5 * (cross + cross.T)
-    for k in range(part.n):
-        idx = part.block(k)
-        cross[np.ix_(idx, idx)] = 0.0
+    cross[part.coordinate_block[:, None] == part.coordinate_block] = 0.0
     base = GibbsModel(partition=part, precision=prec,
                       mean=rng.normal(scale=mean_scale, size=dim),
                       quartic=np.zeros(dim))

@@ -82,6 +82,14 @@ class BlockPartition:
         return np.flatnonzero(self.coordinate_block != k)
 
     @cached_property
+    def size_groups(self) -> tuple:
+        """(ks, idx) per block size: its blocks and their indices, by row."""
+        sizes = np.asarray(self.sizes)
+        return tuple((ks, np.array([self.blocks[k] for k in ks], dtype=int))
+                     for ks in (np.flatnonzero(sizes == s)
+                                for s in np.unique(sizes)))
+
+    @cached_property
     def coordinate_block(self) -> np.ndarray:
         """Map from coordinate index to the block containing it."""
         owner = np.empty(self.dim, dtype=int)
@@ -140,6 +148,14 @@ class GibbsModel:
     def is_gaussian(self) -> bool:
         return bool(np.all(self.quartic == 0))
 
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """Off-block part of K, read-only: the cross-block Hessian at any x."""
+        owner = self.partition.coordinate_block
+        cross = np.where(owner[:, None] == owner, 0.0, self.precision)
+        cross.flags.writeable = False
+        return cross
+
 
 def toeplitz_matrix(m: int, diag: float, band: dict) -> np.ndarray:
     """Symmetric banded Toeplitz matrix diag*I + sum_j b_j (E_j + E_-j).
@@ -172,7 +188,8 @@ def hessian(model: GibbsModel, x) -> np.ndarray:
 def grad_potential(model: GibbsModel, x: np.ndarray) -> np.ndarray:
     """Gradient of the potential, vectorized over rows of x."""
     x = np.asarray(x, dtype=float)
-    return (x - model.mean) @ model.precision + 4.0 * model.quartic * x ** 3
+    grad = (x - model.mean) @ model.precision
+    return grad if model.is_gaussian else grad + 4.0 * model.quartic * (x * x * x)
 
 
 def model_from_dict(doc: dict) -> GibbsModel:

@@ -22,7 +22,7 @@ from .criteria import (
     cross_block_norms,
     op_norm,
 )
-from .gaussian import (GaussianDist, block_conditional, gaussian_target, kl,
+from .gaussian import (GaussianDist, gaussian_target, kl, model_conditionals,
                        w2)
 from .model import GibbsModel
 
@@ -210,20 +210,12 @@ def prop4_check(model: GibbsModel, report: CriteriaReport, z,
     u = np.asarray(u, dtype=float)
     if z.shape != (model.dim,) or u.shape != (model.dim,):
         raise ValueError("points must have the model dimension")
-    part = model.partition
-    rho_k = np.asarray(report.rho_k, dtype=float)
-    prec = model.precision
+    weight = np.asarray(report.rho_k)[model.partition.coordinate_block]
     diff = z - u
-    lhs = mid = rhs_sum = 0.0
-    for k in range(part.n):
-        idx = part.block(k)
-        rest = part.complement(k)
-        _, gain = block_conditional(prec, idx, rest)
-        delta_k = gain @ diff[rest]
-        lhs += rho_k[k] * float(delta_k @ delta_k)
-        mid += float(delta_k @ prec[np.ix_(idx, idx)] @ delta_k)
-        rhs_sum += rho_k[k] * float(diff[idx] @ diff[idx])
-    rhs = (1.0 - report.delta) ** 2 * rhs_sum
+    shift = model_conditionals(model)[1] @ diff
+    lhs = float(shift @ (weight * shift))
+    mid = float(shift @ (model.precision - model.cross) @ shift)
+    rhs = (1.0 - report.delta) ** 2 * float(diff @ (weight * diff))
     return MeanShiftResult(
         lhs_w2_sum=lhs, mid_kl_sum=mid, rhs=rhs,
         holds_first=bool(lhs <= mid + 1e-9),

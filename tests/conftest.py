@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from lsicert.instances import model_2d
+from lsicert.model import BlockPartition, toeplitz_matrix
 
 settings.register_profile(
     "default",
@@ -21,3 +22,27 @@ def model2d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def batching_cases():
+    """(precision, partition) pairs on which batched block routines are
+    checked against per-block loops: a permuted mixed-size partition, a
+    banded K whose non-adjacent cross blocks are zero, all singletons and
+    one block."""
+    rng = np.random.default_rng(7)
+    perm = rng.permutation(15)
+    mixed, start = [], 0
+    for size in (3, 1, 2, 4, 1, 2, 2):
+        mixed.append(tuple(perm[start:start + size]))
+        start += size
+    raw = rng.standard_normal((15, 15))
+    dense = raw @ raw.T + 15.0 * np.eye(15)
+    banded = toeplitz_matrix(12, 3.0, {1: 0.7})
+    return {
+        "mixed sizes": (dense, BlockPartition(tuple(mixed))),
+        "banded, zero cross blocks": (banded, BlockPartition(
+            tuple(tuple(range(i, i + 3)) for i in range(0, 12, 3)))),
+        "all singletons": (banded, BlockPartition(
+            tuple((i,) for i in range(12)))),
+        "one block": (dense, BlockPartition((tuple(range(15)),))),
+    }

@@ -296,6 +296,29 @@ def test_verify_small_sample_usage_error(model_path, capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["theorem1", "--trials", "0"],
+    ["theorem1", "--trials", "-3"],
+    ["transport", "--trials", "0"],
+    ["prop4", "--trials", "-1"],
+    ["gibbs", "--steps", "-2"],
+    ["gibbs", "--steps", "0"],
+    ["gibbs", "--samples", "999"],
+])
+def test_verify_vacuous_run_refused_up_front(args, model_path, capsys,
+                                             monkeypatch):
+    # a run with no trials or sweeps would pass vacuously; it is refused
+    # before the model is even loaded
+    def no_load(path):
+        raise AssertionError("model loaded before the argument check")
+
+    monkeypatch.setattr(cli, "load_model", no_load)
+    code, out, err = run(["verify", model_path, *args], capsys)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+
+
 # ---- toeplitz ----
 
 def test_toeplitz_report(capsys):

@@ -15,7 +15,6 @@ from lsicert import criteria
 from lsicert.criteria import (
     CertificateError,
     CriteriaReport,
-    _cross_matrix,
     block_lsi_constants,
     build_A_rho,
     criteria_report,
@@ -34,6 +33,8 @@ from lsicert.instances import (
 from lsicert.model import (BlockPartition, GibbsModel, ModelValidationError,
                            hessian, toeplitz_matrix)
 from lsicert.oracles import bisect_rho_marton, bisect_rho_or
+
+from conftest import batching_cases
 
 RHO_2D = 0.5   # hand derivation: ||A^rho|| = 0.5 / (1 - rho) hits 1 at 0.5
 
@@ -78,7 +79,7 @@ def oracle_models(draw):
     scale = draw(st.floats(0.5, 2.5))
     return GibbsModel(partition=model.partition,
                       precision=model.precision
-                      + (scale - 1.0) * _cross_matrix(model),
+                      + (scale - 1.0) * model.cross,
                       mean=model.mean, quartic=model.quartic)
 
 
@@ -140,7 +141,7 @@ def test_cross_matrix_constant_in_probe_for_quartic(rng):
     model = random_quartic_model(rng, dim=4)
     part = model.partition
     rho_k = block_lsi_constants(model)
-    cross = _cross_matrix(model)
+    cross = model.cross
     for x in [np.zeros(4), *rng.normal(scale=2.0, size=(5, 4))]:
         hess = hessian(model, x)
         off_block = hess.copy()
@@ -276,30 +277,10 @@ def test_cross_block_norms_reference(model2d):
     assert_allclose(cross_block_norms(model2d), [[0.0, 0.5], [0.5, 0.0]])
 
 
-def _partitioned(prec, blocks):
-    dim = prec.shape[0]
-    return GibbsModel(partition=BlockPartition(blocks), precision=prec,
-                      mean=np.zeros(dim), quartic=np.zeros(dim))
-
-
 def _batching_models():
-    rng = np.random.default_rng(7)
-    perm = rng.permutation(15)
-    mixed, start = [], 0
-    for size in (3, 1, 2, 4, 1, 2, 2):
-        mixed.append(tuple(perm[start:start + size]))
-        start += size
-    raw = rng.standard_normal((15, 15))
-    dense = raw @ raw.T + 15.0 * np.eye(15)
-    banded = toeplitz_matrix(12, 3.0, {1: 0.7})
-    return {
-        "mixed sizes": _partitioned(dense, tuple(mixed)),
-        "banded, zero cross blocks": _partitioned(
-            banded, tuple(tuple(range(i, i + 3)) for i in range(0, 12, 3))),
-        "all singletons": _partitioned(
-            banded, tuple((i,) for i in range(12))),
-        "one block": _partitioned(dense, (tuple(range(15)),)),
-    }
+    return {name: GibbsModel(partition=part, precision=prec,
+                             mean=np.zeros(part.dim), quartic=np.zeros(part.dim))
+            for name, (prec, part) in batching_cases().items()}
 
 
 BATCHING_MODELS = _batching_models()

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lsicert import gaussian, gibbs
+from lsicert.criteria import criteria_report
 from lsicert.gaussian import (
     GaussianDist,
     avg_conditional_kl,
+    block_conditionals,
     conditional,
     fisher,
     gaussian_target,
@@ -21,8 +24,12 @@ from lsicert.gaussian import (
     w2,
     weighted_w2,
 )
-from lsicert.instances import model_2d, random_gaussian, random_partition
+from lsicert.instances import (model_2d, random_certified_model,
+                               random_gaussian, random_partition)
+from lsicert.model import BlockPartition, GibbsModel, toeplitz_matrix
 from lsicert.oracles import quad_fisher, quad_kl
+
+from conftest import batching_cases
 
 KL_UNIT_SHIFT = 0.5                        # derived: 1d quadrature, N(1,1) vs N(0,1)
 KL_VARIANCE_2 = 0.5 * (1.0 - np.log(2.0))  # derived: 1d quadrature, N(0,2) vs N(0,1)
@@ -287,14 +294,14 @@ def test_chain_rule_every_block(seed):
     q = random_gaussian(rng, dim)
     part = random_partition(rng, dim)
     total = kl(p, q)
+    terms = avg_conditional_kl(p, q, part)
     for k in range(part.n):
         rest = part.complement(k)
         if rest.size == 0:
             base = 0.0
         else:
             base = kl(marginal(p, rest), marginal(q, rest))
-        acl = avg_conditional_kl(p, q, part, k)
-        assert total == pytest.approx(base + acl, rel=1e-9, abs=1e-9)
+        assert total == pytest.approx(base + terms[k], rel=1e-9, abs=1e-9)
 
 
 def test_avg_conditional_kl_whole_vector_block(rng):
@@ -303,7 +310,7 @@ def test_avg_conditional_kl_whole_vector_block(rng):
     p = random_gaussian(rng, 3)
     q = random_gaussian(rng, 3)
     part_single = BlockPartition(((0, 1, 2),))
-    assert avg_conditional_kl(p, q, part_single, 0) == \
+    assert avg_conditional_kl(p, q, part_single)[0] == \
         pytest.approx(kl(p, q), rel=1e-12)
 
 
@@ -311,6 +318,82 @@ def test_avg_conditional_kl_reference(model2d):
     q = gaussian_target(model2d)
     p = GaussianDist(np.array([1.0, 1.0]), q.cov)
     # marginal shift 1 with variance 4/3 leaves 0.5 - 3/8 per block
-    for k in (0, 1):
-        assert avg_conditional_kl(p, q, model2d.partition, k) == \
-            pytest.approx(0.125, abs=1e-12)
+    assert avg_conditional_kl(p, q, model2d.partition) == \
+        pytest.approx([0.125, 0.125], abs=1e-12)
+
+
+# ---- all block conditionals at once, against a per-block loop ----
+
+BATCHING_CASES = batching_cases()
+
+
+def _loop_block_conditional(prec, idx, rest):
+    cov = np.linalg.inv(prec[np.ix_(idx, idx)])
+    cov = 0.5 * (cov + cov.T)
+    return cov, -cov @ prec[np.ix_(idx, rest)]
+
+
+def _loop_conditionals(prec, part):
+    dim = part.dim
+    cov, gain, logdet = np.zeros((dim, dim)), np.zeros((dim, dim)), []
+    for k in range(part.n):
+        idx, rest = part.block(k), part.complement(k)
+        cov_k, gain[np.ix_(idx, rest)] = _loop_block_conditional(prec, idx, rest)
+        cov[np.ix_(idx, idx)] = cov_k
+        logdet.append(np.linalg.slogdet(cov_k)[1])
+    return cov, gain, np.array(logdet)
+
+
+def _loop_avg_conditional_kl(p, q, part, k):
+    idx, rest = part.block(k), part.complement(k)
+    if rest.size == 0:
+        return kl(p, q)
+    cov_p, gain_p = _loop_block_conditional(p.precision, idx, rest)
+    cov_q, gain_q = _loop_block_conditional(q.precision, idx, rest)
+    prec_q = q.precision[np.ix_(idx, idx)]
+    offset = (p.mean[idx] - q.mean[idx]) - gain_q @ (p.mean[rest] - q.mean[rest])
+    gain_diff = gain_p - gain_q
+    cov_rest = p.cov[np.ix_(rest, rest)]
+    return 0.5 * (float(np.sum(prec_q * cov_p)) - idx.size
+                  + np.linalg.slogdet(cov_q)[1] - np.linalg.slogdet(cov_p)[1]
+                  + float(offset @ prec_q @ offset)
+                  + float(np.sum((prec_q @ gain_diff) * (gain_diff @ cov_rest))))
+
+
+@pytest.mark.parametrize("name", sorted(BATCHING_CASES))
+def test_block_conditionals_match_per_block_loop(name):
+    prec, part = BATCHING_CASES[name]
+    for got, want in zip(block_conditionals(prec, part),
+                         _loop_conditionals(prec, part)):
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHING_CASES))
+def test_avg_conditional_kl_matches_per_block_loop(name):
+    prec, part = BATCHING_CASES[name]
+    rng = np.random.default_rng(11)
+    cov = np.linalg.inv(prec)
+    q = GaussianDist(rng.normal(size=part.dim), 0.5 * (cov + cov.T))
+    p = random_gaussian(rng, part.dim)
+    want = [_loop_avg_conditional_kl(p, q, part, k) for k in range(part.n)]
+    assert_allclose(avg_conditional_kl(p, q, part), want, rtol=1e-12, atol=0)
+
+
+def test_verify_theorem1_takes_two_batched_conditionals(monkeypatch):
+    calls = []
+    original = gaussian.block_conditionals
+
+    def counted(precision, part):
+        calls.append(part.n)
+        return original(precision, part)
+
+    monkeypatch.setattr(gaussian, "block_conditionals", counted)
+    chain = GibbsModel(partition=BlockPartition(tuple((i,) for i in range(24))),
+                       precision=toeplitz_matrix(24, 3.0, {1: 1.0}),
+                       mean=np.zeros(24), quartic=np.zeros(24))
+    rng = np.random.default_rng(3)
+    for model in (model_2d(), random_certified_model(rng, dim=12), chain):
+        report = criteria_report(model)
+        calls.clear()
+        gibbs.verify_theorem1(random_gaussian(rng, model.dim), model, report)
+        assert 1 <= len(calls) <= 2, (model.partition.n, calls)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 
-from lsicert.criteria import CertificateError, criteria_report
+from lsicert.criteria import CertificateError, CriteriaReport, criteria_report
 from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl, w2
 from lsicert.instances import (
     random_attractive_chain,
     random_certified_model,
     random_gaussian,
 )
+from lsicert.model import GibbsModel
 from lsicert.oracles import (
     QuadratureError,
     QuadValue,
@@ -21,6 +23,8 @@ from lsicert.oracles import (
     transport_check,
     w2_empirical_1d,
 )
+
+from conftest import batching_cases
 
 
 def gauss_density(g):
@@ -150,6 +154,40 @@ def test_prop4_random_points(seed):
     res = prop4_check(model, rep, z, u)
     assert res.holds_first, (res.lhs_w2_sum, res.mid_kl_sum)
     assert res.holds_second, (res.mid_kl_sum, res.rhs)
+
+
+def _prop4_models():
+    rng = np.random.default_rng(5)
+    return {name: GibbsModel(partition=part, precision=prec,
+                             mean=rng.normal(size=part.dim),
+                             quartic=np.zeros(part.dim))
+            for name, (prec, part) in batching_cases().items()}
+
+
+PROP4_MODELS = _prop4_models()
+
+
+@pytest.mark.parametrize("name", sorted(PROP4_MODELS))
+def test_prop4_matches_per_block_loop(name):
+    model = PROP4_MODELS[name]
+    part, prec = model.partition, model.precision
+    rng = np.random.default_rng(9)
+    rho_k = tuple(rng.uniform(0.5, 2.0, size=part.n))
+    report = CriteriaReport(rho_k=rho_k, delta=0.3, norm_A0=0.7,
+                            rho_marton=None, rho_or=None, lambda_max_A0=0.7,
+                            certified=False, flags=())
+    z, u = rng.normal(size=(2, model.dim))
+    lhs = mid = rhs = 0.0
+    for k in range(part.n):
+        idx, rest = part.block(k), part.complement(k)
+        prec_kk = prec[np.ix_(idx, idx)]
+        shift = -np.linalg.inv(prec_kk) @ prec[np.ix_(idx, rest)] @ (z - u)[rest]
+        lhs += rho_k[k] * float(shift @ shift)
+        mid += float(shift @ prec_kk @ shift)
+        rhs += rho_k[k] * float((z - u)[idx] @ (z - u)[idx])
+    res = prop4_check(model, report, z, u)
+    assert_allclose([res.lhs_w2_sum, res.mid_kl_sum, res.rhs],
+                    [lhs, mid, 0.49 * rhs], rtol=1e-12, atol=0)
 
 
 def test_prop4_needs_margin(model2d):
