@@ -151,9 +151,9 @@ def block_conditionals(precision: np.ndarray, part: BlockPartition) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def model_conditionals(model: GibbsModel) -> tuple:
-    """Read-only block_conditionals of the model, memoized per model."""
-    out = block_conditionals(model.precision, model.partition)
+def memo_conditionals(source, part: BlockPartition) -> tuple:
+    """Read-only block_conditionals of a model's or a fixed law's precision."""
+    out = block_conditionals(source.precision, part)
     for arr in out:
         arr.flags.writeable = False
     return out
@@ -261,7 +261,7 @@ def avg_conditional_kl(p: GaussianDist, q: GaussianDist,
     + (a' B_q a)_k + the block-k trace of B_q M Sigma_p M'.
     """
     cov_p, gain_p, logdet_p = block_conditionals(p.precision, part)
-    cov_q, gain_q, logdet_q = block_conditionals(q.precision, part)
+    cov_q, gain_q, logdet_q = memo_conditionals(q, part)
     shift = q.precision @ (p.mean - q.mean)  # B_q a
     gain_diff = gain_p - gain_q
     rows = (np.sum(q.precision * cov_p, axis=1) + (cov_q @ shift) * shift

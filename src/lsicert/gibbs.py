@@ -11,9 +11,14 @@ component carries its collapsed block word: the index of the component it
 started from, then the blocks applied to it with repeats collapsed.
 Components with equal words are the same law and are merged by summing
 their weights, which keeps the mixture exact at n sum_{j<m} (n-1)^j
-components after m sweeps of an n-block sampler instead of n^m.  Mixture
-densities are evaluated for all components at once, in row chunks of
-bounded size.
+components after m sweeps of an n-block sampler instead of n^m.
+
+Mixture densities take the Gram form: each weighted component log
+density is a row of coefficients times phi(y) = [y_i y_j (i <= j), y, 1],
+y = x - centre, one product per chunk of points.  This rounds to about
+eps ||P_c|| (|y| + |mean_c - centre|)^2 for precision P_c, so components
+share a centre while ||P_c||_F |mean_c - centre|^2 <= _CENTRE_SPREAD.
+The Monte Carlo divergence adds the target as one more row.
 """
 
 from __future__ import annotations
@@ -25,15 +30,18 @@ import numpy as np
 
 from .criteria import CertificateError, CriteriaReport
 from .gaussian import (_LOG_2PI, GaussianDist, avg_conditional_kl,
-                       gaussian_target, kl, model_conditionals)
+                       gaussian_target, kl, memo_conditionals)
 from .model import GibbsModel
 
 DEFAULT_COMPONENT_CAP = 100_000
 # Largest storage a swept mixture may take; checked before any component
 # is built.
 MIXTURE_BYTE_BUDGET = 1 << 30
-# Size of the (components x d) x rows working block of GaussianMixture.logpdf.
-_LOGPDF_CHUNK_BYTES = 16 << 20
+# Size of the larger of the (components x features) and (features x rows)
+# working blocks of one row chunk of the Gram-form mixture density.
+_LOGPDF_CHUNK_BYTES = 4 << 20
+# Bounds the rounding of the Gram form (see the module docstring).
+_CENTRE_SPREAD = 64.0
 THEOREM1_SLACK = 1e-9
 MIN_MC_SAMPLES = 1_000
 
@@ -44,9 +52,9 @@ class MixtureCapError(RuntimeError):
 
 
 def _component_bytes(dim: int) -> int:
-    """Peak bytes of one component: its cov and chol plus its slices of
-    the stacked factors and their inverse in GaussianMixture._whitening."""
-    return 4 * dim * dim * 8
+    """Peak bytes of one component: cov, chol, and in _gram_form its
+    stacked factor, inverse, precision and d (d+1)/2 + d + 1 coefficients."""
+    return (5 * dim * dim + dim * (dim + 1) // 2 + dim + 1) * 8
 
 
 def _check_budget(count: int, dim: int, cap: int) -> None:
@@ -118,48 +126,79 @@ class GaussianMixture:
         return len(self.components)
 
     @cached_property
-    def _whitening(self) -> tuple:
-        """(W, b, const) such that rows c d .. c d + d - 1 of W @ x.T - b
-        are L_c^-1 (x - mean_c) for each of the C components, and
-        const_c = log w_c - (d log 2pi + log det cov_c) / 2.
-        """
-        chol = np.stack([c.chol for c in self.components])
-        inv = np.linalg.inv(chol)
-        means = np.stack([c.mean for c in self.components])
-        whitened = np.einsum("cij,cj->ci", inv, means).reshape(-1, 1)
-        log_det = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        const = np.log(self.weights) - 0.5 * (self.dim * _LOG_2PI + log_det)
-        return inv.reshape(-1, self.dim), whitened, const[:, None]
+    def _gram(self) -> tuple:
+        return _gram_form(self.components, np.log(self.weights))
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
-        """Log density, vectorized over rows of x.
-
-        All components are evaluated by one product per chunk of rows;
-        chunks keep the (C d) x rows working block near 16 MiB.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        w, b, const = self._whitening
-        n_comp, d = const.shape[0], self.dim
-        rows = max(1, _LOGPDF_CHUNK_BYTES // (8 * n_comp * d))
-        out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], rows):
-            z = w @ x[start:start + rows].T
-            z -= b
-            z *= z
-            terms = np.add.reduce(z.reshape(n_comp, d, -1), axis=1)
-            terms *= -0.5
-            terms += const
-            top = terms.max(axis=0)
-            terms -= top
-            np.exp(terms, out=terms)
-            out[start:start + rows] = top + np.log(terms.sum(axis=0))
-        return out
+        """Log density, vectorized over rows of x."""
+        return _gram_logsumexp(*self._gram, x, target=False)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws: each component maps its rows of one normal draw."""
         counts = rng.multinomial(n, self.weights)
-        parts = [c.sample(rng, int(cnt))
-                 for c, cnt in zip(self.components, counts) if cnt > 0]
-        return np.vstack(parts)
+        z = rng.standard_normal((n, self.dim))
+        for c, rows in zip(self.components, np.split(z, np.cumsum(counts))):
+            np.matmul(rows, c.chol.T, out=rows)
+            rows += c.mean
+        return z
+
+
+def _gram_form(dists, log_weights) -> tuple:
+    """(coef, groups): row r of coef @ phi(x - centre) is log_weights[c]
+    + log N(x; dists[c]) for the dist c at row r (see module docstring).
+
+    groups = ((centre, start, stop), ...) in row order; each centre is the
+    mean of the first dist left and takes every dist left within the
+    spread bound, in order, so row 0 is dists[0].
+    """
+    dim, n = dists[0].dim, len(dists)
+    inv = np.linalg.inv(np.stack([g.chol for g in dists]))
+    prec = np.swapaxes(inv, 1, 2) @ inv
+    scale = np.sqrt(np.einsum("cij,cij->c", prec, prec))
+    means = np.stack([g.mean for g in dists])
+    shift, groups = np.empty_like(means), []
+    order, rest = np.empty(0, dtype=int), np.arange(n)
+    while rest.size:
+        spread = scale[rest] * np.sum((means[rest] - means[rest[0]]) ** 2, 1)
+        near = rest[spread <= _CENTRE_SPREAD]
+        shift[near] = means[near] - means[rest[0]]
+        groups.append((means[rest[0]], order.size, order.size + near.size))
+        order, rest = np.append(order, near), rest[spread > _CENTRE_SPREAD]
+    lin = np.einsum("cij,cj->ci", prec, shift)
+    iu, ju = np.triu_indices(dim)
+    quad = prec[order[:, None], iu, ju] * np.where(iu == ju, -0.5, -1.0)
+    const = log_weights - 0.5 * (dim * _LOG_2PI + np.sum(lin * shift, axis=1)
+                                 + [g.log_det_cov for g in dists])
+    return np.hstack([quad, lin[order], const[order, None]]), tuple(groups)
+
+
+def _gram_logsumexp(coef, groups, x, target: bool) -> np.ndarray:
+    """Log-sum-exp of the rows of a _gram_form at the rows of x; with
+    target set, of rows 1.. minus row 0."""
+    xt = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=float)).T)
+    dim, n_pts = xt.shape
+    if dim != groups[0][0].size:
+        raise ValueError("points must have the mixture dimension")
+    step = max(1, _LOGPDF_CHUNK_BYTES // (8 * max(coef.shape)))
+    out = np.empty(n_pts)
+    for start in range(0, n_pts, step):
+        chunk = xt[:, start:start + step]
+        terms = np.empty((coef.shape[0], chunk.shape[1]))
+        feat = np.ones((coef.shape[1], chunk.shape[1]))
+        for centre, lo, hi in groups:
+            y = chunk - centre[:, None]
+            for i in range(dim):
+                row = i * dim - i * (i - 1) // 2
+                np.multiply(y[i], y[i:], out=feat[row:row + dim - i])
+            feat[-1 - dim:-1] = y
+            np.matmul(coef[lo:hi], feat, out=terms[lo:hi])
+        mix = terms[1:] if target else terms
+        top = mix.max(axis=0)
+        mix -= top
+        np.exp(mix, out=mix)
+        vals = top + np.log(mix.sum(axis=0))
+        out[start:start + step] = vals - terms[0] if target else vals
+    return out
 
 
 @lru_cache(maxsize=128)
@@ -170,7 +209,7 @@ def _block_update_map(model: GibbsModel, k: int):
     lin y + offset plus Gaussian noise supported on block k.
     """
     idx = model.partition.block(k)
-    cov, gain, _ = model_conditionals(model)
+    cov, gain, _ = memo_conditionals(model, model.partition)
     lin = np.eye(model.dim)
     lin[idx] = gain[idx]
     offset = np.zeros(model.dim)
@@ -271,8 +310,8 @@ def kl_mixture_mc(p: GaussianMixture, q: GaussianDist, nsamples: int,
                   seed: int) -> MCEstimate:
     """Monte Carlo estimate of D(p||q) with both densities exact.
 
-    Samples x ~ p and averages log p(x) - log q(x); the reported standard
-    error is the sample standard deviation over sqrt(nsamples).
+    Samples x ~ p and averages log p(x) - log q(x), one Gram-form pass;
+    the reported standard error is the sample std over sqrt(nsamples).
     """
     if nsamples < MIN_MC_SAMPLES:
         raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
@@ -280,7 +319,8 @@ def kl_mixture_mc(p: GaussianMixture, q: GaussianDist, nsamples: int,
         raise ValueError("dimension mismatch between mixture and target")
     rng = np.random.default_rng(seed)
     x = p.sample(rng, nsamples)
-    vals = p.logpdf(x) - q.logpdf(x)
+    form = _gram_form((q,) + p.components, np.append(0.0, np.log(p.weights)))
+    vals = _gram_logsumexp(*form, x, target=True)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(nsamples))
     return MCEstimate(estimate=est, std_error=se, nsamples=int(nsamples),

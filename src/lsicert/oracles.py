@@ -22,7 +22,7 @@ from .criteria import (
     cross_block_norms,
     op_norm,
 )
-from .gaussian import (GaussianDist, gaussian_target, kl, model_conditionals,
+from .gaussian import (GaussianDist, gaussian_target, kl, memo_conditionals,
                        w2)
 from .model import GibbsModel
 
@@ -212,7 +212,7 @@ def prop4_check(model: GibbsModel, report: CriteriaReport, z,
         raise ValueError("points must have the model dimension")
     weight = np.asarray(report.rho_k)[model.partition.coordinate_block]
     diff = z - u
-    shift = model_conditionals(model)[1] @ diff
+    shift = memo_conditionals(model, model.partition)[1] @ diff
     lhs = float(shift @ (weight * shift))
     mid = float(shift @ (model.precision - model.cross) @ shift)
     rhs = (1.0 - report.delta) ** 2 * float(diff @ (weight * diff))

@@ -21,6 +21,7 @@ from lsicert.gaussian import (
     gaussian_target,
     kl,
     marginal,
+    memo_conditionals,
     w2,
     weighted_w2,
 )
@@ -320,6 +321,15 @@ def test_avg_conditional_kl_reference(model2d):
     # marginal shift 1 with variance 4/3 leaves 0.5 - 3/8 per block
     assert avg_conditional_kl(p, q, model2d.partition) == \
         pytest.approx([0.125, 0.125], abs=1e-12)
+
+
+def test_target_conditionals_memoized_read_only(model2d):
+    q = gaussian_target(model2d)
+    first = memo_conditionals(q, model2d.partition)
+    assert memo_conditionals(q, model2d.partition) is first
+    assert not any(arr.flags.writeable for arr in first)
+    fresh = block_conditionals(q.precision, model2d.partition)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, fresh))
 
 
 # ---- all block conditionals at once, against a per-block loop ----

@@ -192,6 +192,10 @@ def test_mixture_validation():
                         components=(g, g))
     with pytest.raises(ValueError):
         GaussianMixture(weights=np.array([]), components=())
+    for dim, cols in ((1, 2), (2, 1), (2, 3)):
+        mix = GaussianMixture.single(GaussianDist(np.zeros(dim), np.eye(dim)))
+        with pytest.raises(ValueError):
+            mix.logpdf(np.zeros((4, cols)))
 
 
 def test_mixture_logpdf_matches_manual():
@@ -216,11 +220,76 @@ def test_mixture_logpdf_matches_reference(dim, n_comp, chunks, rng):
     comps = tuple(random_gaussian(rng, dim) for _ in range(n_comp))
     weights = rng.uniform(0.1, 1.0, size=n_comp)
     mix = GaussianMixture(weights=weights / weights.sum(), components=comps)
-    rows_per_chunk = gibbs._LOGPDF_CHUNK_BYTES // (8 * n_comp * dim)
+    n_feat = dim * (dim + 1) // 2 + dim + 1
+    rows_per_chunk = gibbs._LOGPDF_CHUNK_BYTES // (8 * max(n_comp, n_feat))
     x = rng.normal(scale=4.0, size=(chunks * rows_per_chunk + 300, dim))
     assert_allclose(mix.logpdf(x), reference_logpdf(mix, x), rtol=1e-10)
     assert_allclose(mix.logpdf(x[0]), reference_logpdf(mix, x[:1]),
                     rtol=1e-10)
+
+
+def test_spread_mixture_logpdf_matches_reference(rng):
+    # means 1e3 apart at scale 1e-2: one shared centre would round the
+    # expanded quadratic forms to ~1e-5, so each component needs its own
+    dim, n_comp = 4, 5
+    comps = []
+    for _ in range(n_comp):
+        a = rng.normal(size=(dim, dim))
+        cov = 1e-4 * (a @ a.T / dim + np.eye(dim))
+        comps.append(GaussianDist(rng.normal(scale=1e3, size=dim), cov))
+    weights = rng.uniform(0.1, 1.0, size=n_comp)
+    mix = GaussianMixture(weights=weights / weights.sum(),
+                          components=tuple(comps))
+    x = np.vstack([mix.sample(rng, 400),
+                   rng.normal(scale=3e3, size=(400, dim))])
+    ref = reference_logpdf(mix, x)
+    assert np.all(np.abs(mix.logpdf(x) - ref) <= 1e-10 * (1.0 + np.abs(ref)))
+    assert len(mix._gram[1]) == n_comp
+
+
+def test_fused_target_ratio_matches_logpdf_difference(rng):
+    # kl_mixture_mc's single pass, with q as row 0, against two densities
+    q = random_gaussian(rng, 3)
+    comps = tuple(GaussianDist(q.mean + rng.normal(scale=2.0, size=3),
+                               random_gaussian(rng, 3).cov) for _ in range(6))
+    weights = rng.uniform(0.1, 1.0, size=6)
+    mix = GaussianMixture(weights=weights / weights.sum(), components=comps)
+    x = mix.sample(rng, 2000)
+    form = gibbs._gram_form((q,) + comps, np.append(0.0, np.log(mix.weights)))
+    fused = gibbs._gram_logsumexp(*form, x, target=True)
+    log_p, log_q = mix.logpdf(x), q.logpdf(x)
+    # relative to the two log densities: their difference crosses zero
+    assert np.all(np.abs(fused - (log_p - log_q))
+                  <= 1e-12 * (np.abs(log_p) + np.abs(log_q)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweeps_of_four_block_model_form_one_centre_group(seed):
+    rng = np.random.default_rng(seed)
+    model = random_certified_model(rng, dim=8)
+    while model.partition.n != 4:
+        model = random_certified_model(rng, dim=8)
+    rep = criteria_report(model)
+    q = gaussian_target(model)
+    mix = GaussianMixture.single(GaussianDist(q.mean + 1.0, q.cov))
+    for _ in range(4):
+        mix = apply_weighted_gibbs(mix, model, np.asarray(rep.rho_k))
+        form = gibbs._gram_form((q,) + mix.components,
+                                np.append(0.0, np.log(mix.weights)))
+        assert len(form[1]) == 1 and len(mix._gram[1]) == 1
+
+
+def test_mixture_sample_matches_per_component_draws(rng):
+    comps = tuple(random_gaussian(rng, 3) for _ in range(5))
+    weights = rng.uniform(0.1, 1.0, size=5)
+    mix = GaussianMixture(weights=weights / weights.sum(), components=comps)
+    seed = int(rng.integers(2 ** 32))
+    ref_rng = np.random.default_rng(seed)
+    counts = ref_rng.multinomial(1000, mix.weights)
+    ref = np.vstack([c.sample(ref_rng, int(n)) for c, n in zip(comps, counts)
+                     if n > 0])
+    got = mix.sample(np.random.default_rng(seed), 1000)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_kl_mixture_mc_matches_closed_form(model2d):
@@ -357,10 +426,11 @@ def test_contraction_cap_fallback(model2d):
 
 
 def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
-    # room for 5 components of 2 x 2 (four d x d arrays each): steps 1
-    # and 2 (2 and 4 components) stay exact, the sampled steps must fit
-    # the budget as well
-    monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET", 5 * 4 * 2 * 2 * 8)
+    # room for 5 components of 2 x 2 (five d x d arrays and a row of six
+    # coefficients each): steps 1 and 2 (2 and 4 components) stay exact,
+    # the sampled steps must fit the budget as well
+    monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET",
+                        5 * (5 * 2 * 2 + 6) * 8)
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [2.0, -1.0])
     with pytest.raises(MixtureCapError):
