@@ -2,7 +2,11 @@
 
 For Gaussian models the time-t law of the diffusion started at a Gaussian
 is Gaussian with closed-form moments, so divergence and Fisher
-information along the flow are exact.  The module also checks the de
+information along the flow are exact.  A trace takes one Cholesky
+C_t = L_t L_t' per time node and one triangular inverse of it, in chunks
+of nodes: log det C_t = 2 sum log diag L_t, and the Fisher covariance
+term tr((K - C_t^-1) C_t (K - C_t^-1)) = ||L_t' K - L_t^-1||_F^2 because
+L_t' C_t^-1 = L_t^-1.  The module also checks the de
 Bruijn dissipation identity dD/dt = -I on grids, exponential entropy
 decay under a certified constant, and runs an Euler-Maruyama particle
 simulator that covers quartic models as well.
@@ -15,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import GaussianDist
+from .gaussian import GaussianDist, tril_inverse
 from .model import GibbsModel, grad_potential
 
 DISSIPATION_REL_TOL = 1e-5
@@ -24,6 +28,11 @@ DECAY_SLACK = 1e-9
 DECAY_ATOL = 1e-12
 COARSE_SPACING = 0.1
 _STABILITY_FRACTION = 0.1
+# Size of one chunk of evolved covariances in _trace_arrays.
+_TRACE_CHUNK_BYTES = 1 << 20
+# Size of one block of particle rows in langevin_particles: its step
+# temporaries stay in cache and come from the allocator's free lists.
+_PARTICLE_CHUNK_BYTES = 256 << 10
 
 
 class StepSizeError(ValueError):
@@ -108,34 +117,43 @@ def _trace_arrays(p0: GaussianDist, model: GibbsModel, times: np.ndarray):
     """Vectorized divergence/Fisher arrays along the flow.
 
     Works in the eigenbasis of K, where the evolution acts diagonally;
-    both information functionals are invariant under the rotation.
+    both information functionals are invariant under the rotation, and
+    K becomes W = diag(w).  Each evolved covariance C_t = L_t L_t' is
+    factored once: log det C_t = 2 sum log diag L_t, and since
+    L_t' C_t^-1 = L_t^-1 the Fisher covariance term
+    tr((W - C_t^-1) C_t (W - C_t^-1)) is ||L_t' W - L_t^-1||_F^2.
+    The grid is taken in chunks of _TRACE_CHUNK_BYTES of covariances,
+    so memory is O(chunk d^2 + T d) for T nodes.
     """
     w, vecs = _precision_eigh(model)
     d = model.dim
     mu0 = vecs.T @ (p0.mean - model.mean)
-    sig0 = vecs.T @ p0.cov @ vecs
-    winv = 1.0 / w
+    shifted = vecs.T @ p0.cov @ vecs - np.diag(1.0 / w)
     logdet_q = -float(np.sum(np.log(w)))
 
     decay = np.exp(-np.outer(times, w))
     means = decay * mu0
-    covs = (decay[:, :, None] * decay[:, None, :]) * (sig0 - np.diag(winv))
-    covs[:, np.arange(d), np.arange(d)] += winv
-
-    sign, logdets = np.linalg.slogdet(covs)
-    if np.any(sign <= 0):
-        raise ValueError("evolved covariance lost positive definiteness")
-    trace_term = np.einsum('tii,i->t', covs, w)
     quad = np.einsum('ti,i,ti->t', means, w, means)
-    kls = 0.5 * (trace_term - d + quad + logdet_q - logdets)
-
-    smat = np.linalg.inv(covs)  # becomes diag(w) - inv(covs) in place
-    smat *= -1.0
-    smat[:, np.arange(d), np.arange(d)] += w
-    term_cov = np.einsum('tij,tji->t', smat @ covs, smat)
     term_mean = np.einsum('ti,i,i,ti->t', means, w, w, means)
-    fis = term_cov + term_mean
-    return np.maximum(kls, 0.0), np.maximum(fis, 0.0)
+    traces, logdets, fis = (np.empty(times.size) for _ in range(3))
+    diag = np.arange(d)
+    step = max(1, _TRACE_CHUNK_BYTES // (8 * d * d))
+    for lo in range(0, times.size, step):
+        dec = decay[lo:lo + step]
+        covs = dec[:, :, None] * dec[:, None, :]
+        covs *= shifted
+        covs[:, diag, diag] += 1.0 / w
+        try:
+            chol = np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            raise ValueError("evolved covariance lost positive definiteness")
+        traces[lo:lo + step] = covs[:, diag, diag] @ w
+        logdets[lo:lo + step] = 2.0 * np.sum(np.log(chol[:, diag, diag]), 1)
+        np.multiply(np.swapaxes(chol, 1, 2), w, out=covs)  # L' W
+        covs -= tril_inverse(chol)
+        fis[lo:lo + step] = np.einsum('tij,tij->t', covs, covs)
+    kls = 0.5 * (traces - d + quad + logdet_q - logdets)
+    return np.maximum(kls, 0.0), np.maximum(fis + term_mean, 0.0)
 
 
 def entropy_trace(p0: GaussianDist, model: GibbsModel, times,
@@ -245,7 +263,10 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
                        checkpoints=None) -> LangevinResult:
     """Euler-Maruyama particles X <- X - grad V dt + sqrt(2 dt) xi.
 
-    Requires dt below a tenth of the inverse curvature bound.  At each
+    Requires dt below a tenth of the inverse curvature bound.  Steps
+    update the particles in place, one block of rows at a time; the
+    blocks draw their noise in row order, so the stream is that of one
+    draw per step.  At each
     checkpoint step the empirical moments are recorded; for Gaussian
     models they are compared against the closed-form moments within
     tolerance bands of five times the Monte Carlo plus discretization
@@ -275,9 +296,18 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
     if 0 in marks:
         recorded.append(_checkpoint(model, p0, x, 0, 0.0, lam, dt, n))
     root = np.sqrt(2.0 * dt)
+    rows = max(1, _PARTICLE_CHUNK_BYTES // (8 * model.dim))
+    noise = np.empty((min(rows, n), model.dim))
     for step in range(1, steps + 1):
-        x = x - grad_potential(model, x) * dt \
-            + root * rng.standard_normal(x.shape)
+        for lo in range(0, n, rows):
+            xs = x[lo:lo + rows]
+            grad = grad_potential(model, xs)
+            draw = noise[:xs.shape[0]]
+            rng.standard_normal(out=draw)
+            grad *= dt  # in place, in the order of x - grad dt + root noise
+            xs -= grad
+            draw *= root
+            xs += draw
         if step in marks:
             recorded.append(_checkpoint(model, p0, x, step, step * dt,
                                         lam, dt, n))

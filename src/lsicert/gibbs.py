@@ -30,7 +30,7 @@ import numpy as np
 
 from .criteria import CertificateError, CriteriaReport
 from .gaussian import (_LOG_2PI, GaussianDist, avg_conditional_kl,
-                       gaussian_target, kl, memo_conditionals)
+                       gaussian_target, kl, memo_conditionals, tril_inverse)
 from .model import GibbsModel
 
 DEFAULT_COMPONENT_CAP = 100_000
@@ -152,7 +152,7 @@ def _gram_form(dists, log_weights) -> tuple:
     spread bound, in order, so row 0 is dists[0].
     """
     dim, n = dists[0].dim, len(dists)
-    inv = np.linalg.inv(np.stack([g.chol for g in dists]))
+    inv = tril_inverse(np.stack([g.chol for g in dists]))
     prec = np.swapaxes(inv, 1, 2) @ inv
     scale = np.sqrt(np.einsum("cij,cij->c", prec, prec))
     means = np.stack([g.mean for g in dists])

@@ -5,12 +5,15 @@ Runge-Kutta integration of the moment ODEs before everything built on
 top of it is exercised.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lsicert import fokker_planck
 from lsicert.fokker_planck import (
     EntropyTrace,
     StepSizeError,
@@ -24,7 +27,7 @@ from lsicert.fokker_planck import (
 )
 from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl
 from lsicert.instances import random_certified_model, random_gaussian
-from lsicert.model import BlockPartition, GibbsModel
+from lsicert.model import BlockPartition, GibbsModel, grad_potential
 
 
 def one_dim_model():
@@ -132,6 +135,94 @@ def test_trace_matches_pointwise_functionals(seed):
                                                        rel=1e-9, abs=1e-11)
 
 
+def slogdet_trace(p0, model, times):
+    # reference: every evolved covariance at once, log det by LU and the
+    # Fisher covariance term from the general inverse of each covariance
+    w, vecs = np.linalg.eigh(model.precision)
+    d = model.dim
+    mu0 = vecs.T @ (p0.mean - model.mean)
+    sig0 = vecs.T @ p0.cov @ vecs
+    decay = np.exp(-np.outer(times, w))
+    means = decay * mu0
+    covs = (decay[:, :, None] * decay[:, None, :]) * (sig0 - np.diag(1 / w))
+    covs[:, np.arange(d), np.arange(d)] += 1 / w
+    sign, logdets = np.linalg.slogdet(covs)
+    assert np.all(sign > 0)
+    kls = 0.5 * (np.einsum('tii,i->t', covs, w) - d
+                 + np.einsum('ti,i,ti->t', means, w, means)
+                 - np.sum(np.log(w)) - logdets)
+    smat = np.diag(w) - np.linalg.inv(covs)
+    fis = (np.einsum('tij,tji->t', smat @ covs, smat)
+           + np.einsum('ti,i,i,ti->t', means, w, w, means))
+    return np.maximum(kls, 0.0), np.maximum(fis, 0.0)
+
+
+def trace_test_model(rng, dim):
+    if dim > 1:
+        return random_certified_model(rng, dim=dim)
+    return GibbsModel(partition=BlockPartition(((0,),)),
+                      precision=np.array([[rng.uniform(0.5, 2.5)]]),
+                      mean=rng.normal(size=1), quartic=np.zeros(1))
+
+
+@pytest.mark.parametrize("dim", range(1, 33))
+def test_trace_matches_slogdet_reference(dim):
+    rng = np.random.default_rng(1000 + dim)
+    model = trace_test_model(rng, dim)
+    q = gaussian_target(model)
+    cli_p0 = GaussianDist(q.mean + 1.0, q.cov)
+    for p0 in (cli_p0, random_gaussian(rng, dim)):
+        for times in (np.array([0.0, 0.7]), np.linspace(0.0, 5.0, 5001)):
+            trace = entropy_trace(p0, model, times)
+            for got, want in zip((trace.kl_values, trace.fisher_values),
+                                 slogdet_trace(p0, model, times)):
+                assert np.all(np.abs(got - want)
+                              <= 1e-12 * np.abs(want) + 1e-13)
+
+
+def test_trace_grid_spans_partial_chunks(monkeypatch):
+    # 5001 nodes at d = 32 fill several chunks and leave a partial one;
+    # chunks of 7 nodes at d = 5 must give the same values as one chunk
+    step = fokker_planck._TRACE_CHUNK_BYTES // (8 * 32 * 32)
+    assert 1 < step < 5001 and 5001 % step
+    rng = np.random.default_rng(5)
+    model = random_certified_model(rng, dim=5)
+    p0 = random_gaussian(rng, 5)
+    times = np.linspace(0.0, 5.0, 5001)
+    whole = entropy_trace(p0, model, times)
+    monkeypatch.setattr(fokker_planck, "_TRACE_CHUNK_BYTES", 7 * 8 * 5 * 5)
+    chunked = entropy_trace(p0, model, times)
+    assert_allclose(chunked.kl_values, whole.kl_values, rtol=1e-14,
+                    atol=1e-15)
+    assert_allclose(chunked.fisher_values, whole.fisher_values, rtol=1e-14,
+                    atol=1e-15)
+
+
+def test_trace_peak_memory_is_chunk_sized():
+    rng = np.random.default_rng(32)
+    model = random_certified_model(rng, dim=32)
+    p0 = random_gaussian(rng, 32)
+    times = np.linspace(0.0, 5.0, 5001)
+    tracemalloc.start()
+    try:
+        entropy_trace(p0, model, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (5001, 32, 32) stack alone is 39 MiB
+    assert peak < 16 << 20
+
+
+def test_trace_rejects_indefinite_covariance():
+    model = one_dim_model()
+    p0 = GaussianDist(np.zeros(1), np.eye(1))
+    # stands in for a covariance that rounding made indefinite; the
+    # constructor itself refuses one
+    object.__setattr__(p0, "cov", -np.eye(1))
+    with pytest.raises(ValueError, match="lost positive definiteness"):
+        entropy_trace(p0, model, np.array([0.0, 1.0]))
+
+
 def test_trace_invariants_enforced():
     times = np.array([0.0, 1.0, 2.0])
     good = np.array([2.0, 1.0, 0.5])
@@ -216,6 +307,24 @@ def test_langevin_matches_closed_form(model2d):
     assert len(res.checkpoints) == 3
     for cp in res.checkpoints:
         assert cp.within_bands, (cp.step, cp.emp_mean, cp.closed_mean)
+
+
+@pytest.mark.parametrize("block_rows", [None, 7])
+def test_langevin_step_matches_out_of_place_reference(model2d, monkeypatch,
+                                                      block_rows):
+    # x <- x - grad dt + sqrt(2 dt) xi, one fresh draw per step; blocks of
+    # 7 rows leave a partial block of 1000 particles
+    if block_rows is not None:
+        monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES",
+                            block_rows * 8 * 2)
+    p0 = GaussianDist(np.array([2.0, -1.0]), 0.5 * np.eye(2))
+    res = langevin_particles(model2d, p0, dt=0.05, steps=7, n=1000, seed=4)
+    rng = np.random.default_rng(4)
+    x = p0.sample(rng, 1000)
+    for _ in range(7):
+        x = x - grad_potential(model2d, x) * 0.05 \
+            + np.sqrt(0.1) * rng.standard_normal(x.shape)
+    assert res.particles.tobytes() == x.tobytes()
 
 
 def test_langevin_quartic_confinement(rng):

@@ -22,6 +22,7 @@ from lsicert.gaussian import (
     kl,
     marginal,
     memo_conditionals,
+    tril_inverse,
     w2,
     weighted_w2,
 )
@@ -407,3 +408,18 @@ def test_verify_theorem1_takes_two_batched_conditionals(monkeypatch):
         calls.clear()
         gibbs.verify_theorem1(random_gaussian(rng, model.dim), model, report)
         assert 1 <= len(calls) <= 2, (model.partition.n, calls)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 17, 32, 64])
+@pytest.mark.parametrize("stack", [1, 7])
+def test_tril_inverse_matches_general_inverse(size, stack):
+    rng = np.random.default_rng(100 * size + stack)
+    raw = rng.standard_normal((stack, size, size))
+    chol = np.linalg.cholesky(raw @ raw.transpose(0, 2, 1) / size
+                              + np.eye(size))
+    chol.flags.writeable = False
+    got = tril_inverse(chol)
+    want = np.linalg.inv(chol)
+    assert got.shape == chol.shape
+    assert np.all(np.triu(got, 1) == 0.0)
+    assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
