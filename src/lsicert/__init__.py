@@ -10,6 +10,7 @@ Langevin flow.
 
 from .criteria import (
     CertificateError,
+    Check,
     CriteriaReport,
     block_lsi_constants,
     build_A_rho,
@@ -23,7 +24,6 @@ from .fokker_planck import (
     EntropyTrace,
     dissipation_check,
     entropy_trace,
-    exp_decay_check,
     gaussian_fp_evolve,
     langevin_particles,
     write_entropy_csv,
@@ -36,9 +36,7 @@ from .gaussian import (
     fisher,
     gaussian_target,
     kl,
-    marginal,
     w2,
-    weighted_w2,
 )
 from .gibbs import (
     GaussianMixture,
@@ -56,7 +54,6 @@ from .model import (
     ModelError,
     ModelFormatError,
     ModelValidationError,
-    hessian,
     load_model,
     model_from_dict,
     model_to_dict,

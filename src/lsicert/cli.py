@@ -2,15 +2,17 @@
 
 Subcommands: `criteria` evaluates the spectral certificates for a model
 file and emits a JSON report; `verify` runs one verification suite and
-emits a pass/fail CSV table whose rows only format the verifiers' own
-results; `toeplitz` reports exact symbol extrema and finite-section
-spectra for a banded coupling.
+emits a pass/fail CSV table, one row per Check the verifiers return,
+with the closed-form suites' params prefixed by their trial; `toeplitz`
+reports exact symbol extrema and finite-section spectra for a banded
+coupling.
 
 Exit codes: 0 success, 1 usage error (including `verify` on a model with
 a quartic term, since the closed-form verifiers need a Gaussian model,
 `verify` with --trials or --steps below 1 or gibbs --samples below
-MIN_MC_SAMPLES, refused before any work, and `verify gibbs` when the
-exact mixture would exceed the component cap or the byte budget), 2
+MIN_MC_SAMPLES, refused before any work, `verify gibbs` when the exact
+mixture would exceed the component cap or the byte budget, and an --out
+path that cannot be written), 2
 invalid model, 3 no certificate, 4 verification failure.  Output is
 strict JSON or CSV, byte-identical across runs for equal inputs and
 seeds; all randomness derives from --seed.
@@ -26,7 +28,8 @@ import sys
 import numpy as np
 
 from . import fokker_planck, gibbs, instances, oracles
-from .criteria import CertificateError, criteria_report, toeplitz_spectrum_report
+from .criteria import (CertificateError, Check, criteria_report,
+                       toeplitz_spectrum_report)
 from .gaussian import GaussianDist, gaussian_target
 from .model import ModelError, load_model, model_to_dict
 
@@ -43,9 +46,12 @@ _DEFAULT_TRIALS = {"theorem1": 200, "transport": 500, "prop4": 500}
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from exc
 
 
 def _json_value(v):
@@ -81,18 +87,13 @@ def cmd_criteria(args) -> int:
     return EXIT_OK
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return repr(float(v))
-
-
-def _csv(rows, seed: int) -> str:
+def _csv(checks, seed: int) -> str:
     lines = [f"# seed={seed}", "check,param,value,bound,tolerance,verdict"]
-    for check, param, value, bound, tol, ok in rows:
-        verdict = "pass" if ok else "fail"
-        lines.append(f"{check},{param},{_fmt(value)},{_fmt(bound)},"
-                     f"{_fmt(tol)},{verdict}")
+    for c in checks:
+        nums = ",".join(repr(float(v))
+                        for v in (c.value, c.bound, c.tolerance))
+        lines.append(f"{c.check},{c.param},{nums},"
+                     f"{'pass' if c.holds else 'fail'}")
     return "\n".join(lines) + "\n"
 
 
@@ -101,60 +102,21 @@ def _default_p0(model) -> GaussianDist:
     return GaussianDist(target.mean + 1.0, target.cov)
 
 
-def _rows_theorem1(model, report, rng, trials):
-    rows = []
-    for i in range(trials):
-        p = instances.random_gaussian(rng, model.dim)
-        res = gibbs.verify_theorem1(p, model, report)
-        rows.append(("theorem1", f"trial={i}", res.lhs, res.rhs,
-                     gibbs.THEOREM1_SLACK, res.holds))
-    return rows
-
-def _rows_gibbs(model, report, seed, samples, steps):
-    p0 = _default_p0(model)
-    trajectory = gibbs.verify_contraction(p0, model, report, steps=steps,
-                                          nsamples=samples, seed=seed)
-    return [("gibbs", f"step={row.step}", row.kl_estimate, row.bound,
-             3.0 * row.std_error, row.within_bound) for row in trajectory]
+def _trial(i: int, check: Check) -> Check:
+    param = f"trial={i}:{check.param}" if check.param else f"trial={i}"
+    return dataclasses.replace(check, param=param)
 
 
-def _rows_transport(model, report, rng, trials):
-    rows = []
-    for i in range(trials):
-        p = instances.random_gaussian(rng, model.dim)
-        res = oracles.transport_check(p, model, report)
-        rows.append(("transport", f"trial={i}", res.w2sq, res.bound, 1e-9,
-                     res.holds))
-    return rows
-
-
-def _rows_prop4(model, report, rng, trials):
-    rows = []
-    for i in range(trials):
+def _trial_checks(subcheck: str, model, report, rng) -> tuple:
+    """The checks of one random instance of a closed-form subcheck."""
+    if subcheck == "prop4":
         z = rng.normal(loc=model.mean, scale=2.0)
         u = rng.normal(loc=model.mean, scale=2.0)
-        res = oracles.prop4_check(model, report, z, u)
-        rows.append(("prop4", f"trial={i}:w2_vs_kl", res.lhs_w2_sum,
-                     res.mid_kl_sum, 1e-9, res.holds_first))
-        rows.append(("prop4", f"trial={i}:kl_vs_quadratic", res.mid_kl_sum,
-                     res.rhs, 1e-9, res.holds_second))
-    return rows
-
-
-def _rows_dissipation(model, report):
-    times = np.linspace(0.0, 5.0, 5001)
-    res = fokker_planck.dissipation_check(_default_p0(model), model, times,
-                                          rho=report.rho_marton)
-    rel_tol = fokker_planck.INTEGRAL_REL_TOL
-    atol = fokker_planck.DECAY_ATOL
-    return [
-        ("dissipation", "max_residual", res.max_residual, res.tolerance,
-         res.tolerance, res.ok and not res.coarse_grid),
-        ("dissipation", "integral_identity_rel_err", res.integral_rel_err,
-         rel_tol, rel_tol, res.integral_rel_err <= rel_tol),
-        ("dissipation", "exp_decay_max_excess", res.decay_excess, 0.0, atol,
-         res.decay_excess <= atol),
-    ]
+        return oracles.prop4_check(model, report, z, u)
+    p = instances.random_gaussian(rng, model.dim)
+    verify = (gibbs.verify_theorem1 if subcheck == "theorem1"
+              else oracles.transport_check)
+    return (verify(p, model, report),)
 
 
 def cmd_verify(args) -> int:
@@ -174,21 +136,20 @@ def cmd_verify(args) -> int:
     if report.rho_marton is None:
         print("no certificate: delta <= 0", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
-    rng = np.random.default_rng(args.seed)
-    if args.subcheck == "theorem1":
-        rows = _rows_theorem1(model, report, rng, trials)
-    elif args.subcheck == "gibbs":
-        rows = _rows_gibbs(model, report, args.seed, args.samples, args.steps)
-    elif args.subcheck == "transport":
-        rows = _rows_transport(model, report, rng, trials)
-    elif args.subcheck == "prop4":
-        rows = _rows_prop4(model, report, rng, trials)
+    if args.subcheck == "gibbs":
+        checks = gibbs.verify_contraction(
+            _default_p0(model), model, report, steps=args.steps,
+            nsamples=args.samples, seed=args.seed)
+    elif args.subcheck == "dissipation":
+        _, checks = fokker_planck.dissipation_check(
+            _default_p0(model), model, np.linspace(0.0, 5.0, 5001),
+            rho=report.rho_marton)
     else:
-        rows = _rows_dissipation(model, report)
-    _write_text(_csv(rows, args.seed), args.out)
-    if all(ok for *_, ok in rows):
-        return EXIT_OK
-    return EXIT_VERIFY_FAILED
+        rng = np.random.default_rng(args.seed)
+        checks = [_trial(i, c) for i in range(trials)
+                  for c in _trial_checks(args.subcheck, model, report, rng)]
+    _write_text(_csv(checks, args.seed), args.out)
+    return EXIT_OK if all(c.holds for c in checks) else EXIT_VERIFY_FAILED
 
 
 def parse_band(text: str) -> dict:

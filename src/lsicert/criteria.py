@@ -34,6 +34,24 @@ class CertificateError(Exception):
     """No certificate exists along the attempted route."""
 
 
+# Slack of a closed-form comparison, for rounding only.
+ROUNDING_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict issued by a verifier: whether value <= bound holds,
+    within a tolerance that is the verifier's own.  The fields are the
+    columns of a `verify` table row (holds is its verdict)."""
+
+    check: str
+    param: str
+    value: float
+    bound: float
+    tolerance: float
+    holds: bool
+
+
 @dataclass(frozen=True)
 class CriteriaReport:
     """Certificates and diagnostics for one model.

@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .criteria import Check
 from .gaussian import GaussianDist, tril_inverse
 from .model import GibbsModel, grad_potential
 
@@ -170,28 +171,17 @@ def entropy_trace(p0: GaussianDist, model: GibbsModel, times,
                         lsi_bound=bound, rho=rho)
 
 
-@dataclass(frozen=True, eq=False)
-class DissipationResult:
-    """Grid checks along the flow: dD/dt = -I at interior nodes, the
-    integral identity error |D0 - D_T - int I| / max(D0, 1e-12) with a
-    trapezoid integral, and the decay excess
-    max(D_t - exp(-2 rho t) D0 (1 + DECAY_SLACK)), None without rho."""
-
-    trace: EntropyTrace
-    max_residual: float
-    tolerance: float
-    ok: bool
-    coarse_grid: bool
-    integral_rel_err: float
-    decay_excess: float | None
-
-
 def dissipation_check(p0: GaussianDist, model: GibbsModel, times,
-                      rho: float | None = None) -> DissipationResult:
-    """Compare centered time differences of D against -I at interior nodes.
+                      rho: float | None = None) -> tuple:
+    """(trace, checks): one entropy trace and the checks read from it.
 
-    The tolerance scales as 1e-5 (1 + max I); grids coarser than 0.1 are
-    flagged instead of trusted.  All checks read one entropy trace.
+    max_residual compares centered time differences of D against -I at
+    interior nodes, with tolerance (and bound) 1e-5 (1 + max I); it
+    fails on grids coarser than 0.1, which are not trusted.
+    integral_identity_rel_err is |D0 - D_T - int I| / max(D0, 1e-12)
+    with a trapezoid integral, bounded by INTEGRAL_REL_TOL.  With rho,
+    exp_decay_max_excess is max(D_t - exp(-2 rho t) D0 (1 + DECAY_SLACK)),
+    against 0 within DECAY_ATOL.
     """
     trace = entropy_trace(p0, model, times, rho=rho)
     t = trace.times
@@ -202,19 +192,20 @@ def dissipation_check(p0: GaussianDist, model: GibbsModel, times,
     tol = DISSIPATION_REL_TOL * (1.0 + float(trace.fisher_values.max()))
     coarse = bool(np.diff(t).max() > COARSE_SPACING)
     integral = float(np.trapezoid(trace.fisher_values, t))
-    rel_err = abs(dvals[0] - dvals[-1] - integral) / max(dvals[0], 1e-12)
-    excess = None if rho is None else float(
-        np.max(dvals - trace.lsi_bound * (1.0 + DECAY_SLACK)))
-    return DissipationResult(trace=trace, max_residual=max_res, tolerance=tol,
-                             ok=bool(max_res <= tol), coarse_grid=coarse,
-                             integral_rel_err=rel_err, decay_excess=excess)
-
-
-def exp_decay_check(p0: GaussianDist, model: GibbsModel, rho: float,
-                    times) -> bool:
-    """True when D(p_t||q) <= exp(-2 rho t) D(p0||q) at every node."""
-    excess = dissipation_check(p0, model, times, rho=rho).decay_excess
-    return bool(excess <= DECAY_ATOL)
+    rel_err = float(abs(dvals[0] - dvals[-1] - integral)
+                    / max(dvals[0], 1e-12))
+    checks = [
+        Check("dissipation", "max_residual", max_res, tol, tol,
+              bool(max_res <= tol and not coarse)),
+        Check("dissipation", "integral_identity_rel_err", rel_err,
+              INTEGRAL_REL_TOL, INTEGRAL_REL_TOL,
+              bool(rel_err <= INTEGRAL_REL_TOL)),
+    ]
+    if rho is not None:
+        excess = float(np.max(dvals - trace.lsi_bound * (1.0 + DECAY_SLACK)))
+        checks.append(Check("dissipation", "exp_decay_max_excess", excess,
+                            0.0, DECAY_ATOL, bool(excess <= DECAY_ATOL)))
+    return trace, tuple(checks)
 
 
 def curvature_bound(model: GibbsModel, p0: GaussianDist) -> float:

@@ -134,16 +134,6 @@ def _check_same_dim(p: GaussianDist, q: GaussianDist) -> int:
     return p.dim
 
 
-def marginal(g: GaussianDist, indices) -> GaussianDist:
-    """Marginal law on a subset of coordinates, in the given order."""
-    idx = np.asarray(indices, dtype=int)
-    if idx.size == 0:
-        raise ValueError("marginal needs at least one coordinate")
-    if idx.min() < 0 or idx.max() >= g.dim or len(set(idx.tolist())) != idx.size:
-        raise ValueError("marginal indices must be distinct and in range")
-    return GaussianDist(g.mean[idx], g.cov[np.ix_(idx, idx)])
-
-
 def _blockdiag_matmul(diag, mat, part: BlockPartition) -> np.ndarray:
     """blockdiag(diag) @ mat by one (n, s, s) @ (n, s, m) product per size s."""
     out = np.empty((part.dim, mat.shape[1]))
@@ -252,28 +242,6 @@ def w2(p: GaussianDist, q: GaussianDist) -> float:
     diff = p.mean - q.mean
     sq = float(diff @ diff) + float(np.trace(p.cov) + np.trace(q.cov)) - cross
     return float(np.sqrt(max(sq, 0.0)))
-
-
-def weighted_w2(p: GaussianDist, q: GaussianDist, part: BlockPartition,
-                rho) -> float:
-    """Block-weighted W2: coordinate i is scaled by sqrt(rho_k(i)).
-
-    Equals the plain W2 distance between the laws of D x under p and q
-    with D = diag(sqrt(rho_k(i))), since scaling is a linear map.
-    """
-    _check_same_dim(p, q)
-    if part.dim != p.dim:
-        raise ValueError("partition does not match distribution dimension")
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (part.n,):
-        raise ValueError(f"need one weight per block, got shape {rho.shape}")
-    if np.any(rho <= 0):
-        raise ValueError("block weights must be positive")
-    scale = np.sqrt(rho[part.coordinate_block])
-    outer = np.outer(scale, scale)
-    ps = GaussianDist(scale * p.mean, outer * p.cov)
-    qs = GaussianDist(scale * q.mean, outer * q.cov)
-    return w2(ps, qs)
 
 
 def avg_conditional_kl(p: GaussianDist, q: GaussianDist,

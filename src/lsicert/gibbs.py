@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .criteria import CertificateError, CriteriaReport
+from .criteria import ROUNDING_SLACK, CertificateError, Check, CriteriaReport
 from .gaussian import (_LOG_2PI, GaussianDist, avg_conditional_kl,
                        gaussian_target, kl, memo_conditionals, tril_inverse)
 from .model import GibbsModel
@@ -42,7 +42,6 @@ MIXTURE_BYTE_BUDGET = 1 << 30
 _LOGPDF_CHUNK_BYTES = 4 << 20
 # Bounds the rounding of the Gram form (see the module docstring).
 _CENTRE_SPREAD = 64.0
-THEOREM1_SLACK = 1e-9
 MIN_MC_SAMPLES = 1_000
 
 
@@ -327,19 +326,12 @@ def kl_mixture_mc(p: GaussianMixture, q: GaussianDist, nsamples: int,
                       seed=int(seed))
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
 def verify_theorem1(p: GaussianDist, model: GibbsModel,
-                    report: CriteriaReport) -> TheoremCheck:
+                    report: CriteriaReport) -> Check:
     """Check D(p||q) <= (1/rho) sum_k rho_k E[D(p^k(.|xbar) || q^k(.|xbar))].
 
     rho is the certified constant from the report; every term is closed
-    form, so the comparison carries only a 1e-9 slack for rounding.
+    form, so the comparison carries only ROUNDING_SLACK.
     """
     if report.rho_marton is None:
         raise CertificateError("report carries no certified constant")
@@ -347,7 +339,8 @@ def verify_theorem1(p: GaussianDist, model: GibbsModel,
     lhs = kl(p, q)
     terms = avg_conditional_kl(p, q, model.partition)
     rhs = float(np.asarray(report.rho_k) @ terms) / report.rho_marton
-    return TheoremCheck(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + THEOREM1_SLACK))
+    return Check("theorem1", "", lhs, rhs, ROUNDING_SLACK,
+                 bool(lhs <= rhs + ROUNDING_SLACK))
 
 
 @dataclass(frozen=True)
@@ -370,16 +363,6 @@ def entropy_drop_identity(p: GaussianDist, model: GibbsModel,
     lhs = kl(p, q) - kl(image, q)
     rhs = float(avg_conditional_kl(p, q, model.partition)[k])
     return EntropyDropCheck(lhs=lhs, rhs=rhs, gap=lhs - rhs)
-
-
-@dataclass(frozen=True)
-class ContractionStep:
-    step: int
-    kl_estimate: float
-    std_error: float
-    bound: float
-    within_bound: bool
-    exact_law: bool
 
 
 def _subsample_sweep(p: GaussianMixture, model: GibbsModel, rho, cap: int,
@@ -405,12 +388,14 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
     """Track the sweep trajectory and compare divergence against the
     geometric bound (1 - rho/R)^m D(p0||q).
 
-    Step 0 is exact; later steps are Monte Carlo estimates flagged as
-    within the bound when estimate - 3 SE <= bound.  The exact law after
-    m sweeps has collapsed_word_count(n_blocks, m) components.  When that
-    would exceed cap or MIXTURE_BYTE_BUDGET, mc_fallback=True switches to
-    a sampled component-path approximation (law no longer exact);
-    otherwise MixtureCapError is raised before the first sweep.
+    Returns one check per step m, param "step=m".  Step 0 is exact;
+    later steps are Monte Carlo estimates with tolerance 3 SE, holding
+    when estimate - 3 SE <= bound.  The exact law after m sweeps has
+    collapsed_word_count(n_blocks, m) components.  When that would
+    exceed cap or MIXTURE_BYTE_BUDGET, mc_fallback=True switches to a
+    sampled component-path approximation, and the param of every step
+    from then on reads "step=m:sampled_law"; otherwise MixtureCapError
+    is raised before the first sweep.
     """
     if report.rho_marton is None:
         raise CertificateError("report carries no certified constant")
@@ -427,10 +412,9 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
 
     rng = np.random.default_rng(seed)
     mc_seeds = rng.integers(0, 2 ** 62, size=max(steps, 1))
-    rows = [ContractionStep(step=0, kl_estimate=d0, std_error=0.0, bound=d0,
-                            within_bound=True, exact_law=True)]
+    rows = [Check("gibbs", "step=0", d0, d0, 0.0, True)]
     mix = GaussianMixture.single(p0)
-    exact = True
+    law = ""
     for m in range(1, steps + 1):
         try:
             mix = apply_weighted_gibbs(mix, model, rho_k, cap=cap)
@@ -438,12 +422,10 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
             if not mc_fallback:
                 raise
             mix = _subsample_sweep(mix, model, rho_k, cap, rng)
-            exact = False
+            law = ":sampled_law"
         est = kl_mixture_mc(mix, q, nsamples, int(mc_seeds[m - 1]))
         bound = factor ** m * d0
-        within = est.estimate - 3.0 * est.std_error <= bound
-        rows.append(ContractionStep(step=m, kl_estimate=est.estimate,
-                                    std_error=est.std_error, bound=bound,
-                                    within_bound=bool(within),
-                                    exact_law=exact))
+        tol = 3.0 * est.std_error
+        rows.append(Check("gibbs", f"step={m}{law}", est.estimate, bound, tol,
+                          bool(est.estimate - tol <= bound)))
     return tuple(rows)

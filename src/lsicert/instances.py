@@ -74,8 +74,10 @@ def random_certified_model(rng: np.random.Generator, dim: int | None = None,
     rescaled so that ||A|| at rho = 0 hits target_norm < 1.  Since the
     quadratic form of the cross part is bounded by (1 - delta) times the
     block curvature, the assembled precision matrix is positive definite
-    by construction.
+    by construction.  Needs dim >= 2, as the model has two blocks or more.
     """
+    if dim is not None and dim < 2:
+        raise ValueError(f"a certified model needs dim >= 2, got {dim}")
     if dim is None:
         dim = int(rng.integers(2, 9))
     if target_norm is None:

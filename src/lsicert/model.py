@@ -175,21 +175,19 @@ def toeplitz_matrix(m: int, diag: float, band: dict) -> np.ndarray:
     return mat
 
 
-def hessian(model: GibbsModel, x) -> np.ndarray:
-    """Hessian of the potential at x: K + diag(12 * lam_i * x_i^2)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.dim,):
-        raise ModelFormatError(f"point must have length {model.dim}")
-    hess = np.array(model.precision)
-    hess[np.diag_indices_from(hess)] += 12.0 * model.quartic * x ** 2
-    return hess
-
-
 def grad_potential(model: GibbsModel, x: np.ndarray) -> np.ndarray:
     """Gradient of the potential, vectorized over rows of x."""
     x = np.asarray(x, dtype=float)
     grad = (x - model.mean) @ model.precision
     return grad if model.is_gaussian else grad + 4.0 * model.quartic * (x * x * x)
+
+
+def _float_array(doc: dict, key: str, default) -> np.ndarray:
+    try:
+        return np.asarray(doc.get(key, default), dtype=float)
+    except (TypeError, ValueError):
+        raise ModelFormatError(f"'{key}' must be a rectangular array of "
+                               "numbers")
 
 
 def model_from_dict(doc: dict) -> GibbsModel:
@@ -201,7 +199,7 @@ def model_from_dict(doc: dict) -> GibbsModel:
     dim = doc["dim"]
     if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
         raise ModelFormatError("'dim' must be an integer")
-    partition = BlockPartition(tuple(tuple(blk) for blk in doc["partition"]))
+    partition = BlockPartition(doc["partition"])
     if partition.dim != dim:
         raise ModelValidationError(
             f"partition covers {partition.dim} coordinates, dim says {dim}")
@@ -212,22 +210,22 @@ def model_from_dict(doc: dict) -> GibbsModel:
         raise ModelFormatError(
             "model document needs exactly one of 'precision' or 'toeplitz'")
     if has_prec:
-        precision = np.asarray(doc["precision"], dtype=float)
+        precision = _float_array(doc, "precision", None)
     else:
         spec = doc["toeplitz"]
         try:
             m = int(spec["m"])
             diag = float(spec["diag"])
             band = {int(k): float(v) for k, v in spec["band"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad toeplitz block: {exc}")
         if m != dim:
             raise ModelValidationError(
                 f"toeplitz size {m} does not match dim {dim}")
         precision = toeplitz_matrix(m, diag, band)
 
-    mean = np.asarray(doc.get("mean", np.zeros(dim)), dtype=float)
-    quartic = np.asarray(doc.get("quartic", np.zeros(dim)), dtype=float)
+    mean = _float_array(doc, "mean", np.zeros(dim))
+    quartic = _float_array(doc, "quartic", np.zeros(dim))
     return GibbsModel(partition=partition, precision=precision,
                       mean=mean, quartic=quartic)
 

@@ -10,12 +10,12 @@ with them is evidence of correctness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .criteria import (
+    ROUNDING_SLACK,
     CertificateError,
+    Check,
     CriteriaReport,
     block_lsi_constants,
     build_A_rho,
@@ -162,46 +162,29 @@ def w2_empirical_1d(samples_p, samples_q) -> float:
     return float(np.sqrt(np.mean((sp - sq) ** 2)))
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    w2sq: float
-    bound: float
-    holds: bool
-
-
 def transport_check(p: GaussianDist, model: GibbsModel,
-                    report: CriteriaReport) -> TransportResult:
+                    report: CriteriaReport) -> Check:
     """Check W2(p, q)^2 <= (2/rho) D(p||q) with the certified rho."""
     if report.rho_marton is None:
         raise CertificateError("report carries no certified constant")
     q = gaussian_target(model)
     w2sq = w2(p, q) ** 2
     bound = 2.0 / report.rho_marton * kl(p, q)
-    return TransportResult(w2sq=float(w2sq), bound=float(bound),
-                           holds=bool(w2sq <= bound + 1e-9))
+    return Check("transport", "", float(w2sq), float(bound), ROUNDING_SLACK,
+                 bool(w2sq <= bound + ROUNDING_SLACK))
 
 
-@dataclass(frozen=True)
-class MeanShiftResult:
-    """Closed-form comparison of block mean-shift functionals.
+def prop4_check(model: GibbsModel, report: CriteriaReport, z, u) -> tuple:
+    """Evaluate the two-sided mean-shift inequality at points z, u.
 
     For Gaussian conditionals with shifted conditioning points, the
     conditional mean shift of block k is Delta_k = -(K_II)^-1 K_IJ
     (z - u)_J, giving lhs = sum rho_k |Delta_k|^2, mid = sum Delta_k'
     K_II Delta_k (twice the summed conditional divergences), and the
     interaction bound rhs = (1 - delta)^2 sum rho_k |(z - u)_k|^2.
+    Returns the checks lhs <= mid (param w2_vs_kl) and mid <= rhs
+    (param kl_vs_quadratic).
     """
-
-    lhs_w2_sum: float
-    mid_kl_sum: float
-    rhs: float
-    holds_first: bool
-    holds_second: bool
-
-
-def prop4_check(model: GibbsModel, report: CriteriaReport, z,
-                u) -> MeanShiftResult:
-    """Evaluate the two-sided mean-shift inequality at points z, u."""
     if not model.is_gaussian:
         raise ValueError("closed-form check needs a Gaussian model")
     if report.delta <= 0:
@@ -216,8 +199,7 @@ def prop4_check(model: GibbsModel, report: CriteriaReport, z,
     lhs = float(shift @ (weight * shift))
     mid = float(shift @ (model.precision - model.cross) @ shift)
     rhs = (1.0 - report.delta) ** 2 * float(diff @ (weight * diff))
-    return MeanShiftResult(
-        lhs_w2_sum=lhs, mid_kl_sum=mid, rhs=rhs,
-        holds_first=bool(lhs <= mid + 1e-9),
-        holds_second=bool(mid <= rhs + 1e-9),
-    )
+    return (Check("prop4", "w2_vs_kl", lhs, mid, ROUNDING_SLACK,
+                  bool(lhs <= mid + ROUNDING_SLACK)),
+            Check("prop4", "kl_vs_quadratic", mid, rhs, ROUNDING_SLACK,
+                  bool(mid <= rhs + ROUNDING_SLACK)))

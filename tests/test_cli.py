@@ -2,17 +2,18 @@
 byte-for-byte determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lsicert import cli, gibbs
-from lsicert.criteria import criteria_report
-from lsicert.fokker_planck import dissipation_check
+from lsicert import cli, fokker_planck, gibbs
+from lsicert.criteria import Check, criteria_report
 from lsicert.gaussian import GaussianDist, gaussian_target
-from lsicert.instances import model_2d, random_quartic_model
+from lsicert.instances import model_2d, random_gaussian, random_quartic_model
 from lsicert.model import (BlockPartition, GibbsModel, model_to_dict,
                            save_model, toeplitz_matrix)
+from lsicert.oracles import prop4_check, transport_check
 
 
 @pytest.fixture
@@ -138,13 +139,25 @@ def test_criteria_strict_json(model_path, quartic_model_path,
     assert out == ""
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_criteria_rejects_non_finite_quartic(tmp_path, capsys, value):
-    doc = model_to_dict(model_2d())
-    doc["quartic"] = [value, 0.0]
+# Each edit replaces keys of the 2-d reference document; None drops one.
+# Besides non-finite entries, malformed documents of every kind exit 2.
+@pytest.mark.parametrize("edit", [
+    pytest.param({"quartic": [float("nan"), 0.0]}, id="nan"),
+    pytest.param({"quartic": [float("inf"), 0.0]}, id="inf"),
+    pytest.param({"partition": [0, 1]}, id="flat-partition"),
+    pytest.param({"precision": None,
+                  "toeplitz": {"m": 2, "diag": 3.0, "band": [1, 2]}},
+                 id="band-list"),
+    pytest.param({"precision": [[1.0, -0.5], [-0.5]]}, id="ragged-precision"),
+    pytest.param({"mean": ["a", 0.0]}, id="text-mean"),
+    pytest.param({"quartic": [0.0, [0.0, 1.0]]}, id="ragged-quartic"),
+])
+def test_criteria_rejects_non_finite_quartic(tmp_path, capsys, edit):
+    doc = {k: v for k, v in {**model_to_dict(model_2d()), **edit}.items()
+           if v is not None}
     code, out, err = run(["criteria", write_doc(tmp_path, doc)], capsys)
     assert code == 2
-    assert "invalid model" in err
+    assert err.startswith("invalid model") and len(err.splitlines()) == 1
     assert out == ""
 
 
@@ -215,18 +228,45 @@ def test_verify_dissipation(model_path, capsys):
                       "exp_decay_max_excess"]
 
 
-def test_verify_dissipation_rows_are_library_fields(model_path, capsys):
-    model = model_2d()
+def library_checks(model, subcheck, seed, trials):
+    """The checks `verify` reports, taken from the library directly, with
+    the trial of each closed-form check prefixed to its param."""
+    report = criteria_report(model)
     q = gaussian_target(model)
-    res = dissipation_check(GaussianDist(q.mean + 1.0, q.cov), model,
-                            np.linspace(0.0, 5.0, 5001),
-                            rho=criteria_report(model).rho_marton)
-    code, out, _ = run(["verify", model_path, "dissipation"], capsys)
+    p0 = GaussianDist(q.mean + 1.0, q.cov)
+    if subcheck == "gibbs":
+        return list(gibbs.verify_contraction(p0, model, report, steps=2,
+                                             nsamples=2000, seed=seed))
+    if subcheck == "dissipation":
+        _, checks = fokker_planck.dissipation_check(
+            p0, model, np.linspace(0.0, 5.0, 5001), rho=report.rho_marton)
+        return list(checks)
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(trials):
+        if subcheck == "prop4":
+            z = rng.normal(loc=model.mean, scale=2.0)
+            u = rng.normal(loc=model.mean, scale=2.0)
+            checks = prop4_check(model, report, z, u)
+        else:
+            verify = gibbs.verify_theorem1 if subcheck == "theorem1" \
+                else transport_check
+            checks = (verify(random_gaussian(rng, model.dim), model, report),)
+        out += [replace(c, param=f"trial={i}:{c.param}" if c.param
+                        else f"trial={i}") for c in checks]
+    return out
+
+
+@pytest.mark.parametrize("subcheck", cli.SUBCHECKS)
+def test_verify_rows_are_library_records(subcheck, model_path, capsys):
+    code, out, _ = run(["verify", model_path, subcheck, "--seed", "4",
+                        "--trials", "3", "--steps", "2", "--samples", "2000"],
+                       capsys)
     assert code == 0
-    rows = [line.split(",") for line in check_csv_shape(out, 0)[2:]]
-    values = [float(row[2]) for row in rows]
-    assert values == [res.max_residual, res.integral_rel_err,
-                      res.decay_excess]
+    rows = [line.split(",") for line in check_csv_shape(out, 4)[2:]]
+    printed = [Check(row[0], row[1], *map(float, row[2:5]), row[5] == "pass")
+               for row in rows]
+    assert printed == library_checks(model_2d(), subcheck, 4, 3)
 
 
 def test_verify_deterministic_bytes(model_path, tmp_path, capsys):
@@ -246,10 +286,9 @@ def test_verify_no_certificate(uncertified_model_path, capsys):
 
 
 def test_verify_failure_exit_code(model_path, capsys, monkeypatch):
-    monkeypatch.setattr(
-        cli, "_rows_dissipation",
-        lambda model, report: [("dissipation", "max_residual",
-                                1.0, 0.5, 0.5, False)])
+    failing = Check("dissipation", "max_residual", 1.0, 0.5, 0.5, False)
+    monkeypatch.setattr(fokker_planck, "dissipation_check",
+                        lambda *args, **kwargs: (None, (failing,)))
     code, out, _ = run(["verify", model_path, "dissipation"], capsys)
     assert code == 4
     assert out.strip().endswith("fail")
@@ -317,6 +356,21 @@ def test_verify_vacuous_run_refused_up_front(args, model_path, capsys,
     assert code == 1
     assert out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["criteria", "MODEL"],
+    ["verify", "MODEL", "theorem1", "--trials", "1"],
+    ["toeplitz", "--m", "16", "--band", "1=1"],
+])
+def test_unwritable_out_is_usage_error(argv, model_path, tmp_path, capsys):
+    argv = [model_path if a == "MODEL" else a for a in argv]
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run([*argv, "--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: cannot write --out")
+    assert len(err.splitlines()) == 1
 
 
 # ---- toeplitz ----

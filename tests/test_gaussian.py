@@ -20,11 +20,9 @@ from lsicert.gaussian import (
     fisher,
     gaussian_target,
     kl,
-    marginal,
     memo_conditionals,
     tril_inverse,
     w2,
-    weighted_w2,
 )
 from lsicert.instances import (model_2d, random_certified_model,
                                random_gaussian, random_partition)
@@ -119,21 +117,7 @@ def test_gaussian_target_reference(model2d):
                     atol=1e-12)
 
 
-# ---- marginal / conditional ----
-
-def test_marginal_reference(model2d):
-    q = gaussian_target(model2d)
-    m0 = marginal(q, [0])
-    assert m0.cov[0, 0] == pytest.approx(4.0 / 3.0, abs=1e-12)
-
-
-def test_marginal_rejects_bad_indices(rng):
-    g = random_gaussian(rng, 3)
-    with pytest.raises(ValueError):
-        marginal(g, [0, 0])
-    with pytest.raises(ValueError):
-        marginal(g, [3])
-
+# ---- conditional ----
 
 def test_conditional_reference_against_grid_oracle(model2d):
     # oracle: 1d quadrature moments of x0 -> q(x0, xbar) at fixed xbar
@@ -261,29 +245,6 @@ def test_w2_triangle_inequality(seed):
     assert w2(p, q) <= w2(p, r) + w2(r, q) + 1e-9
 
 
-def test_weighted_w2_reference(model2d):
-    q = gaussian_target(model2d)
-    p = GaussianDist(np.array([1.0, 1.0]), q.cov)
-    val = weighted_w2(p, q, model2d.partition, [4.0, 1.0])
-    assert val == pytest.approx(np.sqrt(5.0), abs=1e-10)
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=25)
-def test_weighted_w2_unit_weights_match_w2(seed):
-    rng, p, q = seeded_pair(seed)
-    part = random_partition(rng, p.dim)
-    ones = np.ones(part.n)
-    assert weighted_w2(p, q, part, ones) == pytest.approx(w2(p, q), rel=1e-9,
-                                                          abs=1e-12)
-
-
-def test_weighted_w2_rejects_nonpositive_weight(model2d):
-    q = gaussian_target(model2d)
-    with pytest.raises(ValueError):
-        weighted_w2(q, q, model2d.partition, [1.0, 0.0])
-
-
 # ---- averaged conditional divergence ----
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -302,7 +263,9 @@ def test_chain_rule_every_block(seed):
         if rest.size == 0:
             base = 0.0
         else:
-            base = kl(marginal(p, rest), marginal(q, rest))
+            block = np.ix_(rest, rest)
+            base = kl(GaussianDist(p.mean[rest], p.cov[block]),
+                      GaussianDist(q.mean[rest], q.cov[block]))
         assert total == pytest.approx(base + terms[k], rel=1e-9, abs=1e-9)
 
 

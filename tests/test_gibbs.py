@@ -339,8 +339,9 @@ def test_theorem1_tight_case(model2d):
     p = shifted_target(model2d, [1.0, 1.0])
     chk = verify_theorem1(p, model2d, rep)
     assert chk.holds
-    assert chk.lhs == pytest.approx(0.5, abs=1e-12)
-    assert chk.rhs == pytest.approx(chk.lhs, abs=1e-9)
+    assert (chk.check, chk.param, chk.tolerance) == ("theorem1", "", 1e-9)
+    assert chk.value == pytest.approx(0.5, abs=1e-12)
+    assert chk.bound == pytest.approx(chk.value, abs=1e-9)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -351,7 +352,7 @@ def test_theorem1_random_pairs(seed):
     rep = criteria_report(model)
     p = random_gaussian(rng, model.dim)
     chk = verify_theorem1(p, model, rep)
-    assert chk.holds, (chk.lhs, chk.rhs)
+    assert chk.holds, (chk.value, chk.bound)
 
 
 def test_theorem1_needs_certificate(model2d):
@@ -389,13 +390,12 @@ def test_contraction_reference(model2d):
     rows = verify_contraction(p0, model2d, rep, steps=4, nsamples=5000,
                               seed=42)
     d0 = kl(p0, gaussian_target(model2d))
-    assert rows[0].step == 0
-    assert rows[0].kl_estimate == pytest.approx(d0, abs=1e-12)
-    assert rows[0].std_error == 0.0
+    assert rows[0].value == pytest.approx(d0, abs=1e-12)
+    assert rows[0].tolerance == 0.0
     for m, row in enumerate(rows):
+        assert (row.check, row.param) == ("gibbs", f"step={m}")
         assert row.bound == pytest.approx(0.75 ** m * d0, rel=1e-12)
-        assert row.within_bound
-        assert row.exact_law
+        assert row.holds
 
 
 def test_contraction_estimates_track_exact_kl(model2d):
@@ -407,11 +407,12 @@ def test_contraction_estimates_track_exact_kl(model2d):
     rows = verify_contraction(p0, model2d, rep, steps=3, nsamples=20_000,
                               seed=1)
     mix = GaussianMixture.single(p0)
-    for row in rows[1:]:
+    for step, row in enumerate(rows[1:], start=1):
         mix = apply_weighted_gibbs(mix, model2d, np.asarray(rep.rho_k))
-        check = kl_mixture_mc(mix, q, 50_000, seed=123 + row.step)
-        assert abs(row.kl_estimate - check.estimate) <= \
-            4.0 * (row.std_error + check.std_error)
+        check = kl_mixture_mc(mix, q, 50_000, seed=123 + step)
+        # the row's tolerance is 3 SE of its estimate
+        assert abs(row.value - check.estimate) <= \
+            4.0 * (row.tolerance / 3.0 + check.std_error)
 
 
 def test_contraction_cap_fallback(model2d):
@@ -422,7 +423,9 @@ def test_contraction_cap_fallback(model2d):
                            seed=0, cap=4)
     rows = verify_contraction(p0, model2d, rep, steps=4, nsamples=1000,
                               seed=0, cap=4, mc_fallback=True)
-    assert [r.exact_law for r in rows] == [True, True, True, False, False]
+    assert [r.param for r in rows] == ["step=0", "step=1", "step=2",
+                                       "step=3:sampled_law",
+                                       "step=4:sampled_law"]
 
 
 def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
@@ -437,7 +440,9 @@ def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
         verify_contraction(p0, model2d, rep, steps=3, nsamples=1000, seed=0)
     rows = verify_contraction(p0, model2d, rep, steps=4, nsamples=1000,
                               seed=0, mc_fallback=True)
-    assert [r.exact_law for r in rows] == [True, True, True, False, False]
+    assert [r.param for r in rows] == ["step=0", "step=1", "step=2",
+                                       "step=3:sampled_law",
+                                       "step=4:sampled_law"]
 
 
 def test_contraction_determinism(model2d):

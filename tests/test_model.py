@@ -11,7 +11,6 @@ from lsicert.model import (
     GibbsModel,
     ModelFormatError,
     ModelValidationError,
-    hessian,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -109,30 +108,6 @@ def test_toeplitz_rejects_bad_offset():
         toeplitz_matrix(4, 1.0, {0: 1.0})
 
 
-def test_hessian_gaussian_is_precision(model2d):
-    x = np.array([0.7, -1.3])
-    assert_allclose(hessian(model2d, x), model2d.precision)
-
-
-def test_hessian_quartic_point_value():
-    part = BlockPartition(((0,),))
-    model = GibbsModel(partition=part, precision=np.array([[1.0]]),
-                       mean=np.zeros(1), quartic=np.array([1.0]))
-    assert_allclose(hessian(model, np.array([2.0])), np.array([[49.0]]))
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=25)
-def test_hessian_dominates_precision(seed):
-    rng = np.random.default_rng(seed)
-    part = BlockPartition(((0,), (1, 2)))
-    model = GibbsModel(partition=part, precision=np.eye(3) * 2.0,
-                       mean=np.zeros(3), quartic=rng.uniform(0, 1, size=3))
-    x = rng.normal(size=3, scale=2.0)
-    gap = hessian(model, x) - model.precision
-    assert np.all(np.linalg.eigvalsh(gap) >= -1e-12)
-
-
 def test_model_roundtrip(model2d, tmp_path):
     path = tmp_path / "m.json"
     save_model(model2d, path)
@@ -204,6 +179,13 @@ def test_model_from_dict_dim_mismatch():
            "precision": [[1.0, 0.0], [0.0, 1.0]]}
     with pytest.raises(ModelValidationError):
         model_from_dict(doc)
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_random_certified_model_needs_two_coordinates(dim):
+    # one coordinate cannot be split into the two blocks a model needs
+    with pytest.raises(ValueError, match="dim >= 2"):
+        random_certified_model(np.random.default_rng(0), dim=dim)
 
 
 def test_model_to_dict_roundtrip_values(model2d):

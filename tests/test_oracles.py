@@ -95,7 +95,8 @@ def test_transport_reference(model2d):
     p = GaussianDist(np.array([1.0, 1.0]), gaussian_target(model2d).cov)
     res = transport_check(p, model2d, rep)
     assert res.holds
-    assert res.w2sq <= res.bound
+    assert (res.check, res.param, res.tolerance) == ("transport", "", 1e-9)
+    assert res.value <= res.bound
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -106,7 +107,7 @@ def test_transport_random_pairs(seed):
     rep = criteria_report(model)
     p = random_gaussian(rng, model.dim)
     res = transport_check(p, model, rep)
-    assert res.holds, (res.w2sq, res.bound)
+    assert res.holds, (res.value, res.bound)
 
 
 def test_transport_near_tight_on_soft_eigendirection(rng):
@@ -120,7 +121,7 @@ def test_transport_near_tight_on_soft_eigendirection(rng):
     p = GaussianDist(q.mean + 1e-3 * vecs[:, 0], q.cov)
     res = transport_check(p, model, rep)
     assert res.holds
-    assert res.w2sq >= 0.99 * res.bound
+    assert res.value >= 0.99 * res.bound
 
 
 def test_transport_needs_certificate(model2d):
@@ -135,12 +136,15 @@ def test_transport_needs_certificate(model2d):
 
 def test_prop4_reference(model2d):
     rep = criteria_report(model2d)
-    res = prop4_check(model2d, rep, np.zeros(2), np.array([0.0, 2.0]))
+    first, second = prop4_check(model2d, rep, np.zeros(2),
+                                np.array([0.0, 2.0]))
+    assert [(c.check, c.param, c.tolerance) for c in (first, second)] == [
+        ("prop4", "w2_vs_kl", 1e-9), ("prop4", "kl_vs_quadratic", 1e-9)]
     # conditional means shift by 0.5 * 2 = 1 in block 0 only
-    assert res.lhs_w2_sum == pytest.approx(1.0, abs=1e-12)
-    assert res.mid_kl_sum == pytest.approx(1.0, abs=1e-12)
-    assert res.rhs == pytest.approx(1.0, abs=1e-12)
-    assert res.holds_first and res.holds_second
+    assert first.value == pytest.approx(1.0, abs=1e-12)
+    assert first.bound == second.value == pytest.approx(1.0, abs=1e-12)
+    assert second.bound == pytest.approx(1.0, abs=1e-12)
+    assert first.holds and second.holds
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -151,9 +155,8 @@ def test_prop4_random_points(seed):
     rep = criteria_report(model)
     z = rng.normal(scale=2.0, size=model.dim)
     u = rng.normal(scale=2.0, size=model.dim)
-    res = prop4_check(model, rep, z, u)
-    assert res.holds_first, (res.lhs_w2_sum, res.mid_kl_sum)
-    assert res.holds_second, (res.mid_kl_sum, res.rhs)
+    for chk in prop4_check(model, rep, z, u):
+        assert chk.holds, chk
 
 
 def _prop4_models():
@@ -185,8 +188,9 @@ def test_prop4_matches_per_block_loop(name):
         lhs += rho_k[k] * float(shift @ shift)
         mid += float(shift @ prec_kk @ shift)
         rhs += rho_k[k] * float((z - u)[idx] @ (z - u)[idx])
-    res = prop4_check(model, report, z, u)
-    assert_allclose([res.lhs_w2_sum, res.mid_kl_sum, res.rhs],
+    first, second = prop4_check(model, report, z, u)
+    assert first.bound == second.value
+    assert_allclose([first.value, first.bound, second.bound],
                     [lhs, mid, 0.49 * rhs], rtol=1e-12, atol=0)
 
 
