@@ -3,12 +3,15 @@
 Tracks the exact mixture law of the sampler started from a shifted
 Gaussian and compares Monte Carlo divergence estimates against the
 geometric bound (1 - rho/R)^m D(p0||q) from the certified constant.
+Exits 4, as `lsicert verify` does, when the bound fails at some step.
 
 Usage: python scripts/contraction_demo.py [model.json] [--steps 8]
 """
 
 import argparse
+import sys
 
+from lsicert.cli import EXIT_OK, EXIT_VERIFY_FAILED
 from lsicert.criteria import criteria_report
 from lsicert.gaussian import GaussianDist, gaussian_target, kl
 from lsicert.gibbs import verify_contraction
@@ -47,9 +50,11 @@ def main():
         print(f"{r.param:<20} {r.value:>12.6f} {r.tolerance:>10.6f} "
               f"{r.bound:>12.6f} {'pass' if r.holds else 'FAIL':>7}")
     print()
-    print("bound respected at every step" if all(r.holds for r in rows)
+    passed = all(r.holds for r in rows)
+    print("bound respected at every step" if passed
           else "BOUND VIOLATED at some step")
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

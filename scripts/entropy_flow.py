@@ -3,15 +3,18 @@
 Evaluates divergence and Fisher information in closed form along the
 flow, checks the dissipation identity dD/dt = -I and the exponential
 decay bound exp(-2 rho t) D0 under the certified constant, and
-cross-checks with an Euler-Maruyama particle cloud.
+cross-checks with an Euler-Maruyama particle cloud.  Exits 4, as
+`lsicert verify` does, when any printed check fails.
 
 Usage: python scripts/entropy_flow.py [model.json] [--csv out.csv]
 """
 
 import argparse
+import sys
 
 import numpy as np
 
+from lsicert.cli import EXIT_OK, EXIT_VERIFY_FAILED
 from lsicert.criteria import criteria_report
 from lsicert.fokker_planck import (
     curvature_bound,
@@ -65,7 +68,9 @@ def main():
     if args.csv:
         write_entropy_csv(trace, args.csv)
         print(f"trace written to {args.csv}")
+    passed = cp.within_bands and all(c.holds for c in checks)
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

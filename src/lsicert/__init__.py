@@ -55,6 +55,7 @@ from .model import (
     ModelFormatError,
     ModelValidationError,
     load_model,
+    model_digest,
     model_from_dict,
     model_to_dict,
     save_model,

@@ -1,21 +1,24 @@
 """Command line interface.
 
 Subcommands: `criteria` evaluates the spectral certificates for a model
-file and emits a JSON report; `verify` runs one verification suite and
-emits a pass/fail CSV table, one row per Check the verifiers return,
-with the closed-form suites' params prefixed by their trial; `toeplitz`
-reports exact symbol extrema and finite-section spectra for a banded
-coupling.
+file and emits a JSON report (the model's dimension, block sizes and
+`model.model_digest`, then the certificates); `verify` runs one
+verification suite and emits a pass/fail CSV table, one row per Check
+the verifiers return, with the closed-form suites' params prefixed by
+their trial; `toeplitz` reports exact symbol extrema and finite-section
+spectra for a banded coupling.
 
 Exit codes: 0 success, 1 usage error (including `verify` on a model with
 a quartic term, since the closed-form verifiers need a Gaussian model,
 `verify` with --trials or --steps below 1 or gibbs --samples below
 MIN_MC_SAMPLES, refused before any work, `verify gibbs` when the exact
-mixture would exceed the component cap or the byte budget, and an --out
-path that cannot be written), 2
-invalid model, 3 no certificate, 4 verification failure.  Output is
-strict JSON or CSV, byte-identical across runs for equal inputs and
-seeds; all randomness derives from --seed.
+mixture would exceed the component cap or the byte budget, a model whose
+dense K would exceed `model.DENSE_BYTE_BUDGET`, refused before it is
+built, non-finite or overflowing `toeplitz` coefficients, and an --out
+path that cannot be written), 2 invalid model, 3 no certificate, 4
+verification failure.  Output is strict JSON or CSV, byte-identical
+across runs for equal inputs and seeds; all randomness derives from
+--seed.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import fokker_planck, gibbs, instances, oracles
 from .criteria import (CertificateError, Check, criteria_report,
                        toeplitz_spectrum_report)
 from .gaussian import GaussianDist, gaussian_target
-from .model import ModelError, load_model, model_to_dict
+from .model import ModelError, load_model, model_digest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,7 +67,9 @@ def _json_value(v):
 
 def _report_json(model, report) -> str:
     doc = {
-        "model": model_to_dict(model),
+        "model": {"dim": model.dim,
+                  "block_sizes": list(model.partition.sizes),
+                  "sha256": model_digest(model)},
         "rho_k": [float(r) for r in report.rho_k],
         "delta": float(report.delta),
         "rho_marton": _json_value(report.rho_marton),

@@ -314,11 +314,16 @@ def toeplitz_spectrum_report(m: int, diag: float,
     if m < 4:
         raise ValueError("finite sections below size 4 are not informative")
     band = {int(k): float(v) for k, v in band.items()}
+    if not np.all(np.isfinite([diag, *band.values()])):
+        raise ValueError("diag and band coefficients must be finite")
     mat = toeplitz_matrix(m, diag, band)  # rejects offsets outside 1..m-1
 
-    max_sym, min_sym, sup_abs = _symbol_extrema(diag, band)
     abs_band = {k: abs(v) for k, v in band.items()}
-    amax_sym, amin_sym, asup_abs = _symbol_extrema(abs(diag), abs_band)
+    with np.errstate(all="ignore"):
+        max_sym, min_sym, sup_abs = _symbol_extrema(diag, band)
+        amax_sym, amin_sym, asup_abs = _symbol_extrema(abs(diag), abs_band)
+    if not np.all(np.isfinite([max_sym, min_sym, amax_sym, amin_sym])):
+        raise ValueError("the symbol overflows: coefficients too large")
 
     evals = np.linalg.eigvalsh(mat)
     aevals = np.linalg.eigvalsh(np.abs(mat))

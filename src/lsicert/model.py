@@ -16,6 +16,7 @@ symmetric K, so positive definiteness is not required.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import numbers
 from dataclasses import dataclass
@@ -24,6 +25,9 @@ from functools import cached_property
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
+# Bytes a document may ask for in its dense K, charged before anything is
+# built.  Structured storage for Toeplitz specs would lift this for them.
+DENSE_BYTE_BUDGET = 256 * 2**20
 
 
 class ModelError(Exception):
@@ -38,6 +42,16 @@ class ModelValidationError(ModelError):
     """Well-formed model document violating a semantic invariant."""
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _index(v) -> int:
+    if not _is_integer(v):
+        raise ModelFormatError(f"partition entries must be integers, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Ordered list of disjoint index blocks whose union is [0, N)."""
@@ -46,8 +60,9 @@ class BlockPartition:
 
     def __post_init__(self):
         try:
-            canonical = tuple(tuple(int(i) for i in blk) for blk in self.blocks)
-        except (TypeError, ValueError) as exc:
+            canonical = tuple(tuple(_index(i) for i in blk)
+                              for blk in self.blocks)
+        except TypeError as exc:
             raise ModelFormatError(f"partition entries must be integer lists: {exc}")
         object.__setattr__(self, "blocks", canonical)
         if not canonical:
@@ -197,8 +212,12 @@ def model_from_dict(doc: dict) -> GibbsModel:
     if "dim" not in doc or "partition" not in doc:
         raise ModelFormatError("model document needs 'dim' and 'partition'")
     dim = doc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+    if not _is_integer(dim):
         raise ModelFormatError("'dim' must be an integer")
+    dense_bytes = int(dim) ** 2 * 8
+    if dense_bytes > DENSE_BYTE_BUDGET:
+        raise ValueError(f"a dense {dim}x{dim} precision needs {dense_bytes} "
+                         f"bytes, over the {DENSE_BYTE_BUDGET}-byte budget")
     partition = BlockPartition(doc["partition"])
     if partition.dim != dim:
         raise ModelValidationError(
@@ -239,6 +258,21 @@ def model_to_dict(model: GibbsModel) -> dict:
         "precision": model.precision.tolist(),
         "quartic": model.quartic.tolist(),
     }
+
+
+def model_digest(model: GibbsModel) -> str:
+    """SHA-256 hex digest of the model, independent of its file form.
+
+    Hashed in order: the little-endian float64 bytes of precision
+    (row-major), mean and quartic; then, per block, its length and its
+    indices as little-endian int64.
+    """
+    h = hashlib.sha256()
+    for arr in (model.precision, model.mean, model.quartic):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    h.update(np.array([v for blk in model.partition.blocks
+                       for v in (len(blk), *blk)], dtype="<i8").tobytes())
+    return h.hexdigest()
 
 
 def load_model(path) -> GibbsModel:

@@ -2,6 +2,7 @@
 byte-for-byte determinism."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,9 @@ from lsicert import cli, fokker_planck, gibbs
 from lsicert.criteria import Check, criteria_report
 from lsicert.gaussian import GaussianDist, gaussian_target
 from lsicert.instances import model_2d, random_gaussian, random_quartic_model
-from lsicert.model import (BlockPartition, GibbsModel, model_to_dict,
-                           save_model, toeplitz_matrix)
+from lsicert.model import (BlockPartition, GibbsModel, load_model,
+                           model_digest, model_to_dict, save_model,
+                           toeplitz_matrix)
 from lsicert.oracles import prop4_check, transport_check
 
 
@@ -85,6 +87,26 @@ def test_criteria_json_report(model_path, capsys):
     assert doc["certified"] is True
     assert doc["flags"] == []
     assert "tol" not in doc and "seed" not in doc
+    assert doc["model"] == {"dim": 2, "block_sizes": [1, 1],
+                            "sha256": model_digest(model_2d())}
+
+
+def test_criteria_echo_is_model_not_file(tmp_path, capsys):
+    # the m = 256 chain as a toeplitz spec and as its dense expansion
+    m = 256
+    spec = write_doc(tmp_path, {"dim": m, "partition": [[i] for i in range(m)],
+                                "toeplitz": {"m": m, "diag": 3.0,
+                                             "band": {"1": 1.0}}})
+    dense = tmp_path / "dense.json"
+    save_model(load_model(spec), dense)
+    code, out, _ = run(["criteria", spec], capsys)
+    assert code == 0
+    assert run(["criteria", str(dense)], capsys) == (0, out, "")
+    assert len(out.encode()) < 8 * 1024
+    echo = json.loads(out)["model"]
+    assert list(echo) == ["dim", "block_sizes", "sha256"]
+    assert echo["dim"] == m and echo["block_sizes"] == [1] * m
+    assert echo["sha256"] == model_digest(load_model(dense))
 
 
 def test_criteria_deterministic_bytes(model_path, tmp_path, capsys):
@@ -151,6 +173,8 @@ def test_criteria_strict_json(model_path, quartic_model_path,
     pytest.param({"precision": [[1.0, -0.5], [-0.5]]}, id="ragged-precision"),
     pytest.param({"mean": ["a", 0.0]}, id="text-mean"),
     pytest.param({"quartic": [0.0, [0.0, 1.0]]}, id="ragged-quartic"),
+    pytest.param({"partition": [[0.7], [1.9]]}, id="float-index"),
+    pytest.param({"partition": [[True], [0]]}, id="bool-index"),
 ])
 def test_criteria_rejects_non_finite_quartic(tmp_path, capsys, edit):
     doc = {k: v for k, v in {**model_to_dict(model_2d()), **edit}.items()
@@ -168,6 +192,26 @@ def test_criteria_rejects_non_integer_dim(tmp_path, capsys, dim):
     code, _, err = run(["criteria", write_doc(tmp_path, doc)], capsys)
     assert code == 2
     assert "'dim' must be an integer" in err
+
+
+def test_criteria_dense_budget_checked_up_front(tmp_path, capsys):
+    # a 6 000-dim K needs 288 MB dense, over the 256 MiB budget: refused
+    # from the document's 'dim' before any array is built
+    m = 6000
+    path = write_doc(tmp_path, {"dim": m, "partition": [[i] for i in range(m)],
+                                "toeplitz": {"m": m, "diag": 3.0,
+                                             "band": {"1": 1.0}}})
+    tracemalloc.start()
+    try:
+        code, out, err = run(["criteria", path], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error") and "budget" in err
+    assert len(err.splitlines()) == 1
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("option", [["--tol", "1e-10"], ["--probes", "8"],
@@ -388,10 +432,16 @@ def test_toeplitz_report(capsys):
     assert doc["band"] == [[1, 1.0], [2, -1.0]]
 
 
+@pytest.mark.filterwarnings("error")
 def test_toeplitz_bad_band(capsys):
-    code, _, err = run(["toeplitz", "--m", "16", "--band", "oops"], capsys)
-    assert code == 1
-    assert "usage error" in err
+    # a malformed band, a non-finite diag and a symbol that overflows are
+    # each refused with one stderr line; a numpy warning fails the test
+    for args in (["--band", "oops"], ["--diag", "nan", "--band", "1=1"],
+                 ["--band", "1=1e308,2=1e308"]):
+        code, out, err = run(["toeplitz", "--m", "8", *args], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("band", ["-1=1", "-2=1", "0=1", "16=1", "100000=1"])

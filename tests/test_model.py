@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from lsicert.model import (
     ModelFormatError,
     ModelValidationError,
     load_model,
+    model_digest,
     model_from_dict,
     model_to_dict,
     save_model,
@@ -150,6 +153,26 @@ def test_load_model_defaults(tmp_path):
     model = load_model(path)
     assert_allclose(model.mean, 0.0)
     assert model.is_gaussian
+
+
+def test_model_digest_byte_layout():
+    model = random_certified_model(np.random.default_rng(11), dim=5)
+    h = hashlib.sha256()
+    for arr in (model.precision, model.mean, model.quartic):
+        h.update(struct.pack(f"<{arr.size}d", *arr.ravel().tolist()))
+    for blk in model.partition.blocks:
+        h.update(struct.pack(f"<{len(blk) + 1}q", len(blk), *blk))
+    assert model_digest(model) == h.hexdigest()
+
+
+def test_model_digest_depends_on_partition():
+    prec = toeplitz_matrix(4, 3.0, {1: 1.0})
+    digests = {model_digest(GibbsModel(partition=BlockPartition(blocks),
+                                       precision=prec, mean=np.zeros(4),
+                                       quartic=np.zeros(4)))
+               for blocks in (((0, 1), (2, 3)), ((0,), (1, 2, 3)),
+                              ((0, 1, 2, 3),), ((1, 0), (2, 3)))}
+    assert len(digests) == 4
 
 
 def test_load_model_bad_json(tmp_path):
