@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .model import GibbsModel, toeplitz_matrix
+from .model import DENSE_BYTE_BUDGET, GibbsModel, toeplitz_matrix
 
 
 class CertificateError(Exception):
@@ -313,6 +313,11 @@ def toeplitz_spectrum_report(m: int, diag: float,
     """
     if m < 4:
         raise ValueError("finite sections below size 4 are not informative")
+    # toeplitz_matrix holds up to four m x m arrays at once, eigvalsh three
+    need = 4 * m * m * 8
+    if need > DENSE_BYTE_BUDGET:
+        raise ValueError(f"a {m}x{m} section needs {need} bytes of dense "
+                         f"arrays, over the {DENSE_BYTE_BUDGET}-byte budget")
     band = {int(k): float(v) for k, v in band.items()}
     if not np.all(np.isfinite([diag, *band.values()])):
         raise ValueError("diag and band coefficients must be finite")

@@ -19,6 +19,10 @@ y = x - centre, one product per chunk of points.  This rounds to about
 eps ||P_c|| (|y| + |mean_c - centre|)^2 for precision P_c, so components
 share a centre while ||P_c||_F |mean_c - centre|^2 <= _CENTRE_SPREAD.
 The Monte Carlo divergence adds the target as one more row.
+
+Mixtures are stacks of means, covariances and Cholesky factors: a sweep
+pushes the components of each block in one batch, and the Gram form
+reads the stacks as they are.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ DEFAULT_COMPONENT_CAP = 100_000
 MIXTURE_BYTE_BUDGET = 1 << 30
 # Size of the larger of the (components x features) and (features x rows)
 # working blocks of one row chunk of the Gram-form mixture density.
-_LOGPDF_CHUNK_BYTES = 4 << 20
+_LOGPDF_CHUNK_BYTES = 1 << 20
 # Bounds the rounding of the Gram form (see the module docstring).
 _CENTRE_SPREAD = 64.0
 MIN_MC_SAMPLES = 1_000
@@ -51,9 +55,13 @@ class MixtureCapError(RuntimeError):
 
 
 def _component_bytes(dim: int) -> int:
-    """Peak bytes of one component: cov, chol, and in _gram_form its
-    stacked factor, inverse, precision and d (d+1)/2 + d + 1 coefficients."""
-    return (5 * dim * dim + dim * (dim + 1) // 2 + dim + 1) * 8
+    """Upper bound on the peak bytes per component of the larger mixture:
+    7 d^2 in _image (cov and chol stacks of source and image, three push
+    temporaries), or 5 d^2 in kl_mixture_mc (cov and chol stacks, and
+    _gram_form's stacked factor, inverse and precision) plus d (d+1) for
+    a quadratic row and the coefficients; 7 d + 9 more for vectors and
+    scalars."""
+    return (7 * dim * dim + 7 * dim + 9) * 8
 
 
 def _check_budget(count: int, dim: int, cap: int) -> None:
@@ -76,7 +84,8 @@ def collapsed_word_count(n_blocks: int, sweeps: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Finite Gaussian mixture with positive normalized weights.
+    """Finite Gaussian mixture with positive normalized weights, stored as
+    stacks: component c is N(means[c], covs[c]).
 
     words[c] is the collapsed block word of component c under one model's
     sampler: its origin component, then the blocks applied since.  None
@@ -84,15 +93,19 @@ class GaussianMixture:
     """
 
     weights: np.ndarray
-    components: tuple
+    means: np.ndarray
+    covs: np.ndarray
     words: tuple | None = None
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
-        comps = tuple(self.components)
-        if weights.ndim != 1 or weights.size != len(comps):
+        means = np.asarray(self.means, dtype=float)
+        covs = np.asarray(self.covs, dtype=float)
+        if means.ndim != 2 or covs.shape != means.shape + means.shape[1:]:
+            raise ValueError("need (C, d) means and (C, d, d) covariances")
+        if weights.ndim != 1 or weights.size != len(means):
             raise ValueError("need one weight per component")
-        if self.words is not None and len(self.words) != len(comps):
+        if self.words is not None and len(self.words) != len(means):
             raise ValueError("need one word per component")
         if weights.size == 0:
             raise ValueError("mixture needs at least one component")
@@ -100,61 +113,93 @@ class GaussianMixture:
             raise ValueError("mixture weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        dims = {c.dim for c in comps}
-        if len(dims) != 1:
-            raise ValueError("mixture components must share one dimension")
-        if len(comps) > DEFAULT_COMPONENT_CAP:
+        if len(means) > DEFAULT_COMPONENT_CAP:
             raise MixtureCapError(
-                f"{len(comps)} components exceed the cap {DEFAULT_COMPONENT_CAP}")
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "components", comps)
+                f"{len(means)} components exceed the cap {DEFAULT_COMPONENT_CAP}")
+        gap = np.abs(covs - np.swapaxes(covs, 1, 2)).max(axis=(1, 2))
+        if np.any(gap > 1e-8 * np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))):
+            raise ValueError("covariances must be symmetric")
+        if np.any(gap):
+            covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+        for name, arr in (("weights", weights), ("means", means),
+                          ("covs", covs)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.words is not None:
             object.__setattr__(self, "words", tuple(map(tuple, self.words)))
 
     @classmethod
+    def from_components(cls, weights, comps, words=None) -> "GaussianMixture":
+        """Mixture of the GaussianDists comps, stacked."""
+        comps = tuple(comps)
+        return cls(weights, np.stack([g.mean for g in comps]),
+                   np.stack([g.cov for g in comps]), words)
+
+    @classmethod
     def single(cls, g: GaussianDist) -> "GaussianMixture":
-        return cls(weights=np.array([1.0]), components=(g,))
+        return cls.from_components(np.array([1.0]), (g,))
 
     @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self.means.shape[1]
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.means)
+
+    @cached_property
+    def chols(self) -> np.ndarray:
+        chols = np.linalg.cholesky(self.covs)  # LinAlgError is a ValueError
+        chols.flags.writeable = False
+        return chols
+
+    @cached_property
+    def log_dets(self) -> np.ndarray:
+        diag = np.diagonal(self.chols, axis1=1, axis2=2)
+        return 2.0 * np.sum(np.log(diag), axis=1)
+
+    @cached_property
+    def components(self) -> tuple:
+        """The components as GaussianDists, built on first access."""
+        return tuple(GaussianDist(m, c) for m, c in zip(self.means, self.covs))
 
     @cached_property
     def _gram(self) -> tuple:
-        return _gram_form(self.components, np.log(self.weights))
+        return _gram_form(self.means, self.chols, self.log_dets,
+                          np.log(self.weights))
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         """Log density, vectorized over rows of x."""
         return _gram_logsumexp(*self._gram, x, target=False)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws: each component maps its rows of one normal draw."""
+        """n draws: each component maps its rows of one normal draw into
+        its columns of a (d, n) block; returns the block's transpose."""
         counts = rng.multinomial(n, self.weights)
         z = rng.standard_normal((n, self.dim))
-        for c, rows in zip(self.components, np.split(z, np.cumsum(counts))):
-            np.matmul(rows, c.chol.T, out=rows)
-            rows += c.mean
-        return z
+        out = np.empty((self.dim, n))
+        stops, drawn = np.cumsum(counts), np.flatnonzero(counts)
+        for chol, lo, hi in zip(self.chols[drawn],
+                                (stops - counts)[drawn].tolist(),
+                                stops[drawn].tolist()):
+            np.matmul(chol, z[lo:hi].T, out=out[:, lo:hi])
+        out += np.repeat(self.means.T, counts, axis=1)
+        return out.T
 
 
-def _gram_form(dists, log_weights) -> tuple:
+def _gram_form(means, chols, log_dets, log_weights) -> tuple:
     """(coef, groups): row r of coef @ phi(x - centre) is log_weights[c]
-    + log N(x; dists[c]) for the dist c at row r (see module docstring).
+    + log N(x; means[c], chols[c] chols[c]') for the component c at row r,
+    log_dets[c] being its log det cov (see module docstring).
 
     groups = ((centre, start, stop), ...) in row order; each centre is the
-    mean of the first dist left and takes every dist left within the
-    spread bound, in order, so row 0 is dists[0].
+    mean of the first component left and takes every component left within
+    the spread bound, in order, so row 0 is component 0.
     """
-    dim, n = dists[0].dim, len(dists)
-    inv = tril_inverse(np.stack([g.chol for g in dists]))
+    n, dim = means.shape
+    inv = tril_inverse(chols)
     prec = np.swapaxes(inv, 1, 2) @ inv
     scale = np.sqrt(np.einsum("cij,cij->c", prec, prec))
-    means = np.stack([g.mean for g in dists])
     shift, groups = np.empty_like(means), []
     order, rest = np.empty(0, dtype=int), np.arange(n)
     while rest.size:
@@ -167,7 +212,7 @@ def _gram_form(dists, log_weights) -> tuple:
     iu, ju = np.triu_indices(dim)
     quad = prec[order[:, None], iu, ju] * np.where(iu == ju, -0.5, -1.0)
     const = log_weights - 0.5 * (dim * _LOG_2PI + np.sum(lin * shift, axis=1)
-                                 + [g.log_det_cov for g in dists])
+                                 + log_dets)
     return np.hstack([quad, lin[order], const[order, None]]), tuple(groups)
 
 
@@ -179,13 +224,17 @@ def _gram_logsumexp(coef, groups, x, target: bool) -> np.ndarray:
     if dim != groups[0][0].size:
         raise ValueError("points must have the mixture dimension")
     step = max(1, _LOGPDF_CHUNK_BYTES // (8 * max(coef.shape)))
+    # terms, features and y blocks shared by every chunk, a short tail
+    # using their left columns; the ones row of the features is set once
+    bufs = [np.empty((rows, min(step, n_pts)))
+            for rows in (coef.shape[0], coef.shape[1], dim)]
+    bufs[1][-1] = 1.0
     out = np.empty(n_pts)
     for start in range(0, n_pts, step):
         chunk = xt[:, start:start + step]
-        terms = np.empty((coef.shape[0], chunk.shape[1]))
-        feat = np.ones((coef.shape[1], chunk.shape[1]))
+        terms, feat, y = (buf[:, :chunk.shape[1]] for buf in bufs)
         for centre, lo, hi in groups:
-            y = chunk - centre[:, None]
+            np.subtract(chunk, centre[:, None], out=y)
             for i in range(dim):
                 row = i * dim - i * (i - 1) // 2
                 np.multiply(y[i], y[i:], out=feat[row:row + dim - i])
@@ -221,10 +270,14 @@ def _block_update_map(model: GibbsModel, k: int):
     return lin, offset, noise
 
 
-def _push_gaussian(g: GaussianDist, lin, offset, noise) -> GaussianDist:
-    mean = lin @ g.mean + offset
-    cov = lin @ g.cov @ lin.T + noise
-    return GaussianDist(mean, 0.5 * (cov + cov.T))
+def _push(means, covs, lin, offset, noise) -> tuple:
+    """(means, covs) of the stacked Gaussians N(means[c], covs[c]) sent
+    through the affine update (lin, offset, noise), symmetrised."""
+    out = lin @ covs @ lin.T
+    out += noise
+    out = out + np.swapaxes(out, 1, 2)
+    out *= 0.5
+    return (lin @ means[..., None])[..., 0] + offset, out
 
 
 def _require_gaussian(model: GibbsModel):
@@ -245,10 +298,11 @@ def _image(p: GaussianMixture, model: GibbsModel, moves,
     through the block-k update, carrying that weight.
 
     Each move is keyed by its collapsed word.  A component whose word
-    already ends in k is its own image and is kept as is; equal keys sum
-    their weights in first-seen order, and every other key is pushed
-    through the update once.  Raises MixtureCapError before any push when
-    the merged mixture would exceed cap or the byte budget.
+    already ends in k is its own image and its rows are copied; equal keys
+    sum their weights in first-seen order, and the other keys of each
+    block k are pushed through its update in one batch.  Raises
+    MixtureCapError before any push when the merged mixture would exceed
+    cap or the byte budget.
     """
     words = p.words or tuple((c,) for c in range(p.n_components))
     weights, sources = {}, {}
@@ -260,12 +314,18 @@ def _image(p: GaussianMixture, model: GibbsModel, moves,
         if kept or key not in sources:
             sources[key] = (k, c, kept)
     _check_budget(len(weights), p.dim, cap)
-    comps = tuple(
-        p.components[c] if kept
-        else _push_gaussian(p.components[c], *_block_update_map(model, k))
-        for k, c, kept in sources.values())
-    return GaussianMixture(weights=np.fromiter(weights.values(), float),
-                           components=comps, words=tuple(weights))
+    ks, cs, kept = np.array(list(sources.values()), dtype=int).reshape(-1, 3).T
+    means, covs, chols = p.means[cs], p.covs[cs], p.chols[cs]
+    for k in np.unique(ks[kept == 0]):
+        rows = np.flatnonzero((ks == k) & (kept == 0))
+        update = _block_update_map(model, int(k))
+        m, c = _push(means[rows], covs[rows], *update)
+        means[rows], covs[rows], chols[rows] = m, c, np.linalg.cholesky(c)
+    mix = GaussianMixture(np.fromiter(weights.values(), float), means, covs,
+                          words=tuple(weights))
+    chols.flags.writeable = False
+    mix.__dict__["chols"] = chols  # kept rows copied, not factored again
+    return mix
 
 
 def apply_gibbs_block(p: GaussianMixture, model: GibbsModel,
@@ -318,7 +378,10 @@ def kl_mixture_mc(p: GaussianMixture, q: GaussianDist, nsamples: int,
         raise ValueError("dimension mismatch between mixture and target")
     rng = np.random.default_rng(seed)
     x = p.sample(rng, nsamples)
-    form = _gram_form((q,) + p.components, np.append(0.0, np.log(p.weights)))
+    form = _gram_form(np.vstack([q.mean, p.means]),
+                      np.concatenate([q.chol[None], p.chols]),
+                      np.append(q.log_det_cov, p.log_dets),
+                      np.append(0.0, np.log(p.weights)))
     vals = _gram_logsumexp(*form, x, target=True)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(nsamples))
@@ -359,50 +422,32 @@ def entropy_drop_identity(p: GaussianDist, model: GibbsModel,
     """
     _require_gaussian(model)
     q = gaussian_target(model)
-    image = _push_gaussian(p, *_block_update_map(model, k))
+    update = _block_update_map(model, k)
+    means, covs = _push(p.mean[None], p.cov[None], *update)
+    image = GaussianDist(means[0], covs[0])
     lhs = kl(p, q) - kl(image, q)
     rhs = float(avg_conditional_kl(p, q, model.partition)[k])
     return EntropyDropCheck(lhs=lhs, rhs=rhs, gap=lhs - rhs)
 
 
-def _subsample_sweep(p: GaussianMixture, model: GibbsModel, rho, cap: int,
-                     rng: np.random.Generator) -> GaussianMixture:
-    """Approximate sweep image: component paths sampled by weight, as
-    many as both cap and the byte budget allow."""
-    part = model.partition
-    share = rho / rho.sum()
-    budget = MIXTURE_BYTE_BUDGET // _component_bytes(model.dim)
-    paths = max(1, min(cap, budget))
-    ks = rng.choice(part.n, size=paths, p=share)
-    cs = rng.choice(p.n_components, size=paths, p=p.weights)
-    flat, counts = np.unique(ks * p.n_components + cs, return_counts=True)
-    moves = ((*divmod(int(code), p.n_components), cnt / paths)
-             for code, cnt in zip(flat, counts))
-    return _image(p, model, moves, cap=cap)
-
-
 def verify_contraction(p0: GaussianDist, model: GibbsModel,
                        report: CriteriaReport, steps: int, nsamples: int,
-                       seed: int, cap: int = DEFAULT_COMPONENT_CAP,
-                       mc_fallback: bool = False) -> tuple:
+                       seed: int, cap: int = DEFAULT_COMPONENT_CAP) -> tuple:
     """Track the sweep trajectory and compare divergence against the
     geometric bound (1 - rho/R)^m D(p0||q).
 
     Returns one check per step m, param "step=m".  Step 0 is exact;
     later steps are Monte Carlo estimates with tolerance 3 SE, holding
     when estimate - 3 SE <= bound.  The exact law after m sweeps has
-    collapsed_word_count(n_blocks, m) components.  When that would
-    exceed cap or MIXTURE_BYTE_BUDGET, mc_fallback=True switches to a
-    sampled component-path approximation, and the param of every step
-    from then on reads "step=m:sampled_law"; otherwise MixtureCapError
-    is raised before the first sweep.
+    collapsed_word_count(n_blocks, m) components; when that would exceed
+    cap or MIXTURE_BYTE_BUDGET, MixtureCapError is raised before the
+    first sweep.
     """
     if report.rho_marton is None:
         raise CertificateError("report carries no certified constant")
     _require_gaussian(model)
-    if not mc_fallback:
-        _check_budget(collapsed_word_count(model.partition.n, steps),
-                      model.dim, cap)
+    _check_budget(collapsed_word_count(model.partition.n, steps), model.dim,
+                  cap)
     rho = float(report.rho_marton)
     rho_k = np.asarray(report.rho_k, dtype=float)
     total = float(rho_k.sum())
@@ -414,18 +459,11 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
     mc_seeds = rng.integers(0, 2 ** 62, size=max(steps, 1))
     rows = [Check("gibbs", "step=0", d0, d0, 0.0, True)]
     mix = GaussianMixture.single(p0)
-    law = ""
     for m in range(1, steps + 1):
-        try:
-            mix = apply_weighted_gibbs(mix, model, rho_k, cap=cap)
-        except MixtureCapError:
-            if not mc_fallback:
-                raise
-            mix = _subsample_sweep(mix, model, rho_k, cap, rng)
-            law = ":sampled_law"
+        mix = apply_weighted_gibbs(mix, model, rho_k, cap=cap)
         est = kl_mixture_mc(mix, q, nsamples, int(mc_seeds[m - 1]))
         bound = factor ** m * d0
         tol = 3.0 * est.std_error
-        rows.append(Check("gibbs", f"step={m}{law}", est.estimate, bound, tol,
+        rows.append(Check("gibbs", f"step={m}", est.estimate, bound, tol,
                           bool(est.estimate - tol <= bound)))
     return tuple(rows)

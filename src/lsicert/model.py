@@ -233,11 +233,14 @@ def model_from_dict(doc: dict) -> GibbsModel:
     else:
         spec = doc["toeplitz"]
         try:
-            m = int(spec["m"])
-            diag = float(spec["diag"])
+            m, diag = spec["m"], float(spec["diag"])
             band = {int(k): float(v) for k, v in spec["band"].items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad toeplitz block: {exc}")
+        if not _is_integer(m):
+            raise ModelFormatError("'toeplitz.m' must be an integer")
+        if not np.all(np.isfinite([diag, *band.values()])):
+            raise ModelValidationError("model entries must be finite")
         if m != dim:
             raise ModelValidationError(
                 f"toeplitz size {m} does not match dim {dim}")

@@ -254,6 +254,25 @@ def test_verify_gibbs(model_path, capsys):
     assert len(lines) == 2 + 4
 
 
+GIBBS_GOLDEN = """\
+# seed=5
+check,param,value,bound,tolerance,verdict
+gibbs,step=0,0.5,0.5,0.0,pass
+gibbs,step=1,0.3112197363334801,0.37500000000000017,0.050481451230734956,pass
+gibbs,step=2,0.14212219746661398,0.2812500000000003,0.03925423515965516,pass
+gibbs,step=3,0.0872710704936712,0.21093750000000028,0.028812440119066102,pass
+"""
+
+
+def test_verify_gibbs_golden_bytes(model_path, capsys):
+    # the exact table of the 2-d reference: the mixture layout, the batched
+    # push and the Gram pass may not move a byte of it
+    code, out, _ = run(["verify", model_path, "gibbs", "--steps", "3",
+                        "--samples", "2000", "--seed", "5"], capsys)
+    assert code == 0
+    assert out == GIBBS_GOLDEN
+
+
 def test_verify_transport_and_prop4(model_path, capsys):
     for subcheck, rows_per_trial in (("transport", 1), ("prop4", 2)):
         code, out, _ = run(["verify", model_path, subcheck,
@@ -442,6 +461,37 @@ def test_toeplitz_bad_band(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("usage error") and len(err.splitlines()) == 1
+
+
+def test_toeplitz_dense_budget_checked_up_front(capsys):
+    # four dense 10^6 x 10^6 arrays would need 32 TB: refused from --m
+    code, out, err = run(["toeplitz", "--m", "1000000", "--band", "1=1"],
+                         capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error") and "budget" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim,spec", [
+    pytest.param(4, {"m": 4.9}, id="float-m"),
+    pytest.param(1, {"m": True, "band": {}}, id="bool-m"),
+    pytest.param(4, {"diag": float("inf")}, id="inf-diag"),
+    pytest.param(4, {"diag": float("nan")}, id="nan-diag"),
+    pytest.param(4, {"band": {"1": float("inf")}}, id="inf-band"),
+    pytest.param(4, {"band": {"1": 1.0, "2": float("-inf")}}, id="-inf-band"),
+])
+def test_criteria_rejects_bad_toeplitz_spec(tmp_path, capsys, dim, spec):
+    # refused before the matrix is built: exit 2, one stderr line, and no
+    # numpy warning (the filter turns one into a failure); int() would
+    # read m = 4.9 as 4 and m = true as 1
+    doc = {"dim": dim, "partition": [[i] for i in range(dim)],
+           "toeplitz": {"m": dim, "diag": 3.0, "band": {"1": 1.0}, **spec}}
+    code, out, err = run(["criteria", write_doc(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid model") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("band", ["-1=1", "-2=1", "0=1", "16=1", "100000=1"])
