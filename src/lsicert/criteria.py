@@ -313,7 +313,8 @@ def toeplitz_spectrum_report(m: int, diag: float,
     """
     if m < 4:
         raise ValueError("finite sections below size 4 are not informative")
-    # toeplitz_matrix holds up to four m x m arrays at once, eigvalsh three
+    # the section, its abs and eigvalsh's working copy: three m x m arrays
+    # at once, charged as four
     need = 4 * m * m * 8
     if need > DENSE_BYTE_BUDGET:
         raise ValueError(f"a {m}x{m} section needs {need} bytes of dense "

@@ -1,36 +1,120 @@
 """Closed-form information calculus for multivariate Gaussians.
 
 Implements relative entropy, relative Fisher information, quadratic
-Wasserstein distance (Bures form), Schur-complement conditionals and the
-averaged conditional divergence that drives the block entropy estimates.
-The conditionals and divergences of all blocks are taken in one pass,
-with one batched inverse per block size.  Relative entropy D(p||q) is
+Wasserstein distance, Schur-complement conditionals and the averaged
+conditional divergence that drives the block entropy estimates.  W2 takes
+the Bures form through the Cholesky factor L of the second covariance:
+the eigenvalues of Sigma_q^1/2 Sigma_p Sigma_q^1/2 are those of
+L' Sigma_p L, so one eigvalsh gives the cross term.  The conditionals and
+divergences of all blocks are taken in one pass, with one batched
+inverse per block size.
+
+A GaussianStack holds T laws as (T, d) means and (T, d, d) covariances,
+each checked as a GaussianDist is; `kl`, `w2`, `avg_conditional_kl` and
+`block_conditionals` take such a leading trial axis and compute every
+row as they compute a single law, so a row of a stack equals the call
+on that one law bit for bit.  Relative entropy D(p||q) is
 E_p[log(dp/dq)] in nats; relative Fisher information is
 I(p||q) = E_p[|grad log(dp/dq)|^2].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .model import BlockPartition, GibbsModel
 
-_EIG_CLAMP = 1e-14
 _INVERSE_TOL = 1e-8
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True, eq=False)
+class GaussianStack:
+    """T Gaussian laws N(means[t], covs[t]) with batched derived factors.
+
+    Each covariance must be symmetric to 1e-8 of its largest entry (it is
+    then symmetrized) and positive definite; the precisions are refused
+    when an inverse misses the identity by over _INVERSE_TOL.
+    """
+
+    means: np.ndarray
+    covs: np.ndarray
+
+    def __post_init__(self):
+        means = np.asarray(self.means, dtype=float)
+        covs = np.asarray(self.covs, dtype=float)
+        if means.ndim != 2:
+            raise ValueError("means must be a (trials, dim) array")
+        t, n = means.shape
+        if covs.shape != (t, n, n):
+            raise ValueError(f"covs must be {t}x{n}x{n}, got {covs.shape}")
+        sym = covs.swapaxes(-1, -2)
+        scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
+        if np.any(np.abs(covs - sym).max(axis=(1, 2)) > 1e-8 * scale):
+            raise ValueError("cov must be symmetric")
+        covs = 0.5 * (covs + sym)
+        covs.flags.writeable = False
+        means.flags.writeable = False
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "covs", covs)
+        self.chols  # positive definiteness check at construction
+
+    @classmethod
+    def of(cls, law) -> GaussianStack:
+        """law itself if it is a stack, else the stack of one law."""
+        return law if isinstance(law, cls) else law.stack
+
+    def __len__(self) -> int:
+        return self.means.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.means.shape[1]
+
+    def law(self, t: int) -> GaussianDist:
+        return GaussianDist(self.means[t], self.covs[t])
+
+    @cached_property
+    def chols(self) -> np.ndarray:
+        try:
+            chols = np.linalg.cholesky(self.covs)
+        except np.linalg.LinAlgError:
+            raise ValueError("cov must be positive definite")
+        chols.flags.writeable = False
+        return chols
+
+    @cached_property
+    def precisions(self) -> np.ndarray:
+        """L^-T L^-1 from the Cholesky factors, by tril_inverse."""
+        inv = tril_inverse(self.chols)
+        prec = inv.swapaxes(-1, -2) @ inv
+        prec = 0.5 * (prec + prec.swapaxes(-1, -2))
+        defect = float(np.abs(prec @ self.covs - np.eye(self.dim)).max())
+        if defect > _INVERSE_TOL:
+            raise ValueError(
+                f"covariance too ill-conditioned to invert (defect {defect:.3g})")
+        prec.flags.writeable = False
+        return prec
+
+    @cached_property
+    def log_dets(self) -> np.ndarray:
+        diag = np.diagonal(self.chols, axis1=1, axis2=2)
+        return 2.0 * np.sum(np.log(diag), axis=1)
+
+
+@dataclass(frozen=True, eq=False)
 class GaussianDist:
-    """Gaussian law N(mean, cov) with cached derived factors."""
+    """Gaussian law N(mean, cov): a view of its GaussianStack of one, which
+    makes the checks and holds the derived factors."""
 
     mean: np.ndarray
     cov: np.ndarray
+    stack: GaussianStack = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -40,43 +124,26 @@ class GaussianDist:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"cov must be {n}x{n}, got {cov.shape}")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if float(np.abs(cov - cov.T).max()) > 1e-8 * scale:
-            raise ValueError("cov must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        cov.flags.writeable = False
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        self.chol  # positive definiteness check at construction
+        stack = GaussianStack(mean[None], cov[None])
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "mean", stack.means[0])
+        object.__setattr__(self, "cov", stack.covs[0])
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @cached_property
+    @property
     def chol(self) -> np.ndarray:
-        try:
-            chol = np.linalg.cholesky(self.cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("cov must be positive definite")
-        chol.flags.writeable = False
-        return chol
+        return self.stack.chols[0]
 
-    @cached_property
+    @property
     def precision(self) -> np.ndarray:
-        prec = cho_solve((self.chol, True), np.eye(self.dim))
-        prec = 0.5 * (prec + prec.T)
-        defect = float(np.abs(prec @ self.cov - np.eye(self.dim)).max())
-        if defect > _INVERSE_TOL:
-            raise ValueError(
-                f"covariance too ill-conditioned to invert (defect {defect:.3g})")
-        prec.flags.writeable = False
-        return prec
+        return self.stack.precisions[0]
 
-    @cached_property
+    @property
     def log_det_cov(self) -> float:
-        return float(2.0 * np.sum(np.log(np.diag(self.chol))))
+        return float(self.stack.log_dets[0])
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         """Log density, vectorized over rows of x."""
@@ -89,6 +156,23 @@ class GaussianDist:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal((n, self.dim))
         return self.mean + z @ self.chol.T
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b over leading axes, rounded as the 1-d `a @ b` is."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Row-wise mat @ vec over leading axes, rounded as the 1-d case is."""
+    return np.matmul(mat, vec[..., :, None])[..., 0]
+
+
+def _unstack(vals: np.ndarray, *laws):
+    """vals for stacked arguments, its one float for single laws."""
+    if any(isinstance(law, GaussianStack) for law in laws):
+        return vals
+    return float(vals[0])
 
 
 @lru_cache(maxsize=8)
@@ -108,16 +192,34 @@ def tril_inverse(chol: np.ndarray) -> np.ndarray:
     matrices, by blocks: with L = [[A, 0], [B, D]], the inverse is
     [[A^-1, 0], [-D^-1 B A^-1, D^-1]].  About n^3/3 flops where a
     general LU inverse takes about 2 n^3; the only scratch beyond the
-    output is one (..., n - n//2, n//2) product."""
+    output is one (..., n - n//2, n//2) product.  The halving stops at
+    blocks of order 1 and 2, whose inverses are elementwise and are
+    taken for all blocks at once."""
+    n = chol.shape[-1]
     out = np.zeros_like(chol, dtype=float)
+    diag = np.arange(n)
+    out[..., diag, diag] = 1.0 / chol[..., diag, diag]
+    top = np.array(_pair_starts(n), dtype=int)
+    low = chol[..., top + 1, top] * out[..., top, top]
+    low *= out[..., top + 1, top + 1]
+    out[..., top + 1, top] = -low
     _tril_inverse_into(chol, out)
     return out
 
 
+@lru_cache(maxsize=None)
+def _pair_starts(n: int) -> tuple:
+    """Offsets of the 2 x 2 diagonal blocks where tril_inverse's halving
+    of an order-n matrix stops."""
+    if n <= 2:
+        return (0,) if n == 2 else ()
+    h = n // 2
+    return _pair_starts(h) + tuple(h + s for s in _pair_starts(n - h))
+
+
 def _tril_inverse_into(chol, out) -> None:
     n = chol.shape[-1]
-    if n == 1:
-        np.divide(1.0, chol, out=out)
+    if n <= 2:
         return
     h = n // 2
     _tril_inverse_into(chol[..., :h, :h], out[..., :h, :h])
@@ -128,38 +230,48 @@ def _tril_inverse_into(chol, out) -> None:
     low *= -1.0
 
 
-def _check_same_dim(p: GaussianDist, q: GaussianDist) -> int:
+def _check_same_dim(p, q) -> int:
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     return p.dim
 
 
 def _blockdiag_matmul(diag, mat, part: BlockPartition) -> np.ndarray:
-    """blockdiag(diag) @ mat by one (n, s, s) @ (n, s, m) product per size s."""
-    out = np.empty((part.dim, mat.shape[1]))
+    """blockdiag(diag) @ mat over any leading axes: one (n, s, s) @ (n, s, m)
+    product per block size s > 1, and a broadcast product for s = 1, whose
+    1 x 1 inner dimension rounds once either way."""
+    lead = np.broadcast_shapes(diag.shape[:-2], mat.shape[:-2])
+    out = np.empty(lead + (part.dim, mat.shape[-1]))
     for _, idx in part.size_groups:
-        out[idx] = diag[idx[:, :, None], idx[:, None, :]] @ mat[idx]
+        if idx.shape[1] == 1:
+            i = idx[:, 0]
+            out[..., i, :] = diag[..., i, i][..., None] * mat[..., i, :]
+        else:
+            out[..., idx, :] = (diag[..., idx[:, :, None], idx[:, None, :]]
+                                @ mat[..., idx, :])
     return out
 
 
 def block_conditionals(precision: np.ndarray, part: BlockPartition) -> tuple:
-    """(cov, gain, logdet) of every block conditional under precision P.
+    """(cov, gain, logdet) of every block conditional under precision P,
+    over any leading axes of P.
 
     With B = blockdiag(P_kk), cov = B^-1 and gain = -B^-1 (P - B) (zero on
     the diagonal blocks): given the other coordinates, block k has
     covariance cov_kk, log det logdet[k] and mean m_k + (gain (x - m))_k.
     """
-    if precision.shape != (part.dim, part.dim):
+    if precision.shape[-2:] != (part.dim, part.dim):
         raise ValueError("partition does not match distribution dimension")
     cov = np.zeros_like(precision)
-    logdet = np.empty(part.n)
+    logdet = np.empty(precision.shape[:-2] + (part.n,))
     for ks, idx in part.size_groups:
-        inv = np.linalg.inv(precision[idx[:, :, None], idx[:, None, :]])
-        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
-        sign, logdet[ks] = np.linalg.slogdet(inv)
+        block = (..., idx[:, :, None], idx[:, None, :])
+        inv = np.linalg.inv(precision[block])
+        inv = 0.5 * (inv + inv.swapaxes(-1, -2))
+        sign, logdet[..., ks] = np.linalg.slogdet(inv)
         if np.any(sign <= 0):
             raise ValueError("conditional covariances must be positive definite")
-        cov[idx[:, :, None], idx[:, None, :]] = inv
+        cov[block] = inv
     owner = part.coordinate_block
     cross = np.where(owner[:, None] == owner, 0.0, precision)
     return cov, _blockdiag_matmul(-cov, cross, part), logdet
@@ -174,33 +286,16 @@ def memo_conditionals(source, part: BlockPartition) -> tuple:
     return out
 
 
-def conditional(g: GaussianDist, part: BlockPartition, k: int,
-                xbar) -> GaussianDist:
-    """Conditional law of block k given the remaining coordinates.
-
-    xbar lists the conditioning values on the complement of block k in
-    ascending index order; see block_conditionals.
-    """
-    cov, gain, _ = block_conditionals(g.precision, part)
-    rest = part.complement(k)
-    if rest.size == 0:
-        return g
-    xbar = np.asarray(xbar, dtype=float)
-    if xbar.shape != (rest.size,):
-        raise ValueError(f"conditioning vector must have length {rest.size}")
-    idx = part.block(k)
-    mean_c = g.mean[idx] + gain[np.ix_(idx, rest)] @ (xbar - g.mean[rest])
-    return GaussianDist(mean_c, cov[np.ix_(idx, idx)])
-
-
-def kl(p: GaussianDist, q: GaussianDist) -> float:
-    """Relative entropy D(p||q) in nats."""
-    n = _check_same_dim(p, q)
-    diff = p.mean - q.mean
-    val = 0.5 * (float(np.sum(q.precision * p.cov)) - n
-                 + float(diff @ q.precision @ diff)
-                 + q.log_det_cov - p.log_det_cov)
-    return max(val, 0.0)
+def kl(p, q):
+    """Relative entropy D(p||q) in nats; one value per law when p or q is
+    a GaussianStack."""
+    ps, qs = GaussianStack.of(p), GaussianStack.of(q)
+    n = _check_same_dim(ps, qs)
+    diff = ps.means - qs.means
+    quad = _dot(np.matmul(diff[:, None, :], qs.precisions)[:, 0], diff)
+    val = 0.5 * (np.sum(qs.precisions * ps.covs, axis=(1, 2)) - n + quad
+                 + qs.log_dets - ps.log_dets)
+    return _unstack(np.maximum(val, 0.0), p, q)
 
 
 def fisher(p: GaussianDist, q: GaussianDist) -> float:
@@ -216,50 +311,57 @@ def fisher(p: GaussianDist, q: GaussianDist) -> float:
     return max(term_cov + float(v @ v), 0.0)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    w, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    w = np.clip(w, _EIG_CLAMP, None)
-    return (vecs * np.sqrt(w)) @ vecs.T
+def w2(p, q):
+    """Quadratic Wasserstein distance W2(p, q); one value per law when p
+    or q is a GaussianStack.
 
-
-def w2(p: GaussianDist, q: GaussianDist) -> float:
-    """Quadratic Wasserstein distance W2(p, q) in Bures closed form.
-
-    Arguments are ordered canonically first, so the result is exactly
-    symmetric in (p, q).
+    Each pair is put in a canonical order (x, y) first, so the result is
+    exactly symmetric in (p, q).  With Sigma_y = L L', the Bures cross
+    term 2 tr (Sigma_y^1/2 Sigma_x Sigma_y^1/2)^1/2 is twice the sum of the
+    square roots of the eigenvalues of L' Sigma_x L.
     """
-    _check_same_dim(p, q)
-    key_p = (p.mean.tobytes(), p.cov.tobytes())
-    key_q = (q.mean.tobytes(), q.cov.tobytes())
-    if key_p == key_q:
-        return 0.0
-    if key_q < key_p:
-        p, q = q, p
-    root_q = _psd_sqrt(q.cov)
-    inner = root_q @ p.cov @ root_q
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    cross = 2.0 * float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
-    diff = p.mean - q.mean
-    sq = float(diff @ diff) + float(np.trace(p.cov) + np.trace(q.cov)) - cross
-    return float(np.sqrt(max(sq, 0.0)))
+    ps, qs = GaussianStack.of(p), GaussianStack.of(q)
+    _check_same_dim(ps, qs)
+    size = max(len(ps), len(qs))
+    keys_p = [(m.tobytes(), c.tobytes()) for m, c in zip(ps.means, ps.covs)]
+    keys_q = [(m.tobytes(), c.tobytes()) for m, c in zip(qs.means, qs.covs)]
+    keys_p, keys_q = (keys * (size // len(keys)) for keys in (keys_p, keys_q))
+    same = np.array([kp == kq for kp, kq in zip(keys_p, keys_q)])
+    swap = np.array([kq < kp for kp, kq in zip(keys_p, keys_q)])
+    pick = swap[:, None, None]
+    cov_x = np.where(pick, qs.covs, ps.covs)
+    cov_y = np.where(pick, ps.covs, qs.covs)
+    chol_y = np.where(pick, ps.chols, qs.chols)
+    inner = chol_y.swapaxes(1, 2) @ cov_x @ chol_y
+    w = np.linalg.eigvalsh(0.5 * (inner + inner.swapaxes(1, 2)))
+    cross = 2.0 * np.sum(np.sqrt(np.clip(w, 0.0, None)), axis=1)
+    diff = np.where(swap[:, None], qs.means - ps.means, ps.means - qs.means)
+    traces = (np.trace(cov_x, axis1=1, axis2=2)
+              + np.trace(cov_y, axis1=1, axis2=2))
+    sq = _dot(diff, diff) + traces - cross
+    return _unstack(np.where(same, 0.0, np.sqrt(np.maximum(sq, 0.0))), p, q)
 
 
-def avg_conditional_kl(p: GaussianDist, q: GaussianDist,
+def avg_conditional_kl(p, q: GaussianDist,
                        part: BlockPartition) -> np.ndarray:
-    """E_{xbar ~ p} [ D( p(.|xbar) || q(.|xbar) ) ] for every block k.
+    """E_{xbar ~ p} [ D( p(.|xbar) || q(.|xbar) ) ] for every block k; a
+    (T, n) array when p is a GaussianStack of T laws.
 
     The conditional means differ by a + M (x - mu_p), with a = B_q^-1 Q
     (mu_p - mu_q) and M = G_p - G_q (see block_conditionals), so block k's
     term is half of tr(Q_kk P_kk^-1) - |k| + log det P_kk - log det Q_kk
     + (a' B_q a)_k + the block-k trace of B_q M Sigma_p M'.
     """
-    cov_p, gain_p, logdet_p = block_conditionals(p.precision, part)
+    ps = GaussianStack.of(p)
+    cov_p, gain_p, logdet_p = block_conditionals(ps.precisions, part)
     cov_q, gain_q, logdet_q = memo_conditionals(q, part)
-    shift = q.precision @ (p.mean - q.mean)  # B_q a
+    shift = _matvec(q.precision, ps.means - q.mean)  # B_q a
     gain_diff = gain_p - gain_q
-    rows = (np.sum(q.precision * cov_p, axis=1) + (cov_q @ shift) * shift
+    rows = (np.sum(q.precision * cov_p, axis=2) + _matvec(cov_q, shift) * shift
             + np.sum(_blockdiag_matmul(q.precision, gain_diff, part)
-                     * (gain_diff @ p.cov), axis=1))
-    sums = np.bincount(part.coordinate_block, weights=rows, minlength=part.n)
-    vals = 0.5 * (sums - np.asarray(part.sizes) + logdet_q - logdet_p)
-    return np.maximum(vals, 0.0)
+                     * (gain_diff @ ps.covs), axis=2))
+    sums = np.zeros((len(ps), part.n))
+    np.add.at(sums, (slice(None), part.coordinate_block), rows)
+    vals = np.maximum(
+        0.5 * (sums - np.asarray(part.sizes) + logdet_q - logdet_p), 0.0)
+    return vals if isinstance(p, GaussianStack) else vals[0]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import GaussianDist
+from .gaussian import GaussianDist, GaussianStack
 from .model import BlockPartition, GibbsModel
 
 from . import criteria
@@ -29,26 +29,44 @@ def model_2d() -> GibbsModel:
     )
 
 
-def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    mat = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(mat)
-    return q * np.sign(np.diag(r))
+def _spd(evals: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """V diag(evals) V' over any leading axes, with V the orthogonal factor
+    of the QR of raw, its column signs fixed by diag R."""
+    q, r = np.linalg.qr(raw)
+    vecs = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    mat = (vecs * evals[..., None, :]) @ vecs.swapaxes(-1, -2)
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 def random_spd(rng: np.random.Generator, n: int, lo: float = 0.3,
                hi: float = 3.0) -> np.ndarray:
     """Random SPD matrix with eigenvalues log-uniform on [lo, hi]."""
     evals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    vecs = random_orthogonal(rng, n)
-    mat = (vecs * evals) @ vecs.T
-    return 0.5 * (mat + mat.T)
+    return _spd(evals, rng.standard_normal((n, n)))
+
+
+def random_gaussians(rng: np.random.Generator, trials: int, dim: int,
+                     mean_scale: float = 2.0, lo: float = 0.3,
+                     hi: float = 3.0) -> GaussianStack:
+    """trials laws N(mean, random_spd), drawn as that many random_gaussian
+    calls draw them: the mean, the eigenvalues and the matrix to
+    orthogonalize, trial by trial.  The QR, sign fix, product and Cholesky
+    then run once on the stack, and each law equals the one
+    random_gaussian would return, bit for bit."""
+    means = np.empty((trials, dim))
+    evals = np.empty((trials, dim))
+    raw = np.empty((trials, dim, dim))
+    for t in range(trials):
+        means[t] = rng.normal(scale=mean_scale, size=dim)
+        evals[t] = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
+        rng.standard_normal(out=raw[t])
+    return GaussianStack(means, _spd(evals, raw))
 
 
 def random_gaussian(rng: np.random.Generator, dim: int,
                     mean_scale: float = 2.0, lo: float = 0.3,
                     hi: float = 3.0) -> GaussianDist:
-    return GaussianDist(rng.normal(scale=mean_scale, size=dim),
-                        random_spd(rng, dim, lo, hi))
+    return random_gaussians(rng, 1, dim, mean_scale, lo, hi).law(0)
 
 
 def random_partition(rng: np.random.Generator, dim: int,

@@ -135,10 +135,20 @@ class GibbsModel:
         if quart.shape != (n,):
             raise ModelFormatError(
                 f"quartic must have length {n}, got {quart.shape}")
-        scale = max(1.0, float(np.abs(prec).max()) if prec.size else 1.0)
-        if float(np.abs(prec - prec.T).max()) > SYMMETRY_TOL * scale:
+        scale = max(1.0, -float(prec.min()), float(prec.max())) \
+            if prec.size else 1.0
+        asym = prec - prec.T
+        if float(np.abs(asym, out=asym).max()) > SYMMETRY_TOL * scale:
             raise ModelValidationError("precision matrix is not symmetric")
-        prec = 0.5 * (prec + prec.T)
+        del asym
+        # A read-only K that owns its data and is bitwise symmetric is kept
+        # without the copy 0.5 (K + K'), which would equal it: 0.5 (x + x)
+        # = x below 2^1023.
+        bits = prec.view(np.uint64)
+        if (prec.flags.writeable or prec.base is not None
+                or not scale < 2.0 ** 1023
+                or not np.array_equal(bits, bits.T)):
+            prec = 0.5 * (prec + prec.T)
         if not all(np.all(np.isfinite(arr)) for arr in (prec, mean, quart)):
             raise ModelValidationError("model entries must be finite")
         if np.any(quart < 0):
@@ -176,17 +186,29 @@ def toeplitz_matrix(m: int, diag: float, band: dict) -> np.ndarray:
     """Symmetric banded Toeplitz matrix diag*I + sum_j b_j (E_j + E_-j).
 
     band maps positive offsets to coefficients; offsets at or beyond m fall
-    outside the matrix and are rejected.
+    outside the matrix and are rejected.  The matrix is the only m x m
+    array built: each diagonal gets one value, rounded as the sum
+    diag*I + b_1 (E_1 + E_-1) + ... of dense terms would round it, signed
+    zeros included.
     """
     if m < 1:
         raise ModelValidationError("toeplitz size must be >= 1")
-    mat = np.eye(m) * float(diag)
-    for off, coeff in band.items():
-        j = int(off)
+    terms = [(int(off), float(coeff)) for off, coeff in band.items()]
+    for j, _ in terms:
         if j < 1 or j >= m:
             raise ModelValidationError(
                 f"band offset {j} outside the valid range 1..{m - 1}")
-        mat += float(coeff) * (np.eye(m, k=j) + np.eye(m, k=-j))
+
+    def entry(k: int) -> float:
+        val = (1.0 if k == 0 else 0.0) * float(diag)
+        for j, coeff in terms:
+            val += coeff * (1.0 if k == j else 0.0)
+        return val
+
+    mat = np.full((m, m), entry(-1))
+    for k in {0, *(j for j, _ in terms)}:
+        np.fill_diagonal(mat[:, k:], entry(k))
+        np.fill_diagonal(mat[k:, :], entry(k))
     return mat
 
 
@@ -245,6 +267,7 @@ def model_from_dict(doc: dict) -> GibbsModel:
             raise ModelValidationError(
                 f"toeplitz size {m} does not match dim {dim}")
         precision = toeplitz_matrix(m, diag, band)
+        precision.flags.writeable = False  # built here: the model may keep it
 
     mean = _float_array(doc, "mean", np.zeros(dim))
     quartic = _float_array(doc, "quartic", np.zeros(dim))

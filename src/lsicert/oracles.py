@@ -2,7 +2,8 @@
 
 Bisection on the two certificate thresholds, grid quadrature for
 divergence and Fisher information (dimensions 1 to 3), the sorted-sample
-coupling for one-dimensional W2, and closed-form checkers for the
+coupling for one-dimensional W2, the conditional law of one block as a
+reference for the batched conditionals, and closed-form checkers for the
 transport inequality and the per-block mean-shift comparison.  The
 estimators take a different route than the main modules, so agreement
 with them is evidence of correctness.
@@ -22,9 +23,10 @@ from .criteria import (
     cross_block_norms,
     op_norm,
 )
-from .gaussian import (GaussianDist, gaussian_target, kl, memo_conditionals,
-                       w2)
-from .model import GibbsModel
+from .gaussian import (GaussianDist, GaussianStack, _dot, _matvec,
+                       block_conditionals, gaussian_target, kl,
+                       memo_conditionals, w2)
+from .model import BlockPartition, GibbsModel
 
 MASS_DEFECT_LIMIT = 1e-4
 _TINY = 1e-300
@@ -162,16 +164,42 @@ def w2_empirical_1d(samples_p, samples_q) -> float:
     return float(np.sqrt(np.mean((sp - sq) ** 2)))
 
 
-def transport_check(p: GaussianDist, model: GibbsModel,
-                    report: CriteriaReport) -> Check:
-    """Check W2(p, q)^2 <= (2/rho) D(p||q) with the certified rho."""
+def conditional(g: GaussianDist, part: BlockPartition, k: int,
+                xbar) -> GaussianDist:
+    """Conditional law of block k given the remaining coordinates, read
+    from block_conditionals: a reference for its gains and covariances.
+
+    xbar lists the conditioning values on the complement of block k in
+    ascending index order.
+    """
+    cov, gain, _ = block_conditionals(g.precision, part)
+    rest = part.complement(k)
+    if rest.size == 0:
+        return g
+    xbar = np.asarray(xbar, dtype=float)
+    if xbar.shape != (rest.size,):
+        raise ValueError(f"conditioning vector must have length {rest.size}")
+    idx = part.block(k)
+    mean_c = g.mean[idx] + gain[np.ix_(idx, rest)] @ (xbar - g.mean[rest])
+    return GaussianDist(mean_c, cov[np.ix_(idx, idx)])
+
+
+def transport_check(p, model: GibbsModel, report: CriteriaReport):
+    """Check W2(p, q)^2 <= (2/rho) D(p||q) with the certified rho.
+
+    p is one law, or a GaussianStack whose laws are checked in one pass,
+    one Check each.
+    """
     if report.rho_marton is None:
         raise CertificateError("report carries no certified constant")
     q = gaussian_target(model)
-    w2sq = w2(p, q) ** 2
-    bound = 2.0 / report.rho_marton * kl(p, q)
-    return Check("transport", "", float(w2sq), float(bound), ROUNDING_SLACK,
-                 bool(w2sq <= bound + ROUNDING_SLACK))
+    laws = GaussianStack.of(p)
+    w2sq = w2(laws, q) ** 2
+    bound = 2.0 / report.rho_marton * kl(laws, q)
+    checks = tuple(Check("transport", "", float(a), float(b), ROUNDING_SLACK,
+                         bool(a <= b + ROUNDING_SLACK))
+                   for a, b in zip(w2sq, bound))
+    return checks if isinstance(p, GaussianStack) else checks[0]
 
 
 def prop4_check(model: GibbsModel, report: CriteriaReport, z, u) -> tuple:
@@ -183,7 +211,8 @@ def prop4_check(model: GibbsModel, report: CriteriaReport, z, u) -> tuple:
     K_II Delta_k (twice the summed conditional divergences), and the
     interaction bound rhs = (1 - delta)^2 sum rho_k |(z - u)_k|^2.
     Returns the checks lhs <= mid (param w2_vs_kl) and mid <= rhs
-    (param kl_vs_quadratic).
+    (param kl_vs_quadratic).  Rows z, u of (T, dim) arrays are checked in
+    one pass and give one such pair per row.
     """
     if not model.is_gaussian:
         raise ValueError("closed-form check needs a Gaussian model")
@@ -191,15 +220,20 @@ def prop4_check(model: GibbsModel, report: CriteriaReport, z, u) -> tuple:
         raise CertificateError("report carries no interaction margin")
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)
-    if z.shape != (model.dim,) or u.shape != (model.dim,):
+    if z.shape != u.shape or z.ndim not in (1, 2) \
+            or z.shape[-1] != model.dim:
         raise ValueError("points must have the model dimension")
     weight = np.asarray(report.rho_k)[model.partition.coordinate_block]
-    diff = z - u
-    shift = memo_conditionals(model, model.partition)[1] @ diff
-    lhs = float(shift @ (weight * shift))
-    mid = float(shift @ (model.precision - model.cross) @ shift)
-    rhs = (1.0 - report.delta) ** 2 * float(diff @ (weight * diff))
-    return (Check("prop4", "w2_vs_kl", lhs, mid, ROUNDING_SLACK,
-                  bool(lhs <= mid + ROUNDING_SLACK)),
-            Check("prop4", "kl_vs_quadratic", mid, rhs, ROUNDING_SLACK,
-                  bool(mid <= rhs + ROUNDING_SLACK)))
+    diff = np.atleast_2d(z - u)
+    shift = _matvec(memo_conditionals(model, model.partition)[1], diff)
+    lhs = _dot(shift, weight * shift)
+    diag_blocks = model.precision - model.cross
+    mid = _dot(np.matmul(shift[:, None, :], diag_blocks)[:, 0], shift)
+    rhs = (1.0 - report.delta) ** 2 * _dot(diff, weight * diff)
+    pairs = tuple(
+        (Check("prop4", "w2_vs_kl", float(a), float(b), ROUNDING_SLACK,
+               bool(a <= b + ROUNDING_SLACK)),
+         Check("prop4", "kl_vs_quadratic", float(b), float(c), ROUNDING_SLACK,
+               bool(b <= c + ROUNDING_SLACK)))
+        for a, b, c in zip(lhs, mid, rhs))
+    return pairs if z.ndim == 2 else pairs[0]

@@ -11,7 +11,8 @@ import pytest
 from lsicert import cli, fokker_planck, gibbs
 from lsicert.criteria import Check, criteria_report
 from lsicert.gaussian import GaussianDist, gaussian_target
-from lsicert.instances import model_2d, random_gaussian, random_quartic_model
+from lsicert.instances import (model_2d, random_certified_model,
+                               random_gaussian, random_quartic_model)
 from lsicert.model import (BlockPartition, GibbsModel, load_model,
                            model_digest, model_to_dict, save_model,
                            toeplitz_matrix)
@@ -330,6 +331,39 @@ def test_verify_rows_are_library_records(subcheck, model_path, capsys):
     printed = [Check(row[0], row[1], *map(float, row[2:5]), row[5] == "pass")
                for row in rows]
     assert printed == library_checks(model_2d(), subcheck, 4, 3)
+
+
+@pytest.mark.parametrize("subcheck", ["theorem1", "transport", "prop4"])
+def test_stacked_trials_equal_single_law_calls(subcheck):
+    model = random_certified_model(np.random.default_rng(2), dim=12)
+    rows = cli._trial_checks(subcheck, model, criteria_report(model),
+                             np.random.default_rng(4), 50)
+    stacked = [cli._trial(i, c) for i, row in enumerate(rows) for c in row]
+    single = library_checks(model, subcheck, 4, 50)
+    assert [repr(c) for c in stacked] == [repr(c) for c in single]
+
+
+@pytest.mark.parametrize("subcheck", ["theorem1", "transport", "prop4"])
+def test_verify_chunks_give_the_rows_of_one_chunk(subcheck, model_path,
+                                                  capsys, monkeypatch):
+    args = ["verify", model_path, subcheck, "--seed", "6", "--trials", "11"]
+    counts = []
+    original = cli._trial_checks
+
+    def counted(subcheck, model, report, rng, count):
+        counts.append(count)
+        return original(subcheck, model, report, rng, count)
+
+    monkeypatch.setattr(cli, "_trial_checks", counted)
+    code, whole, _ = run(args, capsys)
+    assert counts == [11]
+    counts.clear()
+    # the 2-d model's covariance takes 32 bytes: three trials per chunk
+    monkeypatch.setattr(cli, "_TRIAL_CHUNK_BYTES", 3 * 32 + 31)
+    chunked_code, chunked, _ = run(args, capsys)
+    assert counts == [3, 3, 3, 2]
+    assert code == chunked_code == 0
+    assert chunked == whole
 
 
 def test_verify_deterministic_bytes(model_path, tmp_path, capsys):

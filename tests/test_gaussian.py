@@ -14,9 +14,9 @@ from lsicert import gaussian, gibbs
 from lsicert.criteria import criteria_report
 from lsicert.gaussian import (
     GaussianDist,
+    GaussianStack,
     avg_conditional_kl,
     block_conditionals,
-    conditional,
     fisher,
     gaussian_target,
     kl,
@@ -25,9 +25,10 @@ from lsicert.gaussian import (
     w2,
 )
 from lsicert.instances import (model_2d, random_certified_model,
-                               random_gaussian, random_partition)
+                               random_gaussian, random_gaussians,
+                               random_partition)
 from lsicert.model import BlockPartition, GibbsModel, toeplitz_matrix
-from lsicert.oracles import quad_fisher, quad_kl
+from lsicert.oracles import conditional, quad_fisher, quad_kl
 
 from conftest import batching_cases
 
@@ -386,3 +387,112 @@ def test_tril_inverse_matches_general_inverse(size, stack):
     assert got.shape == chol.shape
     assert np.all(np.triu(got, 1) == 0.0)
     assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+# ---- stacked laws: every row is the single-law computation ----
+
+@pytest.mark.parametrize("dim", [2, 16, 32])
+def test_random_gaussians_equal_successive_single_draws(dim):
+    stack = random_gaussians(np.random.default_rng(dim), 20, dim)
+    rng = np.random.default_rng(dim)
+    for t in range(20):
+        g = random_gaussian(rng, dim)
+        assert stack.means[t].tobytes() == g.mean.tobytes()
+        assert stack.covs[t].tobytes() == g.cov.tobytes()
+        assert stack.chols[t].tobytes() == g.chol.tobytes()
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(BATCHING_CASES))
+def test_stack_rows_equal_single_law_calls(name):
+    prec, part = BATCHING_CASES[name]
+    rng = np.random.default_rng(5)
+    cov = np.linalg.inv(prec)
+    q = GaussianDist(rng.normal(size=part.dim), 0.5 * (cov + cov.T))
+    stack = random_gaussians(rng, 50, part.dim)
+    kls, w2s = kl(stack, q), w2(stack, q)
+    terms = avg_conditional_kl(stack, q, part)
+    conds = block_conditionals(stack.precisions, part)
+    assert kls.shape == w2s.shape == (50,)
+    for t in range(50):
+        p = stack.law(t)
+        assert _same_bits(p.precision, stack.precisions[t])
+        assert _same_bits(kls[t], kl(p, q))
+        assert _same_bits(w2s[t], w2(p, q))
+        assert _same_bits(terms[t], avg_conditional_kl(p, q, part))
+        for got, want in zip(conds, block_conditionals(p.precision, part)):
+            assert _same_bits(got[t], want)
+
+
+def _bures_eigh_w2(p, q):
+    """W2 by the symmetric square root of Sigma_q from eigh, as a reference."""
+    w, vecs = np.linalg.eigh(q.cov)
+    root = (vecs * np.sqrt(w)) @ vecs.T
+    inner = root @ p.cov @ root
+    cross = 2.0 * np.sum(np.sqrt(np.clip(
+        np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)))
+    diff = p.mean - q.mean
+    return np.sqrt(max(diff @ diff + np.trace(p.cov) + np.trace(q.cov)
+                       - cross, 0.0))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40)
+def test_w2_cholesky_form_matches_bures_eigh_form(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 33))
+    q = random_gaussian(rng, dim)
+    stack = random_gaussians(rng, 5, dim)
+    got, back = w2(stack, q), w2(q, stack)
+    assert np.array_equal(got, back)
+    for t in range(5):
+        want = _bures_eigh_w2(stack.law(t), q)
+        assert got[t] == pytest.approx(want, rel=1e-12)
+
+
+def _ill_conditioned_cov():
+    vecs, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    cov = (vecs * np.array([1.0, 1.0, 1.0, 1e-12])) @ vecs.T
+    return 0.5 * (cov + cov.T)
+
+
+@pytest.mark.parametrize("bad, when", [
+    (_ill_conditioned_cov(), "precision"),
+    (np.array([[1.0, 2.0, 0, 0], [2.0, 1.0, 0, 0], [0, 0, 1.0, 0],
+               [0, 0, 0, 1.0]]), "construction"),
+    (np.array([[1.0, 0.5, 0, 0], [0.1, 1.0, 0, 0], [0, 0, 1.0, 0],
+               [0, 0, 0, 1.0]]), "construction"),
+])
+def test_stack_refuses_a_law_as_gaussian_dist_does(bad, when):
+    def single():
+        g = GaussianDist(np.zeros(4), bad)
+        return g.precision
+
+    def stacked():
+        good = random_gaussians(np.random.default_rng(1), 2, 4).covs
+        stack = GaussianStack(np.zeros((3, 4)), np.stack([good[0], bad,
+                                                          good[1]]))
+        return stack.precisions
+
+    with pytest.raises(ValueError) as want:
+        single()
+    with pytest.raises(ValueError) as got:
+        stacked()
+    assert str(got.value) == str(want.value)
+    assert ("ill-conditioned" in str(want.value)) == (when == "precision")
+
+
+def test_blockdiag_matmul_singletons_match_tiny_gemms():
+    part = BlockPartition(tuple((i,) for i in range(24)))
+    rng = np.random.default_rng(9)
+    diag = rng.standard_normal((3, 24, 24))
+    mat = rng.standard_normal((3, 24, 24))
+    idx = np.arange(24)
+    want = np.empty_like(mat)
+    want[:, idx] = (diag[:, idx, idx][..., None, None]
+                    @ mat[:, idx][:, :, None, :])[:, :, 0]
+    assert _same_bits(gaussian._blockdiag_matmul(diag, mat, part), want)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,63 @@ def test_toeplitz_matrix_entries():
     assert_allclose(np.diag(mat, k=1), 1.0)
     assert_allclose(np.diag(mat, k=-2), -1.0)
     assert mat[0, 3] == 0.0
+
+
+def _dense_toeplitz_sum(m, diag, band):
+    """diag*I + sum_j b_j (E_j + E_-j) summed as dense arrays, term by term."""
+    mat = np.eye(m) * float(diag)
+    for off, coeff in band.items():
+        mat += float(coeff) * (np.eye(m, k=off) + np.eye(m, k=-off))
+    return mat
+
+
+TOEPLITZ_FIXTURES = [
+    (5, 3.0, {1: 1.0, 2: -1.0}), (6, 3.0, {1: 1.0}), (16, 3.0, {1: 1.0, 2: -1.0}),
+    (24, 3.0, {1: 1.0}), (12, 3.0, {1: 0.7}), (64, 3.0, {1: -1.0, 2: 0.3}),
+    (4, 1.0, {}), (7, -3.0, {1: -1.0, 2: -0.5}), (7, -0.0, {1: -0.0}),
+    (7, -2.0, {3: 0.0, 1: -1.0}), (3, 0.0, {2: -4.0}),
+]
+
+
+@pytest.mark.parametrize("m, diag, band", TOEPLITZ_FIXTURES)
+def test_toeplitz_matrix_rounds_as_the_dense_sum(m, diag, band):
+    # signed zeros included: -3 I + (-1)(E_1 + E_-1) has -0.0 off the band
+    got = toeplitz_matrix(m, diag, band)
+    assert got.tobytes() == _dense_toeplitz_sum(m, diag, band).tobytes()
+    part = [[i] for i in range(m)]
+    doc = {"dim": m, "partition": part, "quartic": [0.1] * m,
+           "toeplitz": {"m": m, "diag": diag,
+                        "band": {str(k): v for k, v in band.items()}}}
+    dense = GibbsModel(partition=BlockPartition(tuple(map(tuple, part))),
+                       precision=_dense_toeplitz_sum(m, diag, band),
+                       mean=np.zeros(m), quartic=np.full(m, 0.1))
+    assert model_digest(model_from_dict(doc)) == model_digest(dense)
+
+
+def test_toeplitz_matrix_builds_one_dense_array():
+    m = 1000
+    tracemalloc.start()
+    try:
+        mat = toeplitz_matrix(m, 3.0, {1: 1.0, 2: -1.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.shape == (m, m)
+    assert peak <= 1.1 * m * m * 8
+
+
+def test_model_keeps_a_read_only_symmetric_precision_without_a_copy():
+    prec = toeplitz_matrix(6, 3.0, {1: 1.0})
+    prec.flags.writeable = False
+    part = BlockPartition(tuple((i,) for i in range(6)))
+    kept = GibbsModel(partition=part, precision=prec, mean=np.zeros(6),
+                      quartic=np.zeros(6))
+    assert kept.precision is prec
+    writable = toeplitz_matrix(6, 3.0, {1: 1.0})
+    copied = GibbsModel(partition=part, precision=writable, mean=np.zeros(6),
+                        quartic=np.zeros(6))
+    assert copied.precision is not writable and writable.flags.writeable
+    assert copied.precision.tobytes() == prec.tobytes()
 
 
 def test_toeplitz_rejects_bad_offset():
