@@ -199,7 +199,7 @@ def tril_inverse(chol: np.ndarray) -> np.ndarray:
     out = np.zeros_like(chol, dtype=float)
     diag = np.arange(n)
     out[..., diag, diag] = 1.0 / chol[..., diag, diag]
-    top = np.array(_pair_starts(n), dtype=int)
+    top = _pair_starts(n)
     low = chol[..., top + 1, top] * out[..., top, top]
     low *= out[..., top + 1, top + 1]
     out[..., top + 1, top] = -low
@@ -207,14 +207,17 @@ def tril_inverse(chol: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _pair_starts(n: int) -> tuple:
+def _pair_starts(n: int) -> np.ndarray:
     """Offsets of the 2 x 2 diagonal blocks where tril_inverse's halving
-    of an order-n matrix stops."""
-    if n <= 2:
-        return (0,) if n == 2 else ()
-    h = n // 2
-    return _pair_starts(h) + tuple(h + s for s in _pair_starts(n - h))
+    of an order-n matrix stops, taken one level of halving at a time."""
+    starts, sizes, pairs = np.zeros(1, dtype=int), np.array([n]), []
+    while sizes.size:
+        pairs.append(starts[sizes == 2])
+        starts, sizes = starts[sizes > 2], sizes[sizes > 2]
+        half = sizes // 2
+        starts = np.concatenate([starts, starts + half])
+        sizes = np.concatenate([half, sizes - half])
+    return np.concatenate(pairs)
 
 
 def _tril_inverse_into(chol, out) -> None:

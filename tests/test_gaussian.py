@@ -496,3 +496,30 @@ def test_blockdiag_matmul_singletons_match_tiny_gemms():
     want[:, idx] = (diag[:, idx, idx][..., None, None]
                     @ mat[:, idx][:, :, None, :])[:, :, 0]
     assert _same_bits(gaussian._blockdiag_matmul(diag, mat, part), want)
+
+
+def _halving_tril_inverse(chol, out):
+    """tril_inverse's block recursion taken down to order-1 blocks."""
+    n = chol.shape[-1]
+    if n == 1:
+        np.divide(1.0, chol, out=out)
+        return
+    h = n // 2
+    _halving_tril_inverse(chol[..., :h, :h], out[..., :h, :h])
+    _halving_tril_inverse(chol[..., h:, h:], out[..., h:, h:])
+    low = out[..., h:, :h]
+    np.matmul(chol[..., h:, :h], out[..., :h, :h], out=low)
+    np.matmul(out[..., h:, h:], low, out=low)
+    low *= -1.0
+
+
+@pytest.mark.parametrize("stack", [(), (1,), (3,), (2, 3)])
+def test_tril_inverse_equals_full_halving_bit_for_bit(stack):
+    rng = np.random.default_rng(len(stack))
+    for size in list(range(1, 40)) + [64, 100, 128]:
+        raw = rng.standard_normal(stack + (size, size))
+        chol = np.linalg.cholesky(raw @ raw.swapaxes(-1, -2) / size
+                                  + np.eye(size))
+        want = np.zeros_like(chol)
+        _halving_tril_inverse(chol, want)
+        assert _same_bits(tril_inverse(chol), want), size
