@@ -48,11 +48,11 @@ def random_spd(rng: np.random.Generator, n: int, lo: float = 0.3,
 def random_gaussians(rng: np.random.Generator, trials: int, dim: int,
                      mean_scale: float = 2.0, lo: float = 0.3,
                      hi: float = 3.0) -> GaussianStack:
-    """trials laws N(mean, random_spd), drawn as that many random_gaussian
-    calls draw them: the mean, the eigenvalues and the matrix to
-    orthogonalize, trial by trial.  The QR, sign fix, product and Cholesky
-    then run once on the stack, and each law equals the one
-    random_gaussian would return, bit for bit."""
+    """trials laws N(mean, random_spd), the mean drawn first, with the
+    draws of each trial (mean, eigenvalues, matrix to orthogonalize) taken
+    trial by trial.  The QR, sign fix, product and Cholesky then run once
+    on the stack; each law equals, bit for bit, the one that drawing
+    N(rng.normal(...), random_spd(rng, ...)) trial by trial gives."""
     means = np.empty((trials, dim))
     evals = np.empty((trials, dim))
     raw = np.empty((trials, dim, dim))
