@@ -240,16 +240,13 @@ def _check_same_dim(p, q) -> int:
 
 
 def _blockdiag_matmul(diag, mat, part: BlockPartition) -> np.ndarray:
-    """blockdiag(diag) @ mat over any leading axes: one (n, s, s) @ (n, s, m)
-    product per block size s > 1, and a broadcast product for s = 1, whose
-    1 x 1 inner dimension rounds once either way."""
-    lead = np.broadcast_shapes(diag.shape[:-2], mat.shape[:-2])
-    out = np.empty(lead + (part.dim, mat.shape[-1]))
+    """blockdiag(diag) @ mat over any leading axes.  Every row starts as
+    diag_rr mat_r, which is the product on a size-1 block (a 1 x 1 inner
+    dimension rounds once either way); the rows of each block size s > 1
+    are then replaced by one (n, s, s) @ (n, s, m) product."""
+    out = np.diagonal(diag, axis1=-2, axis2=-1)[..., None] * mat
     for _, idx in part.size_groups:
-        if idx.shape[1] == 1:
-            i = idx[:, 0]
-            out[..., i, :] = diag[..., i, i][..., None] * mat[..., i, :]
-        else:
+        if idx.shape[1] > 1:
             out[..., idx, :] = (diag[..., idx[:, :, None], idx[:, None, :]]
                                 @ mat[..., idx, :])
     return out
