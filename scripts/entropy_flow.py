@@ -17,14 +17,26 @@ import numpy as np
 from lsicert.cli import EXIT_OK, EXIT_VERIFY_FAILED
 from lsicert.criteria import criteria_report
 from lsicert.fokker_planck import (
+    EntropyTrace,
     curvature_bound,
     dissipation_check,
     langevin_particles,
-    write_entropy_csv,
 )
 from lsicert.gaussian import GaussianDist, gaussian_target
 from lsicert.instances import model_2d
 from lsicert.model import load_model
+
+
+def write_entropy_csv(trace: EntropyTrace, path) -> None:
+    """Dump a trace as CSV with columns t, kl, fisher, bound."""
+    with open(path, "w") as fh:
+        fh.write("t,kl,fisher,bound\n")
+        bounds = trace.lsi_bound if trace.lsi_bound is not None \
+            else [None] * trace.times.size
+        for t, d, i, b in zip(trace.times, trace.kl_values,
+                              trace.fisher_values, bounds):
+            tail = "" if b is None else repr(float(b))
+            fh.write(f"{float(t)!r},{float(d)!r},{float(i)!r},{tail}\n")
 
 
 def main():

@@ -51,6 +51,13 @@ class Check:
     tolerance: float
     holds: bool
 
+    @classmethod
+    def within_rounding(cls, check: str, param: str, value, bound) -> "Check":
+        """The closed-form comparison value <= bound, up to ROUNDING_SLACK."""
+        value, bound = float(value), float(bound)
+        return cls(check, param, value, bound, ROUNDING_SLACK,
+                   value <= bound + ROUNDING_SLACK)
+
 
 @dataclass(frozen=True)
 class CriteriaReport:

@@ -328,15 +328,3 @@ def _checkpoint(model, p0, x, step, t, lam, dt, n) -> LangevinCheckpoint:
                               emp_cov=emp_cov, closed_mean=ref.mean,
                               closed_cov=ref.cov, mean_band=mean_band,
                               cov_band=cov_band, within_bands=within)
-
-
-def write_entropy_csv(trace: EntropyTrace, path) -> None:
-    """Dump a trace as CSV with columns t, kl, fisher, bound."""
-    with open(path, "w") as fh:
-        fh.write("t,kl,fisher,bound\n")
-        bounds = trace.lsi_bound if trace.lsi_bound is not None \
-            else [None] * trace.times.size
-        for t, d, i, b in zip(trace.times, trace.kl_values,
-                              trace.fisher_values, bounds):
-            tail = "" if b is None else repr(float(b))
-            fh.write(f"{float(t)!r},{float(d)!r},{float(i)!r},{tail}\n")

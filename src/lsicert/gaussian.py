@@ -53,6 +53,8 @@ class GaussianStack:
         t, n = means.shape
         if covs.shape != (t, n, n):
             raise ValueError(f"covs must be {t}x{n}x{n}, got {covs.shape}")
+        if t == 0:
+            raise ValueError("a stack needs at least one law")
         sym = covs.swapaxes(-1, -2)
         scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
         if np.any(np.abs(covs - sym).max(axis=(1, 2)) > 1e-8 * scale):

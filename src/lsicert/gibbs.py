@@ -20,9 +20,11 @@ eps ||P_c|| (|y| + |mean_c - centre|)^2 for precision P_c, so components
 share a centre while ||P_c||_F |mean_c - centre|^2 <= _CENTRE_SPREAD.
 The Monte Carlo divergence adds the target as one more row.
 
-Mixtures are stacks of means, covariances and Cholesky factors: a sweep
-pushes the components of each block in one batch, and the Gram form
-reads the stacks as they are.
+A mixture holds its weights, its words and one GaussianStack of
+component laws, which checks every covariance and holds the batched
+Cholesky factors and log determinants: a sweep pushes the components of
+each block in one batch and stacks the image once, and the Gram form
+reads the stack as it is.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .criteria import ROUNDING_SLACK, CertificateError, Check, CriteriaReport
+from .criteria import CertificateError, Check, CriteriaReport
 from .gaussian import (_LOG_2PI, GaussianDist, GaussianStack, _dot,
                        avg_conditional_kl, gaussian_target, kl,
                        memo_conditionals, tril_inverse)
@@ -57,11 +59,14 @@ class MixtureCapError(RuntimeError):
 
 def _component_bytes(dim: int) -> int:
     """Upper bound on the peak bytes per component of the larger mixture:
-    7 d^2 in _image (cov and chol stacks of source and image, three push
-    temporaries), or 5 d^2 in kl_mixture_mc (cov and chol stacks, and
-    _gram_form's stacked factor, inverse and precision) plus d (d+1) for
-    a quadratic row and the coefficients; 7 d + 9 more for vectors and
-    scalars."""
+    6 d^2 in _image (the source stack's covs and chols, the gathered covs,
+    then three push temporaries or, once they are freed, at most two
+    arrays of the image stack's checks and factors), charged as 7 d^2, or
+    5 d^2 in kl_mixture_mc (the stack's covs and chols, and _gram_form's
+    stacked factor, inverse and precision) plus d (d+1) for a quadratic
+    row and the coefficients; 7 d + 9 more for vectors and scalars.  The
+    density's working blocks, at most 2 _LOGPDF_CHUNK_BYTES, come on
+    top."""
     return (7 * dim * dim + 7 * dim + 9) * 8
 
 
@@ -85,8 +90,9 @@ def collapsed_word_count(n_blocks: int, sweeps: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Finite Gaussian mixture with positive normalized weights, stored as
-    stacks: component c is N(means[c], covs[c]).
+    """Finite Gaussian mixture with positive normalized weights: component
+    c is law c of the GaussianStack laws, which checks every covariance
+    and holds the batched Cholesky factors and log determinants.
 
     words[c] is the collapsed block word of component c under one model's
     sampler: its origin component, then the blocks applied since.  None
@@ -94,80 +100,56 @@ class GaussianMixture:
     """
 
     weights: np.ndarray
-    means: np.ndarray
-    covs: np.ndarray
+    laws: GaussianStack
     words: tuple | None = None
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        covs = np.asarray(self.covs, dtype=float)
-        if means.ndim != 2 or covs.shape != means.shape + means.shape[1:]:
-            raise ValueError("need (C, d) means and (C, d, d) covariances")
-        if weights.ndim != 1 or weights.size != len(means):
+        count = len(self.laws)
+        if weights.ndim != 1 or weights.size != count:
             raise ValueError("need one weight per component")
-        if self.words is not None and len(self.words) != len(means):
+        if self.words is not None and len(self.words) != count:
             raise ValueError("need one word per component")
-        if weights.size == 0:
-            raise ValueError("mixture needs at least one component")
         if np.any(weights <= 0):
             raise ValueError("mixture weights must be positive")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        if len(means) > DEFAULT_COMPONENT_CAP:
+        if count > DEFAULT_COMPONENT_CAP:
             raise MixtureCapError(
-                f"{len(means)} components exceed the cap {DEFAULT_COMPONENT_CAP}")
-        gap = np.abs(covs - np.swapaxes(covs, 1, 2)).max(axis=(1, 2))
-        if np.any(gap > 1e-8 * np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))):
-            raise ValueError("covariances must be symmetric")
-        if np.any(gap):
-            covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-        for name, arr in (("weights", weights), ("means", means),
-                          ("covs", covs)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+                f"{count} components exceed the cap {DEFAULT_COMPONENT_CAP}")
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
         if self.words is not None:
             object.__setattr__(self, "words", tuple(map(tuple, self.words)))
 
     @classmethod
-    def from_components(cls, weights, comps, words=None) -> "GaussianMixture":
+    def from_components(cls, weights, comps) -> "GaussianMixture":
         """Mixture of the GaussianDists comps, stacked."""
         comps = tuple(comps)
-        return cls(weights, np.stack([g.mean for g in comps]),
-                   np.stack([g.cov for g in comps]), words)
+        return cls(weights, GaussianStack(np.stack([g.mean for g in comps]),
+                                          np.stack([g.cov for g in comps])))
 
     @classmethod
     def single(cls, g: GaussianDist) -> "GaussianMixture":
-        return cls.from_components(np.array([1.0]), (g,))
+        return cls(np.array([1.0]), g.stack)
 
     @property
     def dim(self) -> int:
-        return self.means.shape[1]
+        return self.laws.dim
 
     @property
     def n_components(self) -> int:
-        return len(self.means)
-
-    @cached_property
-    def chols(self) -> np.ndarray:
-        chols = np.linalg.cholesky(self.covs)  # LinAlgError is a ValueError
-        chols.flags.writeable = False
-        return chols
-
-    @cached_property
-    def log_dets(self) -> np.ndarray:
-        diag = np.diagonal(self.chols, axis1=1, axis2=2)
-        return 2.0 * np.sum(np.log(diag), axis=1)
+        return len(self.laws)
 
     @cached_property
     def components(self) -> tuple:
         """The components as GaussianDists, built on first access."""
-        return tuple(GaussianDist(m, c) for m, c in zip(self.means, self.covs))
+        return tuple(self.laws.law(c) for c in range(self.n_components))
 
     @cached_property
     def _gram(self) -> tuple:
-        return _gram_form(self.means, self.chols, self.log_dets,
-                          np.log(self.weights))
+        return _gram_form(self.laws.means, self.laws.chols,
+                          self.laws.log_dets, np.log(self.weights))
 
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         """Log density, vectorized over rows of x."""
@@ -180,11 +162,11 @@ class GaussianMixture:
         z = rng.standard_normal((n, self.dim))
         out = np.empty((self.dim, n))
         stops, drawn = np.cumsum(counts), np.flatnonzero(counts)
-        for chol, lo, hi in zip(self.chols[drawn],
+        for chol, lo, hi in zip(self.laws.chols[drawn],
                                 (stops - counts)[drawn].tolist(),
                                 stops[drawn].tolist()):
             np.matmul(chol, z[lo:hi].T, out=out[:, lo:hi])
-        out += np.repeat(self.means.T, counts, axis=1)
+        out += np.repeat(self.laws.means.T, counts, axis=1)
         return out.T
 
 
@@ -301,7 +283,9 @@ def _image(p: GaussianMixture, model: GibbsModel, moves,
     Each move is keyed by its collapsed word.  A component whose word
     already ends in k is its own image and its rows are copied; equal keys
     sum their weights in first-seen order, and the other keys of each
-    block k are pushed through its update in one batch.  Raises
+    block k are pushed through its update in one batch.  The image is
+    stacked once; a copied row, exactly symmetric as every push leaves
+    it, is factored to the bits it had.  Raises
     MixtureCapError before any push when the merged mixture would exceed
     cap or the byte budget.
     """
@@ -316,17 +300,13 @@ def _image(p: GaussianMixture, model: GibbsModel, moves,
             sources[key] = (k, c, kept)
     _check_budget(len(weights), p.dim, cap)
     ks, cs, kept = np.array(list(sources.values()), dtype=int).reshape(-1, 3).T
-    means, covs, chols = p.means[cs], p.covs[cs], p.chols[cs]
+    means, covs = p.laws.means[cs], p.laws.covs[cs]
     for k in np.unique(ks[kept == 0]):
         rows = np.flatnonzero((ks == k) & (kept == 0))
         update = _block_update_map(model, int(k))
-        m, c = _push(means[rows], covs[rows], *update)
-        means[rows], covs[rows], chols[rows] = m, c, np.linalg.cholesky(c)
-    mix = GaussianMixture(np.fromiter(weights.values(), float), means, covs,
-                          words=tuple(weights))
-    chols.flags.writeable = False
-    mix.__dict__["chols"] = chols  # kept rows copied, not factored again
-    return mix
+        means[rows], covs[rows] = _push(means[rows], covs[rows], *update)
+    return GaussianMixture(np.fromiter(weights.values(), float),
+                           GaussianStack(means, covs), words=tuple(weights))
 
 
 def apply_gibbs_block(p: GaussianMixture, model: GibbsModel,
@@ -379,9 +359,9 @@ def kl_mixture_mc(p: GaussianMixture, q: GaussianDist, nsamples: int,
         raise ValueError("dimension mismatch between mixture and target")
     rng = np.random.default_rng(seed)
     x = p.sample(rng, nsamples)
-    form = _gram_form(np.vstack([q.mean, p.means]),
-                      np.concatenate([q.chol[None], p.chols]),
-                      np.append(q.log_det_cov, p.log_dets),
+    form = _gram_form(np.vstack([q.mean, p.laws.means]),
+                      np.concatenate([q.chol[None], p.laws.chols]),
+                      np.append(q.log_det_cov, p.laws.log_dets),
                       np.append(0.0, np.log(p.weights)))
     vals = _gram_logsumexp(*form, x, target=True)
     est = float(np.mean(vals))
@@ -404,8 +384,7 @@ def verify_theorem1(p, model: GibbsModel, report: CriteriaReport):
     lhs = kl(laws, q)
     terms = avg_conditional_kl(laws, q, model.partition)
     rhs = _dot(terms, np.asarray(report.rho_k)) / report.rho_marton
-    checks = tuple(Check("theorem1", "", float(a), float(b), ROUNDING_SLACK,
-                         bool(a <= b + ROUNDING_SLACK))
+    checks = tuple(Check.within_rounding("theorem1", "", a, b)
                    for a, b in zip(lhs, rhs))
     return checks if isinstance(p, GaussianStack) else checks[0]
 

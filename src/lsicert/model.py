@@ -28,6 +28,9 @@ SYMMETRY_TOL = 1e-12
 # Bytes a document may ask for in its dense K, charged before anything is
 # built.  Structured storage for Toeplitz specs would lift this for them.
 DENSE_BYTE_BUDGET = 256 * 2**20
+# Size of one row block of K - K' in the symmetry check, which takes K a
+# block at a time so that no m x m temporary is built.
+_SYMMETRY_CHUNK_BYTES = 1 << 20
 
 
 class ModelError(Exception):
@@ -137,10 +140,14 @@ class GibbsModel:
                 f"quartic must have length {n}, got {quart.shape}")
         scale = max(1.0, -float(prec.min()), float(prec.max())) \
             if prec.size else 1.0
-        asym = prec - prec.T
-        if float(np.abs(asym, out=asym).max()) > SYMMETRY_TOL * scale:
+        rows = max(1, _SYMMETRY_CHUNK_BYTES // (8 * n))
+        gaps = []
+        for lo in range(0, n, rows):
+            asym = prec[lo:lo + rows] - prec[:, lo:lo + rows].T
+            gaps.append(np.abs(asym, out=asym).max())
+        # np.max, not max: a NaN anywhere passes on to the finiteness check
+        if float(np.max(gaps)) > SYMMETRY_TOL * scale:
             raise ModelValidationError("precision matrix is not symmetric")
-        del asym
         # A read-only K that owns its data and is bitwise symmetric is kept
         # without the copy 0.5 (K + K'), which would equal it: 0.5 (x + x)
         # = x below 2^1023.

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .criteria import (
-    ROUNDING_SLACK,
     CertificateError,
     Check,
     CriteriaReport,
@@ -196,8 +195,7 @@ def transport_check(p, model: GibbsModel, report: CriteriaReport):
     laws = GaussianStack.of(p)
     w2sq = w2(laws, q) ** 2
     bound = 2.0 / report.rho_marton * kl(laws, q)
-    checks = tuple(Check("transport", "", float(a), float(b), ROUNDING_SLACK,
-                         bool(a <= b + ROUNDING_SLACK))
+    checks = tuple(Check.within_rounding("transport", "", a, b)
                    for a, b in zip(w2sq, bound))
     return checks if isinstance(p, GaussianStack) else checks[0]
 
@@ -230,10 +228,7 @@ def prop4_check(model: GibbsModel, report: CriteriaReport, z, u) -> tuple:
     diag_blocks = model.precision - model.cross
     mid = _dot(np.matmul(shift[:, None, :], diag_blocks)[:, 0], shift)
     rhs = (1.0 - report.delta) ** 2 * _dot(diff, weight * diff)
-    pairs = tuple(
-        (Check("prop4", "w2_vs_kl", float(a), float(b), ROUNDING_SLACK,
-               bool(a <= b + ROUNDING_SLACK)),
-         Check("prop4", "kl_vs_quadratic", float(b), float(c), ROUNDING_SLACK,
-               bool(b <= c + ROUNDING_SLACK)))
-        for a, b, c in zip(lhs, mid, rhs))
+    pairs = tuple((Check.within_rounding("prop4", "w2_vs_kl", a, b),
+                   Check.within_rounding("prop4", "kl_vs_quadratic", b, c))
+                  for a, b, c in zip(lhs, mid, rhs))
     return pairs if z.ndim == 2 else pairs[0]

@@ -22,7 +22,6 @@ from lsicert.fokker_planck import (
     entropy_trace,
     gaussian_fp_evolve,
     langevin_particles,
-    write_entropy_csv,
 )
 from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl
 from lsicert.instances import random_certified_model, random_gaussian
@@ -363,24 +362,3 @@ def test_langevin_step_size_guard(model2d):
     with pytest.raises(ValueError):
         langevin_particles(model2d, p0, dt=0.01, steps=10, n=2000, seed=0,
                            checkpoints=[11])
-
-
-def test_write_entropy_csv(tmp_path, model2d):
-    p0 = GaussianDist(np.array([1.0, 0.0]), np.eye(2))
-    times = np.linspace(0.0, 1.0, 5)
-    path = tmp_path / "trace.csv"
-
-    trace = entropy_trace(p0, model2d, times, rho=0.5)
-    write_entropy_csv(trace, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,kl,fisher,bound"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(trace.kl_values[0])
-    assert float(first[3]) == pytest.approx(trace.kl_values[0])
-
-    bare = entropy_trace(p0, model2d, times)
-    write_entropy_csv(bare, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[1].endswith(",")

@@ -4,6 +4,8 @@ The affine-update law is validated against a brute-force sampling oracle
 before the entropy identities and contraction bounds are tested.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from scipy.special import logsumexp
 
 from lsicert import gibbs
 from lsicert.criteria import CertificateError, criteria_report
-from lsicert.gaussian import GaussianDist, gaussian_target, kl
+from lsicert.gaussian import GaussianDist, GaussianStack, gaussian_target, kl
 from lsicert.gibbs import (
     GaussianMixture,
     MixtureCapError,
@@ -120,7 +122,8 @@ def test_block_update_keeps_updated_components(model2d, rng):
     assert twice.words == once.words
     # kept rows are copied, not pushed again: a second push would move bits
     for name in ("means", "covs", "chols"):
-        assert getattr(twice, name).tobytes() == getattr(once, name).tobytes()
+        assert getattr(twice.laws, name).tobytes() == \
+            getattr(once.laws, name).tobytes()
     assert_allclose(twice.weights, once.weights)
 
 
@@ -195,6 +198,34 @@ def test_mixture_validation():
         mix = GaussianMixture.single(GaussianDist(np.zeros(dim), np.eye(dim)))
         with pytest.raises(ValueError):
             mix.logpdf(np.zeros((4, cols)))
+
+
+def _laws(*covs):
+    covs = np.array(covs, dtype=float)
+    return GaussianStack(np.zeros(covs.shape[:2]), covs)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GaussianMixture([1.0], _laws([[1.0, 0.5], [0.0, 1.0]])),
+     "symmetric"),
+    (lambda: GaussianMixture([1.0], _laws([[1.0, 2.0], [2.0, 1.0]])),
+     "positive definite"),
+    (lambda: GaussianMixture([0.5, 0.5], _laws(np.eye(2))),
+     "one weight per component"),
+    (lambda: GaussianMixture([1.0], _laws(np.eye(2)), words=((0,), (1,))),
+     "one word per component"),
+    (lambda: GaussianMixture([1.5, -0.5], _laws(np.eye(2), np.eye(2))),
+     "must be positive"),
+    (lambda: GaussianMixture([0.5, 0.6], _laws(np.eye(2), np.eye(2))),
+     "sum to 1"),
+    (lambda: GaussianMixture(np.array([]), GaussianStack(np.zeros((0, 2)),
+                                                         np.zeros((0, 2, 2)))),
+     "at least one"),
+])
+def test_mixture_refusals(build, message):
+    # every law is checked once, by the stack, when the mixture is built
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_mixture_logpdf_matches_manual():
@@ -461,6 +492,31 @@ def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
     rows = verify_contraction(p0, model2d, rep, steps=2, nsamples=1000,
                               seed=0)
     assert [r.param for r in rows] == ["step=0", "step=1", "step=2"]
+
+
+@pytest.mark.parametrize("sweeps", [5, 7])
+def test_sweep_and_mc_peak_within_component_budget(sweeps):
+    # d = 8 in four blocks: 484 or 4372 components.  The peak over the
+    # sweeps and the Monte Carlo pass, source mixture included, stays
+    # within the per-component charge plus the density's working blocks,
+    # which do not grow with the count.
+    rng = np.random.default_rng(3)
+    part = BlockPartition(((0, 1), (2, 3), (4, 5), (6, 7)))
+    model = GibbsModel(partition=part, precision=random_spd(rng, 8),
+                       mean=rng.normal(size=8), quartic=np.zeros(8))
+    q = gaussian_target(model)
+    tracemalloc.start()
+    try:
+        mix = GaussianMixture.single(random_gaussian(rng, 8))
+        for _ in range(sweeps):
+            mix = apply_weighted_gibbs(mix, model, np.ones(4))
+        kl_mixture_mc(mix, q, gibbs.MIN_MC_SAMPLES, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mix.n_components == collapsed_word_count(4, sweeps)
+    assert peak <= (mix.n_components * gibbs._component_bytes(8)
+                    + 2 * gibbs._LOGPDF_CHUNK_BYTES)
 
 
 def test_contraction_determinism(model2d):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lsicert import model as lsimodel
 from lsicert.model import (
     BlockPartition,
     GibbsModel,
@@ -146,6 +147,39 @@ def test_toeplitz_matrix_builds_one_dense_array():
         tracemalloc.stop()
     assert mat.shape == (m, m)
     assert peak <= 1.1 * m * m * 8
+
+
+def test_toeplitz_document_loads_with_one_dense_array():
+    # the symmetry check takes K - K' a row block at a time, so loading
+    # peaks near the one m x m array that DENSE_BYTE_BUDGET charges
+    m = 2000
+    doc = {"dim": m, "partition": [[i] for i in range(m)],
+           "toeplitz": {"m": m, "diag": 3.0, "band": {"1": 1.0, "2": -0.5}}}
+    tracemalloc.start()
+    try:
+        model = model_from_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.precision.shape == (m, m)
+    assert peak <= 1.25 * m * m * 8
+
+
+@pytest.mark.parametrize("row, col", [(0, 1), (63, 62), (64, 65),
+                                      (199, 198)])
+def test_symmetry_check_sees_every_row_block(monkeypatch, row, col):
+    # 64-row blocks of a 200 x 200 K: an asymmetric pair inside the first
+    # block, on either side of a block edge, or in the short last block
+    monkeypatch.setattr(lsimodel, "_SYMMETRY_CHUNK_BYTES", 64 * 200 * 8)
+    prec = np.eye(200)
+    prec[row, col] = 1e-3
+    part = BlockPartition(tuple((i,) for i in range(200)))
+    with pytest.raises(ModelValidationError, match="not symmetric"):
+        GibbsModel(partition=part, precision=prec, mean=np.zeros(200),
+                   quartic=np.zeros(200))
+    prec[col, row] = 1e-3
+    GibbsModel(partition=part, precision=prec, mean=np.zeros(200),
+               quartic=np.zeros(200))
 
 
 def test_model_keeps_a_read_only_symmetric_precision_without_a_copy():

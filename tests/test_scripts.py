@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,3 +32,26 @@ def test_script_runs(script, args):
     assert proc.returncode == code, proc.stderr
     assert proc.stdout
     assert ("FAIL" in proc.stdout) == (code != 0)
+
+
+def test_entropy_flow_writes_trace_csv(tmp_path):
+    # one row per time node; the bound column is exp(-2 rho t) D0, which
+    # starts at D0 and stays above the divergence
+    path = tmp_path / "trace.csv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                               "entropy_flow.py"),
+                           "--nodes", "5001", "--particles", "2000",
+                           "--csv", str(path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,kl,fisher,bound"
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in lines[1:]])
+    assert rows.shape == (5001, 4)
+    assert rows[0, 0] == 0.0 and rows[-1, 0] == 5.0
+    assert rows[0, 3] == rows[0, 1] > 0.0
+    assert np.all(np.diff(rows[:, 3]) < 0.0)
+    assert np.all(rows[:, 1] <= rows[:, 3] * (1.0 + 1e-9) + 1e-12)
