@@ -9,11 +9,17 @@ term tr((K - C_t^-1) C_t (K - C_t^-1)) = ||L_t' K - L_t^-1||_F^2 because
 L_t' C_t^-1 = L_t^-1.  The module also checks the de
 Bruijn dissipation identity dD/dt = -I on grids, exponential entropy
 decay under a certified constant, and runs an Euler-Maruyama particle
-simulator that covers quartic models as well.
+simulator that covers quartic models as well.  The simulator draws its
+noise on one worker thread, in stream order: while the calling thread
+takes the gradient of one block of rows and updates it, the worker fills
+the noise of the blocks after it.  The worker calls only numpy, and it
+is stopped before the simulator returns.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +27,7 @@ import numpy as np
 
 from .criteria import Check
 from .gaussian import GaussianDist, tril_inverse
-from .model import GibbsModel, grad_potential
+from .model import GibbsModel, _is_integer, grad_potential
 
 DISSIPATION_REL_TOL = 1e-5
 INTEGRAL_REL_TOL = 1e-4
@@ -34,6 +40,9 @@ _TRACE_CHUNK_BYTES = 1 << 20
 # Size of one block of particle rows in langevin_particles: its step
 # temporaries stay in cache and come from the allocator's free lists.
 _PARTICLE_CHUNK_BYTES = 256 << 10
+# Blocks of noise in flight on the worker: the caller holds one while it
+# updates, so a ring of three keeps two draws queued and the worker busy.
+_NOISE_RING = 3
 
 
 class StepSizeError(ValueError):
@@ -254,21 +263,23 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
                        checkpoints=None) -> LangevinResult:
     """Euler-Maruyama particles X <- X - grad V dt + sqrt(2 dt) xi.
 
-    Requires dt below a tenth of the inverse curvature bound.  Steps
-    update the particles in place, one block of rows at a time; the
-    blocks draw their noise in row order, so the stream is that of one
-    draw per step.  At each
-    checkpoint step the empirical moments are recorded; for Gaussian
-    models they are compared against the closed-form moments within
-    tolerance bands of five times the Monte Carlo plus discretization
-    scale.
+    Requires a finite dt below a tenth of the inverse curvature bound,
+    and integer counts and checkpoints, the latter in [0, steps].  Steps update the particles
+    in place, one block of rows at a time.  The noise is drawn on one
+    worker thread, in stream order, up to _NOISE_RING blocks ahead of
+    the update: the stream and the particles are those of one draw per
+    step.  A failed draw raises here, and the worker is stopped before
+    the call returns or raises.  At each checkpoint step the empirical
+    moments are recorded; for Gaussian models they are compared against
+    the closed-form moments within tolerance bands of five times the
+    Monte Carlo plus discretization scale.
     """
-    if n < 1_000:
-        raise ValueError("need at least 1000 particles")
-    if steps < 1:
-        raise ValueError("need at least one step")
-    if dt <= 0:
-        raise ValueError("step size must be positive")
+    if not (_is_integer(n) and n >= 1_000):
+        raise ValueError("need an integer count of at least 1000 particles")
+    if not (_is_integer(steps) and steps >= 1):
+        raise ValueError("need an integer count of at least one step")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("step size must be positive and finite")
     if p0.dim != model.dim:
         raise ValueError("initial law dimension does not match model")
     lam = curvature_bound(model, p0)
@@ -276,8 +287,10 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
         raise StepSizeError(
             f"dt = {dt} exceeds {_STABILITY_FRACTION}/{lam:.6g}, the "
             "stability fraction of the curvature bound")
-    marks = sorted({int(c) for c in (checkpoints if checkpoints is not None
-                                     else [steps])})
+    marks = list(checkpoints) if checkpoints is not None else [steps]
+    if not all(_is_integer(c) for c in marks):
+        raise ValueError("checkpoints must be integers")
+    marks = sorted({int(c) for c in marks})
     if marks and (marks[0] < 0 or marks[-1] > steps):
         raise ValueError("checkpoints must lie in [0, steps]")
 
@@ -288,22 +301,44 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
         recorded.append(_checkpoint(model, p0, x, 0, 0.0, lam, dt, n))
     root = np.sqrt(2.0 * dt)
     rows = max(1, _PARTICLE_CHUNK_BYTES // (8 * model.dim))
-    noise = np.empty((min(rows, n), model.dim))
-    for step in range(1, steps + 1):
-        for lo in range(0, n, rows):
-            xs = x[lo:lo + rows]
-            grad = grad_potential(model, xs)
-            draw = noise[:xs.shape[0]]
-            rng.standard_normal(out=draw)
-            grad *= dt  # in place, in the order of x - grad dt + root noise
-            xs -= grad
-            draw *= root
-            xs += draw
-        if step in marks:
-            recorded.append(_checkpoint(model, p0, x, step, step * dt,
-                                        lam, dt, n))
+    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+    # rows of each draw, in stream order
+    sizes = (hi - lo for _ in range(steps) for lo, hi in blocks)
+    ring = [np.empty((min(rows, n), model.dim)) for _ in range(_NOISE_RING)]
+    pending = deque()  # (future, ring slot), one per draw in flight
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise")
+    try:
+        for buf, k in zip(ring, sizes):
+            pending.append((pool.submit(_scaled_normals, rng, buf[:k], root),
+                            buf))
+        for step in range(1, steps + 1):
+            for lo, hi in blocks:
+                xs = x[lo:hi]
+                grad = grad_potential(model, xs)
+                grad *= dt  # in place, in the order of x - grad dt + root noise
+                xs -= grad
+                future, buf = pending.popleft()
+                xs += future.result()
+                k = next(sizes, 0)
+                if k:
+                    pending.append((pool.submit(_scaled_normals, rng,
+                                                buf[:k], root), buf))
+            if step in marks:
+                recorded.append(_checkpoint(model, p0, x, step, step * dt,
+                                            lam, dt, n))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return LangevinResult(particles=x, checkpoints=tuple(recorded),
                           dt=float(dt), steps=int(steps), seed=int(seed))
+
+
+def _scaled_normals(rng: np.random.Generator, buf: np.ndarray,
+                    root: float) -> np.ndarray:
+    """Fill buf with root * N(0, 1) draws; runs on the noise worker, so it
+    calls nothing but numpy."""
+    rng.standard_normal(out=buf)
+    buf *= root
+    return buf
 
 
 def _checkpoint(model, p0, x, step, t, lam, dt, n) -> LangevinCheckpoint:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -12,6 +14,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves running a thread it did not start with."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate()
+              if t not in before and t.is_alive()]
+    assert not leaked, f"threads left running: {leaked}"
 
 
 @pytest.fixture

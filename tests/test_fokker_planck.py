@@ -5,6 +5,8 @@ Runge-Kutta integration of the moment ODEs before everything built on
 top of it is exercised.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -339,6 +341,124 @@ def test_langevin_step_matches_out_of_place_reference(model2d, monkeypatch,
     assert res.particles.tobytes() == x.tobytes()
 
 
+def out_of_place_particles(model, p0, dt, steps, n, seed, marks):
+    # one fresh draw per step from the stream left after the initial
+    # sample; the moments of x at each step in marks
+    rng = np.random.default_rng(seed)
+    x = p0.sample(rng, n)
+    moments = []
+    for step in range(steps + 1):
+        if step:
+            x = x - grad_potential(model, x) * dt \
+                + np.sqrt(2.0 * dt) * rng.standard_normal(x.shape)
+        if step in marks:
+            moments.append((x.mean(axis=0),
+                            np.cov(x, rowvar=False).reshape(model.dim, -1)))
+    return x, moments
+
+
+def quartic_2d():
+    return GibbsModel(partition=BlockPartition(((0,), (1,))),
+                      precision=np.array([[1.0, 0.3], [0.3, 1.2]]),
+                      mean=np.array([0.5, -0.5]),
+                      quartic=np.array([0.2, 0.1]))
+
+
+@pytest.mark.parametrize("quartic, block_rows, n, steps, marks", [
+    # quartic drift, one block per step, fewer draws than the ring holds
+    (True, None, 1000, 2, [2]),
+    # 4 blocks per step, 5 steps: 20 draws, not a multiple of the ring
+    (False, 250, 1000, 5, [5]),
+    # blocks of 300, 300, 300 and a partial 100
+    (True, 300, 1000, 4, [4]),
+    # checkpoints at 0 and mid-run, between steps that share draws in flight
+    (False, 300, 1000, 6, [0, 3, 6]),
+])
+def test_langevin_pipeline_matches_out_of_place_reference(
+        model2d, monkeypatch, quartic, block_rows, n, steps, marks):
+    assert fokker_planck._NOISE_RING == 3
+    if block_rows is not None:
+        monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES",
+                            block_rows * 8 * 2)
+    model = quartic_2d() if quartic else model2d
+    p0 = GaussianDist(np.array([1.0, -1.0]), 0.5 * np.eye(2))
+    dt = 0.05 / curvature_bound(model, p0)
+    res = langevin_particles(model, p0, dt=dt, steps=steps, n=n, seed=9,
+                             checkpoints=marks)
+    x, moments = out_of_place_particles(model, p0, dt, steps, n, 9, marks)
+    assert res.particles.tobytes() == x.tobytes()
+    assert [cp.step for cp in res.checkpoints] == marks
+    for cp, (mean, cov) in zip(res.checkpoints, moments):
+        assert cp.emp_mean.tobytes() == mean.tobytes()
+        assert cp.emp_cov.tobytes() == cov.tobytes()
+
+
+def test_langevin_pipeline_under_fast_thread_switching(model2d, monkeypatch):
+    # 715 draws of 7 rows, with the interpreter switching threads as often
+    # as it can: a slot reused before its draw was added would show
+    monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES", 7 * 8 * 2)
+    p0 = GaussianDist(np.array([1.0, -1.0]), 0.5 * np.eye(2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = langevin_particles(model2d, p0, dt=0.05, steps=5, n=1000,
+                                 seed=3)
+    finally:
+        sys.setswitchinterval(interval)
+    x, _ = out_of_place_particles(model2d, p0, 0.05, 5, 1000, 3, [])
+    assert res.particles.tobytes() == x.tobytes()
+
+
+def test_langevin_gradient_error_stops_worker(model2d, monkeypatch):
+    calls = []
+
+    def failing_grad(model, x):
+        calls.append(threading.current_thread())
+        if len(calls) == 5:
+            raise RuntimeError("gradient failed")
+        return grad_potential(model, x)
+
+    monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES", 250 * 8 * 2)
+    monkeypatch.setattr(fokker_planck, "grad_potential", failing_grad)
+    p0 = GaussianDist(np.zeros(2), np.eye(2))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="gradient failed"):
+        langevin_particles(model2d, p0, dt=0.01, steps=10, n=1000, seed=0)
+    assert threading.active_count() == before
+    # the gradient runs on the calling thread only
+    assert set(calls) == {threading.current_thread()}
+
+
+def test_langevin_draw_error_reaches_caller(model2d, monkeypatch):
+    make_rng = np.random.default_rng
+    draws = []
+
+    class FailingGenerator:
+        def __init__(self, seed):
+            self._rng = make_rng(seed)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            if out is not None:
+                draws.append(threading.current_thread())
+                if len(draws) == 4:
+                    raise FloatingPointError("draw failed")
+            return self._rng.standard_normal(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(fokker_planck.np.random, "default_rng",
+                        FailingGenerator)
+    monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES", 250 * 8 * 2)
+    p0 = GaussianDist(np.zeros(2), np.eye(2))
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        langevin_particles(model2d, p0, dt=0.01, steps=10, n=1000, seed=0)
+    assert threading.active_count() == before
+    # the noise is drawn off the calling thread
+    assert threading.current_thread() not in draws
+
+
 def test_langevin_quartic_confinement(rng):
     # pure quartic wells have no Gaussian reference; the chain must stay
     # confined (bounded variance) and centered
@@ -362,3 +482,28 @@ def test_langevin_step_size_guard(model2d):
     with pytest.raises(ValueError):
         langevin_particles(model2d, p0, dt=0.01, steps=10, n=2000, seed=0,
                            checkpoints=[11])
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_langevin_rejects_non_finite_step(model2d, monkeypatch, dt):
+    # nan passes both dt <= 0 and the stability check; no draw is made
+    monkeypatch.setattr(fokker_planck.np.random, "default_rng", None)
+    p0 = GaussianDist(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        langevin_particles(model2d, p0, dt=dt, steps=10, n=2000, seed=0)
+
+
+@pytest.mark.parametrize("mark", [1.5, 2.0, True, "3"])
+def test_langevin_rejects_non_integer_checkpoints(model2d, mark):
+    p0 = GaussianDist(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match="integers"):
+        langevin_particles(model2d, p0, dt=0.01, steps=10, n=2000, seed=0,
+                           checkpoints=[0, mark])
+
+
+@pytest.mark.parametrize("steps, n", [(2.5, 2000), (True, 2000),
+                                      (10, 2000.5), (10, 2000.0)])
+def test_langevin_rejects_non_integer_counts(model2d, steps, n):
+    p0 = GaussianDist(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match="integer count"):
+        langevin_particles(model2d, p0, dt=0.01, steps=steps, n=n, seed=0)
