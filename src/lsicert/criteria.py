@@ -18,6 +18,13 @@ the certificates are least eigenvalues of D0 +- C and of
 diag(rho_k) - kappa, rounded down by the eigensolver's error bound.  The
 module also reports exact symbol extrema and finite-section spectra for
 banded Toeplitz couplings.
+
+Every extreme eigenvalue of a whole matrix here (the certificates, the
+A0 diagnostics and the two Toeplitz sections) comes from
+model.extreme_eigvalsh.  On the nearest-neighbour chains whose constants
+must hold uniformly in the size m these matrices are banded, and a
+narrow band of width b takes two O(m^2 b) banded solves in place of one
+O(m^3) dense eigvalsh (the crossover is stated there).
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .model import DENSE_BYTE_BUDGET, GibbsModel, toeplitz_matrix
+from .model import (DENSE_BYTE_BUDGET, GibbsModel, extreme_eigvalsh,
+                    toeplitz_matrix)
 
 
 class CertificateError(Exception):
@@ -135,10 +143,12 @@ def build_A_rho(model: GibbsModel, rho: float) -> np.ndarray:
 
 def _lambda_min_lower(mat: np.ndarray) -> float:
     """Least eigenvalue rounded down by the eigensolver's a-priori error
-    bound n * eps * max|lambda|, so rounding never inflates a certificate."""
-    evals = np.linalg.eigvalsh(mat)
-    err = len(evals) * np.finfo(float).eps * np.abs(evals).max()
-    return float(evals[0] - err)
+    bound n * eps * max(|lambda_min|, |lambda_max|), so rounding never
+    inflates a certificate.  Both extremes come from
+    model.extreme_eigvalsh: the banded solver on a narrow band, a dense
+    eigvalsh otherwise."""
+    lo, hi = extreme_eigvalsh(mat)
+    return float(lo - len(mat) * np.finfo(float).eps * max(abs(lo), abs(hi)))
 
 
 def _positive_block_constants(model: GibbsModel) -> np.ndarray:
@@ -234,8 +244,9 @@ def criteria_report(model: GibbsModel) -> CriteriaReport:
     rho_k = _positive_block_constants(model)
     rho_coord = rho_k[model.partition.coordinate_block]
     rho_min = float(rho_k.min())
-    evals_a0 = np.linalg.eigvalsh(_interaction_matrix(rho_coord, model.cross, 0.0))
-    norm0 = float(np.abs(evals_a0).max())
+    lo_a0, hi_a0 = extreme_eigvalsh(
+        _interaction_matrix(rho_coord, model.cross, 0.0))
+    norm0 = max(abs(lo_a0), abs(hi_a0))
     flags = []
     try:
         rho_marton = _marton(rho_coord, model.cross)
@@ -258,7 +269,7 @@ def criteria_report(model: GibbsModel) -> CriteriaReport:
         norm_A0=norm0,
         rho_marton=rho_marton,
         rho_or=rho_or,
-        lambda_max_A0=float(evals_a0[-1]),
+        lambda_max_A0=hi_a0,
         certified=rho_marton is not None,
         flags=tuple(flags),
     )
@@ -320,8 +331,9 @@ def toeplitz_spectrum_report(m: int, diag: float,
     """
     if m < 4:
         raise ValueError("finite sections below size 4 are not informative")
-    # the section, its abs and eigvalsh's working copy: three m x m arrays
-    # at once, charged as four
+    # the section, its abs and either a dense eigvalsh's working copy or
+    # extreme_eigvalsh's m x m boolean bandwidth mask: at most three m x m
+    # float arrays at once, charged as four
     need = 4 * m * m * 8
     if need > DENSE_BYTE_BUDGET:
         raise ValueError(f"a {m}x{m} section needs {need} bytes of dense "
@@ -338,8 +350,8 @@ def toeplitz_spectrum_report(m: int, diag: float,
     if not np.all(np.isfinite([max_sym, min_sym, amax_sym, amin_sym])):
         raise ValueError("the symbol overflows: coefficients too large")
 
-    evals = np.linalg.eigvalsh(mat)
-    aevals = np.linalg.eigvalsh(np.abs(mat))
+    lo, hi = extreme_eigvalsh(mat)
+    alo, ahi = extreme_eigvalsh(np.abs(mat))
 
     note = ""
     if sup_abs > max_sym + 1e-12:
@@ -355,10 +367,9 @@ def toeplitz_spectrum_report(m: int, diag: float,
     return ToeplitzSpectrumReport(
         m=m, diag=float(diag), band=tuple(sorted(band.items())),
         max_symbol=max_sym, min_symbol=min_sym, sup_abs_symbol=sup_abs,
-        lambda_max_bm=float(evals[-1]), lambda_min_bm=float(evals[0]),
-        svd_norm_bm=float(np.abs(evals).max()),
+        lambda_max_bm=hi, lambda_min_bm=lo,
+        svd_norm_bm=max(abs(lo), abs(hi)),
         abs_max_symbol=amax_sym, abs_min_symbol=amin_sym,
         abs_sup_abs_symbol=asup_abs,
-        abs_lambda_max_bm=float(aevals[-1]),
-        abs_lambda_min_bm=float(aevals[0]),
-        abs_svd_norm_bm=float(np.abs(aevals).max()), note=note)
+        abs_lambda_max_bm=ahi, abs_lambda_min_bm=alo,
+        abs_svd_norm_bm=max(abs(alo), abs(ahi)), note=note)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .criteria import Check
 from .gaussian import GaussianDist, tril_inverse
-from .model import GibbsModel, _is_integer, grad_potential
+from .model import GibbsModel, _is_integer, extreme_eigvalsh, grad_potential
 
 DISSIPATION_REL_TOL = 1e-5
 INTEGRAL_REL_TOL = 1e-4
@@ -224,7 +224,7 @@ def curvature_bound(model: GibbsModel, p0: GaussianDist) -> float:
     covering the initial law (mean plus six standard deviations) and the
     model location.  Heuristic for quartic models, exact for Gaussian.
     """
-    lam_gauss = float(np.linalg.eigvalsh(model.precision)[-1])
+    lam_gauss = extreme_eigvalsh(model.precision)[1]
     if model.is_gaussian:
         return lam_gauss
     radius = (np.abs(p0.mean) + np.abs(model.mean)

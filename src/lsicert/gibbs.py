@@ -64,17 +64,22 @@ def _component_bytes(dim: int) -> int:
     arrays of the image stack's checks and factors), charged as 7 d^2, or
     5 d^2 in kl_mixture_mc (the stack's covs and chols, and _gram_form's
     stacked factor, inverse and precision) plus d (d+1) for a quadratic
-    row and the coefficients; 7 d + 9 more for vectors and scalars.  The
-    density's working blocks, at most 2 _LOGPDF_CHUNK_BYTES, come on
-    top."""
+    row and the coefficients; 7 d + 9 more for vectors and scalars."""
     return (7 * dim * dim + 7 * dim + 9) * 8
+
+
+def _charged_bytes(count: int, dim: int) -> int:
+    """Bytes the budget charges for a mixture of count components: the
+    per-component peak, plus the density's working blocks of at most
+    2 _LOGPDF_CHUNK_BYTES, which do not grow with the count."""
+    return count * _component_bytes(dim) + 2 * _LOGPDF_CHUNK_BYTES
 
 
 def _check_budget(count: int, dim: int, cap: int) -> None:
     if count > cap:
         raise MixtureCapError(
             f"mixture would have {count} components, cap is {cap}")
-    size = count * _component_bytes(dim)
+    size = _charged_bytes(count, dim)
     if size > MIXTURE_BYTE_BUDGET:
         raise MixtureCapError(
             f"mixture of {count} components in dimension {dim} needs "

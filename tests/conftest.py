@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from lsicert import model as lsimodel
 from lsicert.instances import model_2d
 from lsicert.model import BlockPartition, toeplitz_matrix
 
@@ -34,6 +35,21 @@ def model2d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture
+def banded_solves(monkeypatch):
+    """The band storage shape of every eigvals_banded call that
+    model.extreme_eigvalsh makes during the test, in call order."""
+    calls = []
+    banded = lsimodel.eigvals_banded
+
+    def counted(band, *args, **kwargs):
+        calls.append(band.shape)
+        return banded(band, *args, **kwargs)
+
+    monkeypatch.setattr(lsimodel, "eigvals_banded", counted)
+    return calls
 
 
 def batching_cases():

@@ -5,6 +5,7 @@ out by hand at the top of the file; they pin down every code path before
 the randomized properties run.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,8 +62,9 @@ def frustrated_triple(a):
                       quartic=np.zeros(3))
 
 
-def banded_model(m, diag, quartic=0.0):
-    prec = toeplitz_matrix(m, diag, {1: 1.0, 2: -1.0})
+def banded_model(m, diag, quartic=0.0, band=None):
+    prec = toeplitz_matrix(m, diag, {1: 1.0, 2: -1.0} if band is None
+                           else band)
     part = BlockPartition(tuple((i,) for i in range(m)))
     return GibbsModel(partition=part, precision=prec, mean=np.zeros(m),
                       quartic=np.full(m, float(quartic)))
@@ -271,6 +273,57 @@ def test_or_matches_direct_eigensolve(model):
 @settings(max_examples=40)
 def test_marton_matches_bisection_oracle(model):
     assert_matches_oracle(solve_rho_marton, bisect_rho_marton, model)
+
+
+# ---- soundness on the banded path, against 50-digit references ----
+
+def assert_sound_and_close(rho, lam_min, top, m):
+    """rho <= lam_min exactly, and lam_min - rho <= 8 m eps max|lambda|."""
+    with mpmath.workdps(50):
+        gap = lam_min - mpmath.mpf(rho)
+        assert gap >= 0
+        assert gap <= 8 * m * np.finfo(float).eps * top
+
+
+def banded_report(banded_solves, model):
+    """criteria_report(model), asserting that every solve was banded."""
+    before = len(banded_solves)
+    report = criteria_report(model)
+    # A0, D0 - C, D0 + C and diag(rho_k) - kappa: two solves each
+    assert len(banded_solves) - before == 8
+    return report
+
+
+@pytest.mark.parametrize("m", [64, 256, 2048])
+def test_banded_certificates_sound_on_nearest_neighbour_chain(banded_solves,
+                                                             m):
+    # rho_k = 3, so D0 +- C and diag(rho_k) - kappa are all
+    # 3 I -+ (E_1 + E_-1): eigenvalues 3 - 2 cos(k pi / (m + 1))
+    report = banded_report(banded_solves, banded_model(m, 3.0, band={1: 1.0}))
+    with mpmath.workdps(50):
+        lam_min = 3 - 2 * mpmath.cos(mpmath.pi / (m + 1))
+        top = 6 - lam_min
+    for rho in (report.rho_marton, report.rho_or):
+        assert_sound_and_close(rho, lam_min, top, m)
+
+
+def mp_extremes(mat):
+    """(lambda_min, max|lambda|) of the float matrix mat at 50 digits."""
+    with mpmath.workdps(50):
+        evals = mpmath.eigsy(mpmath.matrix(mat.tolist()), eigvals_only=True)
+        return min(evals), max(abs(e) for e in evals)
+
+
+def test_banded_certificates_sound_against_eigsy(banded_solves):
+    m = 64
+    model = banded_model(m, 3.0, band={1: -1.0, 2: 0.3})
+    report = banded_report(banded_solves, model)
+    d0, cross = 3.0 * np.eye(m), model.cross
+    minus, plus, block = (mp_extremes(mat) for mat in
+                          (d0 - cross, d0 + cross, d0 - np.abs(cross)))
+    lam_min, top = min((minus, plus), key=lambda e: e[0])
+    assert_sound_and_close(report.rho_marton, lam_min, top, m)
+    assert_sound_and_close(report.rho_or, *block, m)
 
 
 def test_cross_block_norms_reference(model2d):

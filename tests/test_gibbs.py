@@ -484,7 +484,7 @@ def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
     # room for 5 components of 2 x 2: steps 1 and 2 (2 and 4 components)
     # fit, step 3 (6 components) is refused before any sweep
     monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET",
-                        5 * gibbs._component_bytes(2))
+                        gibbs._charged_bytes(5, 2))
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [2.0, -1.0])
     with pytest.raises(MixtureCapError):
@@ -494,12 +494,22 @@ def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
     assert [r.param for r in rows] == ["step=0", "step=1", "step=2"]
 
 
+def test_byte_budget_charges_the_density_working_blocks(monkeypatch):
+    # four components fit on their per-component charge alone, but not
+    # with the density's two working blocks on top
+    monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET",
+                        4 * gibbs._component_bytes(2)
+                        + gibbs._LOGPDF_CHUNK_BYTES)
+    with pytest.raises(MixtureCapError):
+        gibbs._check_budget(4, 2, cap=100)
+
+
 @pytest.mark.parametrize("sweeps", [5, 7])
 def test_sweep_and_mc_peak_within_component_budget(sweeps):
     # d = 8 in four blocks: 484 or 4372 components.  The peak over the
     # sweeps and the Monte Carlo pass, source mixture included, stays
-    # within the per-component charge plus the density's working blocks,
-    # which do not grow with the count.
+    # within what the budget check charges: the per-component peak plus
+    # the density's working blocks, which do not grow with the count.
     rng = np.random.default_rng(3)
     part = BlockPartition(((0, 1), (2, 3), (4, 5), (6, 7)))
     model = GibbsModel(partition=part, precision=random_spd(rng, 8),
@@ -515,8 +525,7 @@ def test_sweep_and_mc_peak_within_component_budget(sweeps):
     finally:
         tracemalloc.stop()
     assert mix.n_components == collapsed_word_count(4, sweeps)
-    assert peak <= (mix.n_components * gibbs._component_bytes(8)
-                    + 2 * gibbs._LOGPDF_CHUNK_BYTES)
+    assert peak <= gibbs._charged_bytes(mix.n_components, 8)
 
 
 def test_contraction_determinism(model2d):

@@ -19,11 +19,13 @@ from lsicert.model import (
     model_digest,
     model_from_dict,
     model_to_dict,
+    extreme_eigvalsh,
     save_model,
     toeplitz_matrix,
 )
-from lsicert.criteria import criteria_report
-from lsicert.instances import model_2d, random_certified_model
+from lsicert.criteria import criteria_report, toeplitz_spectrum_report
+from lsicert.instances import (model_2d, random_certified_model,
+                               random_quartic_model)
 
 
 def test_partition_basic():
@@ -371,3 +373,87 @@ def test_delta_monotone_in_coupling_scale(seed, scale):
     d_shrunk = criteria_report(shrunk).delta
     assert d_shrunk >= d_full - 1e-12
 
+
+
+def _band_matrix(rng, m, b):
+    """Random symmetric m x m matrix with lower bandwidth b."""
+    raw = rng.standard_normal((m, m))
+    return np.tril(np.triu(raw + raw.T, -b), b)
+
+
+def _assert_matches_eigvalsh(mat, got):
+    evals = np.linalg.eigvalsh(mat)
+    tol = len(mat) * np.finfo(float).eps * np.abs(evals).max()
+    assert abs(got[0] - evals[0]) <= tol
+    assert abs(got[1] - evals[-1]) <= tol
+
+
+# (m, b, banded): below the crossover by size (m < 64) or by width
+# (32 b > m), and above it
+EXTREME_CASES = [(40, 0, False), (40, 1, False), (40, 2, False),
+                 (64, 0, True), (64, 1, True), (64, 2, True), (64, 3, False),
+                 (200, 2, True), (200, 8, False), (256, 8, True)]
+
+
+@pytest.mark.parametrize("m, b, banded", EXTREME_CASES)
+def test_extreme_eigvalsh_matches_eigvalsh(banded_solves, rng, m, b, banded):
+    mat = _band_matrix(rng, m, b)
+    _assert_matches_eigvalsh(mat, extreme_eigvalsh(mat))
+    assert banded_solves == ([(b + 1, m)] * 2 if banded else [])
+
+
+@pytest.mark.parametrize("m", [8, 64, 200])
+def test_extreme_eigvalsh_dense_matrices_stay_dense(banded_solves, rng, m):
+    mat = _band_matrix(rng, m, m - 1)
+    _assert_matches_eigvalsh(mat, extreme_eigvalsh(mat))
+    assert banded_solves == []
+
+
+def test_extreme_eigvalsh_far_entry_widens_the_band(banded_solves, rng):
+    mat = _band_matrix(rng, 256, 1)
+    mat[255, 0] = mat[0, 255] = 0.5
+    _assert_matches_eigvalsh(mat, extreme_eigvalsh(mat))
+    assert banded_solves == []
+
+
+def test_extreme_eigvalsh_tiny_matrices():
+    assert extreme_eigvalsh(np.array([[-2.5]])) == (-2.5, -2.5)
+    lo, hi = extreme_eigvalsh(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    tol = 2 * np.finfo(float).eps * 3.0
+    assert lo == pytest.approx(-1.0, abs=tol)
+    assert hi == pytest.approx(3.0, abs=tol)
+
+
+@pytest.mark.parametrize("m", [16, 256])
+def test_extreme_eigvalsh_indefinite_chain(m):
+    # 0.5 I + E_1 + E_-1 has eigenvalues 0.5 + 2 cos(k pi / (m + 1))
+    lo, hi = extreme_eigvalsh(toeplitz_matrix(m, 0.5, {1: 1.0}))
+    tol = m * np.finfo(float).eps * 2.5
+    assert lo == pytest.approx(0.5 - 2.0 * np.cos(np.pi / (m + 1)), abs=tol)
+    assert hi == pytest.approx(0.5 + 2.0 * np.cos(np.pi / (m + 1)), abs=tol)
+    assert lo < 0 < hi
+
+
+@pytest.mark.parametrize("m", [64, 128, 256])
+@pytest.mark.parametrize("band", [{1: 1.0}, {1: -1.0, 2: 0.3}])
+def test_chain_fixtures_take_the_banded_path(banded_solves, m, band):
+    model = model_from_dict(
+        {"dim": m, "partition": [[i] for i in range(m)],
+         "toeplitz": {"m": m, "diag": 3.0,
+                      "band": {str(k): v for k, v in band.items()}}})
+    assert len(banded_solves) == 2  # the positive-definiteness check
+    criteria_report(model)
+    # A0, D0 - C, D0 + C and diag(rho_k) - kappa: two solves each
+    assert len(banded_solves) == 2 + 4 * 2
+    toeplitz_spectrum_report(m, 0.0, {1: 1.0, 2: -1.0})
+    assert len(banded_solves) == 2 + 4 * 2 + 2 * 2
+    assert set(banded_solves) == {(max(band) + 1, m), (3, m)}
+
+
+@pytest.mark.parametrize("dim", [16, 32, 64])
+def test_dense_gaussian_fixtures_keep_the_dense_path(banded_solves, dim):
+    rng = np.random.default_rng(dim)
+    for model in (random_certified_model(rng, dim=dim),
+                  random_quartic_model(rng, dim=dim)):
+        criteria_report(model)
+    assert banded_solves == []
