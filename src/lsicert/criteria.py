@@ -19,6 +19,10 @@ diag(rho_k) - kappa, rounded down by the eigensolver's error bound.  The
 module also reports exact symbol extrema and finite-section spectra for
 banded Toeplitz couplings.
 
+Each certificate has one routine (solve_rho_marton, otto_reznikoff) and
+criteria_report is built from both; the block constants they share are
+computed once per model and kept on it (model.per_object).
+
 Every extreme eigenvalue of a whole matrix here (the certificates, the
 A0 diagnostics and the two Toeplitz sections) comes from
 model.extreme_eigvalsh.  On the nearest-neighbour chains whose constants
@@ -35,7 +39,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .model import (DENSE_BYTE_BUDGET, GibbsModel, extreme_eigvalsh,
-                    toeplitz_matrix)
+                    per_object, toeplitz_matrix)
 
 
 class CertificateError(Exception):
@@ -93,9 +97,10 @@ class CriteriaReport:
                 raise ValueError("certified constant exceeds min block constant")
 
 
+@per_object
 def block_lsi_constants(model: GibbsModel) -> np.ndarray:
     """Per-block curvature constants: smallest eigenvalue of each diagonal
-    precision block.
+    precision block, read-only and computed once per model.
 
     For models with a quartic term this is still a valid lower bound on
     the conditional curvature, since the quartic Hessian contribution is
@@ -106,39 +111,8 @@ def block_lsi_constants(model: GibbsModel) -> np.ndarray:
     for ks, idx in model.partition.size_groups:
         subs = model.precision[idx[:, :, None], idx[:, None, :]]
         out[ks] = np.linalg.eigvalsh(subs)[:, 0]
+    out.flags.writeable = False
     return out
-
-
-def op_norm(mat: np.ndarray) -> float:
-    """Operator (largest singular value) norm."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return 0.0
-    return float(np.linalg.norm(mat, 2))
-
-
-def _interaction_matrix(rho_coord: np.ndarray, cross: np.ndarray,
-                        rho: float) -> np.ndarray:
-    """A^rho from the block constant of each coordinate's block and the
-    cross-block Hessian."""
-    gaps = rho_coord - rho
-    if np.any(gaps <= 0):
-        raise CertificateError(
-            f"rho = {rho} is not below every block constant")
-    scale = 1.0 / np.sqrt(gaps)
-    return scale[:, None] * cross * scale[None, :]
-
-
-def build_A_rho(model: GibbsModel, rho: float) -> np.ndarray:
-    """Interaction matrix A^rho.
-
-    Entry (i, j) with i in block k and j in block l != k is the cross
-    Hessian entry divided by sqrt((rho_k - rho)(rho_l - rho)); diagonal
-    blocks are zero.  Requires rho below every block constant.
-    """
-    rho_k = block_lsi_constants(model)
-    return _interaction_matrix(rho_k[model.partition.coordinate_block],
-                               model.cross, rho)
 
 
 def _lambda_min_lower(mat: np.ndarray) -> float:
@@ -159,17 +133,6 @@ def _positive_block_constants(model: GibbsModel) -> np.ndarray:
     return rho_k
 
 
-def _marton(rho_coord: np.ndarray, cross: np.ndarray) -> float:
-    if not cross.any():
-        return float(rho_coord.min())
-    d0 = np.diag(rho_coord)
-    rho = min(_lambda_min_lower(d0 - cross), _lambda_min_lower(d0 + cross))
-    if rho <= 0:
-        raise CertificateError(
-            f"no certificate: lambda_min(D0 +- C) = {rho:.6g} <= 0")
-    return rho
-
-
 def solve_rho_marton(model: GibbsModel) -> float:
     """Largest rho certified by the interaction-matrix criterion.
 
@@ -181,7 +144,16 @@ def solve_rho_marton(model: GibbsModel) -> float:
     CertificateError when the certificate is not positive.
     """
     rho_k = _positive_block_constants(model)
-    return _marton(rho_k[model.partition.coordinate_block], model.cross)
+    rho_coord = rho_k[model.partition.coordinate_block]
+    if not model.cross.any():
+        return float(rho_coord.min())
+    d0 = np.diag(rho_coord)
+    rho = min(_lambda_min_lower(d0 - model.cross),
+              _lambda_min_lower(d0 + model.cross))
+    if rho <= 0:
+        raise CertificateError(
+            f"no certificate: lambda_min(D0 +- C) = {rho:.6g} <= 0")
+    return rho
 
 
 def cross_block_norms(model: GibbsModel) -> np.ndarray:
@@ -192,7 +164,7 @@ def cross_block_norms(model: GibbsModel) -> np.ndarray:
     block shape, each group's cross blocks are gathered into one
     (pairs, a, b) stack by a single fancy index, and one batched
     np.linalg.norm(stack, 2) call gives their norms: the same LAPACK SVD
-    per matrix as op_norm, so the same values.
+    per matrix as np.linalg.norm(block, 2), so the same values.
     """
     part = model.partition
     owner = part.coordinate_block
@@ -213,7 +185,15 @@ def cross_block_norms(model: GibbsModel) -> np.ndarray:
     return kappa + kappa.T
 
 
-def _block_criterion(rho_k: np.ndarray, kappa: np.ndarray) -> float:
+def otto_reznikoff(model: GibbsModel) -> float:
+    """Largest rho certified by the block-matrix criterion:
+    lambda_min(diag(rho_k) - kappa), or min_k rho_k exactly when kappa = 0.
+
+    Raises CertificateError when diag(rho_k) - kappa is not positive
+    definite.
+    """
+    rho_k = _positive_block_constants(model)
+    kappa = cross_block_norms(model)
     if not kappa.any():
         return float(rho_k.min())
     rho = _lambda_min_lower(np.diag(rho_k) - kappa)
@@ -224,39 +204,30 @@ def _block_criterion(rho_k: np.ndarray, kappa: np.ndarray) -> float:
     return rho
 
 
-def otto_reznikoff(model: GibbsModel) -> float:
-    """Largest rho certified by the block-matrix criterion:
-    lambda_min(diag(rho_k) - kappa), or min_k rho_k exactly when kappa = 0.
-
-    Raises CertificateError when diag(rho_k) - kappa is not positive
-    definite.
-    """
-    return _block_criterion(_positive_block_constants(model),
-                            cross_block_norms(model))
-
-
 def criteria_report(model: GibbsModel) -> CriteriaReport:
     """Evaluate both criteria and collect certificates plus diagnostics.
 
-    The block constants and the cross-block Hessian are computed once and
-    shared by A0 and both certificates.
+    The certificates come from solve_rho_marton and otto_reznikoff; they
+    and A0 read block constants and a cross-block Hessian computed once
+    per model.  A block that is not positive definite raises
+    CertificateError before either criterion runs.
     """
     rho_k = _positive_block_constants(model)
-    rho_coord = rho_k[model.partition.coordinate_block]
     rho_min = float(rho_k.min())
+    scale = 1.0 / np.sqrt(rho_k[model.partition.coordinate_block])
     lo_a0, hi_a0 = extreme_eigvalsh(
-        _interaction_matrix(rho_coord, model.cross, 0.0))
+        scale[:, None] * model.cross * scale[None, :])
     norm0 = max(abs(lo_a0), abs(hi_a0))
     flags = []
     try:
-        rho_marton = _marton(rho_coord, model.cross)
+        rho_marton = solve_rho_marton(model)
         if rho_marton >= rho_min * (1.0 - 1e-12):
             flags.append("rho_marton_supremum")
     except CertificateError:
         rho_marton = None
         flags.append("no_certificate")
     try:
-        rho_or = _block_criterion(rho_k, cross_block_norms(model))
+        rho_or = otto_reznikoff(model)
         if rho_or >= rho_min * (1.0 - 1e-12):
             flags.append("rho_or_supremum")
     except CertificateError:

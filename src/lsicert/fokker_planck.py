@@ -21,13 +21,13 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .criteria import Check
 from .gaussian import GaussianDist, tril_inverse
-from .model import GibbsModel, _is_integer, extreme_eigvalsh, grad_potential
+from .model import (GibbsModel, _is_integer, extreme_eigvalsh, grad_potential,
+                    per_object)
 
 DISSIPATION_REL_TOL = 1e-5
 INTEGRAL_REL_TOL = 1e-4
@@ -49,7 +49,7 @@ class StepSizeError(ValueError):
     """Euler-Maruyama step too large for the curvature bound."""
 
 
-@lru_cache(maxsize=64)
+@per_object
 def _precision_eigh(model: GibbsModel):
     w, vecs = np.linalg.eigh(model.precision)
     w.flags.writeable = False

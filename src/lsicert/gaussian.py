@@ -21,12 +21,12 @@ I(p||q) = E_p[|grad log(dp/dq)|^2].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .model import BlockPartition, GibbsModel
+from .model import BlockPartition, GibbsModel, per_object
 
 _INVERSE_TOL = 1e-8
 
@@ -59,7 +59,7 @@ class GaussianStack:
         scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
         if np.any(np.abs(covs - sym).max(axis=(1, 2)) > 1e-8 * scale):
             raise ValueError("cov must be symmetric")
-        covs = 0.5 * (covs + sym)
+        covs = 0.5 * covs + 0.5 * sym
         covs.flags.writeable = False
         means.flags.writeable = False
         object.__setattr__(self, "means", means)
@@ -177,11 +177,11 @@ def _unstack(vals: np.ndarray, *laws):
     return float(vals[0])
 
 
-@lru_cache(maxsize=8)
+@per_object
 def gaussian_target(model: GibbsModel) -> GaussianDist:
     """Stationary Gaussian N(m, K^-1) of a quartic-free model.
 
-    Memoized per model: the model and the returned law are read-only.
+    Memoized on the model, so freed with it; both are read-only.
     """
     if not model.is_gaussian:
         raise ValueError("model has a quartic term; its law is not Gaussian")
@@ -279,7 +279,7 @@ def block_conditionals(precision: np.ndarray, part: BlockPartition) -> tuple:
     return cov, _blockdiag_matmul(-cov, cross, part), logdet
 
 
-@lru_cache(maxsize=8)
+@per_object
 def memo_conditionals(source, part: BlockPartition) -> tuple:
     """Read-only block_conditionals of a model's or a fixed law's precision."""
     out = block_conditionals(source.precision, part)

@@ -30,7 +30,7 @@ reads the stack as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .criteria import CertificateError, Check, CriteriaReport
 from .gaussian import (_LOG_2PI, GaussianDist, GaussianStack, _dot,
                        avg_conditional_kl, gaussian_target, kl,
                        memo_conditionals, tril_inverse)
-from .model import GibbsModel
+from .model import GibbsModel, per_object
 
 DEFAULT_COMPONENT_CAP = 100_000
 # Largest storage a swept mixture may take; checked before any component
@@ -75,10 +75,10 @@ def _charged_bytes(count: int, dim: int) -> int:
     return count * _component_bytes(dim) + 2 * _LOGPDF_CHUNK_BYTES
 
 
-def _check_budget(count: int, dim: int, cap: int) -> None:
-    if count > cap:
-        raise MixtureCapError(
-            f"mixture would have {count} components, cap is {cap}")
+def _check_budget(count: int, dim: int) -> None:
+    if count > DEFAULT_COMPONENT_CAP:
+        raise MixtureCapError(f"mixture would have {count} components, "
+                              f"cap is {DEFAULT_COMPONENT_CAP}")
     size = _charged_bytes(count, dim)
     if size > MIXTURE_BYTE_BUDGET:
         raise MixtureCapError(
@@ -237,7 +237,7 @@ def _gram_logsumexp(coef, groups, x, target: bool) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=128)
+@per_object
 def _block_update_map(model: GibbsModel, k: int):
     """Affine map (lin, offset, noise_cov) of the block-k Gibbs update.
 
@@ -280,8 +280,7 @@ def _check_mixture(p: GaussianMixture, model: GibbsModel) -> None:
         raise ValueError("mixture dimension does not match model")
 
 
-def _image(p: GaussianMixture, model: GibbsModel, moves,
-           cap: int = DEFAULT_COMPONENT_CAP) -> GaussianMixture:
+def _image(p: GaussianMixture, model: GibbsModel, moves) -> GaussianMixture:
     """Merged mixture of the moves (k, c, weight): component c of p sent
     through the block-k update, carrying that weight.
 
@@ -292,7 +291,7 @@ def _image(p: GaussianMixture, model: GibbsModel, moves,
     stacked once; a copied row, exactly symmetric as every push leaves
     it, is factored to the bits it had.  Raises
     MixtureCapError before any push when the merged mixture would exceed
-    cap or the byte budget.
+    DEFAULT_COMPONENT_CAP or the byte budget.
     """
     words = p.words or tuple((c,) for c in range(p.n_components))
     weights, sources = {}, {}
@@ -303,7 +302,7 @@ def _image(p: GaussianMixture, model: GibbsModel, moves,
         weights[key] = weights.get(key, 0.0) + weight
         if kept or key not in sources:
             sources[key] = (k, c, kept)
-    _check_budget(len(weights), p.dim, cap)
+    _check_budget(len(weights), p.dim)
     ks, cs, kept = np.array(list(sources.values()), dtype=int).reshape(-1, 3).T
     means, covs = p.laws.means[cs], p.laws.covs[cs]
     for k in np.unique(ks[kept == 0]):
@@ -321,14 +320,14 @@ def apply_gibbs_block(p: GaussianMixture, model: GibbsModel,
     return _image(p, model, ((k, c, w) for c, w in enumerate(p.weights)))
 
 
-def apply_weighted_gibbs(p: GaussianMixture, model: GibbsModel, rho,
-                         cap: int = DEFAULT_COMPONENT_CAP) -> GaussianMixture:
+def apply_weighted_gibbs(p: GaussianMixture, model: GibbsModel,
+                         rho) -> GaussianMixture:
     """One sweep of the weighted block sampler: block k with weight rho_k/R.
 
     The image is the exact merged mixture: every component goes through
     every block, components are keyed by collapsed block word, and equal
     keys are summed, in block-major order.  Raises MixtureCapError instead
-    of exceeding cap or MIXTURE_BYTE_BUDGET.
+    of exceeding DEFAULT_COMPONENT_CAP or MIXTURE_BYTE_BUDGET.
     """
     _check_mixture(p, model)
     rho = np.asarray(rho, dtype=float)
@@ -340,7 +339,7 @@ def apply_weighted_gibbs(p: GaussianMixture, model: GibbsModel, rho,
     share = rho / rho.sum()
     moves = ((k, c, share[k] * w) for k in range(part.n)
              for c, w in enumerate(p.weights))
-    return _image(p, model, moves, cap=cap)
+    return _image(p, model, moves)
 
 
 @dataclass(frozen=True)
@@ -420,7 +419,7 @@ def entropy_drop_identity(p: GaussianDist, model: GibbsModel,
 
 def verify_contraction(p0: GaussianDist, model: GibbsModel,
                        report: CriteriaReport, steps: int, nsamples: int,
-                       seed: int, cap: int = DEFAULT_COMPONENT_CAP) -> tuple:
+                       seed: int) -> tuple:
     """Track the sweep trajectory and compare divergence against the
     geometric bound (1 - rho/R)^m D(p0||q).
 
@@ -428,14 +427,13 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
     later steps are Monte Carlo estimates with tolerance 3 SE, holding
     when estimate - 3 SE <= bound.  The exact law after m sweeps has
     collapsed_word_count(n_blocks, m) components; when that would exceed
-    cap or MIXTURE_BYTE_BUDGET, MixtureCapError is raised before the
-    first sweep.
+    DEFAULT_COMPONENT_CAP or MIXTURE_BYTE_BUDGET, MixtureCapError is
+    raised before the first sweep.
     """
     if report.rho_marton is None:
         raise CertificateError("report carries no certified constant")
     _require_gaussian(model)
-    _check_budget(collapsed_word_count(model.partition.n, steps), model.dim,
-                  cap)
+    _check_budget(collapsed_word_count(model.partition.n, steps), model.dim)
     rho = float(report.rho_marton)
     rho_k = np.asarray(report.rho_k, dtype=float)
     total = float(rho_k.sum())
@@ -448,7 +446,7 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
     rows = [Check("gibbs", "step=0", d0, d0, 0.0, True)]
     mix = GaussianMixture.single(p0)
     for m in range(1, steps + 1):
-        mix = apply_weighted_gibbs(mix, model, rho_k, cap=cap)
+        mix = apply_weighted_gibbs(mix, model, rho_k)
         est = kl_mixture_mc(mix, q, nsamples, int(mc_seeds[m - 1]))
         bound = factor ** m * d0
         tol = 3.0 * est.std_error

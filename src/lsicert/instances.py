@@ -45,9 +45,8 @@ def random_spd(rng: np.random.Generator, n: int, lo: float = 0.3,
     return _spd(evals, rng.standard_normal((n, n)))
 
 
-def random_gaussians(rng: np.random.Generator, trials: int, dim: int,
-                     mean_scale: float = 2.0, lo: float = 0.3,
-                     hi: float = 3.0) -> GaussianStack:
+def random_gaussians(rng: np.random.Generator, trials: int,
+                     dim: int) -> GaussianStack:
     """trials laws N(mean, random_spd), the mean drawn first, with the
     draws of each trial (mean, eigenvalues, matrix to orthogonalize) taken
     trial by trial.  The QR, sign fix, product and Cholesky then run once
@@ -57,26 +56,23 @@ def random_gaussians(rng: np.random.Generator, trials: int, dim: int,
     evals = np.empty((trials, dim))
     raw = np.empty((trials, dim, dim))
     for t in range(trials):
-        means[t] = rng.normal(scale=mean_scale, size=dim)
-        evals[t] = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
+        means[t] = rng.normal(scale=2.0, size=dim)
+        evals[t] = np.exp(rng.uniform(np.log(0.3), np.log(3.0), size=dim))
         rng.standard_normal(out=raw[t])
     return GaussianStack(means, _spd(evals, raw))
 
 
-def random_gaussian(rng: np.random.Generator, dim: int,
-                    mean_scale: float = 2.0, lo: float = 0.3,
-                    hi: float = 3.0) -> GaussianDist:
-    return random_gaussians(rng, 1, dim, mean_scale, lo, hi).law(0)
+def random_gaussian(rng: np.random.Generator, dim: int) -> GaussianDist:
+    return random_gaussians(rng, 1, dim).law(0)
 
 
-def random_partition(rng: np.random.Generator, dim: int,
-                     max_block: int = 3) -> BlockPartition:
-    """Partition of a random permutation of 0..dim-1 into short blocks."""
+def random_partition(rng: np.random.Generator, dim: int) -> BlockPartition:
+    """Partition of a random permutation of 0..dim-1 into blocks of 1 to 3."""
     perm = rng.permutation(dim)
     blocks = []
     i = 0
     while i < dim:
-        size = int(rng.integers(1, max_block + 1))
+        size = int(rng.integers(1, 4))
         size = min(size, dim - i)
         blocks.append(tuple(int(v) for v in perm[i:i + size]))
         i += size
@@ -84,8 +80,7 @@ def random_partition(rng: np.random.Generator, dim: int,
 
 
 def random_certified_model(rng: np.random.Generator, dim: int | None = None,
-                           target_norm: float | None = None,
-                           mean_scale: float = 1.0) -> GibbsModel:
+                           target_norm: float | None = None) -> GibbsModel:
     """Gaussian model with a guaranteed positive interaction margin.
 
     Block-diagonal curvature is drawn first; the cross-block part is then
@@ -112,11 +107,11 @@ def random_certified_model(rng: np.random.Generator, dim: int | None = None,
     cross = 0.5 * (cross + cross.T)
     cross[part.coordinate_block[:, None] == part.coordinate_block] = 0.0
     base = GibbsModel(partition=part, precision=prec,
-                      mean=rng.normal(scale=mean_scale, size=dim),
+                      mean=rng.normal(scale=1.0, size=dim),
                       quartic=np.zeros(dim))
     rho_k = criteria.block_lsi_constants(base)
     scale = 1.0 / np.sqrt(rho_k[part.coordinate_block])
-    raw_norm = criteria.op_norm(scale[:, None] * cross * scale[None, :])
+    raw_norm = np.linalg.norm(scale[:, None] * cross * scale[None, :], 2)
     if raw_norm > 0:
         cross *= target_norm / raw_norm
     return GibbsModel(partition=part, precision=prec + cross,

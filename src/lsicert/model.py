@@ -20,7 +20,7 @@ import hashlib
 import json
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 from scipy.linalg import eigvals_banded
@@ -36,6 +36,22 @@ _SYMMETRY_CHUNK_BYTES = 1 << 20
 # bandwidth b when m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m.
 _BANDED_MIN_DIM = 64
 _BANDED_RATIO = 32
+
+
+def per_object(fn):
+    """Memoize fn(obj, *args) on obj: the value is computed on the first
+    call with these args and kept in obj.__dict__, as cached_property
+    keeps its value, so it is freed together with obj."""
+
+    @wraps(fn)
+    def memo(obj, *args):
+        store = obj.__dict__.setdefault("_per_object", {})
+        key = (fn, *args)
+        if key not in store:
+            store[key] = fn(obj, *args)
+        return store[key]
+
+    return memo
 
 
 class ModelError(Exception):
@@ -197,13 +213,13 @@ class GibbsModel:
         if float(np.max(gaps)) > SYMMETRY_TOL * scale:
             raise ModelValidationError("precision matrix is not symmetric")
         # A read-only K that owns its data and is bitwise symmetric is kept
-        # without the copy 0.5 (K + K'), which would equal it: 0.5 (x + x)
-        # = x below 2^1023.
+        # without the copy 0.5 K + 0.5 K', which would equal it.  Halving
+        # first cannot overflow, and outside the subnormal range it rounds
+        # as 0.5 (K + K') does.
         bits = prec.view(np.uint64)
         if (prec.flags.writeable or prec.base is not None
-                or not scale < 2.0 ** 1023
                 or not np.array_equal(bits, bits.T)):
-            prec = 0.5 * (prec + prec.T)
+            prec = 0.5 * prec + 0.5 * prec.T
         if not all(np.all(np.isfinite(arr)) for arr in (prec, mean, quart)):
             raise ModelValidationError("model entries must be finite")
         if np.any(quart < 0):

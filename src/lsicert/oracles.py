@@ -1,6 +1,7 @@
 """Independent estimators used to cross-check the closed-form calculus.
 
-Bisection on the two certificate thresholds, grid quadrature for
+The interaction matrix A^rho and bisection on the two certificate
+thresholds, grid quadrature for
 divergence and Fisher information (dimensions 1 to 3), the sorted-sample
 coupling for one-dimensional W2, the conditional law of one block as a
 reference for the batched conditionals, and closed-form checkers for the
@@ -18,9 +19,7 @@ from .criteria import (
     Check,
     CriteriaReport,
     block_lsi_constants,
-    build_A_rho,
     cross_block_norms,
-    op_norm,
 )
 from .gaussian import (GaussianDist, GaussianStack, _dot, _matvec,
                        block_conditionals, gaussian_target, kl,
@@ -50,10 +49,25 @@ def _bisect_largest(feasible, rho_min: float) -> float | None:
     return lo if lo > 0 else None
 
 
+def build_A_rho(model: GibbsModel, rho: float) -> np.ndarray:
+    """Interaction matrix A^rho, the reference for the closed form.
+
+    Entry (i, j) with i in block k and j in block l != k is the cross
+    Hessian entry divided by sqrt((rho_k - rho)(rho_l - rho)); diagonal
+    blocks are zero.  Requires rho below every block constant.
+    """
+    gaps = block_lsi_constants(model)[model.partition.coordinate_block] - rho
+    if np.any(gaps <= 0):
+        raise CertificateError(
+            f"rho = {rho} is not below every block constant")
+    return model.cross / np.sqrt(np.outer(gaps, gaps))
+
+
 def bisect_rho_marton(model: GibbsModel) -> float | None:
     """Interaction-matrix certificate by bisection on ||A^rho|| <= 1."""
-    return _bisect_largest(lambda r: op_norm(build_A_rho(model, r)) <= 1.0,
-                           float(block_lsi_constants(model).min()))
+    return _bisect_largest(
+        lambda r: np.linalg.norm(build_A_rho(model, r), 2) <= 1.0,
+        float(block_lsi_constants(model).min()))
 
 
 def bisect_rho_or(model: GibbsModel) -> float | None:

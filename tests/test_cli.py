@@ -186,6 +186,27 @@ def test_criteria_rejects_non_finite_quartic(tmp_path, capsys, edit):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("form", ["toeplitz", "precision"])
+def test_criteria_entries_near_overflow(tmp_path, capsys, form):
+    # finite entries near 2^1023 load (symmetrising halves before it
+    # adds, so nothing overflows); D0 - C is indefinite, so the report
+    # certifies nothing and exits 3 with one stderr line and no warning
+    m = 64
+    spec = {"m": m, "diag": 1.7e308, "band": {"1": 1.5e308}}
+    doc = {"dim": m, "partition": [[i] for i in range(m)],
+           "quartic": [0.1] * m, "toeplitz": spec}
+    if form == "precision":
+        del doc["toeplitz"]
+        doc["precision"] = toeplitz_matrix(m, 1.7e308, {1: 1.5e308}).tolist()
+    code, out, err = run(["criteria", write_doc(tmp_path, doc)], capsys)
+    assert code == 3
+    report = strict_loads(out)
+    assert report["rho_k"] == [1.7e308] * m
+    assert report["flags"] == ["no_certificate", "or_infeasible"]
+    assert err == "no certificate: delta <= 0\n"
+
+
 @pytest.mark.parametrize("dim", [True, 2.0, 2.5, "2"])
 def test_criteria_rejects_non_integer_dim(tmp_path, capsys, dim):
     doc = model_to_dict(model_2d())

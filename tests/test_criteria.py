@@ -12,15 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from lsicert import criteria
 from lsicert.criteria import (
     CertificateError,
     CriteriaReport,
     block_lsi_constants,
-    build_A_rho,
     criteria_report,
     cross_block_norms,
-    op_norm,
     otto_reznikoff,
     solve_rho_marton,
     toeplitz_spectrum_report,
@@ -33,7 +30,7 @@ from lsicert.instances import (
 )
 from lsicert.model import (BlockPartition, GibbsModel, ModelValidationError,
                            toeplitz_matrix)
-from lsicert.oracles import bisect_rho_marton, bisect_rho_or
+from lsicert.oracles import bisect_rho_marton, bisect_rho_or, build_A_rho
 
 from conftest import batching_cases
 
@@ -115,19 +112,12 @@ def test_block_constants_banded():
     assert_allclose(block_lsi_constants(model), np.full(4, 3.0))
 
 
-def test_op_norm_cases():
-    assert op_norm(np.zeros((2, 2))) == 0.0
-    assert op_norm(np.array([[3.0, 0.0], [0.0, -4.0]])) == pytest.approx(4.0)
-    assert op_norm(np.array([[0.0, 2.0]])) == pytest.approx(2.0)
-    assert op_norm(np.zeros((0, 0))) == 0.0
-
-
 def test_build_A_rho_reference(model2d):
     a0 = build_A_rho(model2d, 0.0)
     assert_allclose(a0, [[0.0, -0.5], [-0.5, 0.0]], atol=1e-15)
     a_half = build_A_rho(model2d, RHO_2D)
     assert_allclose(a_half, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-12)
-    assert op_norm(a_half) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(a_half, 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_A_rho_rejects_rho_at_block_constant(model2d):
@@ -164,7 +154,7 @@ def test_interaction_norm_monotone_in_rho(seed):
     model = random_certified_model(rng)
     rho_min = float(block_lsi_constants(model).min())
     rhos = np.linspace(0.0, 0.9 * rho_min, 5)
-    norms = [op_norm(build_A_rho(model, float(r))) for r in rhos]
+    norms = [np.linalg.norm(build_A_rho(model, float(r)), 2) for r in rhos]
     assert all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -346,8 +336,8 @@ def test_cross_block_norms_match_per_pair_loop(name):
     want = np.zeros((part.n, part.n))
     for k in range(part.n):
         for ell in range(k + 1, part.n):
-            want[k, ell] = want[ell, k] = op_norm(
-                model.precision[np.ix_(part.block(k), part.block(ell))])
+            want[k, ell] = want[ell, k] = np.linalg.norm(
+                model.precision[np.ix_(part.block(k), part.block(ell))], 2)
     assert_array_equal(cross_block_norms(model), want)
 
 
@@ -362,16 +352,26 @@ def test_block_constants_match_per_block_loop(name):
 
 
 def test_criteria_report_computes_block_constants_once(monkeypatch):
-    calls = []
-    original = criteria.block_lsi_constants
+    # block_lsi_constants takes one stacked (blocks, s, s) eigvalsh per
+    # block size, and it is the only caller that stacks: count those.
+    # The report and both certificates read the constants, and the
+    # memo on the model computes them once for all of them.
+    stacked = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def counted(model):
-        calls.append(model)
-        return original(model)
+    def counted(mat, *args, **kwargs):
+        if np.ndim(mat) == 3:
+            stacked.append(np.shape(mat))
+        return eigvalsh(mat, *args, **kwargs)
 
-    monkeypatch.setattr(criteria, "block_lsi_constants", counted)
-    criteria_report(model_2d())
-    assert len(calls) == 1
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    model = model_2d()
+    criteria_report(model)
+    solve_rho_marton(model)
+    otto_reznikoff(model)
+    assert stacked == [(2, 1, 1)]
+    criteria_report(model_2d())  # a new model computes its own
+    assert len(stacked) == 2
 
 
 # ---- combined report ----

@@ -170,10 +170,11 @@ def test_weighted_sweep_fixes_target(model2d):
     assert est.std_error <= 1e-10
 
 
-def test_weighted_sweep_cap(model2d):
+def test_weighted_sweep_cap(model2d, monkeypatch):
+    monkeypatch.setattr(gibbs, "DEFAULT_COMPONENT_CAP", 1)
     mix = GaussianMixture.single(GaussianDist(np.zeros(2), np.eye(2)))
     with pytest.raises(MixtureCapError):
-        apply_weighted_gibbs(mix, model2d, np.array([1.0, 1.0]), cap=1)
+        apply_weighted_gibbs(mix, model2d, np.array([1.0, 1.0]))
 
 
 def test_weighted_sweep_rejects_bad_weights(model2d):
@@ -472,12 +473,12 @@ def test_contraction_estimates_track_exact_kl(model2d):
             4.0 * (row.tolerance / 3.0 + check.std_error)
 
 
-def test_contraction_cap_fallback(model2d):
+def test_contraction_cap_fallback(model2d, monkeypatch):
+    monkeypatch.setattr(gibbs, "DEFAULT_COMPONENT_CAP", 4)
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [2.0, -1.0])
     with pytest.raises(MixtureCapError):
-        verify_contraction(p0, model2d, rep, steps=4, nsamples=1000,
-                           seed=0, cap=4)
+        verify_contraction(p0, model2d, rep, steps=4, nsamples=1000, seed=0)
 
 
 def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
@@ -500,8 +501,9 @@ def test_byte_budget_charges_the_density_working_blocks(monkeypatch):
     monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET",
                         4 * gibbs._component_bytes(2)
                         + gibbs._LOGPDF_CHUNK_BYTES)
+    monkeypatch.setattr(gibbs, "DEFAULT_COMPONENT_CAP", 100)
     with pytest.raises(MixtureCapError):
-        gibbs._check_budget(4, 2, cap=100)
+        gibbs._check_budget(4, 2)
 
 
 @pytest.mark.parametrize("sweeps", [5, 7])

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lsicert import gibbs
 from lsicert import model as lsimodel
 from lsicert.model import (
     BlockPartition,
@@ -24,6 +27,9 @@ from lsicert.model import (
     toeplitz_matrix,
 )
 from lsicert.criteria import criteria_report, toeplitz_spectrum_report
+from lsicert.fokker_planck import entropy_trace
+from lsicert.gaussian import GaussianDist, avg_conditional_kl, gaussian_target
+from lsicert.gibbs import verify_contraction
 from lsicert.instances import (model_2d, random_certified_model,
                                random_quartic_model)
 
@@ -81,6 +87,17 @@ def test_model_symmetrizes_roundoff():
     model = GibbsModel(partition=part, precision=prec, mean=np.zeros(2),
                        quartic=np.zeros(2))
     assert model.precision[0, 1] == model.precision[1, 0]
+
+
+def test_model_symmetrizes_entries_near_overflow():
+    # 0.5 K + 0.5 K' halves before it adds, so entries near 2^1023 are
+    # kept as they are; 0.5 (K + K') overflowed to inf on them
+    part = BlockPartition(((0,), (1,)))
+    prec = np.array([[1.7e308, 1.5e308], [1.5e308, 1.7e308]])
+    model = GibbsModel(partition=part, precision=prec, mean=np.zeros(2),
+                       quartic=np.full(2, 0.1))
+    assert model.precision is not prec
+    assert model.precision.tobytes() == prec.tobytes()
 
 
 def test_model_rejects_negative_quartic():
@@ -457,3 +474,64 @@ def test_dense_gaussian_fixtures_keep_the_dense_path(banded_solves, dim):
                   random_quartic_model(rng, dim=dim)):
         criteria_report(model)
     assert banded_solves == []
+
+
+def _through_every_memo(m: int) -> GibbsModel:
+    """A chain of m coordinates in four blocks, passed through every
+    routine that keeps a derived quantity on the model or its target."""
+    model = model_from_dict(
+        {"dim": m, "partition": [list(range(i, i + m // 4))
+                                 for i in range(0, m, m // 4)],
+         "toeplitz": {"m": m, "diag": 4.0, "band": {"1": 1.0}}})
+    q = gaussian_target(model)
+    p = GaussianDist(q.mean + 1.0, q.cov)
+    avg_conditional_kl(p, q, model.partition)
+    report = criteria_report(model)
+    verify_contraction(p, model, report, steps=1, nsamples=1000, seed=0)
+    entropy_trace(p, model, np.linspace(0.0, 1.0, 5))
+    return model
+
+
+def test_derived_quantities_are_freed_with_the_model(monkeypatch):
+    # 3 points per Gram-form chunk at d = 256 make the Monte Carlo pass
+    # slow under tracemalloc; what is kept does not depend on the chunk
+    monkeypatch.setattr(gibbs, "_LOGPDF_CHUNK_BYTES", 16 << 20)
+    _through_every_memo(256)  # one-time allocations happen before the baseline
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        refs = [weakref.ref(_through_every_memo(256)) for _ in range(3)]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert all(ref() is None for ref in refs)
+    # each model's K alone is 512 KiB
+    assert kept < 256 << 10
+
+
+def _memo_arrays(value):
+    """The arrays of a memoised value: through tuples, and a law's mean,
+    covariance and its own memo."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _memo_arrays(item)
+    elif isinstance(value, GaussianDist):
+        yield from _memo_arrays((value.mean, value.cov,
+                                 *vars(value)["_per_object"].values()))
+    else:
+        raise AssertionError(f"unexpected memoised value {value!r}")
+
+
+def test_memoised_arrays_are_read_only():
+    model = _through_every_memo(16)
+    store = vars(model)["_per_object"]
+    assert {key[0].__name__ for key in store} == {
+        "block_lsi_constants", "gaussian_target", "memo_conditionals",
+        "_block_update_map", "_precision_eigh"}
+    arrays = list(_memo_arrays(tuple(store.values())))
+    assert len(arrays) > len(store)
+    assert not any(arr.flags.writeable for arr in arrays)
