@@ -18,14 +18,14 @@ Exit codes: 0 success, 1 usage error (including `verify` on a model with
 a quartic term, since the closed-form verifiers need a Gaussian model,
 `verify` with --trials or --steps below 1 or gibbs --samples below
 MIN_MC_SAMPLES, refused before any work, `verify gibbs` when the exact
-mixture would exceed the component cap or the byte budget, a model whose
-dense K, or a `toeplitz` section whose four dense m x m arrays, would
-exceed `model.DENSE_BYTE_BUDGET`, refused before anything is built,
-non-finite or overflowing `toeplitz` coefficients, and an --out
-path that cannot be written), 2 invalid model, 3 no certificate, 4
-verification failure.  Output is strict JSON or CSV, byte-identical
-across runs for equal inputs and seeds; all randomness derives from
---seed.
+mixture and its --samples draws would exceed the component cap or the
+byte budget, refused before any sweep, a model whose dense K, or a
+`toeplitz` section whose four dense m x m arrays, would exceed
+`model.DENSE_BYTE_BUDGET`, refused before anything is built, non-finite
+or overflowing `toeplitz` coefficients, and an --out path that cannot
+be written), 2 invalid model, 3 no certificate, 4 verification failure.
+Output is strict JSON or CSV, byte-identical across runs for equal
+inputs and seeds; all randomness derives from --seed.
 """
 
 from __future__ import annotations

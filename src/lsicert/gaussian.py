@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .model import BlockPartition, GibbsModel, per_object
+from .model import BlockPartition, GibbsModel, per_object, symmetrized
 
 _INVERSE_TOL = 1e-8
 
@@ -37,9 +37,10 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 class GaussianStack:
     """T Gaussian laws N(means[t], covs[t]) with batched derived factors.
 
-    Each covariance must be symmetric to 1e-8 of its largest entry (it is
-    then symmetrized) and positive definite; the precisions are refused
-    when an inverse misses the identity by over _INVERSE_TOL.
+    Entries must be finite, each covariance symmetric to 1e-8 of its
+    largest entry (model.symmetrized keeps or copies it) and positive
+    definite; a precision P is refused when P C misses I by over
+    _INVERSE_TOL.
     """
 
     means: np.ndarray
@@ -48,22 +49,19 @@ class GaussianStack:
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
         covs = np.asarray(self.covs, dtype=float)
-        if means.ndim != 2:
-            raise ValueError("means must be a (trials, dim) array")
+        if means.ndim != 2 or not len(means):
+            raise ValueError("means must be (trials, dim), at least one law")
         t, n = means.shape
         if covs.shape != (t, n, n):
             raise ValueError(f"covs must be {t}x{n}x{n}, got {covs.shape}")
-        if t == 0:
-            raise ValueError("a stack needs at least one law")
-        sym = covs.swapaxes(-1, -2)
-        scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))
-        if np.any(np.abs(covs - sym).max(axis=(1, 2)) > 1e-8 * scale):
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(covs))):
+            raise ValueError("means and covs must be finite")
+        covs, asym = symmetrized(covs, 1e-8)
+        if np.any(asym):
             raise ValueError("cov must be symmetric")
-        covs = 0.5 * covs + 0.5 * sym
-        covs.flags.writeable = False
-        means.flags.writeable = False
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
+        for name, arr in (("means", means), ("covs", covs)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         self.chols  # positive definiteness check at construction
 
     @classmethod
@@ -119,17 +117,10 @@ class GaussianDist:
     stack: GaussianStack = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        n = mean.shape[0]
-        if cov.shape != (n, n):
-            raise ValueError(f"cov must be {n}x{n}, got {cov.shape}")
-        stack = GaussianStack(mean[None], cov[None])
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "mean", stack.means[0])
-        object.__setattr__(self, "cov", stack.covs[0])
+        stack = GaussianStack([self.mean], [self.cov])
+        for name, val in (("stack", stack), ("mean", stack.means[0]),
+                          ("cov", stack.covs[0])):
+            object.__setattr__(self, name, val)
 
     @property
     def dim(self) -> int:

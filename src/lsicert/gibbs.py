@@ -60,37 +60,43 @@ class MixtureCapError(RuntimeError):
 def _component_bytes(dim: int) -> int:
     """Upper bound on the peak bytes per component of the larger mixture:
     6 d^2 in _image (the source stack's covs and chols, the gathered covs,
-    then three push temporaries or, once they are freed, at most two
-    arrays of the image stack's checks and factors), charged as 7 d^2, or
+    which the image stack keeps, then three push temporaries or, once
+    they are freed, the image's Cholesky factors), charged as 7 d^2, or
     5 d^2 in kl_mixture_mc (the stack's covs and chols, and _gram_form's
     stacked factor, inverse and precision) plus d (d+1) for a quadratic
     row and the coefficients; 7 d + 9 more for vectors and scalars."""
     return (7 * dim * dim + 7 * dim + 9) * 8
 
 
-def _charged_bytes(count: int, dim: int) -> int:
-    """Bytes the budget charges for a mixture of count components: the
-    per-component peak, plus the density's working blocks of at most
-    2 _LOGPDF_CHUNK_BYTES, which do not grow with the count."""
-    return count * _component_bytes(dim) + 2 * _LOGPDF_CHUNK_BYTES
+def _charged_bytes(count: int, dim: int, nsamples=MIN_MC_SAMPLES) -> int:
+    """Bytes charged for count components and nsamples Monte Carlo draws:
+    the per-component peak, the density's working blocks of at most
+    2 _LOGPDF_CHUNK_BYTES, and 3 d + 2 floats a draw."""
+    return (count * _component_bytes(dim) + 2 * _LOGPDF_CHUNK_BYTES
+            + nsamples * (3 * dim + 2) * 8)
 
 
-def _check_budget(count: int, dim: int) -> None:
+def _check_budget(count: int, dim: int, nsamples=MIN_MC_SAMPLES) -> None:
     if count > DEFAULT_COMPONENT_CAP:
-        raise MixtureCapError(f"mixture would have {count} components, "
-                              f"cap is {DEFAULT_COMPONENT_CAP}")
-    size = _charged_bytes(count, dim)
+        raise MixtureCapError(f"mixture would have more than "
+                              f"{DEFAULT_COMPONENT_CAP} components")
+    size = _charged_bytes(count, dim, nsamples)
     if size > MIXTURE_BYTE_BUDGET:
         raise MixtureCapError(
-            f"mixture of {count} components in dimension {dim} needs "
-            f"{size} bytes, budget is {MIXTURE_BYTE_BUDGET}")
+            f"{count} components in dimension {dim} and {nsamples} samples "
+            f"need {size} bytes, budget is {MIXTURE_BYTE_BUDGET}")
 
 
 def collapsed_word_count(n_blocks: int, sweeps: int) -> int:
     """Distinct component laws after `sweeps` sweeps from one Gaussian:
     n (n-1)^j collapsed words with j + 1 block letters, summed over
-    j < sweeps."""
-    return n_blocks * sum((n_blocks - 1) ** j for j in range(sweeps))
+    j < sweeps until the sum passes DEFAULT_COMPONENT_CAP."""
+    total = 0
+    for j in range(sweeps):
+        total += n_blocks * (n_blocks - 1) ** j
+        if total > DEFAULT_COMPONENT_CAP or n_blocks == 1:
+            break
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,10 +294,10 @@ def _image(p: GaussianMixture, model: GibbsModel, moves) -> GaussianMixture:
     already ends in k is its own image and its rows are copied; equal keys
     sum their weights in first-seen order, and the other keys of each
     block k are pushed through its update in one batch.  The image is
-    stacked once; a copied row, exactly symmetric as every push leaves
-    it, is factored to the bits it had.  Raises
-    MixtureCapError before any push when the merged mixture would exceed
-    DEFAULT_COMPONENT_CAP or the byte budget.
+    stacked once, keeping the gathered covariances, which every push
+    leaves exactly symmetric; a copied row is factored to the bits it
+    had.  Raises MixtureCapError before any push when the merged mixture
+    would exceed DEFAULT_COMPONENT_CAP or the byte budget.
     """
     words = p.words or tuple((c,) for c in range(p.n_components))
     weights, sources = {}, {}
@@ -309,6 +315,7 @@ def _image(p: GaussianMixture, model: GibbsModel, moves) -> GaussianMixture:
         rows = np.flatnonzero((ks == k) & (kept == 0))
         update = _block_update_map(model, int(k))
         means[rows], covs[rows] = _push(means[rows], covs[rows], *update)
+    covs.flags.writeable = False  # gathered here: the stack keeps it
     return GaussianMixture(np.fromiter(weights.values(), float),
                            GaussianStack(means, covs), words=tuple(weights))
 
@@ -426,14 +433,15 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
     Returns one check per step m, param "step=m".  Step 0 is exact;
     later steps are Monte Carlo estimates with tolerance 3 SE, holding
     when estimate - 3 SE <= bound.  The exact law after m sweeps has
-    collapsed_word_count(n_blocks, m) components; when that would exceed
-    DEFAULT_COMPONENT_CAP or MIXTURE_BYTE_BUDGET, MixtureCapError is
-    raised before the first sweep.
+    collapsed_word_count(n_blocks, m) components; when they, with the
+    nsamples draws, exceed DEFAULT_COMPONENT_CAP or MIXTURE_BYTE_BUDGET,
+    MixtureCapError is raised before the first sweep.
     """
     if report.rho_marton is None:
         raise CertificateError("report carries no certified constant")
     _require_gaussian(model)
-    _check_budget(collapsed_word_count(model.partition.n, steps), model.dim)
+    _check_budget(collapsed_word_count(model.partition.n, steps), model.dim,
+                  nsamples)
     rho = float(report.rho_marton)
     rho_k = np.asarray(report.rho_k, dtype=float)
     total = float(rho_k.sum())
@@ -442,12 +450,11 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
     d0 = kl(p0, q)
 
     rng = np.random.default_rng(seed)
-    mc_seeds = rng.integers(0, 2 ** 62, size=max(steps, 1))
     rows = [Check("gibbs", "step=0", d0, d0, 0.0, True)]
     mix = GaussianMixture.single(p0)
     for m in range(1, steps + 1):
         mix = apply_weighted_gibbs(mix, model, rho_k)
-        est = kl_mixture_mc(mix, q, nsamples, int(mc_seeds[m - 1]))
+        est = kl_mixture_mc(mix, q, nsamples, int(rng.integers(0, 2 ** 62)))
         bound = factor ** m * d0
         tol = 3.0 * est.std_error
         rows.append(Check("gibbs", f"step={m}", est.estimate, bound, tol,

@@ -59,7 +59,9 @@ def random_gaussians(rng: np.random.Generator, trials: int,
         means[t] = rng.normal(scale=2.0, size=dim)
         evals[t] = np.exp(rng.uniform(np.log(0.3), np.log(3.0), size=dim))
         rng.standard_normal(out=raw[t])
-    return GaussianStack(means, _spd(evals, raw))
+    covs = _spd(evals, raw)
+    covs.flags.writeable = False  # built here: the stack keeps it
+    return GaussianStack(means, covs)
 
 
 def random_gaussian(rng: np.random.Generator, dim: int) -> GaussianDist:

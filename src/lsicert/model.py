@@ -29,8 +29,8 @@ SYMMETRY_TOL = 1e-12
 # Bytes a document may ask for in its dense K, charged before anything is
 # built.  Structured storage for Toeplitz specs would lift this for them.
 DENSE_BYTE_BUDGET = 256 * 2**20
-# Size of one row block of K - K' in the symmetry check, which takes K a
-# block at a time so that no m x m temporary is built.
+# Size of one row block of A - A' in `symmetrized`, which takes a stack of
+# matrices a block at a time so that no full temporary is built.
 _SYMMETRY_CHUNK_BYTES = 1 << 20
 # extreme_eigvalsh takes the banded solver for an m x m matrix of lower
 # bandwidth b when m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m.
@@ -180,6 +180,32 @@ def extreme_eigvalsh(mat: np.ndarray) -> tuple:
     return float(evals[0]), float(evals[-1])
 
 
+def symmetrized(mat: np.ndarray, tol: float) -> tuple:
+    """(S, asym) for the finite matrices A over the last two axes of mat:
+    asym flags each A with max|A - A'| > tol max(1, max|A|), taken one
+    _SYMMETRY_CHUNK_BYTES row block at a time; S is mat if it is read-only,
+    owns its data and is bitwise symmetric, else 0.5 A + 0.5 A'."""
+    flat = mat.reshape(-1, *mat.shape[-2:])
+    n = flat.shape[2]
+    rows = max(1, _SYMMETRY_CHUNK_BYTES // (8 * n))
+    mats = max(1, rows // n)  # whole matrices per block, when they fit
+    limit = tol * np.fmax(1.0, np.fmax(-flat.min((1, 2)), flat.max((1, 2))))
+    asym = np.zeros(len(flat), dtype=bool)
+    keep = not mat.flags.writeable and mat.base is None
+    for t in range(0, len(flat), mats):
+        for lo in range(0, n, rows):
+            a = flat[t:t + mats, lo:lo + rows]
+            b = flat[t:t + mats, :, lo:lo + rows].swapaxes(1, 2)
+            keep = keep and np.array_equal(a.view("u8"), b.view("u8"))
+            with np.errstate(over="ignore"):  # an inf gap is over any tol
+                gap = np.subtract(a, b)
+            gap = np.abs(gap, out=gap).max((1, 2))
+            asym[t:t + mats] |= gap > limit[t:t + mats]
+    if not keep:
+        mat = 0.5 * mat + 0.5 * mat.swapaxes(-1, -2)  # cannot overflow
+    return mat, asym.reshape(mat.shape[:-2])
+
+
 @dataclass(frozen=True, eq=False)
 class GibbsModel:
     """Gibbs density exp(-V) with quadratic-plus-quartic potential V."""
@@ -202,26 +228,11 @@ class GibbsModel:
         if quart.shape != (n,):
             raise ModelFormatError(
                 f"quartic must have length {n}, got {quart.shape}")
-        scale = max(1.0, -float(prec.min()), float(prec.max())) \
-            if prec.size else 1.0
-        rows = max(1, _SYMMETRY_CHUNK_BYTES // (8 * n))
-        gaps = []
-        for lo in range(0, n, rows):
-            asym = prec[lo:lo + rows] - prec[:, lo:lo + rows].T
-            gaps.append(np.abs(asym, out=asym).max())
-        # np.max, not max: a NaN anywhere passes on to the finiteness check
-        if float(np.max(gaps)) > SYMMETRY_TOL * scale:
-            raise ModelValidationError("precision matrix is not symmetric")
-        # A read-only K that owns its data and is bitwise symmetric is kept
-        # without the copy 0.5 K + 0.5 K', which would equal it.  Halving
-        # first cannot overflow, and outside the subnormal range it rounds
-        # as 0.5 (K + K') does.
-        bits = prec.view(np.uint64)
-        if (prec.flags.writeable or prec.base is not None
-                or not np.array_equal(bits, bits.T)):
-            prec = 0.5 * prec + 0.5 * prec.T
         if not all(np.all(np.isfinite(arr)) for arr in (prec, mean, quart)):
             raise ModelValidationError("model entries must be finite")
+        prec, asym = symmetrized(prec, SYMMETRY_TOL)
+        if asym:
+            raise ModelValidationError("precision matrix is not symmetric")
         if np.any(quart < 0):
             raise ModelValidationError("quartic coefficients must be >= 0")
         if np.all(quart == 0):
@@ -230,11 +241,10 @@ class GibbsModel:
                 raise ModelValidationError(
                     f"precision must be positive definite for a Gaussian model "
                     f"(min eigenvalue {lam_min:.6g})")
-        for arr in (prec, mean, quart):
+        for name, arr in (("precision", prec), ("mean", mean),
+                          ("quartic", quart)):
             arr.flags.writeable = False
-        object.__setattr__(self, "precision", prec)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "quartic", quart)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -292,7 +302,7 @@ def grad_potential(model: GibbsModel, x: np.ndarray) -> np.ndarray:
 
 def _float_array(doc: dict, key: str, default) -> np.ndarray:
     try:
-        return np.asarray(doc.get(key, default), dtype=float)
+        return np.array(doc.get(key, default), dtype=float)
     except (TypeError, ValueError):
         raise ModelFormatError(f"'{key}' must be a rectangular array of "
                                "numbers")
@@ -332,13 +342,11 @@ def model_from_dict(doc: dict) -> GibbsModel:
             raise ModelFormatError(f"bad toeplitz block: {exc}")
         if not _is_integer(m):
             raise ModelFormatError("'toeplitz.m' must be an integer")
-        if not np.all(np.isfinite([diag, *band.values()])):
-            raise ModelValidationError("model entries must be finite")
         if m != dim:
             raise ModelValidationError(
                 f"toeplitz size {m} does not match dim {dim}")
         precision = toeplitz_matrix(m, diag, band)
-        precision.flags.writeable = False  # built here: the model may keep it
+    precision.flags.writeable = False  # built here: the model may keep it
 
     mean = _float_array(doc, "mean", np.zeros(dim))
     quartic = _float_array(doc, "quartic", np.zeros(dim))

@@ -2,6 +2,7 @@
 byte-for-byte determinism."""
 
 import json
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -93,21 +94,24 @@ def test_criteria_json_report(model_path, capsys):
 
 
 def test_criteria_echo_is_model_not_file(tmp_path, capsys):
-    # the m = 256 chain as a toeplitz spec and as its dense expansion
+    # m = 256 chains as a toeplitz spec and as its dense expansion; the
+    # subnormal band survives both loads unchanged
     m = 256
-    spec = write_doc(tmp_path, {"dim": m, "partition": [[i] for i in range(m)],
-                                "toeplitz": {"m": m, "diag": 3.0,
-                                             "band": {"1": 1.0}}})
-    dense = tmp_path / "dense.json"
-    save_model(load_model(spec), dense)
-    code, out, _ = run(["criteria", spec], capsys)
-    assert code == 0
-    assert run(["criteria", str(dense)], capsys) == (0, out, "")
-    assert len(out.encode()) < 8 * 1024
-    echo = json.loads(out)["model"]
-    assert list(echo) == ["dim", "block_sizes", "sha256"]
-    assert echo["dim"] == m and echo["block_sizes"] == [1] * m
-    assert echo["sha256"] == model_digest(load_model(dense))
+    for coeff in (1.0, 5e-324):
+        spec = write_doc(tmp_path, {"dim": m,
+                                    "partition": [[i] for i in range(m)],
+                                    "toeplitz": {"m": m, "diag": 3.0,
+                                                 "band": {"1": coeff}}})
+        dense = tmp_path / "dense.json"
+        save_model(load_model(spec), dense)
+        code, out, _ = run(["criteria", spec], capsys)
+        assert code == 0
+        assert run(["criteria", str(dense)], capsys) == (0, out, "")
+        assert len(out.encode()) < 8 * 1024
+        echo = json.loads(out)["model"]
+        assert list(echo) == ["dim", "block_sizes", "sha256"]
+        assert echo["dim"] == m and echo["block_sizes"] == [1] * m
+        assert echo["sha256"] == model_digest(load_model(dense))
 
 
 def test_criteria_deterministic_bytes(model_path, tmp_path, capsys):
@@ -167,6 +171,8 @@ def test_criteria_strict_json(model_path, quartic_model_path,
 @pytest.mark.parametrize("edit", [
     pytest.param({"quartic": [float("nan"), 0.0]}, id="nan"),
     pytest.param({"quartic": [float("inf"), 0.0]}, id="inf"),
+    pytest.param({"precision": [[float("inf"), -0.5], [-0.5, 1.0]]},
+                 id="inf-precision"),
     pytest.param({"partition": [0, 1]}, id="flat-partition"),
     pytest.param({"precision": None,
                   "toeplitz": {"m": 2, "diag": 3.0, "band": [1, 2]}},
@@ -444,6 +450,34 @@ def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
     assert code == 1
     assert out == ""
     assert "65536 components" in err and "budget" in err
+
+
+@pytest.mark.parametrize("blocks, args", [
+    (2, ["--steps", "1", "--samples", "1000000000000"]),
+    (3, ["--steps", "100000"]),
+    (2, ["--steps", "10000000"]),
+])
+def test_verify_gibbs_oversized_run_refused_up_front(blocks, args, tmp_path,
+                                                    capsys, monkeypatch):
+    # the Monte Carlo samples and the component count are charged before
+    # the first sweep: an oversized run is refused at once, in one line
+    prec = np.full((blocks, blocks), -0.5)
+    np.fill_diagonal(prec, 2.0)
+    path = tmp_path / "blocks.json"
+    save_model(GibbsModel(partition=BlockPartition(
+        tuple((i,) for i in range(blocks))), precision=prec,
+        mean=np.zeros(blocks), quartic=np.zeros(blocks)), path)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before the budget check")
+
+    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", no_sweep)
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path), "gibbs", *args], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error") and len(err.splitlines()) == 1
 
 
 def test_verify_small_sample_usage_error(model_path, capsys):

@@ -97,6 +97,28 @@ def test_dist_rejects_asymmetric_cov():
         GaussianDist(np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mean, cov", [
+    ([np.nan, 0.0], np.eye(2)),
+    ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+    ([0.0, 0.0], [[1.0, np.nan], [0.5, 1.0]]),
+])
+def test_dist_rejects_non_finite_law(mean, cov):
+    # refused before the symmetry test, which would warn on inf - inf
+    with pytest.raises(ValueError, match="must be finite"):
+        GaussianDist(np.array(mean), np.array(cov))
+
+
+def test_stack_keeps_a_read_only_symmetric_cov_without_a_copy():
+    covs = random_gaussians(np.random.default_rng(2), 3, 4).covs.copy()
+    covs.flags.writeable = False
+    assert GaussianStack(np.zeros((3, 4)), covs).covs is covs
+    writable = covs.copy()
+    copied = GaussianStack(np.zeros((3, 4)), writable).covs
+    assert copied is not writable and writable.flags.writeable
+    assert copied.tobytes() == covs.tobytes()
+
+
 def test_dist_precision_inverts_cov(rng):
     g = random_gaussian(rng, 4)
     assert_allclose(g.precision @ g.cov, np.eye(4), atol=1e-10)

@@ -530,6 +530,29 @@ def test_sweep_and_mc_peak_within_component_budget(sweeps):
     assert peak <= gibbs._charged_bytes(mix.n_components, 8)
 
 
+def test_sweep_image_holds_the_gathered_covariances_once():
+    # d = 8 in four blocks, 160 components to 484: the image stack keeps
+    # the gathered covariances, so the sweep peaks near 3 d^2 x 8 bytes
+    # per image component, words included
+    rng = np.random.default_rng(3)
+    part = BlockPartition(((0, 1), (2, 3), (4, 5), (6, 7)))
+    model = GibbsModel(partition=part, precision=random_spd(rng, 8),
+                       mean=rng.normal(size=8), quartic=np.zeros(8))
+    mix = GaussianMixture.single(random_gaussian(rng, 8))
+    for _ in range(4):
+        mix = apply_weighted_gibbs(mix, model, np.ones(4))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        image = apply_weighted_gibbs(mix, model, np.ones(4))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert image.n_components == 484
+    assert image.laws.covs.flags.writeable is False
+    assert peak <= 3.5 * 8 * 8 * 8 * image.n_components
+
+
 def test_contraction_determinism(model2d):
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [1.0, 1.0])

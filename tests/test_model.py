@@ -28,7 +28,8 @@ from lsicert.model import (
 )
 from lsicert.criteria import criteria_report, toeplitz_spectrum_report
 from lsicert.fokker_planck import entropy_trace
-from lsicert.gaussian import GaussianDist, avg_conditional_kl, gaussian_target
+from lsicert.gaussian import (GaussianDist, GaussianStack, avg_conditional_kl,
+                              gaussian_target)
 from lsicert.gibbs import verify_contraction
 from lsicert.instances import (model_2d, random_certified_model,
                                random_quartic_model)
@@ -169,26 +170,34 @@ def test_toeplitz_matrix_builds_one_dense_array():
 
 
 def test_toeplitz_document_loads_with_one_dense_array():
-    # the symmetry check takes K - K' a row block at a time, so loading
-    # peaks near the one m x m array that DENSE_BYTE_BUDGET charges
+    # the symmetry check takes K - K' a row block at a time, and the K a
+    # toeplitz spec or a dense document builds is exactly symmetric, so
+    # the model keeps it: loading peaks near the one m x m array that
+    # DENSE_BYTE_BUDGET charges
     m = 2000
-    doc = {"dim": m, "partition": [[i] for i in range(m)],
-           "toeplitz": {"m": m, "diag": 3.0, "band": {"1": 1.0, "2": -0.5}}}
-    tracemalloc.start()
-    try:
-        model = model_from_dict(doc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert model.precision.shape == (m, m)
-    assert peak <= 1.25 * m * m * 8
+    rows = [[3.0 if i == j else 1.0 if abs(i - j) == 1 else 0.0
+             for j in range(m)] for i in range(m)]
+    for key, val in (("toeplitz", {"m": m, "diag": 3.0,
+                                   "band": {"1": 1.0, "2": -0.5}}),
+                     ("precision", rows)):
+        doc = {"dim": m, "partition": [[i] for i in range(m)], key: val}
+        tracemalloc.start()
+        try:
+            model = model_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.precision.shape == (m, m)
+        assert peak <= 1.25 * m * m * 8
 
 
 @pytest.mark.parametrize("row, col", [(0, 1), (63, 62), (64, 65),
                                       (199, 198)])
 def test_symmetry_check_sees_every_row_block(monkeypatch, row, col):
     # 64-row blocks of a 200 x 200 K: an asymmetric pair inside the first
-    # block, on either side of a block edge, or in the short last block
+    # block, on either side of a block edge, or in the short last block;
+    # the same rows of the second law of a stack, and the same laws of a
+    # stack of 200 small covariances taken 64 at a time
     monkeypatch.setattr(lsimodel, "_SYMMETRY_CHUNK_BYTES", 64 * 200 * 8)
     prec = np.eye(200)
     prec[row, col] = 1e-3
@@ -196,9 +205,20 @@ def test_symmetry_check_sees_every_row_block(monkeypatch, row, col):
     with pytest.raises(ModelValidationError, match="not symmetric"):
         GibbsModel(partition=part, precision=prec, mean=np.zeros(200),
                    quartic=np.zeros(200))
+    covs = np.stack([np.eye(200), prec])
+    with pytest.raises(ValueError, match="cov must be symmetric"):
+        GaussianStack(np.zeros((2, 200)), covs)
     prec[col, row] = 1e-3
     GibbsModel(partition=part, precision=prec, mean=np.zeros(200),
                quartic=np.zeros(200))
+    GaussianStack(np.zeros((2, 200)), np.stack([np.eye(200), prec]))
+
+    small = np.tile(np.eye(4), (200, 1, 1))
+    small[row, 0, 1] = 1e-3
+    with pytest.raises(ValueError, match="cov must be symmetric"):
+        GaussianStack(np.zeros((200, 4)), small)
+    small[row, 1, 0] = 1e-3
+    GaussianStack(np.zeros((200, 4)), small)
 
 
 def test_model_keeps_a_read_only_symmetric_precision_without_a_copy():

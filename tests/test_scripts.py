@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# The scripts run under the suite's warning policy (pyproject's
+# filterwarnings): a numpy RuntimeWarning is an error.
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+           PYTHONWARNINGS="error::RuntimeWarning")
 
 
 # 501 nodes is a grid coarser than the dissipation check accepts, so its
@@ -25,9 +29,8 @@ COARSE_FLOW = ["--nodes", "501", "--particles", "2000"]
 ])
 def test_script_runs(script, args):
     code = 4 if args is COARSE_FLOW else 0
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           *args], env=env, capture_output=True, text=True,
+                           *args], env=ENV, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == code, proc.stderr
     assert proc.stdout
@@ -38,12 +41,11 @@ def test_entropy_flow_writes_trace_csv(tmp_path):
     # one row per time node; the bound column is exp(-2 rho t) D0, which
     # starts at D0 and stays above the divergence
     path = tmp_path / "trace.csv"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" /
                                                "entropy_flow.py"),
                            "--nodes", "5001", "--particles", "2000",
                            "--csv", str(path)],
-                          env=env, capture_output=True, text=True,
+                          env=ENV, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = path.read_text().splitlines()
