@@ -16,10 +16,9 @@ chunk size.
 
 Exit codes: 0 success, 1 usage error (including `verify` on a model with
 a quartic term, since the closed-form verifiers need a Gaussian model,
-`verify` with --trials or --steps below 1 or gibbs --samples below
-MIN_MC_SAMPLES, refused before any work, `verify gibbs` when the exact
-mixture and its --samples draws would exceed the component cap or the
-byte budget, refused before any sweep, a model whose dense K, or a
+`verify` with --trials or --steps below 1, refused before any work,
+`verify gibbs` when the exact mixture would exceed the component cap or
+the byte budget, refused before any sweep, a model whose dense K, or a
 `toeplitz` section whose four dense m x m arrays, would exceed
 `model.DENSE_BYTE_BUDGET`, refused before anything is built, non-finite
 or overflowing `toeplitz` coefficients, and an --out path that cannot
@@ -141,10 +140,9 @@ def _trial_checks(subcheck: str, model, report, rng, count: int) -> list:
 def cmd_verify(args) -> int:
     trials = args.trials if args.trials is not None \
         else _DEFAULT_TRIALS.get(args.subcheck, 1)
-    if min(trials, args.steps) < 1 or (
-            args.subcheck == "gibbs" and args.samples < gibbs.MIN_MC_SAMPLES):
-        print(f"usage error: need --trials >= 1, --steps >= 1 and gibbs "
-              f"--samples >= {gibbs.MIN_MC_SAMPLES}", file=sys.stderr)
+    if min(trials, args.steps) < 1:
+        print("usage error: need --trials >= 1 and --steps >= 1",
+              file=sys.stderr)
         return EXIT_USAGE
     model = load_model(args.model)
     if not model.is_gaussian:
@@ -156,9 +154,8 @@ def cmd_verify(args) -> int:
         print("no certificate: delta <= 0", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
     if args.subcheck == "gibbs":
-        checks = gibbs.verify_contraction(
-            _default_p0(model), model, report, steps=args.steps,
-            nsamples=args.samples, seed=args.seed)
+        checks = gibbs.verify_contraction(_default_p0(model), model, report,
+                                          steps=args.steps)
     elif args.subcheck == "dissipation":
         _, checks = fokker_planck.dissipation_check(
             _default_p0(model), model, np.linspace(0.0, 5.0, 5001),
@@ -216,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("subcheck", choices=SUBCHECKS)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--samples", type=int, default=200_000,
-                    help="Monte Carlo samples per estimate")
+                    help="ignored; gibbs rows are closed form")
     pv.add_argument("--steps", type=int, default=8,
                     help="Gibbs sweeps to track")
     pv.add_argument("--trials", type=int, default=None,

@@ -3,7 +3,7 @@
 Resampling one block from its conditional maps a Gaussian law to a
 Gaussian law through an affine update, so the weighted block sampler maps
 finite Gaussian mixtures to finite Gaussian mixtures exactly.  This gives
-closed-form entropy drops per block and Monte Carlo estimates of the
+closed-form entropy drops per block and a closed-form upper bound on the
 mixture-to-target divergence along the sampler trajectory.
 
 A block update is idempotent (Gamma_k Gamma_k = Gamma_k), so each mixture
@@ -13,18 +13,11 @@ Components with equal words are the same law and are merged by summing
 their weights, which keeps the mixture exact at n sum_{j<m} (n-1)^j
 components after m sweeps of an n-block sampler instead of n^m.
 
-Mixture densities take the Gram form: each weighted component log
-density is a row of coefficients times phi(y) = [y_i y_j (i <= j), y, 1],
-y = x - centre, one product per chunk of points.  This rounds to about
-eps ||P_c|| (|y| + |mean_c - centre|)^2 for precision P_c, so components
-share a centre while ||P_c||_F |mean_c - centre|^2 <= _CENTRE_SPREAD.
-The Monte Carlo divergence adds the target as one more row.
-
 A mixture holds its weights, its words and one GaussianStack of
 component laws, which checks every covariance and holds the batched
 Cholesky factors and log determinants: a sweep pushes the components of
-each block in one batch and stacks the image once, and the Gram form
-reads the stack as it is.
+each block in one batch and stacks the image once, and `kl` reads the
+stack as it is.
 """
 
 from __future__ import annotations
@@ -35,21 +28,14 @@ from functools import cached_property
 import numpy as np
 
 from .criteria import CertificateError, Check, CriteriaReport
-from .gaussian import (_LOG_2PI, GaussianDist, GaussianStack, _dot,
-                       avg_conditional_kl, gaussian_target, kl,
-                       memo_conditionals, tril_inverse)
+from .gaussian import (GaussianDist, GaussianStack, _dot, avg_conditional_kl,
+                       gaussian_target, kl, memo_conditionals)
 from .model import GibbsModel, per_object
 
 DEFAULT_COMPONENT_CAP = 100_000
 # Largest storage a swept mixture may take; checked before any component
 # is built.
 MIXTURE_BYTE_BUDGET = 1 << 30
-# Size of the larger of the (components x features) and (features x rows)
-# working blocks of one row chunk of the Gram-form mixture density.
-_LOGPDF_CHUNK_BYTES = 1 << 20
-# Bounds the rounding of the Gram form (see the module docstring).
-_CENTRE_SPREAD = 64.0
-MIN_MC_SAMPLES = 1_000
 
 
 class MixtureCapError(RuntimeError):
@@ -61,30 +47,22 @@ def _component_bytes(dim: int) -> int:
     """Upper bound on the peak bytes per component of the larger mixture:
     6 d^2 in _image (the source stack's covs and chols, the gathered covs,
     which the image stack keeps, then three push temporaries or, once
-    they are freed, the image's Cholesky factors), charged as 7 d^2, or
-    5 d^2 in kl_mixture_mc (the stack's covs and chols, and _gram_form's
-    stacked factor, inverse and precision) plus d (d+1) for a quadratic
-    row and the coefficients; 7 d + 9 more for vectors and scalars."""
+    they are freed, the image's Cholesky factors), charged as 7 d^2; the
+    closed-form `kl` of the image holds 3 d^2 (the stack's covs and chols
+    and one product with the target precision).  7 d + 9 more for
+    vectors and scalars."""
     return (7 * dim * dim + 7 * dim + 9) * 8
 
 
-def _charged_bytes(count: int, dim: int, nsamples=MIN_MC_SAMPLES) -> int:
-    """Bytes charged for count components and nsamples Monte Carlo draws:
-    the per-component peak, the density's working blocks of at most
-    2 _LOGPDF_CHUNK_BYTES, and 3 d + 2 floats a draw."""
-    return (count * _component_bytes(dim) + 2 * _LOGPDF_CHUNK_BYTES
-            + nsamples * (3 * dim + 2) * 8)
-
-
-def _check_budget(count: int, dim: int, nsamples=MIN_MC_SAMPLES) -> None:
+def _check_budget(count: int, dim: int) -> None:
     if count > DEFAULT_COMPONENT_CAP:
         raise MixtureCapError(f"mixture would have more than "
                               f"{DEFAULT_COMPONENT_CAP} components")
-    size = _charged_bytes(count, dim, nsamples)
+    size = count * _component_bytes(dim)
     if size > MIXTURE_BYTE_BUDGET:
         raise MixtureCapError(
-            f"{count} components in dimension {dim} and {nsamples} samples "
-            f"need {size} bytes, budget is {MIXTURE_BYTE_BUDGET}")
+            f"{count} components in dimension {dim} need {size} bytes, "
+            f"budget is {MIXTURE_BYTE_BUDGET}")
 
 
 def collapsed_word_count(n_blocks: int, sweeps: int) -> int:
@@ -156,91 +134,6 @@ class GaussianMixture:
     def components(self) -> tuple:
         """The components as GaussianDists, built on first access."""
         return tuple(self.laws.law(c) for c in range(self.n_components))
-
-    @cached_property
-    def _gram(self) -> tuple:
-        return _gram_form(self.laws.means, self.laws.chols,
-                          self.laws.log_dets, np.log(self.weights))
-
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        """Log density, vectorized over rows of x."""
-        return _gram_logsumexp(*self._gram, x, target=False)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n draws: each component maps its rows of one normal draw into
-        its columns of a (d, n) block; returns the block's transpose."""
-        counts = rng.multinomial(n, self.weights)
-        z = rng.standard_normal((n, self.dim))
-        out = np.empty((self.dim, n))
-        stops, drawn = np.cumsum(counts), np.flatnonzero(counts)
-        for chol, lo, hi in zip(self.laws.chols[drawn],
-                                (stops - counts)[drawn].tolist(),
-                                stops[drawn].tolist()):
-            np.matmul(chol, z[lo:hi].T, out=out[:, lo:hi])
-        out += np.repeat(self.laws.means.T, counts, axis=1)
-        return out.T
-
-
-def _gram_form(means, chols, log_dets, log_weights) -> tuple:
-    """(coef, groups): row r of coef @ phi(x - centre) is log_weights[c]
-    + log N(x; means[c], chols[c] chols[c]') for the component c at row r,
-    log_dets[c] being its log det cov (see module docstring).
-
-    groups = ((centre, start, stop), ...) in row order; each centre is the
-    mean of the first component left and takes every component left within
-    the spread bound, in order, so row 0 is component 0.
-    """
-    n, dim = means.shape
-    inv = tril_inverse(chols)
-    prec = np.swapaxes(inv, 1, 2) @ inv
-    scale = np.sqrt(np.einsum("cij,cij->c", prec, prec))
-    shift, groups = np.empty_like(means), []
-    order, rest = np.empty(0, dtype=int), np.arange(n)
-    while rest.size:
-        spread = scale[rest] * np.sum((means[rest] - means[rest[0]]) ** 2, 1)
-        near = rest[spread <= _CENTRE_SPREAD]
-        shift[near] = means[near] - means[rest[0]]
-        groups.append((means[rest[0]], order.size, order.size + near.size))
-        order, rest = np.append(order, near), rest[spread > _CENTRE_SPREAD]
-    lin = np.einsum("cij,cj->ci", prec, shift)
-    iu, ju = np.triu_indices(dim)
-    quad = prec[order[:, None], iu, ju] * np.where(iu == ju, -0.5, -1.0)
-    const = log_weights - 0.5 * (dim * _LOG_2PI + np.sum(lin * shift, axis=1)
-                                 + log_dets)
-    return np.hstack([quad, lin[order], const[order, None]]), tuple(groups)
-
-
-def _gram_logsumexp(coef, groups, x, target: bool) -> np.ndarray:
-    """Log-sum-exp of the rows of a _gram_form at the rows of x; with
-    target set, of rows 1.. minus row 0."""
-    xt = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=float)).T)
-    dim, n_pts = xt.shape
-    if dim != groups[0][0].size:
-        raise ValueError("points must have the mixture dimension")
-    step = max(1, _LOGPDF_CHUNK_BYTES // (8 * max(coef.shape)))
-    # terms, features and y blocks shared by every chunk, a short tail
-    # using their left columns; the ones row of the features is set once
-    bufs = [np.empty((rows, min(step, n_pts)))
-            for rows in (coef.shape[0], coef.shape[1], dim)]
-    bufs[1][-1] = 1.0
-    out = np.empty(n_pts)
-    for start in range(0, n_pts, step):
-        chunk = xt[:, start:start + step]
-        terms, feat, y = (buf[:, :chunk.shape[1]] for buf in bufs)
-        for centre, lo, hi in groups:
-            np.subtract(chunk, centre[:, None], out=y)
-            for i in range(dim):
-                row = i * dim - i * (i - 1) // 2
-                np.multiply(y[i], y[i:], out=feat[row:row + dim - i])
-            feat[-1 - dim:-1] = y
-            np.matmul(coef[lo:hi], feat, out=terms[lo:hi])
-        mix = terms[1:] if target else terms
-        top = mix.max(axis=0)
-        mix -= top
-        np.exp(mix, out=mix)
-        vals = top + np.log(mix.sum(axis=0))
-        out[start:start + step] = vals - terms[0] if target else vals
-    return out
 
 
 @per_object
@@ -349,38 +242,6 @@ def apply_weighted_gibbs(p: GaussianMixture, model: GibbsModel,
     return _image(p, model, moves)
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    estimate: float
-    std_error: float
-    nsamples: int
-    seed: int
-
-
-def kl_mixture_mc(p: GaussianMixture, q: GaussianDist, nsamples: int,
-                  seed: int) -> MCEstimate:
-    """Monte Carlo estimate of D(p||q) with both densities exact.
-
-    Samples x ~ p and averages log p(x) - log q(x), one Gram-form pass;
-    the reported standard error is the sample std over sqrt(nsamples).
-    """
-    if nsamples < MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {MIN_MC_SAMPLES} samples")
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch between mixture and target")
-    rng = np.random.default_rng(seed)
-    x = p.sample(rng, nsamples)
-    form = _gram_form(np.vstack([q.mean, p.laws.means]),
-                      np.concatenate([q.chol[None], p.laws.chols]),
-                      np.append(q.log_det_cov, p.laws.log_dets),
-                      np.append(0.0, np.log(p.weights)))
-    vals = _gram_logsumexp(*form, x, target=True)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(nsamples))
-    return MCEstimate(estimate=est, std_error=se, nsamples=int(nsamples),
-                      seed=int(seed))
-
-
 def verify_theorem1(p, model: GibbsModel, report: CriteriaReport):
     """Check D(p||q) <= (1/rho) sum_k rho_k E[D(p^k(.|xbar) || q^k(.|xbar))].
 
@@ -425,38 +286,33 @@ def entropy_drop_identity(p: GaussianDist, model: GibbsModel,
 
 
 def verify_contraction(p0: GaussianDist, model: GibbsModel,
-                       report: CriteriaReport, steps: int, nsamples: int,
-                       seed: int) -> tuple:
-    """Track the sweep trajectory and compare divergence against the
-    geometric bound (1 - rho/R)^m D(p0||q).
+                       report: CriteriaReport, steps: int) -> tuple:
+    """Track the sweep trajectory and compare U_m = sum_c w_c D(p_c||q)
+    over the step-m mixture's components against the geometric bound
+    (1 - rho/R)^m D(p0||q).
 
-    Returns one check per step m, param "step=m".  Step 0 is exact;
-    later steps are Monte Carlo estimates with tolerance 3 SE, holding
-    when estimate - 3 SE <= bound.  The exact law after m sweeps has
-    collapsed_word_count(n_blocks, m) components; when they, with the
-    nsamples draws, exceed DEFAULT_COMPONENT_CAP or MIXTURE_BYTE_BUDGET,
-    MixtureCapError is raised before the first sweep.
+    D(.||q) is convex, so D(p_m||q) <= U_m; the entropy-drop identity and
+    Theorem 1 give U_{m+1} <= (1 - rho/R) U_m component by component, so
+    every row is closed form and carries only ROUNDING_SLACK.  Returns one
+    check per step m, param "step=m"; step 0 is D(p0||q) against itself.
+    The exact law after m sweeps has collapsed_word_count(n_blocks, m)
+    components; when they exceed DEFAULT_COMPONENT_CAP or
+    MIXTURE_BYTE_BUDGET, MixtureCapError is raised before the first sweep.
     """
     if report.rho_marton is None:
         raise CertificateError("report carries no certified constant")
     _require_gaussian(model)
-    _check_budget(collapsed_word_count(model.partition.n, steps), model.dim,
-                  nsamples)
-    rho = float(report.rho_marton)
+    _check_budget(collapsed_word_count(model.partition.n, steps), model.dim)
     rho_k = np.asarray(report.rho_k, dtype=float)
-    total = float(rho_k.sum())
-    factor = 1.0 - rho / total
+    factor = 1.0 - float(report.rho_marton) / float(rho_k.sum())
     q = gaussian_target(model)
     d0 = kl(p0, q)
 
-    rng = np.random.default_rng(seed)
     rows = [Check("gibbs", "step=0", d0, d0, 0.0, True)]
     mix = GaussianMixture.single(p0)
     for m in range(1, steps + 1):
         mix = apply_weighted_gibbs(mix, model, rho_k)
-        est = kl_mixture_mc(mix, q, nsamples, int(rng.integers(0, 2 ** 62)))
-        bound = factor ** m * d0
-        tol = 3.0 * est.std_error
-        rows.append(Check("gibbs", f"step={m}", est.estimate, bound, tol,
-                          bool(est.estimate - tol <= bound)))
+        rows.append(Check.within_rounding("gibbs", f"step={m}",
+                                          mix.weights @ kl(mix.laws, q),
+                                          factor ** m * d0))
     return tuple(rows)

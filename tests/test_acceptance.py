@@ -134,8 +134,7 @@ def test_criterion_07_gibbs_contraction():
     rep = criteria_report(model)
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + np.array([2.0, -1.0]), np.eye(2))
-    rows = verify_contraction(p0, model, rep, steps=8, nsamples=200_000,
-                              seed=42)
+    rows = verify_contraction(p0, model, rep, steps=8)
     elapsed = time.perf_counter() - t0
     factor_ok = abs((1.0 - rep.rho_marton / sum(rep.rho_k)) - 0.75) <= 1e-9
     ok = (factor_ok and all(r.holds for r in rows)

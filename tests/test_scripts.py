@@ -22,7 +22,7 @@ COARSE_FLOW = ["--nodes", "501", "--particles", "2000"]
 
 
 @pytest.mark.parametrize("script, args", [
-    ("contraction_demo.py", ["--steps", "2", "--samples", "2000"]),
+    ("contraction_demo.py", ["--steps", "2"]),
     ("entropy_flow.py", COARSE_FLOW),
     ("toeplitz_sections.py", ["--sizes", "8,16"]),
     ("entropy_flow.py", ["--nodes", "5001", "--particles", "2000"]),
