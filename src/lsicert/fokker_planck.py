@@ -3,11 +3,12 @@
 For Gaussian models the time-t law of the diffusion started at a Gaussian
 is Gaussian with closed-form moments, so divergence and Fisher
 information along the flow are exact.  A trace takes one Cholesky
-C_t = L_t L_t' per time node and one triangular inverse of it, in chunks
-of nodes: log det C_t = 2 sum log diag L_t, and the Fisher covariance
-term tr((K - C_t^-1) C_t (K - C_t^-1)) = ||L_t' K - L_t^-1||_F^2 because
-L_t' C_t^-1 = L_t^-1.  The module also checks the de
-Bruijn dissipation identity dD/dt = -I on grids, exponential entropy
+C_t = L_t L_t' per time node and one triangular inverse of it (LAPACK
+dtrtri, by gaussian.tril_inverse), in chunks of nodes:
+log det C_t = 2 sum log diag L_t, and the Fisher covariance term
+tr((K - C_t^-1) C_t (K - C_t^-1)) = ||L_t' K - L_t^-1||_F^2 because
+L_t' C_t^-1 = L_t^-1.  The module also checks the de Bruijn
+dissipation identity dD/dt = -I on grids, exponential entropy
 decay under a certified constant, and runs an Euler-Maruyama particle
 simulator that covers quartic models as well.  The simulator draws its
 noise on one worker thread, in stream order: while the calling thread

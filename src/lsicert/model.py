@@ -184,7 +184,9 @@ def symmetrized(mat: np.ndarray, tol: float) -> tuple:
     """(S, asym) for the finite matrices A over the last two axes of mat:
     asym flags each A with max|A - A'| > tol max(1, max|A|), taken one
     _SYMMETRY_CHUNK_BYTES row block at a time; S is mat if it is read-only,
-    owns its data and is bitwise symmetric, else 0.5 A + 0.5 A'."""
+    owns its data and is bitwise symmetric, else 0.5 A + 0.5 A'.  A kept
+    mat is handed over: its owner must not make it writeable again, or a
+    write would change the model or law but not the factors cached from it."""
     flat = mat.reshape(-1, *mat.shape[-2:])
     n = flat.shape[2]
     rows = max(1, _SYMMETRY_CHUNK_BYTES // (8 * n))

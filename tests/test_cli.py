@@ -2,9 +2,13 @@
 byte-for-byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -589,6 +593,61 @@ def test_toeplitz_band_offset_out_of_range(band, capsys):
     assert code == 2
     assert out == ""
     assert "invalid model" in err
+
+
+# Each refusal below is a documented exit code; most documents are edits
+# of the 2-d reference.
+_REF_DOC = model_to_dict(model_2d())
+_SINGLETONS = {"dim": 2, "partition": [[0], [1]]}
+
+
+@pytest.mark.parametrize("doc, argv, code, err_line", [
+    pytest.param([_REF_DOC], None, 2,
+                 "invalid model: model document must be a JSON object",
+                 id="list-document"),
+    pytest.param({k: v for k, v in _REF_DOC.items() if k != "dim"}, None, 2,
+                 "invalid model: model document needs 'dim' and 'partition'",
+                 id="no-dim"),
+    pytest.param({**_REF_DOC, "partition": []}, None, 2,
+                 "invalid model: partition needs at least one block",
+                 id="empty-partition"),
+    pytest.param({**_REF_DOC, "quartic": [0.0]}, None, 2,
+                 "invalid model: quartic must have length 2, got (1,)",
+                 id="short-quartic"),
+    pytest.param({**_SINGLETONS,
+                  "toeplitz": {"m": 3, "diag": 3.0, "band": {"1": 1.0}}},
+                 None, 2,
+                 "invalid model: toeplitz size 3 does not match dim 2",
+                 id="toeplitz-m-not-dim"),
+    pytest.param({**_SINGLETONS, "precision": [[-1.0, 0.0], [0.0, 1.0]],
+                  "quartic": [1.0, 1.0]}, None, 3,
+                 "no certificate: a diagonal precision block is not "
+                 "positive definite", id="quartic-not-pd-block"),
+    pytest.param(None, ["toeplitz", "--m", "8", "--band", ","], 1,
+                 "usage error: band specification is empty",
+                 id="empty-band"),
+])
+def test_documented_refusals(tmp_path, capsys, doc, argv, code, err_line):
+    # one stderr line, no traceback and nothing on stdout
+    if argv is None:
+        argv = ["criteria", write_doc(tmp_path, doc)]
+    assert run(argv, capsys) == (code, "", err_line + "\n")
+
+
+def test_console_entry_point_passes_exit_codes(model_path, bad_model_path,
+                                               capsys):
+    # `python -m lsicert.cli` exits with main's code and prints what main
+    # prints in process; a numpy RuntimeWarning is an error, as in the suite
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    for path, code in ((model_path, 0), (bad_model_path, 2)):
+        argv = ["criteria", path]
+        proc = subprocess.run([sys.executable, "-m", "lsicert.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(argv, capsys)
+        assert proc.returncode == code
 
 
 def test_unknown_subcommand(capsys):

@@ -26,7 +26,8 @@ from lsicert.fokker_planck import (
     langevin_particles,
 )
 from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl
-from lsicert.instances import random_certified_model, random_gaussian
+from lsicert.instances import (random_certified_model, random_gaussian,
+                               random_quartic_model)
 from lsicert.model import BlockPartition, GibbsModel, grad_potential
 
 
@@ -102,6 +103,15 @@ def test_evolve_rejects_bad_input(model2d):
         gaussian_fp_evolve(p0, model2d, -0.1)
     with pytest.raises(ValueError):
         gaussian_fp_evolve(GaussianDist(np.zeros(3), np.eye(3)), model2d, 1.0)
+
+
+def test_closed_form_flow_refuses_quartic_model(rng):
+    model = random_quartic_model(rng, dim=2)
+    p0 = GaussianDist(np.zeros(2), np.eye(2))
+    with pytest.raises(ValueError, match="Gaussian model"):
+        gaussian_fp_evolve(p0, model, 1.0)
+    with pytest.raises(ValueError, match="Gaussian model"):
+        entropy_trace(p0, model, np.linspace(0.0, 1.0, 11))
 
 
 # ---- entropy trace ----
@@ -482,6 +492,12 @@ def test_langevin_step_size_guard(model2d):
     with pytest.raises(ValueError):
         langevin_particles(model2d, p0, dt=0.01, steps=10, n=2000, seed=0,
                            checkpoints=[11])
+
+
+def test_langevin_rejects_wrong_dimension(model2d):
+    p0 = GaussianDist(np.zeros(3), np.eye(3))
+    with pytest.raises(ValueError, match="dimension"):
+        langevin_particles(model2d, p0, dt=0.01, steps=10, n=2000, seed=0)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])

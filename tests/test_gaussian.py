@@ -4,6 +4,8 @@ The quadrature oracles come first: they were used to derive the frozen
 anchor values that the closed forms are then held to.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from lsicert.gaussian import (
 )
 from lsicert.instances import (model_2d, random_certified_model,
                                random_gaussian, random_gaussians,
-                               random_partition)
+                               random_partition, random_quartic_model)
 from lsicert.model import BlockPartition, GibbsModel, toeplitz_matrix
 from lsicert.oracles import conditional, quad_fisher, quad_kl
 
@@ -138,6 +140,11 @@ def test_gaussian_target_reference(model2d):
     q = gaussian_target(model2d)
     assert_allclose(q.cov, (4.0 / 3.0) * np.array([[1.0, 0.5], [0.5, 1.0]]),
                     atol=1e-12)
+
+
+def test_gaussian_target_refuses_quartic_model(rng):
+    with pytest.raises(ValueError, match="quartic"):
+        gaussian_target(random_quartic_model(rng, dim=4))
 
 
 # ---- conditional ----
@@ -397,11 +404,12 @@ def test_verify_theorem1_takes_two_batched_conditionals(monkeypatch):
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 17, 32, 64])
-@pytest.mark.parametrize("stack", [1, 7])
+@pytest.mark.parametrize("stack", [(1,), (7,), (), (2, 3)],
+                         ids=["1", "7", "single", "2x3"])
 def test_tril_inverse_matches_general_inverse(size, stack):
-    rng = np.random.default_rng(100 * size + stack)
-    raw = rng.standard_normal((stack, size, size))
-    chol = np.linalg.cholesky(raw @ raw.transpose(0, 2, 1) / size
+    rng = np.random.default_rng(100 * size + math.prod(stack))
+    raw = rng.standard_normal(stack + (size, size))
+    chol = np.linalg.cholesky(raw @ raw.swapaxes(-1, -2) / size
                               + np.eye(size))
     chol.flags.writeable = False
     got = tril_inverse(chol)
@@ -409,6 +417,15 @@ def test_tril_inverse_matches_general_inverse(size, stack):
     assert got.shape == chol.shape
     assert np.all(np.triu(got, 1) == 0.0)
     assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+def test_tril_inverse_refuses_a_zero_diagonal_entry():
+    # the one singular factor of a stack is refused by LAPACK's info,
+    # with no divide-by-zero warning (a RuntimeWarning fails the test)
+    chol = np.tile(np.tril(np.full((4, 4), 0.5)) + np.eye(4), (3, 1, 1))
+    chol[1, 2, 2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="zero diagonal"):
+        tril_inverse(chol)
 
 
 # ---- stacked laws: every row is the single-law computation ----
@@ -518,30 +535,3 @@ def test_blockdiag_matmul_singletons_match_tiny_gemms():
     want[:, idx] = (diag[:, idx, idx][..., None, None]
                     @ mat[:, idx][:, :, None, :])[:, :, 0]
     assert _same_bits(gaussian._blockdiag_matmul(diag, mat, part), want)
-
-
-def _halving_tril_inverse(chol, out):
-    """tril_inverse's block recursion taken down to order-1 blocks."""
-    n = chol.shape[-1]
-    if n == 1:
-        np.divide(1.0, chol, out=out)
-        return
-    h = n // 2
-    _halving_tril_inverse(chol[..., :h, :h], out[..., :h, :h])
-    _halving_tril_inverse(chol[..., h:, h:], out[..., h:, h:])
-    low = out[..., h:, :h]
-    np.matmul(chol[..., h:, :h], out[..., :h, :h], out=low)
-    np.matmul(out[..., h:, h:], low, out=low)
-    low *= -1.0
-
-
-@pytest.mark.parametrize("stack", [(), (1,), (3,), (2, 3)])
-def test_tril_inverse_equals_full_halving_bit_for_bit(stack):
-    rng = np.random.default_rng(len(stack))
-    for size in list(range(1, 40)) + [64, 100, 128]:
-        raw = rng.standard_normal(stack + (size, size))
-        chol = np.linalg.cholesky(raw @ raw.swapaxes(-1, -2) / size
-                                  + np.eye(size))
-        want = np.zeros_like(chol)
-        _halving_tril_inverse(chol, want)
-        assert _same_bits(tril_inverse(chol), want), size

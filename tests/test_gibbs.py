@@ -94,6 +94,12 @@ def test_block_update_rejects_quartic(model2d, rng):
         apply_gibbs_block(mix, model, 0)
 
 
+def test_block_update_rejects_wrong_dimension(model2d, rng):
+    mix = GaussianMixture.single(random_gaussian(rng, 3))
+    with pytest.raises(ValueError, match="dimension"):
+        apply_gibbs_block(mix, model2d, 0)
+
+
 # ---- weighted sweep ----
 
 def test_weighted_sweep_component_layout(model2d):

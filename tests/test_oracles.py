@@ -6,17 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lsicert.criteria import CertificateError, CriteriaReport, criteria_report
+from lsicert.criteria import (CertificateError, CriteriaReport,
+                              block_lsi_constants, criteria_report)
 from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl, w2
 from lsicert.instances import (
     random_attractive_chain,
     random_certified_model,
     random_gaussian,
+    random_quartic_model,
 )
-from lsicert.model import GibbsModel
+from lsicert.model import BlockPartition, GibbsModel
 from lsicert.oracles import (
     QuadratureError,
     QuadValue,
+    bisect_rho_marton,
     prop4_check,
     quad_fisher,
     quad_kl,
@@ -201,6 +204,24 @@ def test_prop4_needs_margin(model2d):
                   rho_marton=None, rho_or=None, certified=False)
     with pytest.raises(CertificateError):
         prop4_check(model2d, rep, np.zeros(2), np.ones(2))
+
+
+def test_prop4_refuses_quartic_model(rng):
+    model = random_quartic_model(rng, dim=4)
+    with pytest.raises(ValueError, match="Gaussian model"):
+        prop4_check(model, criteria_report(model), np.zeros(4), np.ones(4))
+
+
+def test_bisect_rho_marton_without_cross_blocks_or_margin():
+    # with no cross block A^rho = 0 is feasible up to min rho_k, which is
+    # returned exactly; a block constant <= 0 leaves no feasible rho
+    prec = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    model = GibbsModel(BlockPartition(((0, 1), (2,))), prec, np.zeros(3),
+                       np.zeros(3))
+    assert bisect_rho_marton(model) == block_lsi_constants(model).min()
+    bad = GibbsModel(BlockPartition(((0,), (1,))), np.diag([-1.0, 1.0]),
+                     np.zeros(2), np.ones(2))
+    assert bisect_rho_marton(bad) is None
 
 
 def test_prop4_input_checks(model2d):
