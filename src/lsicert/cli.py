@@ -25,6 +25,9 @@ or overflowing `toeplitz` coefficients, and an --out path that cannot
 be written), 2 invalid model, 3 no certificate, 4 verification failure.
 Output is strict JSON or CSV, byte-identical across runs for equal
 inputs and seeds; all randomness derives from --seed.
+
+The argument parser is built once, when the module is imported, so a
+caller that runs `main` many times in one process pays for it once.
 """
 
 from __future__ import annotations
@@ -230,10 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parse_args keeps no state between calls, so each
+# in-process call of main reuses it.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

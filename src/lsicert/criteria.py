@@ -21,7 +21,10 @@ banded Toeplitz couplings.
 
 Each certificate has one routine (solve_rho_marton, otto_reznikoff) and
 criteria_report is built from both; the block constants they share are
-computed once per model and kept on it (model.per_object).
+computed once per model and kept on it (model.per_object).  The
+block-matrix criterion's kappa reads a 1 x 1 cross block as |K_kl|, in
+block order, and takes one batched SVD per shape for every other block
+shape (cross_block_norms).
 
 Every extreme eigenvalue of a whole matrix here (the certificates, the
 A0 diagnostics and the two Toeplitz sections) comes from
@@ -159,30 +162,50 @@ def solve_rho_marton(model: GibbsModel) -> float:
 def cross_block_norms(model: GibbsModel) -> np.ndarray:
     """Symmetric matrix of largest singular values of the cross blocks.
 
-    Only block pairs with a nonzero cross entry are evaluated; every
-    other pair has kappa = 0 exactly.  The coupled pairs are grouped by
-    block shape, each group's cross blocks are gathered into one
-    (pairs, a, b) stack by a single fancy index, and one batched
-    np.linalg.norm(stack, 2) call gives their norms: the same LAPACK SVD
-    per matrix as np.linalg.norm(block, 2), so the same values.
+    A 1 x 1 cross block's norm is |K_kl|, the bits its LAPACK SVD gives,
+    read without one.  On an all-singleton partition kappa is therefore
+    |K| gathered in block order (row and column k are coordinate
+    blocks[k][0]) with a zero diagonal, one m x m array in all.
+
+    Otherwise only block pairs with a nonzero cross entry are evaluated;
+    every other pair has kappa = 0 exactly.  The coupled pairs are
+    grouped by block shape, each group's cross blocks are gathered into
+    one (pairs, a, b) stack from the index rows of partition.size_groups,
+    and one batched np.linalg.norm(stack, 2) call per shape gives their
+    norms: the same LAPACK SVD per matrix as np.linalg.norm(block, 2), so
+    the same values.  Blocks are not padded to a common shape: padding
+    moves the singular values in the last bits.
     """
     part = model.partition
+    if part.dim == part.n:
+        order = part.size_groups[0][1][:, 0]
+        kappa = model.precision[np.ix_(order, order)]
+        np.abs(kappa, out=kappa)
+        np.fill_diagonal(kappa, 0.0)
+        return kappa
+    # group and slot of each block: block k is row slot[k] of the index
+    # array of size group group[k]
+    group, slot = np.empty((2, part.n), dtype=int)
+    for g, (ks, _) in enumerate(part.size_groups):
+        group[ks], slot[ks] = g, np.arange(len(ks))
     owner = part.coordinate_block
     rows, cols = np.nonzero(model.precision)
     first, second = owner[rows], owner[cols]
     coupled = first < second  # K is symmetric, so each pair appears once
     pairs = np.unique(first[coupled] * part.n + second[coupled])
     ks, ls = np.divmod(pairs, part.n)
-    sizes = np.asarray(part.sizes)
-    shapes = np.stack([sizes[ks], sizes[ls]], axis=1)
+    shapes = group[ks] * len(part.size_groups) + group[ls]
     kappa = np.zeros((part.n, part.n))
-    for shape in np.unique(shapes, axis=0):
-        sel = np.all(shapes == shape, axis=1)
-        row_idx = np.array([part.blocks[k] for k in ks[sel]])
-        col_idx = np.array([part.blocks[k] for k in ls[sel]])
+    for shape in np.unique(shapes):
+        sel = shapes == shape
+        k, ell = ks[sel], ls[sel]
+        row_idx = part.size_groups[group[k[0]]][1][slot[k]]
+        col_idx = part.size_groups[group[ell[0]]][1][slot[ell]]
         stack = model.precision[row_idx[:, :, None], col_idx[:, None, :]]
-        kappa[ks[sel], ls[sel]] = np.linalg.norm(stack, 2, axis=(1, 2))
-    return kappa + kappa.T
+        kappa[k, ell] = kappa[ell, k] = (
+            np.abs(stack[:, 0, 0]) if stack.shape[1:] == (1, 1)
+            else np.linalg.norm(stack, 2, axis=(1, 2)))
+    return kappa
 
 
 def otto_reznikoff(model: GibbsModel) -> float:

@@ -21,6 +21,7 @@ import json
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from itertools import chain
 
 import numpy as np
 from scipy.linalg import eigvals_banded
@@ -131,9 +132,10 @@ class BlockPartition:
     @cached_property
     def coordinate_block(self) -> np.ndarray:
         """Map from coordinate index to the block containing it."""
+        flat = np.fromiter(chain.from_iterable(self.blocks), dtype=int,
+                           count=self.dim)
         owner = np.empty(self.dim, dtype=int)
-        for k, blk in enumerate(self.blocks):
-            owner[list(blk)] = k
+        owner[flat] = np.repeat(np.arange(self.n), self.sizes)
         return owner
 
 

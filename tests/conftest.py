@@ -55,8 +55,9 @@ def banded_solves(monkeypatch):
 def batching_cases():
     """(precision, partition) pairs on which batched block routines are
     checked against per-block loops: a permuted mixed-size partition, a
-    banded K whose non-adjacent cross blocks are zero, all singletons and
-    one block."""
+    banded K whose non-adjacent cross blocks are zero, singletons in
+    coordinate order and permuted, the m = 64 chain with mixed signs,
+    singletons mixed with 2-blocks on a banded K, and one block."""
     rng = np.random.default_rng(7)
     perm = rng.permutation(15)
     mixed, start = [], 0
@@ -72,5 +73,14 @@ def batching_cases():
             tuple(tuple(range(i, i + 3)) for i in range(0, 12, 3)))),
         "all singletons": (banded, BlockPartition(
             tuple((i,) for i in range(12)))),
+        "permuted singletons": (dense, BlockPartition(
+            tuple((int(i),) for i in perm))),
+        "chain, mixed signs": (
+            toeplitz_matrix(64, 3.0, {1: -1.0, 2: 0.3}),
+            BlockPartition(tuple((i,) for i in range(64)))),
+        "banded, singletons and 2-blocks": (
+            toeplitz_matrix(12, 3.0, {1: 0.7, 2: -0.4}),
+            BlockPartition(((0,), (1, 2), (3,), (4, 5), (6, 7), (8,),
+                            (9, 10), (11,)))),
         "one block": (dense, BlockPartition((tuple(range(15)),))),
     }

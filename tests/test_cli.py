@@ -1,6 +1,7 @@
 """Command line interface checks: output formats, exit codes,
 byte-for-byte determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -652,3 +653,55 @@ def test_console_entry_point_passes_exit_codes(model_path, bad_model_path,
 
 def test_unknown_subcommand(capsys):
     assert cli.main(["frobnicate"]) == 1
+
+
+# ---- one parser per process ----
+
+def test_main_builds_no_parser(model_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["criteria", model_path],
+                 ["verify", model_path, "theorem1", "--trials", "2"],
+                 ["toeplitz", "--m", "8", "--band", "1=1"]):
+        assert run(argv, capsys)[0] == 0
+    assert built == []
+    cli.build_parser()  # the counter sees the parser and its subparsers
+    assert len(built) == 4
+
+
+def test_shared_parser_keeps_no_out_path(model_path, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["criteria", model_path, "--out", str(out)], capsys) == (0, "", "")
+    code, text, _ = run(["criteria", model_path], capsys)
+    assert code == 0 and text == out.read_text()
+
+
+def test_shared_parser_keeps_no_trial_count(model_path, capsys):
+    assert run(["verify", model_path, "theorem1", "--trials", "3"],
+               capsys)[0] == 0
+    code, text, _ = run(["verify", model_path, "theorem1"], capsys)
+    assert code == 0
+    assert len(text.splitlines()) == 2 + cli._DEFAULT_TRIALS["theorem1"]
+
+
+@pytest.mark.parametrize("between, code", [
+    (["criteria"], 1),
+    (["verify", "missing.json", "bogus"], 1),
+    (["criteria", "m.json", "--seed", "3"], 1),
+    (["--help"], 0),
+    (["verify", "--help"], 0),
+])
+def test_calls_after_exit_are_unchanged(between, code, model_path, capsys):
+    calls = (["criteria", model_path],
+             ["verify", model_path, "prop4", "--trials", "2", "--seed", "5"],
+             ["toeplitz", "--m", "8", "--band", "1=1,2=-0.25"])
+    first = [run(argv, capsys) for argv in calls]
+    assert cli.main(between) == code
+    capsys.readouterr()
+    assert [run(argv, capsys) for argv in calls] == first

@@ -5,6 +5,8 @@ out by hand at the top of the file; they pin down every code path before
 the randomized properties run.
 """
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -339,6 +341,40 @@ def test_cross_block_norms_match_per_pair_loop(name):
             want[k, ell] = want[ell, k] = np.linalg.norm(
                 model.precision[np.ix_(part.block(k), part.block(ell))], 2)
     assert_array_equal(cross_block_norms(model), want)
+
+
+@pytest.mark.parametrize("name, takes_svd", [("all singletons", False),
+                                             ("permuted singletons", False),
+                                             ("mixed sizes", True)])
+def test_singleton_cross_blocks_take_no_svd(name, takes_svd, monkeypatch):
+    # norm(x, 2) reaches LAPACK through its own module's `svd`: count
+    # calls there and through np.linalg
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", counted)
+    cross_block_norms(BATCHING_MODELS[name])
+    assert bool(calls) == takes_svd, calls
+
+
+def test_singleton_cross_block_norms_hold_one_dense_copy():
+    # kappa is the one m x m array; kappa + kappa.T would hold about 2 m^2
+    m = 2048
+    model = banded_model(m, 3.0, band={1: 1.0})
+    model.partition.size_groups  # cached index arrays, O(m)
+    tracemalloc.start()
+    try:
+        kappa = cross_block_norms(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * m * m * 8, peak / (m * m * 8)
+    assert kappa[0, 1] == kappa[1, 0] == 1.0 and kappa[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(BATCHING_MODELS))

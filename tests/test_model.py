@@ -33,6 +33,8 @@ from lsicert.gibbs import verify_contraction
 from lsicert.instances import (model_2d, random_certified_model,
                                random_quartic_model)
 
+from conftest import batching_cases
+
 
 def test_partition_basic():
     part = BlockPartition(((0, 2), (1,), (3,)))
@@ -42,6 +44,14 @@ def test_partition_basic():
     assert list(part.block(0)) == [0, 2]
     assert list(part.complement(0)) == [1, 3]
     assert list(part.coordinate_block) == [0, 1, 0, 2]
+
+
+def test_coordinate_block_equals_per_block_loop():
+    part = batching_cases()["mixed sizes"][1]
+    want = np.empty(part.dim, dtype=int)
+    for k, blk in enumerate(part.blocks):
+        want[list(blk)] = k
+    assert part.coordinate_block.tolist() == want.tolist()
 
 
 def test_partition_rejects_overlap():
