@@ -165,7 +165,8 @@ def cross_block_norms(model: GibbsModel) -> np.ndarray:
     A 1 x 1 cross block's norm is |K_kl|, the bits its LAPACK SVD gives,
     read without one.  On an all-singleton partition kappa is therefore
     |K| gathered in block order (row and column k are coordinate
-    blocks[k][0]) with a zero diagonal, one m x m array in all.
+    blocks[k][0]) with a zero diagonal, one m x m array in all; blocks in
+    coordinate order, as on every chain document, need no gather.
 
     Otherwise only block pairs with a nonzero cross entry are evaluated;
     every other pair has kappa = 0 exactly.  The coupled pairs are
@@ -179,8 +180,11 @@ def cross_block_norms(model: GibbsModel) -> np.ndarray:
     part = model.partition
     if part.dim == part.n:
         order = part.size_groups[0][1][:, 0]
-        kappa = model.precision[np.ix_(order, order)]
-        np.abs(kappa, out=kappa)
+        if np.array_equal(order, np.arange(part.n)):
+            kappa = np.abs(model.precision)
+        else:
+            kappa = model.precision[np.ix_(order, order)]
+            np.abs(kappa, out=kappa)
         np.fill_diagonal(kappa, 0.0)
         return kappa
     # group and slot of each block: block k is row slot[k] of the index
@@ -219,7 +223,12 @@ def otto_reznikoff(model: GibbsModel) -> float:
     kappa = cross_block_norms(model)
     if not kappa.any():
         return float(rho_k.min())
-    rho = _lambda_min_lower(np.diag(rho_k) - kappa)
+    # diag(rho_k) - kappa in kappa's own buffer; subtracting from +0.0
+    # gives the bits of the off-diagonal 0 - kappa (negation would give
+    # -0.0 where kappa is 0)
+    mat = np.subtract(0.0, kappa, out=kappa)
+    np.fill_diagonal(mat, rho_k)
+    rho = _lambda_min_lower(mat)
     if rho <= 0:
         raise CertificateError(
             "block criterion infeasible at rho = 0: diag(rho_k) - kappa "

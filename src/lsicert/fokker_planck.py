@@ -2,19 +2,24 @@
 
 For Gaussian models the time-t law of the diffusion started at a Gaussian
 is Gaussian with closed-form moments, so divergence and Fisher
-information along the flow are exact.  A trace takes one Cholesky
-C_t = L_t L_t' per time node and one triangular inverse of it (LAPACK
-dtrtri, by gaussian.tril_inverse), in chunks of nodes:
-log det C_t = 2 sum log diag L_t, and the Fisher covariance term
-tr((K - C_t^-1) C_t (K - C_t^-1)) = ||L_t' K - L_t^-1||_F^2 because
-L_t' C_t^-1 = L_t^-1.  The module also checks the de Bruijn
-dissipation identity dD/dt = -I on grids, exponential entropy
-decay under a certified constant, and runs an Euler-Maruyama particle
-simulator that covers quartic models as well.  The simulator draws its
-noise on one worker thread, in stream order: while the calling thread
-takes the gradient of one block of rows and updates it, the worker fills
-the noise of the blocks after it.  The worker calls only numpy, and it
-is stopped before the simulator returns.
+information along the flow are exact.  Both split into a mean part,
+O(d) per time node, and a covariance part that depends only on
+S = cov_0 - K^-1.  When the initial covariance is the target's, S = 0
+and the trace is its mean part alone, O(T d) for T nodes; this is the
+case of `lsicert verify dissipation`, which starts at N(m + 1, K^-1).
+Otherwise a trace takes one Cholesky C_t = L_t L_t' per time node and
+one triangular inverse of it (LAPACK dtrtri, by gaussian.tril_inverse),
+in chunks of nodes: log det C_t = 2 sum log diag L_t, and the Fisher
+covariance term tr((K - C_t^-1) C_t (K - C_t^-1)) = ||L_t' K - L_t^-1||_F^2
+because L_t' C_t^-1 = L_t^-1.  Grid times must be finite and
+non-negative.  The module also checks the de Bruijn dissipation
+identity dD/dt = -I on grids and exponential entropy decay under a
+certified constant, anchored at the grid's first node, and runs an
+Euler-Maruyama particle simulator that covers quartic models as well.
+The simulator draws its noise on one worker thread, in stream order:
+while the calling thread takes the gradient of one block of rows and
+updates it, the worker fills the noise of the blocks after it.  The
+worker calls only numpy, and it is stopped before the simulator returns.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import Check
-from .gaussian import GaussianDist, tril_inverse
+from .gaussian import GaussianDist, gaussian_target, tril_inverse
 from .model import (GibbsModel, _is_integer, extreme_eigvalsh, grad_potential,
                     per_object)
 
@@ -129,23 +134,32 @@ def _trace_arrays(p0: GaussianDist, model: GibbsModel, times: np.ndarray):
 
     Works in the eigenbasis of K, where the evolution acts diagonally;
     both information functionals are invariant under the rotation, and
-    K becomes W = diag(w).  Each evolved covariance C_t = L_t L_t' is
-    factored once: log det C_t = 2 sum log diag L_t, and since
-    L_t' C_t^-1 = L_t^-1 the Fisher covariance term
-    tr((W - C_t^-1) C_t (W - C_t^-1)) is ||L_t' W - L_t^-1||_F^2.
-    The grid is taken in chunks of _TRACE_CHUNK_BYTES of covariances,
-    so memory is O(chunk d^2 + T d) for T nodes.
+    K becomes W = diag(w).  Each splits exactly into a mean part (quad
+    for 2 D, term_mean for I) and a covariance part that depends only on
+    S = V' cov_0 V - W^-1 and is second order in S.  When cov_0 is
+    bit-equal to the target's covariance, S is rounding of order
+    1e-15 and its part of D and I is of order 1e-30, so the trace is the
+    mean part alone, O(T d).  (S itself is never exactly zero: W^-1
+    comes from eigh, cov_0 from inv(K).)  Otherwise each evolved
+    covariance C_t = L_t L_t' is factored once: log det C_t =
+    2 sum log diag L_t, and since L_t' C_t^-1 = L_t^-1 the Fisher
+    covariance term tr((W - C_t^-1) C_t (W - C_t^-1)) is
+    ||L_t' W - L_t^-1||_F^2.  The grid is taken in chunks of
+    _TRACE_CHUNK_BYTES of covariances, so memory is O(chunk d^2 + T d)
+    for T nodes.
     """
     w, vecs = _precision_eigh(model)
     d = model.dim
     mu0 = vecs.T @ (p0.mean - model.mean)
-    shifted = vecs.T @ p0.cov @ vecs - np.diag(1.0 / w)
-    logdet_q = -float(np.sum(np.log(w)))
-
     decay = np.exp(-np.outer(times, w))
     means = decay * mu0
     quad = np.einsum('ti,i,ti->t', means, w, means)
     term_mean = np.einsum('ti,i,i,ti->t', means, w, w, means)
+    if np.array_equal(p0.cov, gaussian_target(model).cov):
+        return np.maximum(0.5 * quad, 0.0), np.maximum(term_mean, 0.0)
+
+    shifted = vecs.T @ p0.cov @ vecs - np.diag(1.0 / w)
+    logdet_q = -float(np.sum(np.log(w)))
     traces, logdets, fis = (np.empty(times.size) for _ in range(3))
     diag = np.arange(d)
     step = max(1, _TRACE_CHUNK_BYTES // (8 * d * d))
@@ -169,14 +183,24 @@ def _trace_arrays(p0: GaussianDist, model: GibbsModel, times: np.ndarray):
 
 def entropy_trace(p0: GaussianDist, model: GibbsModel, times,
                   rho: float | None = None) -> EntropyTrace:
-    """Evaluate the flow on a grid; attach the decay bound when rho given."""
+    """Evaluate the flow on a grid; attach the decay bound when rho given.
+
+    The grid must be one-dimensional with at least two nodes, each
+    finite and non-negative (ValueError before any work).  The bound exp(-2 rho (t - t_0)) D(p_t0||q) is anchored at
+    the grid's first node t_0, where the trace's first divergence is
+    read.
+    """
     if not model.is_gaussian:
         raise ValueError("closed-form traces need a Gaussian model")
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError("trace needs at least two grid nodes")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError("grid times must be finite and non-negative")
     kls, fis = _trace_arrays(p0, model, times)
     bound = None
     if rho is not None:
-        bound = np.exp(-2.0 * float(rho) * times) * kls[0]
+        bound = np.exp(-2.0 * float(rho) * (times - times[0])) * kls[0]
     return EntropyTrace(times=times, kl_values=kls, fisher_values=fis,
                         lsi_bound=bound, rho=rho)
 

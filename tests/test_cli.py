@@ -330,6 +330,21 @@ def test_verify_dissipation(model_path, capsys):
                       "exp_decay_max_excess"]
 
 
+def test_verify_dissipation_takes_mean_only_route(model_path, capsys,
+                                                  monkeypatch):
+    # the CLI starts at the target's covariance, so the trace needs no
+    # factor or triangular inverse of any evolved covariance
+    def refuse(chol):
+        raise AssertionError("general trace path taken")
+
+    monkeypatch.setattr(fokker_planck, "tril_inverse", refuse)
+    code, out, _ = run(["verify", model_path, "dissipation"], capsys)
+    assert code == 0
+    params = [line.split(",")[1] for line in check_csv_shape(out, 0)[2:]]
+    assert params == ["max_residual", "integral_identity_rel_err",
+                      "exp_decay_max_excess"]
+
+
 def library_checks(model, subcheck, seed, trials):
     """The checks `verify` reports, taken from the library directly, with
     the trial of each closed-form check prefixed to its param."""

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lsicert import criteria
 from lsicert.criteria import (
     CertificateError,
     CriteriaReport,
@@ -375,6 +376,66 @@ def test_singleton_cross_block_norms_hold_one_dense_copy():
         tracemalloc.stop()
     assert peak <= 1.25 * m * m * 8, peak / (m * m * 8)
     assert kappa[0, 1] == kappa[1, 0] == 1.0 and kappa[0, 0] == 0.0
+
+
+def test_otto_reznikoff_holds_one_dense_copy():
+    # diag(rho_k) - kappa is built in kappa's own buffer
+    m = 2048
+    model = banded_model(m, 3.0, band={1: 1.0})
+    model.partition.size_groups  # cached index arrays, O(m)
+    block_lsi_constants(model)  # memoised, O(m)
+    tracemalloc.start()
+    try:
+        rho = otto_reznikoff(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * m * m * 8, peak / (m * m * 8)
+    assert 1.0 < rho <= 3.0 - 2.0 * np.cos(np.pi / (m + 1))
+
+
+SINGLETON_MODELS = {
+    **{f"chain m={m} band={band}": banded_model(m, 3.0, band=band)
+       for m in (64, 128, 256) for band in ({1: 1.0}, {1: -1.0, 2: 0.3})},
+    "all singletons": BATCHING_MODELS["all singletons"],
+    "permuted singletons": BATCHING_MODELS["permuted singletons"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLETON_MODELS))
+def test_singleton_certificates_bit_equal_to_gathered_reference(name,
+                                                                monkeypatch):
+    # reference: |K| gathered in block order, zero diagonal, and
+    # diag(rho_k) - kappa as a new array; compared by bytes, so a -0.0
+    # where the reference has +0.0 fails
+    model = SINGLETON_MODELS[name]
+    order = [block[0] for block in model.partition.blocks]
+    want = np.abs(model.precision[np.ix_(order, order)])
+    np.fill_diagonal(want, 0.0)
+    assert cross_block_norms(model).tobytes() == want.tobytes()
+    rho_k = block_lsi_constants(model)
+    mat = np.diag(rho_k) - want
+    d0 = np.diag(rho_k[model.partition.coordinate_block])
+    marton = min(criteria._lambda_min_lower(d0 - model.cross),
+                 criteria._lambda_min_lower(d0 + model.cross))
+    rho = criteria._lambda_min_lower(mat)
+    report = criteria_report(model)
+    assert report.rho_or == (rho if rho > 0 else None)
+    assert report.rho_marton == (marton if marton > 0 else None)
+
+    seen = []
+    lambda_min_lower = criteria._lambda_min_lower
+
+    def recorded(arg):
+        seen.append(arg.tobytes())
+        return lambda_min_lower(arg)
+
+    monkeypatch.setattr(criteria, "_lambda_min_lower", recorded)
+    try:
+        otto_reznikoff(model)
+    except CertificateError:
+        pass
+    assert seen == [mat.tobytes()]
 
 
 @pytest.mark.parametrize("name", sorted(BATCHING_MODELS))

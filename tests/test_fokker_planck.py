@@ -190,6 +190,56 @@ def test_trace_matches_slogdet_reference(dim):
                               <= 1e-12 * np.abs(want) + 1e-13)
 
 
+def test_target_covariance_trace_is_mean_part(monkeypatch):
+    # cov_0 = K^-1: the trace is the mean part alone, with no factor of
+    # any evolved covariance; one ulp off that covariance, the general
+    # path runs and agrees with it
+    rng = np.random.default_rng(32)
+    model = random_certified_model(rng, dim=32)
+    q = gaussian_target(model)
+    cli_p0 = GaussianDist(q.mean + 1.0, q.cov)
+    cov = np.array(q.cov)
+    cov[3, 5] = cov[5, 3] = np.nextafter(cov[3, 5], np.inf)
+    nudged = GaussianDist(q.mean + 1.0, cov)
+    times = np.linspace(0.0, 5.0, 5001)
+    calls = []
+    tril_inverse = fokker_planck.tril_inverse
+
+    def counted(chol):
+        calls.append(chol.shape)
+        return tril_inverse(chol)
+
+    monkeypatch.setattr(fokker_planck, "tril_inverse", counted)
+    mean_only = entropy_trace(cli_p0, model, times)
+    assert calls == []
+    general = entropy_trace(nudged, model, times)
+    assert calls
+    for got, want in ((mean_only.kl_values, general.kl_values),
+                      (mean_only.fisher_values, general.fisher_values)):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-13)
+
+
+@pytest.mark.parametrize("times, match", [
+    ([-1.0, 0.0, 1.0], "finite and non-negative"),
+    ([0.0, np.nan, 1.0], "finite and non-negative"),
+    ([0.0, 1.0, np.inf], "finite and non-negative"),
+    ([], "at least two grid nodes"),
+    (1.0, "at least two grid nodes"),
+])
+def test_trace_refuses_bad_grid_times(model2d, monkeypatch, times, match):
+    # refused before any work, decay bound included: the flow never runs
+    # backwards, and a NaN would pass every trace invariant
+    def refuse(*args):
+        raise AssertionError("trace computed")
+
+    monkeypatch.setattr(fokker_planck, "_trace_arrays", refuse)
+    q = gaussian_target(model2d)
+    p0 = GaussianDist(q.mean + 1.0, q.cov)
+    for rho in (None, 0.5):
+        with pytest.raises(ValueError, match=match):
+            entropy_trace(p0, model2d, np.array(times), rho=rho)
+
+
 def test_trace_grid_spans_partial_chunks(monkeypatch):
     # 5001 nodes at d = 32 fill several chunks and leave a partial one;
     # chunks of 7 nodes at d = 5 must give the same values as one chunk
@@ -302,6 +352,24 @@ def test_exp_decay_tight_and_falsified():
     assert decay_check(p0, model, 1.0, times).holds
     # any faster claimed rate must be rejected
     assert not decay_check(p0, model, 1.05, times).holds
+
+
+def test_exp_decay_bound_anchored_at_first_node(model2d):
+    # on a grid that starts at t0 > 0 the bound is exp(-2 rho (t - t0))
+    # D(p_t0||q); anchored at t = 0 it would undercut D at t0
+    from lsicert.criteria import criteria_report
+
+    rho = criteria_report(model2d).rho_marton
+    q = gaussian_target(model2d)
+    p0 = GaussianDist(q.mean + 1.0, q.cov)
+    for times in (np.linspace(0.0, 5.0, 5001), np.linspace(0.5, 5.5, 5001)):
+        check = decay_check(p0, model2d, rho, times)
+        assert check.holds, check
+    trace = entropy_trace(p0, model2d, times, rho=rho)
+    assert trace.lsi_bound[0] == trace.kl_values[0]
+    assert_allclose(trace.lsi_bound,
+                    np.exp(-2.0 * rho * (times - 0.5)) * trace.kl_values[0],
+                    rtol=1e-12)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
