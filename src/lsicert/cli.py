@@ -40,7 +40,7 @@ import sys
 import numpy as np
 
 from . import fokker_planck, gibbs, instances, oracles
-from .criteria import (CertificateError, Check, criteria_report,
+from .criteria import (CertificateError, criteria_report,
                        toeplitz_spectrum_report)
 from .gaussian import GaussianDist, gaussian_target
 from .model import ModelError, load_model, model_digest
@@ -69,12 +69,8 @@ def _write_text(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write --out: {exc}") from exc
 
 
-def _json_value(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, float):
-        return float(v)
-    raise TypeError(f"unexpected report value {v!r}")
+def _float_or_none(v):
+    return None if v is None else float(v)
 
 
 def _report_json(model, report) -> str:
@@ -84,8 +80,8 @@ def _report_json(model, report) -> str:
                   "sha256": model_digest(model)},
         "rho_k": [float(r) for r in report.rho_k],
         "delta": float(report.delta),
-        "rho_marton": _json_value(report.rho_marton),
-        "rho_or": _json_value(report.rho_or),
+        "rho_marton": _float_or_none(report.rho_marton),
+        "rho_or": _float_or_none(report.rho_or),
         "flags": list(report.flags),
         "certified": bool(report.certified),
         "norm_A0": float(report.norm_A0),
@@ -104,12 +100,17 @@ def cmd_criteria(args) -> int:
     return EXIT_OK
 
 
-def _csv(checks, seed: int) -> str:
+def _csv(rows, seed: int) -> str:
+    """One line per (trial, check) row; a trial other than None leads the
+    param as `trial=<i>:`, or stands for an empty param."""
     lines = [f"# seed={seed}", "check,param,value,bound,tolerance,verdict"]
-    for c in checks:
+    for trial, c in rows:
+        param = c.param
+        if trial is not None:
+            param = f"trial={trial}:{param}" if param else f"trial={trial}"
         nums = ",".join(repr(float(v))
                         for v in (c.value, c.bound, c.tolerance))
-        lines.append(f"{c.check},{c.param},{nums},"
+        lines.append(f"{c.check},{param},{nums},"
                      f"{'pass' if c.holds else 'fail'}")
     return "\n".join(lines) + "\n"
 
@@ -117,11 +118,6 @@ def _csv(checks, seed: int) -> str:
 def _default_p0(model) -> GaussianDist:
     target = gaussian_target(model)
     return GaussianDist(target.mean + 1.0, target.cov)
-
-
-def _trial(i: int, check: Check) -> Check:
-    param = f"trial={i}:{check.param}" if check.param else f"trial={i}"
-    return dataclasses.replace(check, param=param)
 
 
 def _trial_checks(subcheck: str, model, report, rng, count: int) -> list:
@@ -157,23 +153,24 @@ def cmd_verify(args) -> int:
         print("no certificate: delta <= 0", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
     if args.subcheck == "gibbs":
-        checks = gibbs.verify_contraction(_default_p0(model), model, report,
-                                          steps=args.steps)
+        rows = [(None, c) for c in gibbs.verify_contraction(
+            _default_p0(model), model, report, steps=args.steps)]
     elif args.subcheck == "dissipation":
         _, checks = fokker_planck.dissipation_check(
             _default_p0(model), model, np.linspace(0.0, 5.0, 5001),
             rho=report.rho_marton)
+        rows = [(None, c) for c in checks]
     else:
         rng = np.random.default_rng(args.seed)
         chunk = max(1, _TRIAL_CHUNK_BYTES // (8 * model.dim * model.dim))
-        checks = []
+        rows = []
         for lo in range(0, trials, chunk):
-            rows = _trial_checks(args.subcheck, model, report, rng,
-                                 min(chunk, trials - lo))
-            checks += [_trial(i, c) for i, row in enumerate(rows, start=lo)
-                       for c in row]
-    _write_text(_csv(checks, args.seed), args.out)
-    return EXIT_OK if all(c.holds for c in checks) else EXIT_VERIFY_FAILED
+            trial_rows = _trial_checks(args.subcheck, model, report, rng,
+                                       min(chunk, trials - lo))
+            rows += [(i, c) for i, row in enumerate(trial_rows, start=lo)
+                     for c in row]
+    _write_text(_csv(rows, args.seed), args.out)
+    return EXIT_OK if all(c.holds for _, c in rows) else EXIT_VERIFY_FAILED
 
 
 def parse_band(text: str) -> dict:
@@ -195,7 +192,6 @@ def parse_band(text: str) -> dict:
 def cmd_toeplitz(args) -> int:
     report = toeplitz_spectrum_report(args.m, args.diag, parse_band(args.band))
     doc = dataclasses.asdict(report)
-    doc["band"] = [[int(off), float(coeff)] for off, coeff in report.band]
     _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
     return EXIT_OK
 

@@ -109,10 +109,15 @@ class EntropyTrace:
             raise ValueError("trace needs at least two grid nodes")
         if kls.shape != times.shape or fis.shape != times.shape:
             raise ValueError("trace arrays must share the grid shape")
+        if not all(np.all(np.isfinite(arr)) for arr in (times, kls, fis)):
+            raise ValueError("grid times, divergence and Fisher values "
+                             "must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("grid times must be strictly increasing")
         if np.any(kls < 0):
             raise ValueError("divergence values must be non-negative")
+        if np.any(fis < 0):
+            raise ValueError("Fisher information values must be non-negative")
         rises = np.diff(kls) - 1e-9 * (1.0 + kls[:-1])
         if np.any(rises > 0):
             raise ValueError("divergence must be non-increasing along the flow")
@@ -125,6 +130,8 @@ class EntropyTrace:
             bound = np.asarray(self.lsi_bound, dtype=float)
             if bound.shape != times.shape:
                 raise ValueError("bound array must share the grid shape")
+            if not np.all(np.isfinite(bound)):
+                raise ValueError("bound values must be finite")
             bound.flags.writeable = False
             object.__setattr__(self, "lsi_bound", bound)
 

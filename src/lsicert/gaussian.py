@@ -8,7 +8,8 @@ the eigenvalues of Sigma_q^1/2 Sigma_p Sigma_q^1/2 are those of
 L' Sigma_p L, so one eigvalsh gives the cross term.  The conditionals and
 divergences of all blocks are taken in one pass, with one batched
 inverse per block size.  A precision is L^-T L^-1 from the Cholesky
-factor L, with L^-1 from one LAPACK dtrtri per law (tril_inverse).
+factor L, with L^-1 from one LAPACK dtrtri per law (tril_inverse), except
+for the target N(m, K^-1) of a model, whose precision is K itself.
 
 A GaussianStack holds T laws as (T, d) means and (T, d, d) covariances,
 each checked as a GaussianDist is; `kl`, `w2`, `avg_conditional_kl` and
@@ -25,14 +26,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri
 
 from .model import BlockPartition, GibbsModel, per_object, symmetrized
 
 _INVERSE_TOL = 1e-8
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +39,8 @@ class GaussianStack:
 
     Entries must be finite, each covariance symmetric to 1e-8 of its
     largest entry (model.symmetrized keeps or copies it) and positive
-    definite; a precision P is refused when P C misses I by over
-    _INVERSE_TOL.
+    definite; a derived precision P is refused when P C misses I by over
+    _INVERSE_TOL (gaussian_target gives its law K instead).
     """
 
     means: np.ndarray
@@ -140,14 +138,6 @@ class GaussianDist:
     def log_det_cov(self) -> float:
         return float(self.stack.log_dets[0])
 
-    def logpdf(self, x: np.ndarray) -> np.ndarray:
-        """Log density, vectorized over rows of x."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        diff = x - self.mean
-        z = solve_triangular(self.chol, diff.T, lower=True)
-        quad = np.sum(z * z, axis=0)
-        return -0.5 * (self.dim * _LOG_2PI + self.log_det_cov + quad)
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal((n, self.dim))
         return self.mean + z @ self.chol.T
@@ -172,14 +162,17 @@ def _unstack(vals: np.ndarray, *laws):
 
 @per_object
 def gaussian_target(model: GibbsModel) -> GaussianDist:
-    """Stationary Gaussian N(m, K^-1) of a quartic-free model.
+    """Stationary Gaussian N(m, K^-1) of a quartic-free model, whose
+    precision is K itself, not the inverse of its computed covariance.
 
     Memoized on the model, so freed with it; both are read-only.
     """
     if not model.is_gaussian:
         raise ValueError("model has a quartic term; its law is not Gaussian")
     cov = np.linalg.inv(model.precision)
-    return GaussianDist(mean=np.array(model.mean), cov=0.5 * (cov + cov.T))
+    target = GaussianDist(mean=np.array(model.mean), cov=0.5 * (cov + cov.T))
+    target.stack.__dict__["precisions"] = model.precision[None]
+    return target
 
 
 def tril_inverse(chol: np.ndarray) -> np.ndarray:

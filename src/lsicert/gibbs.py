@@ -112,13 +112,6 @@ class GaussianMixture:
             object.__setattr__(self, "words", tuple(map(tuple, self.words)))
 
     @classmethod
-    def from_components(cls, weights, comps) -> "GaussianMixture":
-        """Mixture of the GaussianDists comps, stacked."""
-        comps = tuple(comps)
-        return cls(weights, GaussianStack(np.stack([g.mean for g in comps]),
-                                          np.stack([g.cov for g in comps])))
-
-    @classmethod
     def single(cls, g: GaussianDist) -> "GaussianMixture":
         return cls(np.array([1.0]), g.stack)
 

@@ -1,13 +1,13 @@
 """Independent estimators used to cross-check the closed-form calculus.
 
 The interaction matrix A^rho and bisection on the two certificate
-thresholds, grid quadrature for
-divergence and Fisher information (dimensions 1 to 3), the sorted-sample
-coupling for one-dimensional W2, the conditional law of one block as a
-reference for the batched conditionals, and closed-form checkers for the
-transport inequality and the per-block mean-shift comparison.  The
-estimators take a different route than the main modules, so agreement
-with them is evidence of correctness.
+thresholds, grid quadrature for divergence and Fisher information
+(dimensions 1 to 3), the sorted-sample coupling for one-dimensional W2,
+and closed-form checkers for the transport inequality and the per-block
+mean-shift comparison.  The estimators take a different route than the
+main modules, so agreement with them is evidence of correctness; the
+quadrature takes its densities as callables, so a reference density
+(scipy.stats in the tests) shares no code with the closed forms.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from .criteria import (
     block_lsi_constants,
     cross_block_norms,
 )
-from .gaussian import (GaussianDist, GaussianStack, _dot, _matvec,
-                       block_conditionals, gaussian_target, kl,
+from .gaussian import (GaussianStack, _dot, _matvec, gaussian_target, kl,
                        memo_conditionals, w2)
-from .model import BlockPartition, GibbsModel
+from .model import GibbsModel
 
 MASS_DEFECT_LIMIT = 1e-4
 _TINY = 1e-300
@@ -175,26 +174,6 @@ def w2_empirical_1d(samples_p, samples_q) -> float:
     if sp.size == 0:
         raise ValueError("sample sets must be non-empty")
     return float(np.sqrt(np.mean((sp - sq) ** 2)))
-
-
-def conditional(g: GaussianDist, part: BlockPartition, k: int,
-                xbar) -> GaussianDist:
-    """Conditional law of block k given the remaining coordinates, read
-    from block_conditionals: a reference for its gains and covariances.
-
-    xbar lists the conditioning values on the complement of block k in
-    ascending index order.
-    """
-    cov, gain, _ = block_conditionals(g.precision, part)
-    rest = part.complement(k)
-    if rest.size == 0:
-        return g
-    xbar = np.asarray(xbar, dtype=float)
-    if xbar.shape != (rest.size,):
-        raise ValueError(f"conditioning vector must have length {rest.size}")
-    idx = part.block(k)
-    mean_c = g.mean[idx] + gain[np.ix_(idx, rest)] @ (xbar - g.mean[rest])
-    return GaussianDist(mean_c, cov[np.ix_(idx, idx)])
 
 
 def transport_check(p, model: GibbsModel, report: CriteriaReport):

@@ -287,6 +287,24 @@ def test_verify_gibbs(model_path, capsys):
     assert len(lines) == 2 + 4
 
 
+def test_near_singular_target_verifies_in_every_suite(tmp_path, capsys):
+    # cond(K) = 2.0e9: the target's precision is K itself, so no suite
+    # inverts the computed K^-1 again
+    path = write_doc(tmp_path, {
+        "dim": 2, "partition": [[0], [1]],
+        "precision": [[1.0, -0.999999999], [-0.999999999, 1.0]]})
+    code, out, _ = run(["criteria", path], capsys)
+    assert code == 0
+    assert strict_loads(out)["rho_marton"] == pytest.approx(1e-9, rel=1e-6)
+    for subcheck in cli.SUBCHECKS:
+        code, out, err = run(["verify", path, subcheck, "--trials", "20"],
+                             capsys)
+        assert (code, err) == (0, ""), subcheck
+        lines = check_csv_shape(out, 0)
+        assert len(lines) > 2
+        assert all(line.endswith(",pass") for line in lines[2:])
+
+
 GIBBS_GOLDEN = """\
 # seed=5
 check,param,value,bound,tolerance,verdict
@@ -345,6 +363,12 @@ def test_verify_dissipation_takes_mean_only_route(model_path, capsys,
                       "exp_decay_max_excess"]
 
 
+def with_trial(i, check):
+    """check with its trial prefixed to its param, as `verify` prints it."""
+    return replace(check, param=f"trial={i}:{check.param}" if check.param
+                   else f"trial={i}")
+
+
 def library_checks(model, subcheck, seed, trials):
     """The checks `verify` reports, taken from the library directly, with
     the trial of each closed-form check prefixed to its param."""
@@ -368,8 +392,7 @@ def library_checks(model, subcheck, seed, trials):
             verify = gibbs.verify_theorem1 if subcheck == "theorem1" \
                 else transport_check
             checks = (verify(random_gaussian(rng, model.dim), model, report),)
-        out += [replace(c, param=f"trial={i}:{c.param}" if c.param
-                        else f"trial={i}") for c in checks]
+        out += [with_trial(i, c) for c in checks]
     return out
 
 
@@ -390,7 +413,7 @@ def test_stacked_trials_equal_single_law_calls(subcheck):
     model = random_certified_model(np.random.default_rng(2), dim=12)
     rows = cli._trial_checks(subcheck, model, criteria_report(model),
                              np.random.default_rng(4), 50)
-    stacked = [cli._trial(i, c) for i, row in enumerate(rows) for c in row]
+    stacked = [with_trial(i, c) for i, row in enumerate(rows) for c in row]
     single = library_checks(model, subcheck, 4, 50)
     assert [repr(c) for c in stacked] == [repr(c) for c in single]
 

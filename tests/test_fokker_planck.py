@@ -300,6 +300,25 @@ def test_trace_invariants_enforced():
                      fisher_values=good, lsi_bound=None, rho=None)
 
 
+@pytest.mark.parametrize("times, kls, fis, bound, match", [
+    ([0.0, 1.0], [np.nan, np.nan], [np.nan, -1.0], None, "must be finite"),
+    ([0.0, 1.0], [2.0, 1.0], [np.nan, 0.5], None, "must be finite"),
+    ([0.0, 1.0], [2.0, 1.0], [np.inf, 0.5], None, "must be finite"),
+    ([0.0, np.nan], [2.0, 1.0], [1.0, 0.5], [np.nan, 1.0], "must be finite"),
+    ([0.0, np.inf], [2.0, 1.0], [1.0, 0.5], None, "must be finite"),
+    ([0.0, 1.0], [2.0, 1.0], [1.0, -1.0], None, "non-negative"),
+    ([0.0, 1.0], [2.0, 1.0], [1.0, 0.5], [np.nan, 1.0], "must be finite"),
+    ([0.0, 1.0], [2.0, 1.0], [1.0, 0.5], [2.0, np.inf], "must be finite"),
+])
+def test_trace_refuses_non_finite_values_and_negative_fisher(
+        times, kls, fis, bound, match):
+    # NaN fails every comparison, so each of these passed the order and
+    # sign checks before finiteness was required
+    with pytest.raises(ValueError, match=match):
+        EntropyTrace(times=np.array(times), kl_values=np.array(kls),
+                     fisher_values=np.array(fis), lsi_bound=bound, rho=1.0)
+
+
 # ---- dissipation and decay ----
 
 def test_dissipation_reference(model2d):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.stats import multivariate_normal
 
 from lsicert import gaussian, gibbs
 from lsicert.criteria import criteria_report
@@ -30,7 +31,7 @@ from lsicert.instances import (model_2d, random_certified_model,
                                random_gaussian, random_gaussians,
                                random_partition, random_quartic_model)
 from lsicert.model import BlockPartition, GibbsModel, toeplitz_matrix
-from lsicert.oracles import conditional, quad_fisher, quad_kl
+from lsicert.oracles import quad_fisher, quad_kl
 
 from conftest import batching_cases
 
@@ -40,7 +41,7 @@ FISHER_UNIT_SHIFT = 1.0                    # derived: 1d quadrature, N(1,1) vs N
 
 
 def _density(g):
-    return lambda pts: np.exp(g.logpdf(pts))
+    return multivariate_normal(g.mean, g.cov).pdf
 
 
 def seeded_pair(seed, dim=None):
@@ -126,20 +127,31 @@ def test_dist_precision_inverts_cov(rng):
     assert_allclose(g.precision @ g.cov, np.eye(4), atol=1e-10)
 
 
-def test_logpdf_matches_direct_formula():
-    g = GaussianDist(np.array([1.0, -1.0]), np.array([[2.0, 0.5], [0.5, 1.0]]))
-    x = np.array([[0.3, 0.4], [1.0, -1.0]])
-    diff = x - g.mean
-    quad = np.einsum('ni,ij,nj->n', diff, g.precision, diff)
-    expected = -0.5 * (2 * np.log(2 * np.pi)
-                       + np.log(np.linalg.det(g.cov)) + quad)
-    assert_allclose(g.logpdf(x), expected, atol=1e-12)
-
-
 def test_gaussian_target_reference(model2d):
     q = gaussian_target(model2d)
     assert_allclose(q.cov, (4.0 / 3.0) * np.array([[1.0, 0.5], [0.5, 1.0]]),
                     atol=1e-12)
+
+
+# cond(K) = 2.0e9: inverting the computed K^-1 again misses I by 9.6e-8
+NEAR_SINGULAR_K = np.array([[1.0, -0.999999999], [-0.999999999, 1.0]])
+
+
+def test_gaussian_target_precision_is_the_model_precision(rng):
+    near_singular = GibbsModel(partition=BlockPartition(((0,), (1,))),
+                               precision=NEAR_SINGULAR_K, mean=np.zeros(2),
+                               quartic=np.zeros(2))
+    for model in (model_2d(), random_certified_model(rng), near_singular):
+        q = gaussian_target(model)
+        assert q.precision.tobytes() == model.precision.tobytes()
+        assert not q.precision.flags.writeable
+        got = memo_conditionals(q, model.partition)
+        want = memo_conditionals(model, model.partition)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    # the same law given only its covariance derives its precision, and
+    # the defect check still refuses it
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        GaussianDist(q.mean, q.cov).precision
 
 
 def test_gaussian_target_refuses_quartic_model(rng):
@@ -149,22 +161,31 @@ def test_gaussian_target_refuses_quartic_model(rng):
 
 # ---- conditional ----
 
+def _block_conditional(g, part, k, xbar):
+    """Mean and covariance of block k given xbar on its complement, read
+    from block_conditionals with the mean built from the gain."""
+    cov, gain, _ = block_conditionals(g.precision, part)
+    idx, rest = part.block(k), part.complement(k)
+    mean = g.mean[idx] + gain[np.ix_(idx, rest)] @ (xbar - g.mean[rest])
+    return mean, cov[np.ix_(idx, idx)]
+
+
 def test_conditional_reference_against_grid_oracle(model2d):
     # oracle: 1d quadrature moments of x0 -> q(x0, xbar) at fixed xbar
     q = gaussian_target(model2d)
     xbar = 2.0
     grid = np.linspace(-10, 10, 20001)
     pts = np.stack([grid, np.full_like(grid, xbar)], axis=1)
-    dens = np.exp(q.logpdf(pts))
+    dens = multivariate_normal(q.mean, q.cov).pdf(pts)
     mass = np.trapezoid(dens, grid)
     mean_oracle = np.trapezoid(grid * dens, grid) / mass
     var_oracle = np.trapezoid((grid - mean_oracle) ** 2 * dens, grid) / mass
 
-    cond = conditional(q, model2d.partition, 0, [xbar])
+    mean_c, cov_c = _block_conditional(q, model2d.partition, 0, [xbar])
     assert mean_oracle == pytest.approx(1.0, abs=1e-9)
     assert var_oracle == pytest.approx(1.0, abs=1e-6)
-    assert cond.mean[0] == pytest.approx(mean_oracle, abs=1e-9)
-    assert cond.cov[0, 0] == pytest.approx(var_oracle, abs=1e-6)
+    assert mean_c[0] == pytest.approx(mean_oracle, abs=1e-9)
+    assert cov_c[0, 0] == pytest.approx(var_oracle, abs=1e-6)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -179,21 +200,15 @@ def test_conditional_reassembles_joint_moments(seed):
     rest = part.complement(k)
     if rest.size == 0:
         return
-    cond = conditional(g, part, k, g.mean[rest])
+    mean_c, cov_c = _block_conditional(g, part, k, g.mean[rest])
     prec = g.precision
     gain = -np.linalg.inv(prec[np.ix_(idx, idx)]) @ prec[np.ix_(idx, rest)]
     # law of total covariance over the conditioning coordinates
-    cov_ii = cond.cov + gain @ g.cov[np.ix_(rest, rest)] @ gain.T
+    cov_ii = cov_c + gain @ g.cov[np.ix_(rest, rest)] @ gain.T
     cov_ir = gain @ g.cov[np.ix_(rest, rest)]
     assert_allclose(cov_ii, g.cov[np.ix_(idx, idx)], atol=1e-9)
     assert_allclose(cov_ir, g.cov[np.ix_(idx, rest)], atol=1e-9)
-    assert_allclose(cond.mean, g.mean[idx], atol=1e-9)
-
-
-def test_conditional_rejects_bad_xbar(model2d):
-    q = gaussian_target(model2d)
-    with pytest.raises(ValueError):
-        conditional(q, model2d.partition, 0, [1.0, 2.0])
+    assert_allclose(mean_c, g.mean[idx], atol=1e-9)
 
 
 # ---- divergences ----
