@@ -4,7 +4,9 @@ Tracks the exact mixture law of the sampler started from a shifted
 Gaussian and compares U_m, the weighted sum of its components' closed-form
 divergences (an upper bound on the mixture's divergence), against the
 geometric bound (1 - rho/R)^m D(p0||q) from the certified constant.
-Exits 4, as `lsicert verify` does, when the bound fails at some step.
+Exits 4, as `lsicert verify` does, when the bound fails at some step, and
+refuses a model `lsicert verify` refuses with its stderr line and exit
+code.
 
 Usage: python scripts/contraction_demo.py [model.json] [--steps 8]
 """
@@ -12,8 +14,8 @@ Usage: python scripts/contraction_demo.py [model.json] [--steps 8]
 import argparse
 import sys
 
-from lsicert.cli import EXIT_OK, EXIT_VERIFY_FAILED
-from lsicert.criteria import criteria_report
+from lsicert.cli import (EXIT_OK, EXIT_VERIFY_FAILED, certified_constants,
+                         run_refusing)
 from lsicert.gaussian import GaussianDist, gaussian_target, kl
 from lsicert.gibbs import verify_contraction
 from lsicert.instances import model_2d
@@ -27,21 +29,22 @@ def main():
     ap.add_argument("--steps", type=int, default=8)
     ap.add_argument("--shift", type=float, default=2.0,
                     help="initial mean offset on every coordinate")
-    args = ap.parse_args()
+    return run_refusing(demo, ap.parse_args())
 
+
+def demo(args) -> int:
     model = load_model(args.model) if args.model else model_2d()
-    report = criteria_report(model)
+    rho_k, rho = certified_constants(model)
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + args.shift, q.cov)
 
-    rho = report.rho_marton
-    total = sum(report.rho_k)
+    total = float(rho_k.sum())
     print(f"certified rho = {rho:.6f}, R = {total:.6f}, "
           f"per-sweep factor = {1 - rho / total:.6f}")
     print(f"D(p0||q) = {kl(p0, q):.6f}")
     print()
 
-    rows = verify_contraction(p0, model, report, steps=args.steps)
+    rows = verify_contraction(p0, model, rho_k, rho, steps=args.steps)
     print(f"{'param':<20} {'U_m (closed form)':>18} {'bound':>12} "
           f"{'verdict':>7}")
     for r in rows:

@@ -4,7 +4,8 @@ Evaluates divergence and Fisher information in closed form along the
 flow, checks the dissipation identity dD/dt = -I and the exponential
 decay bound exp(-2 rho t) D0 under the certified constant, and
 cross-checks with an Euler-Maruyama particle cloud.  Exits 4, as
-`lsicert verify` does, when any printed check fails.
+`lsicert verify` does, when any printed check fails, and refuses a model
+`lsicert verify` refuses with its stderr line and exit code.
 
 Usage: python scripts/entropy_flow.py [model.json] [--csv out.csv]
 """
@@ -14,8 +15,8 @@ import sys
 
 import numpy as np
 
-from lsicert.cli import EXIT_OK, EXIT_VERIFY_FAILED
-from lsicert.criteria import criteria_report
+from lsicert.cli import (EXIT_OK, EXIT_VERIFY_FAILED, certified_constants,
+                         run_refusing)
 from lsicert.fokker_planck import (
     EntropyTrace,
     curvature_bound,
@@ -48,11 +49,12 @@ def main():
     ap.add_argument("--csv", default=None, help="dump the trace here")
     ap.add_argument("--particles", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
+    return run_refusing(flow, ap.parse_args())
 
+
+def flow(args) -> int:
     model = load_model(args.model) if args.model else model_2d()
-    report = criteria_report(model)
-    rho = report.rho_marton
+    _, rho = certified_constants(model)
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + 2.0, q.cov)
     times = np.linspace(0.0, args.horizon, args.nodes)

@@ -6,7 +6,9 @@ file and emits a JSON report (the model's dimension, block sizes and
 verification suite and emits a pass/fail CSV table, one row per Check
 the verifiers return, with the closed-form suites' params prefixed by
 their trial; `toeplitz` reports exact symbol extrema and finite-section
-spectra for a banded coupling.
+spectra for a banded coupling.  `verify` computes only the constants
+its suites check: rho_k and rho_marton, and delta = 1 - ||A0|| for
+prop4 alone.
 
 The closed-form suites (theorem1, transport, prop4) draw their trials in
 chunks of _TRIAL_CHUNK_BYTES of covariances, in the order a trial-by-trial
@@ -40,7 +42,8 @@ import sys
 import numpy as np
 
 from . import fokker_planck, gibbs, instances, oracles
-from .criteria import (CertificateError, criteria_report,
+from .criteria import (CertificateError, a0_extremes, block_lsi_constants,
+                       criteria_report, solve_rho_marton,
                        toeplitz_spectrum_report)
 from .gaussian import GaussianDist, gaussian_target
 from .model import ModelError, load_model, model_digest
@@ -69,10 +72,6 @@ def _write_text(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write --out: {exc}") from exc
 
 
-def _float_or_none(v):
-    return None if v is None else float(v)
-
-
 def _report_json(model, report) -> str:
     doc = {
         "model": {"dim": model.dim,
@@ -80,8 +79,8 @@ def _report_json(model, report) -> str:
                   "sha256": model_digest(model)},
         "rho_k": [float(r) for r in report.rho_k],
         "delta": float(report.delta),
-        "rho_marton": _float_or_none(report.rho_marton),
-        "rho_or": _float_or_none(report.rho_or),
+        "rho_marton": report.rho_marton,  # a float or None, as is rho_or
+        "rho_or": report.rho_or,
         "flags": list(report.flags),
         "certified": bool(report.certified),
         "norm_A0": float(report.norm_A0),
@@ -120,20 +119,31 @@ def _default_p0(model) -> GaussianDist:
     return GaussianDist(target.mean + 1.0, target.cov)
 
 
-def _trial_checks(subcheck: str, model, report, rng, count: int) -> list:
+def certified_constants(model) -> tuple:
+    """(rho_k, rho_marton) of a Gaussian model; ValueError for a quartic
+    term, CertificateError when solve_rho_marton certifies no rho."""
+    if not model.is_gaussian:
+        raise ValueError("the closed-form verifiers need a Gaussian model "
+                         "(quartic = 0)")
+    return block_lsi_constants(model), solve_rho_marton(model)
+
+
+def _trial_checks(subcheck: str, model, rho_k, rho: float, rng,
+                  count: int) -> list:
     """The checks of the next `count` random instances of a closed-form
     subcheck, one tuple per instance, drawn in the per-instance rng order
-    and checked in one stacked call."""
+    and checked in one stacked call.  prop4, alone, reads delta."""
     if subcheck == "prop4":
         z, u = np.empty((2, count, model.dim))
         for t in range(count):
             z[t] = rng.normal(loc=model.mean, scale=2.0)
             u[t] = rng.normal(loc=model.mean, scale=2.0)
-        return list(oracles.prop4_check(model, report, z, u))
+        delta = 1.0 - a0_extremes(model)[0]
+        return list(oracles.prop4_check(model, rho_k, delta, z, u))
     laws = instances.random_gaussians(rng, count, model.dim)
-    verify = (gibbs.verify_theorem1 if subcheck == "theorem1"
-              else oracles.transport_check)
-    return [(c,) for c in verify(laws, model, report)]
+    if subcheck == "theorem1":
+        return [(c,) for c in gibbs.verify_theorem1(laws, model, rho_k, rho)]
+    return [(c,) for c in oracles.transport_check(laws, model, rho)]
 
 
 def cmd_verify(args) -> int:
@@ -144,28 +154,20 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     model = load_model(args.model)
-    if not model.is_gaussian:
-        print("usage error: the closed-form verifiers need a Gaussian model "
-              "(quartic = 0)", file=sys.stderr)
-        return EXIT_USAGE
-    report = criteria_report(model)
-    if report.rho_marton is None:
-        print("no certificate: delta <= 0", file=sys.stderr)
-        return EXIT_NO_CERTIFICATE
+    rho_k, rho = certified_constants(model)
     if args.subcheck == "gibbs":
         rows = [(None, c) for c in gibbs.verify_contraction(
-            _default_p0(model), model, report, steps=args.steps)]
+            _default_p0(model), model, rho_k, rho, steps=args.steps)]
     elif args.subcheck == "dissipation":
         _, checks = fokker_planck.dissipation_check(
-            _default_p0(model), model, np.linspace(0.0, 5.0, 5001),
-            rho=report.rho_marton)
+            _default_p0(model), model, np.linspace(0.0, 5.0, 5001), rho=rho)
         rows = [(None, c) for c in checks]
     else:
         rng = np.random.default_rng(args.seed)
         chunk = max(1, _TRIAL_CHUNK_BYTES // (8 * model.dim * model.dim))
         rows = []
         for lo in range(0, trials, chunk):
-            trial_rows = _trial_checks(args.subcheck, model, report, rng,
+            trial_rows = _trial_checks(args.subcheck, model, rho_k, rho, rng,
                                        min(chunk, trials - lo))
             rows += [(i, c) for i, row in enumerate(trial_rows, start=lo)
                      for c in row]
@@ -234,29 +236,29 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
-def main(argv=None) -> int:
+def run_refusing(command, args) -> int:
+    """command(args), with a refusal printed as its one stderr line and
+    returned as its exit code; the demo scripts share it."""
     try:
-        args = PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        if args.command == "criteria":
-            return cmd_criteria(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_toeplitz(args)
+        return command(args)
     except ModelError as exc:
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except CertificateError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
-    except gibbs.MixtureCapError as exc:
+    except (gibbs.MixtureCapError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+
+
+def main(argv=None) -> int:
+    try:
+        args = PARSER.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    return run_refusing({"criteria": cmd_criteria, "verify": cmd_verify,
+                         "toeplitz": cmd_toeplitz}[args.command], args)
 
 
 def entrypoint() -> None:

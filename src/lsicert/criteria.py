@@ -19,12 +19,13 @@ diag(rho_k) - kappa, rounded down by the eigensolver's error bound.  The
 module also reports exact symbol extrema and finite-section spectra for
 banded Toeplitz couplings.
 
-Each certificate has one routine (solve_rho_marton, otto_reznikoff) and
-criteria_report is built from both; the block constants they share are
-computed once per model and kept on it (model.per_object).  The
-block-matrix criterion's kappa reads a 1 x 1 cross block as |K_kl|, in
-block order, and takes one batched SVD per shape for every other block
-shape (cross_block_norms).
+Each certificate has one routine (solve_rho_marton, otto_reznikoff), as
+do the A0 diagnostics (a0_extremes), and criteria_report is built from
+all three; the block constants they share are computed once per model
+and kept on it (model.per_object).  `verify` calls only the routines
+whose constants its suite checks.  The block-matrix criterion's kappa
+reads a 1 x 1 cross block as |K_kl|, in block order, and takes one
+batched SVD per shape for every other block shape (cross_block_norms).
 
 Every extreme eigenvalue of a whole matrix here (the certificates, the
 A0 diagnostics and the two Toeplitz sections) comes from
@@ -72,6 +73,24 @@ class Check:
         value, bound = float(value), float(bound)
         return cls(check, param, value, bound, ROUNDING_SLACK,
                    value <= bound + ROUNDING_SLACK)
+
+
+def _checked_rho(rho) -> float:
+    """A verifier's rho as a float; ValueError unless finite and positive."""
+    if rho is None or not 0 < rho < np.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho!r}")
+    return float(rho)
+
+
+def _checked_rho_k(model: GibbsModel, rho_k) -> np.ndarray:
+    """A verifier's rho_k as an array; ValueError unless it holds one
+    finite positive value per block."""
+    rho_k = np.asarray(rho_k, dtype=float)
+    if rho_k.shape != (model.partition.n,) \
+            or not np.all((rho_k > 0) & (rho_k < np.inf)):
+        raise ValueError(f"rho_k must be finite and positive, one per block,"
+                         f" got {rho_k!r}")
+    return rho_k
 
 
 @dataclass(frozen=True)
@@ -144,7 +163,8 @@ def solve_rho_marton(model: GibbsModel) -> float:
     semidefinite, so the certificate is min(lambda_min(D0 - C),
     lambda_min(D0 + C)).  That never exceeds min_k rho_k, the diagonal of
     both matrices, which is returned exactly when C = 0.  Raises
-    CertificateError when the certificate is not positive.
+    CertificateError when the certificate is not positive, "delta <= 0"
+    (||A0|| >= 1) once the blocks are positive definite.
     """
     rho_k = _positive_block_constants(model)
     rho_coord = rho_k[model.partition.coordinate_block]
@@ -154,8 +174,7 @@ def solve_rho_marton(model: GibbsModel) -> float:
     rho = min(_lambda_min_lower(d0 - model.cross),
               _lambda_min_lower(d0 + model.cross))
     if rho <= 0:
-        raise CertificateError(
-            f"no certificate: lambda_min(D0 +- C) = {rho:.6g} <= 0")
+        raise CertificateError("delta <= 0")
     return rho
 
 
@@ -236,20 +255,27 @@ def otto_reznikoff(model: GibbsModel) -> float:
     return rho
 
 
+@per_object
+def a0_extremes(model: GibbsModel) -> tuple:
+    """(||A0||, lambda_max(A0)) of A0 = D0^-1/2 C D0^-1/2, the interaction
+    matrix at rho = 0, once per model; prop4 reads delta = 1 - ||A0||."""
+    scale = 1.0 / np.sqrt(_positive_block_constants(model)[
+        model.partition.coordinate_block])
+    lo, hi = extreme_eigvalsh(scale[:, None] * model.cross * scale[None, :])
+    return max(abs(lo), abs(hi)), hi
+
+
 def criteria_report(model: GibbsModel) -> CriteriaReport:
     """Evaluate both criteria and collect certificates plus diagnostics.
 
-    The certificates come from solve_rho_marton and otto_reznikoff; they
-    and A0 read block constants and a cross-block Hessian computed once
-    per model.  A block that is not positive definite raises
+    The certificates come from solve_rho_marton and otto_reznikoff, the
+    A0 diagnostics from a0_extremes; all read block constants computed
+    once per model.  A block that is not positive definite raises
     CertificateError before either criterion runs.
     """
     rho_k = _positive_block_constants(model)
     rho_min = float(rho_k.min())
-    scale = 1.0 / np.sqrt(rho_k[model.partition.coordinate_block])
-    lo_a0, hi_a0 = extreme_eigvalsh(
-        scale[:, None] * model.cross * scale[None, :])
-    norm0 = max(abs(lo_a0), abs(hi_a0))
+    norm0, hi_a0 = a0_extremes(model)
     flags = []
     try:
         rho_marton = solve_rho_marton(model)

@@ -18,6 +18,10 @@ component laws, which checks every covariance and holds the batched
 Cholesky factors and log determinants: a sweep pushes the components of
 each block in one batch and stacks the image once, and `kl` reads the
 stack as it is.
+
+The verifiers take the constants they check, rho_k and rho, and refuse
+any that is not finite and positive (one rho_k per block) before any
+work; a rho above the true constant is no input error: its check fails.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .criteria import CertificateError, Check, CriteriaReport
+from .criteria import Check, _checked_rho, _checked_rho_k
 from .gaussian import (GaussianDist, GaussianStack, _dot, avg_conditional_kl,
                        gaussian_target, kl, memo_conditionals)
 from .model import GibbsModel, per_object
@@ -223,32 +227,26 @@ def apply_weighted_gibbs(p: GaussianMixture, model: GibbsModel,
     of exceeding DEFAULT_COMPONENT_CAP or MIXTURE_BYTE_BUDGET.
     """
     _check_mixture(p, model)
-    rho = np.asarray(rho, dtype=float)
-    part = model.partition
-    if rho.shape != (part.n,):
-        raise ValueError(f"need one weight per block, got shape {rho.shape}")
-    if np.any(rho <= 0):
-        raise ValueError("block weights must be positive")
+    rho = _checked_rho_k(model, rho)
     share = rho / rho.sum()
-    moves = ((k, c, share[k] * w) for k in range(part.n)
+    moves = ((k, c, share[k] * w) for k in range(model.partition.n)
              for c, w in enumerate(p.weights))
     return _image(p, model, moves)
 
 
-def verify_theorem1(p, model: GibbsModel, report: CriteriaReport):
+def verify_theorem1(p, model: GibbsModel, rho_k, rho: float):
     """Check D(p||q) <= (1/rho) sum_k rho_k E[D(p^k(.|xbar) || q^k(.|xbar))].
 
-    rho is the certified constant from the report; every term is closed
-    form, so the comparison carries only ROUNDING_SLACK.  p is one law, or
-    a GaussianStack whose laws are checked in one pass, one Check each.
+    Every term is closed form, so the comparison carries only
+    ROUNDING_SLACK.  p is one law, or a GaussianStack whose laws are
+    checked in one pass, one Check each.
     """
-    if report.rho_marton is None:
-        raise CertificateError("report carries no certified constant")
+    rho_k, rho = _checked_rho_k(model, rho_k), _checked_rho(rho)
     q = gaussian_target(model)
     laws = GaussianStack.of(p)
     lhs = kl(laws, q)
     terms = avg_conditional_kl(laws, q, model.partition)
-    rhs = _dot(terms, np.asarray(report.rho_k)) / report.rho_marton
+    rhs = _dot(terms, rho_k) / rho
     checks = tuple(Check.within_rounding("theorem1", "", a, b)
                    for a, b in zip(lhs, rhs))
     return checks if isinstance(p, GaussianStack) else checks[0]
@@ -278,11 +276,11 @@ def entropy_drop_identity(p: GaussianDist, model: GibbsModel,
     return EntropyDropCheck(lhs=lhs, rhs=rhs, gap=lhs - rhs)
 
 
-def verify_contraction(p0: GaussianDist, model: GibbsModel,
-                       report: CriteriaReport, steps: int) -> tuple:
+def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
+                       rho: float, steps: int) -> tuple:
     """Track the sweep trajectory and compare U_m = sum_c w_c D(p_c||q)
     over the step-m mixture's components against the geometric bound
-    (1 - rho/R)^m D(p0||q).
+    (1 - rho/R)^m D(p0||q), R = sum_k rho_k the sampler's total weight.
 
     D(.||q) is convex, so D(p_m||q) <= U_m; the entropy-drop identity and
     Theorem 1 give U_{m+1} <= (1 - rho/R) U_m component by component, so
@@ -292,12 +290,10 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel,
     components; when they exceed DEFAULT_COMPONENT_CAP or
     MIXTURE_BYTE_BUDGET, MixtureCapError is raised before the first sweep.
     """
-    if report.rho_marton is None:
-        raise CertificateError("report carries no certified constant")
+    rho_k, rho = _checked_rho_k(model, rho_k), _checked_rho(rho)
     _require_gaussian(model)
     _check_budget(collapsed_word_count(model.partition.n, steps), model.dim)
-    rho_k = np.asarray(report.rho_k, dtype=float)
-    factor = 1.0 - float(report.rho_marton) / float(rho_k.sum())
+    factor = 1.0 - rho / float(rho_k.sum())
     q = gaussian_target(model)
     d0 = kl(p0, q)
 

@@ -3,24 +3,22 @@
 The interaction matrix A^rho and bisection on the two certificate
 thresholds, grid quadrature for divergence and Fisher information
 (dimensions 1 to 3), the sorted-sample coupling for one-dimensional W2,
-and closed-form checkers for the transport inequality and the per-block
-mean-shift comparison.  The estimators take a different route than the
-main modules, so agreement with them is evidence of correctness; the
-quadrature takes its densities as callables, so a reference density
-(scipy.stats in the tests) shares no code with the closed forms.
+and closed-form checkers for the transport inequality (at a rho) and
+the per-block mean-shift comparison (at rho_k and delta), which refuse
+bad constants before any work, as gibbs.verify_theorem1 does.  The
+estimators take a different route than the main modules, so agreement
+with them is evidence of correctness; the quadrature takes its densities
+as callables, so a reference density (scipy.stats in the tests) shares
+no code with the closed forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .criteria import (
-    CertificateError,
-    Check,
-    CriteriaReport,
-    block_lsi_constants,
-    cross_block_norms,
-)
+from .criteria import (CertificateError, Check, _checked_rho,
+                       _checked_rho_k, block_lsi_constants,
+                       cross_block_norms)
 from .gaussian import (GaussianStack, _dot, _matvec, gaussian_target, kl,
                        memo_conditionals, w2)
 from .model import GibbsModel
@@ -176,24 +174,23 @@ def w2_empirical_1d(samples_p, samples_q) -> float:
     return float(np.sqrt(np.mean((sp - sq) ** 2)))
 
 
-def transport_check(p, model: GibbsModel, report: CriteriaReport):
-    """Check W2(p, q)^2 <= (2/rho) D(p||q) with the certified rho.
+def transport_check(p, model: GibbsModel, rho: float):
+    """Check W2(p, q)^2 <= (2/rho) D(p||q) at the constant rho.
 
     p is one law, or a GaussianStack whose laws are checked in one pass,
     one Check each.
     """
-    if report.rho_marton is None:
-        raise CertificateError("report carries no certified constant")
+    rho = _checked_rho(rho)
     q = gaussian_target(model)
     laws = GaussianStack.of(p)
     w2sq = w2(laws, q) ** 2
-    bound = 2.0 / report.rho_marton * kl(laws, q)
+    bound = 2.0 / rho * kl(laws, q)
     checks = tuple(Check.within_rounding("transport", "", a, b)
                    for a, b in zip(w2sq, bound))
     return checks if isinstance(p, GaussianStack) else checks[0]
 
 
-def prop4_check(model: GibbsModel, report: CriteriaReport, z, u) -> tuple:
+def prop4_check(model: GibbsModel, rho_k, delta: float, z, u) -> tuple:
     """Evaluate the two-sided mean-shift inequality at points z, u.
 
     For Gaussian conditionals with shifted conditioning points, the
@@ -203,24 +200,26 @@ def prop4_check(model: GibbsModel, report: CriteriaReport, z, u) -> tuple:
     interaction bound rhs = (1 - delta)^2 sum rho_k |(z - u)_k|^2.
     Returns the checks lhs <= mid (param w2_vs_kl) and mid <= rhs
     (param kl_vs_quadratic).  Rows z, u of (T, dim) arrays are checked in
-    one pass and give one such pair per row.
+    one pass and give one such pair per row.  delta = 1 - ||A0|| must be
+    positive (CertificateError).
     """
     if not model.is_gaussian:
         raise ValueError("closed-form check needs a Gaussian model")
-    if report.delta <= 0:
-        raise CertificateError("report carries no interaction margin")
+    rho_k = _checked_rho_k(model, rho_k)
+    if not delta > 0:
+        raise CertificateError("delta <= 0")
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)
     if z.shape != u.shape or z.ndim not in (1, 2) \
             or z.shape[-1] != model.dim:
         raise ValueError("points must have the model dimension")
-    weight = np.asarray(report.rho_k)[model.partition.coordinate_block]
+    weight = rho_k[model.partition.coordinate_block]
     diff = np.atleast_2d(z - u)
     shift = _matvec(memo_conditionals(model, model.partition)[1], diff)
     lhs = _dot(shift, weight * shift)
     diag_blocks = model.precision - model.cross
     mid = _dot(np.matmul(shift[:, None, :], diag_blocks)[:, 0], shift)
-    rhs = (1.0 - report.delta) ** 2 * _dot(diff, weight * diff)
+    rhs = (1.0 - delta) ** 2 * _dot(diff, weight * diff)
     pairs = tuple((Check.within_rounding("prop4", "w2_vs_kl", a, b),
                    Check.within_rounding("prop4", "kl_vs_quadratic", b, c))
                   for a, b, c in zip(lhs, mid, rhs))

@@ -27,6 +27,26 @@ def no_leaked_threads():
     assert not leaked, f"threads left running: {leaked}"
 
 
+# Verifier arguments that are no certified constant: each is refused
+# with ValueError before any work.
+BAD_RHO = (None, 0.0, -1.0, np.nan, np.inf)
+
+
+def bad_rho_k(n: int) -> list:
+    """Block constants refused for an n-block model: a wrong length, an
+    entry <= 0 and a non-finite entry."""
+    ones = [1.0] * n
+    return [ones[:-1], ones + [1.0], [0.0] + ones[1:], [-1.0] + ones[1:],
+            [np.nan] + ones[1:], [np.inf] + ones[1:], None]
+
+
+def must_not_run(*args, **kwargs):
+    """Stand-in for a routine the code under test must not reach: the
+    first one a verifier calls after its argument checks, or one that
+    computes a constant no `verify` suite reads."""
+    raise AssertionError("a routine that must not run was called")
+
+
 @pytest.fixture
 def model2d():
     return model_2d()

@@ -110,7 +110,7 @@ def test_criterion_05_block_decomposition():
     bad = 0
     for model, rep in _certified_reports()[:200]:
         p = random_gaussian(rng, model.dim)
-        chk = verify_theorem1(p, model, rep)
+        chk = verify_theorem1(p, model, rep.rho_k, rep.rho_marton)
         bad += not chk.holds
     _verdict(5, "block entropy decomposition", bad == 0,
              f"{bad} violations at 1e-9 slack")
@@ -135,7 +135,7 @@ def test_criterion_07_gibbs_contraction():
     rep = criteria_report(model)
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + np.array([2.0, -1.0]), np.eye(2))
-    rows = verify_contraction(p0, model, rep, steps=8)
+    rows = verify_contraction(p0, model, rep.rho_k, rep.rho_marton, steps=8)
     elapsed = time.perf_counter() - t0
     factor_ok = abs((1.0 - rep.rho_marton / sum(rep.rho_k)) - 0.75) <= 1e-9
     ok = (factor_ok and all(r.holds for r in rows)
@@ -169,7 +169,7 @@ def test_criterion_09_transport():
     bad = 0
     for model, rep in _certified_reports():
         p = random_gaussian(rng, model.dim)
-        bad += not transport_check(p, model, rep).holds
+        bad += not transport_check(p, model, rep.rho_marton).holds
 
     # near-tightness: mean shifts along the softest eigendirection of
     # chains, where the certified constant is the true one
@@ -179,7 +179,7 @@ def test_criterion_09_transport():
         w, vecs = np.linalg.eigh(model.precision)
         q = gaussian_target(model)
         p = GaussianDist(q.mean + 0.5 * vecs[:, 0], q.cov)
-        res = transport_check(p, model, rep)
+        res = transport_check(p, model, rep.rho_marton)
         bad += not res.holds
         ratios.append(res.value / res.bound)
     ok = bad == 0 and min(ratios) >= 0.99
@@ -193,7 +193,8 @@ def test_criterion_10_mean_shift_inequalities():
     for model, rep in _certified_reports():
         z = rng.normal(loc=model.mean, scale=2.0)
         u = rng.normal(loc=model.mean, scale=2.0)
-        bad += not all(c.holds for c in prop4_check(model, rep, z, u))
+        bad += not all(c.holds for c in prop4_check(model, rep.rho_k,
+                                                    rep.delta, z, u))
     _verdict(10, "conditional mean shift inequalities", bad == 0,
              f"{bad} violations over 500 triples")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lsicert import cli, fokker_planck, gibbs
+from lsicert import cli, criteria, fokker_planck, gibbs
 from lsicert.criteria import Check, criteria_report
 from lsicert.gaussian import GaussianDist, gaussian_target
 from lsicert.instances import (model_2d, random_certified_model,
@@ -23,6 +23,8 @@ from lsicert.model import (BlockPartition, GibbsModel, load_model,
                            model_digest, model_to_dict, save_model,
                            toeplitz_matrix)
 from lsicert.oracles import prop4_check, transport_check
+
+from conftest import must_not_run
 
 
 @pytest.fixture
@@ -330,6 +332,46 @@ def test_verify_gibbs_golden_bytes(model_path, capsys):
     assert out == GIBBS_GOLDEN.replace("# seed=5", "# seed=6")
 
 
+# The closed-form suites' tables on the 2-d reference, pinned byte for
+# byte: reading rho_k, rho and delta from their own routines, rather than
+# from a whole criteria report, may not move a byte of them.
+CLOSED_GOLDEN = {
+    "theorem1": """\
+theorem1,trial=0,2.955825723119907,4.3653171945935485,1e-09,pass
+theorem1,trial=1,4.360396416944864,7.444571044823312,1e-09,pass
+theorem1,trial=2,2.861880578130663,6.772597860566902,1e-09,pass
+""",
+    "transport": """\
+transport,trial=0,10.014874248541686,11.823302892479644,1e-09,pass
+transport,trial=1,13.371734096251608,17.44158566777948,1e-09,pass
+transport,trial=2,5.824533733010791,11.447522312522668,1e-09,pass
+""",
+    "prop4": """\
+prop4,trial=0:w2_vs_kl,3.3507813408839495,3.3507813408839495,1e-09,pass
+prop4,trial=0:kl_vs_quadratic,3.3507813408839495,3.3507813408839495,1e-09,pass
+prop4,trial=1:w2_vs_kl,3.6517934835204433,3.6517934835204433,1e-09,pass
+prop4,trial=1:kl_vs_quadratic,3.6517934835204433,3.6517934835204433,1e-09,pass
+prop4,trial=2:w2_vs_kl,8.452618863433749,8.452618863433749,1e-09,pass
+prop4,trial=2:kl_vs_quadratic,8.452618863433749,8.452618863433749,1e-09,pass
+""",
+    "dissipation": """\
+dissipation,max_residual,8.325004285936188e-08,1.5000000000000002e-05,\
+1.5000000000000002e-05,pass
+dissipation,integral_identity_rel_err,8.27718363849428e-08,0.0001,0.0001,pass
+dissipation,exp_decay_max_excess,-3.36899648803457e-12,0.0,1e-12,pass
+""",
+}
+
+
+@pytest.mark.parametrize("subcheck", sorted(CLOSED_GOLDEN))
+def test_verify_closed_form_golden_bytes(subcheck, model_path, capsys):
+    code, out, err = run(["verify", model_path, subcheck, "--trials", "3",
+                          "--seed", "5"], capsys)
+    assert (code, err) == (0, "")
+    assert out == ("# seed=5\ncheck,param,value,bound,tolerance,verdict\n"
+                   + CLOSED_GOLDEN[subcheck])
+
+
 def test_verify_transport_and_prop4(model_path, capsys):
     for subcheck, rows_per_trial in (("transport", 1), ("prop4", 2)):
         code, out, _ = run(["verify", model_path, subcheck,
@@ -373,13 +415,14 @@ def library_checks(model, subcheck, seed, trials):
     """The checks `verify` reports, taken from the library directly, with
     the trial of each closed-form check prefixed to its param."""
     report = criteria_report(model)
+    rho_k, rho = report.rho_k, report.rho_marton
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + 1.0, q.cov)
     if subcheck == "gibbs":
-        return list(gibbs.verify_contraction(p0, model, report, steps=2))
+        return list(gibbs.verify_contraction(p0, model, rho_k, rho, steps=2))
     if subcheck == "dissipation":
         _, checks = fokker_planck.dissipation_check(
-            p0, model, np.linspace(0.0, 5.0, 5001), rho=report.rho_marton)
+            p0, model, np.linspace(0.0, 5.0, 5001), rho=rho)
         return list(checks)
     rng = np.random.default_rng(seed)
     out = []
@@ -387,11 +430,13 @@ def library_checks(model, subcheck, seed, trials):
         if subcheck == "prop4":
             z = rng.normal(loc=model.mean, scale=2.0)
             u = rng.normal(loc=model.mean, scale=2.0)
-            checks = prop4_check(model, report, z, u)
+            checks = prop4_check(model, rho_k, report.delta, z, u)
+        elif subcheck == "theorem1":
+            checks = (gibbs.verify_theorem1(random_gaussian(rng, model.dim),
+                                            model, rho_k, rho),)
         else:
-            verify = gibbs.verify_theorem1 if subcheck == "theorem1" \
-                else transport_check
-            checks = (verify(random_gaussian(rng, model.dim), model, report),)
+            checks = (transport_check(random_gaussian(rng, model.dim), model,
+                                      rho),)
         out += [with_trial(i, c) for c in checks]
     return out
 
@@ -411,8 +456,9 @@ def test_verify_rows_are_library_records(subcheck, model_path, capsys):
 @pytest.mark.parametrize("subcheck", ["theorem1", "transport", "prop4"])
 def test_stacked_trials_equal_single_law_calls(subcheck):
     model = random_certified_model(np.random.default_rng(2), dim=12)
-    rows = cli._trial_checks(subcheck, model, criteria_report(model),
-                             np.random.default_rng(4), 50)
+    report = criteria_report(model)
+    rows = cli._trial_checks(subcheck, model, report.rho_k,
+                             report.rho_marton, np.random.default_rng(4), 50)
     stacked = [with_trial(i, c) for i, row in enumerate(rows) for c in row]
     single = library_checks(model, subcheck, 4, 50)
     assert [repr(c) for c in stacked] == [repr(c) for c in single]
@@ -425,9 +471,9 @@ def test_verify_chunks_give_the_rows_of_one_chunk(subcheck, model_path,
     counts = []
     original = cli._trial_checks
 
-    def counted(subcheck, model, report, rng, count):
+    def counted(subcheck, model, rho_k, rho, rng, count):
         counts.append(count)
-        return original(subcheck, model, report, rng, count)
+        return original(subcheck, model, rho_k, rho, rng, count)
 
     monkeypatch.setattr(cli, "_trial_checks", counted)
     code, whole, _ = run(args, capsys)
@@ -455,6 +501,57 @@ def test_verify_no_certificate(uncertified_model_path, capsys):
     code, _, err = run(["verify", uncertified_model_path, "theorem1"],
                        capsys)
     assert code == 3
+
+
+@pytest.fixture
+def dense_model_path(tmp_path):
+    path = tmp_path / "dense.json"
+    save_model(random_certified_model(np.random.default_rng(11), dim=12),
+               path)
+    return str(path)
+
+
+def test_verify_skips_the_block_matrix_criterion(dense_model_path, capsys,
+                                                 monkeypatch):
+    # no suite reads rho_or, so no suite computes kappa or its eigenvalue
+    monkeypatch.setattr(criteria, "otto_reznikoff", must_not_run)
+    monkeypatch.setattr(criteria, "cross_block_norms", must_not_run)
+    for subcheck in cli.SUBCHECKS:
+        code, out, err = run(["verify", dense_model_path, subcheck,
+                              "--trials", "3", "--steps", "2"], capsys)
+        assert (code, err) == (0, ""), subcheck
+        assert all(line.endswith(",pass")
+                   for line in check_csv_shape(out, 0)[2:])
+    # `criteria` still reports both certificates
+    monkeypatch.undo()
+    code, out, _ = run(["criteria", dense_model_path], capsys)
+    assert code == 0
+    assert strict_loads(out)["rho_or"] is not None
+
+
+def test_verify_reads_a0_for_prop4_only(dense_model_path, capsys,
+                                        monkeypatch):
+    monkeypatch.setattr(criteria, "a0_extremes", must_not_run)
+    monkeypatch.setattr(cli, "a0_extremes", must_not_run)
+    for subcheck in cli.SUBCHECKS:
+        args = ["verify", dense_model_path, subcheck, "--trials", "3",
+                "--steps", "2"]
+        if subcheck == "prop4":
+            with pytest.raises(AssertionError, match="must not run"):
+                cli.main(args)
+        else:
+            assert run(args, capsys)[::2] == (0, ""), subcheck
+
+
+def test_verify_refuses_an_indefinite_diagonal_block(model_path, capsys,
+                                                     monkeypatch):
+    # checked before the interaction-matrix criterion, in every suite
+    monkeypatch.setattr(criteria, "block_lsi_constants",
+                        lambda model: np.array([1.0, 0.0]))
+    for subcheck in cli.SUBCHECKS:
+        assert run(["verify", model_path, subcheck], capsys) == (
+            3, "", "no certificate: a diagonal precision block is not "
+                   "positive definite\n")
 
 
 def test_verify_failure_exit_code(model_path, capsys, monkeypatch):

@@ -414,7 +414,8 @@ def test_verify_theorem1_takes_two_batched_conditionals(monkeypatch):
     for model in (model_2d(), random_certified_model(rng, dim=12), chain):
         report = criteria_report(model)
         calls.clear()
-        gibbs.verify_theorem1(random_gaussian(rng, model.dim), model, report)
+        gibbs.verify_theorem1(random_gaussian(rng, model.dim), model,
+                              report.rho_k, report.rho_marton)
         assert 1 <= len(calls) <= 2, (model.partition.n, calls)
 
 

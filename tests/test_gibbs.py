@@ -5,7 +5,6 @@ before the entropy identities and contraction bounds are tested.
 """
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +15,8 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from lsicert import gibbs
-from lsicert.criteria import CertificateError, criteria_report
+from lsicert.criteria import (block_lsi_constants, criteria_report,
+                              solve_rho_marton)
 from lsicert.gaussian import GaussianDist, GaussianStack, gaussian_target, kl
 from lsicert.gibbs import (
     GaussianMixture,
@@ -32,6 +32,8 @@ from lsicert.instances import (random_certified_model, random_gaussian,
                                random_gaussians, random_spd)
 from lsicert.model import BlockPartition, GibbsModel
 from lsicert.oracles import quad_kl
+
+from conftest import BAD_RHO, bad_rho_k, must_not_run
 
 ENTROPY_DROP_2D = 0.125  # hand derivation for the two-coordinate model
 
@@ -254,7 +256,7 @@ def test_mixture_refusals(build, message):
 def test_theorem1_tight_case(model2d):
     rep = criteria_report(model2d)
     p = shifted_target(model2d, [1.0, 1.0])
-    chk = verify_theorem1(p, model2d, rep)
+    chk = verify_theorem1(p, model2d, rep.rho_k, rep.rho_marton)
     assert chk.holds
     assert (chk.check, chk.param, chk.tolerance) == ("theorem1", "", 1e-9)
     assert chk.value == pytest.approx(0.5, abs=1e-12)
@@ -268,16 +270,32 @@ def test_theorem1_random_pairs(seed):
     model = random_certified_model(rng)
     rep = criteria_report(model)
     p = random_gaussian(rng, model.dim)
-    chk = verify_theorem1(p, model, rep)
+    chk = verify_theorem1(p, model, rep.rho_k, rep.rho_marton)
     assert chk.holds, (chk.value, chk.bound)
 
 
-def test_theorem1_needs_certificate(model2d):
-    from dataclasses import replace
+def test_theorem1_needs_certificate(model2d, monkeypatch):
+    # every rho and rho_k that is no constant is refused before any work
+    rho_k, rho = block_lsi_constants(model2d), solve_rho_marton(model2d)
+    p = shifted_target(model2d, [1.0, 1.0])
+    monkeypatch.setattr(gibbs, "gaussian_target", must_not_run)
+    for bad in BAD_RHO:
+        with pytest.raises(ValueError, match="rho must be"):
+            verify_theorem1(p, model2d, rho_k, bad)
+    for bad in bad_rho_k(2):
+        with pytest.raises(ValueError, match="rho_k must"):
+            verify_theorem1(p, model2d, bad, rho)
 
-    rep = replace(criteria_report(model2d), rho_marton=None, certified=False)
-    with pytest.raises(CertificateError):
-        verify_theorem1(gaussian_target(model2d), model2d, rep)
+
+def test_theorem1_inflated_rho_reaches_the_check(model2d):
+    # a rho above the true constant is no input error: on the tight case
+    # the bound halves, below the attained divergence, and the check fails
+    rho_k, rho = block_lsi_constants(model2d), solve_rho_marton(model2d)
+    p = shifted_target(model2d, [1.0, 1.0])
+    assert verify_theorem1(p, model2d, rho_k, rho).holds
+    chk = verify_theorem1(p, model2d, rho_k, 2.0 * rho)
+    assert not chk.holds
+    assert chk.bound == pytest.approx(0.5 * chk.value, rel=1e-9)
 
 
 def test_entropy_drop_reference(model2d):
@@ -304,7 +322,7 @@ def test_entropy_drop_identity_random(seed):
 def test_contraction_reference(model2d):
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [2.0, -1.0])
-    rows = verify_contraction(p0, model2d, rep, steps=4)
+    rows = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=4)
     d0 = kl(p0, gaussian_target(model2d))
     assert rows[0].value == pytest.approx(d0, abs=1e-12)
     assert rows[0].tolerance == 0.0
@@ -322,7 +340,7 @@ def test_contraction_rows_are_component_divergences(model2d):
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [1.0, 1.0])
     q = gaussian_target(model2d)
-    rows = verify_contraction(p0, model2d, rep, steps=3)
+    rows = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=3)
     mix = GaussianMixture.single(p0)
     for row in rows[1:]:
         mix = apply_weighted_gibbs(mix, model2d, np.asarray(rep.rho_k))
@@ -336,9 +354,10 @@ def test_inflated_rho_fails_the_check(model2d):
     rep = criteria_report(model2d)
     q = gaussian_target(model2d)
     p0 = GaussianDist(q.mean + 1.0, q.cov)
-    assert all(r.holds for r in verify_contraction(p0, model2d, rep, steps=1))
-    inflated = replace(rep, rho_marton=rep.rho_marton * (1.0 + 1e-6))
-    row = verify_contraction(p0, model2d, inflated, steps=1)[1]
+    assert all(r.holds for r in verify_contraction(
+        p0, model2d, rep.rho_k, rep.rho_marton, steps=1))
+    row = verify_contraction(p0, model2d, rep.rho_k,
+                             rep.rho_marton * (1.0 + 1e-6), steps=1)[1]
     assert not row.holds
     assert row.value - row.bound == pytest.approx(1.25e-7, rel=1e-3)
 
@@ -348,7 +367,7 @@ def test_rows_bound_the_quadrature_divergence(model2d):
     rep = criteria_report(model2d)
     q = gaussian_target(model2d)
     p0 = GaussianDist(q.mean + 1.0, q.cov)
-    rows = verify_contraction(p0, model2d, rep, steps=4)
+    rows = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=4)
     mix = GaussianMixture.single(p0)
     for row in rows[1:]:
         mix = apply_weighted_gibbs(mix, model2d, np.asarray(rep.rho_k))
@@ -366,8 +385,8 @@ def test_component_divergence_contracts_each_sweep(seed):
     model = random_certified_model(rng)
     rep = criteria_report(model)
     factor = 1.0 - rep.rho_marton / sum(rep.rho_k)
-    rows = verify_contraction(random_gaussian(rng, model.dim), model, rep,
-                              steps=3)
+    rows = verify_contraction(random_gaussian(rng, model.dim), model,
+                              rep.rho_k, rep.rho_marton, steps=3)
     for before, after in zip(rows, rows[1:]):
         assert after.value <= factor * before.value + 1e-9
 
@@ -377,7 +396,7 @@ def test_contraction_cap_fallback(model2d, monkeypatch):
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [2.0, -1.0])
     with pytest.raises(MixtureCapError):
-        verify_contraction(p0, model2d, rep, steps=4)
+        verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=4)
 
 
 def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
@@ -388,8 +407,8 @@ def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [2.0, -1.0])
     with pytest.raises(MixtureCapError):
-        verify_contraction(p0, model2d, rep, steps=3)
-    rows = verify_contraction(p0, model2d, rep, steps=2)
+        verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=3)
+    rows = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=2)
     assert [r.param for r in rows] == ["step=0", "step=1", "step=2"]
 
 
@@ -442,14 +461,30 @@ def test_sweep_image_holds_the_gathered_covariances_once():
 def test_contraction_determinism(model2d):
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [1.0, 1.0])
-    a = verify_contraction(p0, model2d, rep, steps=2)
-    b = verify_contraction(p0, model2d, rep, steps=2)
+    a = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=2)
+    b = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=2)
     assert a == b
 
 
-def test_contraction_needs_certificate(model2d):
-    from dataclasses import replace
+def test_contraction_needs_certificate(model2d, monkeypatch):
+    # every rho and rho_k that is no constant is refused before any work
+    rho_k, rho = block_lsi_constants(model2d), solve_rho_marton(model2d)
+    p0 = shifted_target(model2d, [1.0, 1.0])
+    monkeypatch.setattr(gibbs, "_check_budget", must_not_run)
+    monkeypatch.setattr(gibbs, "gaussian_target", must_not_run)
+    for bad in BAD_RHO:
+        with pytest.raises(ValueError, match="rho must be"):
+            verify_contraction(p0, model2d, rho_k, bad, steps=1)
+    for bad in bad_rho_k(2):
+        with pytest.raises(ValueError, match="rho_k must"):
+            verify_contraction(p0, model2d, bad, rho, steps=1)
 
-    rep = replace(criteria_report(model2d), rho_marton=None, certified=False)
-    with pytest.raises(CertificateError):
-        verify_contraction(gaussian_target(model2d), model2d, rep, steps=1)
+
+def test_contraction_inflated_rho_reaches_the_check(model2d):
+    # at twice the certified rho the factor 1 - rho/R halves to 0.5; from
+    # the CLI's start U_1 attains the true bound, so step 1 fails
+    rho_k, rho = block_lsi_constants(model2d), solve_rho_marton(model2d)
+    p0 = shifted_target(model2d, [1.0, 1.0])
+    rows = verify_contraction(p0, model2d, rho_k, 2.0 * rho, steps=1)
+    assert rows[0].holds and not rows[1].holds
+    assert rows[1].bound == pytest.approx(0.5 * rows[0].value, rel=1e-12)

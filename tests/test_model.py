@@ -516,7 +516,7 @@ def _through_every_memo(m: int) -> GibbsModel:
     p = GaussianDist(q.mean + 1.0, q.cov)
     avg_conditional_kl(p, q, model.partition)
     report = criteria_report(model)
-    verify_contraction(p, model, report, steps=1)
+    verify_contraction(p, model, report.rho_k, report.rho_marton, steps=1)
     entropy_trace(p, model, np.linspace(0.0, 1.0, 5))
     return model
 
@@ -539,9 +539,11 @@ def test_derived_quantities_are_freed_with_the_model():
 
 def _memo_arrays(value):
     """The arrays of a memoised value: through tuples, and a law's mean,
-    covariance and its own memo."""
+    covariance and its own memo; a float holds none."""
     if isinstance(value, np.ndarray):
         yield value
+    elif isinstance(value, float):
+        return
     elif isinstance(value, tuple):
         for item in value:
             yield from _memo_arrays(item)
@@ -556,8 +558,8 @@ def test_memoised_arrays_are_read_only():
     model = _through_every_memo(16)
     store = vars(model)["_per_object"]
     assert {key[0].__name__ for key in store} == {
-        "block_lsi_constants", "gaussian_target", "memo_conditionals",
-        "_block_update_map", "_precision_eigh"}
+        "block_lsi_constants", "a0_extremes", "gaussian_target",
+        "memo_conditionals", "_block_update_map", "_precision_eigh"}
     arrays = list(_memo_arrays(tuple(store.values())))
     assert len(arrays) > len(store)
     assert not any(arr.flags.writeable for arr in arrays)

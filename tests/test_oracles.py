@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import multivariate_normal
 
-from lsicert.criteria import (CertificateError, CriteriaReport,
-                              block_lsi_constants, criteria_report)
+from lsicert import oracles
+from lsicert.criteria import (CertificateError, block_lsi_constants,
+                              criteria_report, solve_rho_marton)
 from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl, w2
 from lsicert.instances import (
     random_attractive_chain,
@@ -28,7 +29,7 @@ from lsicert.oracles import (
     w2_empirical_1d,
 )
 
-from conftest import batching_cases
+from conftest import BAD_RHO, bad_rho_k, batching_cases, must_not_run
 
 
 def gauss_density(g):
@@ -97,7 +98,7 @@ def test_empirical_w2_input_checks():
 def test_transport_reference(model2d):
     rep = criteria_report(model2d)
     p = GaussianDist(np.array([1.0, 1.0]), gaussian_target(model2d).cov)
-    res = transport_check(p, model2d, rep)
+    res = transport_check(p, model2d, rep.rho_marton)
     assert res.holds
     assert (res.check, res.param, res.tolerance) == ("transport", "", 1e-9)
     assert res.value <= res.bound
@@ -110,7 +111,7 @@ def test_transport_random_pairs(seed):
     model = random_certified_model(rng)
     rep = criteria_report(model)
     p = random_gaussian(rng, model.dim)
-    res = transport_check(p, model, rep)
+    res = transport_check(p, model, rep.rho_marton)
     assert res.holds, (res.value, res.bound)
 
 
@@ -123,24 +124,38 @@ def test_transport_near_tight_on_soft_eigendirection(rng):
     assert rep.rho_marton == pytest.approx(float(w[0]), abs=1e-8)
     q = gaussian_target(model)
     p = GaussianDist(q.mean + 1e-3 * vecs[:, 0], q.cov)
-    res = transport_check(p, model, rep)
+    res = transport_check(p, model, rep.rho_marton)
     assert res.holds
     assert res.value >= 0.99 * res.bound
 
 
-def test_transport_needs_certificate(model2d):
-    from dataclasses import replace
+def test_transport_needs_certificate(model2d, monkeypatch):
+    # every rho that is no constant is refused before any work
+    p = GaussianDist(np.array([1.0, 1.0]), gaussian_target(model2d).cov)
+    monkeypatch.setattr(oracles, "gaussian_target", must_not_run)
+    for bad in BAD_RHO:
+        with pytest.raises(ValueError, match="rho must be"):
+            transport_check(p, model2d, bad)
 
-    rep = replace(criteria_report(model2d), rho_marton=None, certified=False)
-    with pytest.raises(CertificateError):
-        transport_check(gaussian_target(model2d), model2d, rep)
+
+def test_transport_inflated_rho_reaches_the_check(model2d):
+    # a rho above the true constant is no input error: a mean shift along
+    # the softest direction gives W2^2 = (2/rho) D at the true rho, so
+    # twice it fails the check
+    q = gaussian_target(model2d)
+    p = GaussianDist(q.mean + np.array([1.0, 1.0]), q.cov)
+    rho = solve_rho_marton(model2d)
+    assert transport_check(p, model2d, rho).holds
+    res = transport_check(p, model2d, 2.0 * rho)
+    assert not res.holds
+    assert res.bound == pytest.approx(0.5 * res.value, rel=1e-9)
 
 
 # ---- block mean-shift comparison ----
 
 def test_prop4_reference(model2d):
     rep = criteria_report(model2d)
-    first, second = prop4_check(model2d, rep, np.zeros(2),
+    first, second = prop4_check(model2d, rep.rho_k, rep.delta, np.zeros(2),
                                 np.array([0.0, 2.0]))
     assert [(c.check, c.param, c.tolerance) for c in (first, second)] == [
         ("prop4", "w2_vs_kl", 1e-9), ("prop4", "kl_vs_quadratic", 1e-9)]
@@ -159,7 +174,7 @@ def test_prop4_random_points(seed):
     rep = criteria_report(model)
     z = rng.normal(scale=2.0, size=model.dim)
     u = rng.normal(scale=2.0, size=model.dim)
-    for chk in prop4_check(model, rep, z, u):
+    for chk in prop4_check(model, rep.rho_k, rep.delta, z, u):
         assert chk.holds, chk
 
 
@@ -180,9 +195,6 @@ def test_prop4_matches_per_block_loop(name):
     part, prec = model.partition, model.precision
     rng = np.random.default_rng(9)
     rho_k = tuple(rng.uniform(0.5, 2.0, size=part.n))
-    report = CriteriaReport(rho_k=rho_k, delta=0.3, norm_A0=0.7,
-                            rho_marton=None, rho_or=None, lambda_max_A0=0.7,
-                            certified=False, flags=())
     z, u = rng.normal(size=(2, model.dim))
     lhs = mid = rhs = 0.0
     for k in range(part.n):
@@ -192,25 +204,31 @@ def test_prop4_matches_per_block_loop(name):
         lhs += rho_k[k] * float(shift @ shift)
         mid += float(shift @ prec_kk @ shift)
         rhs += rho_k[k] * float((z - u)[idx] @ (z - u)[idx])
-    first, second = prop4_check(model, report, z, u)
+    first, second = prop4_check(model, rho_k, 0.3, z, u)
     assert first.bound == second.value
     assert_allclose([first.value, first.bound, second.bound],
                     [lhs, mid, 0.49 * rhs], rtol=1e-12, atol=0)
 
 
-def test_prop4_needs_margin(model2d):
-    from dataclasses import replace
-
-    rep = replace(criteria_report(model2d), delta=0.0, norm_A0=1.0,
-                  rho_marton=None, rho_or=None, certified=False)
-    with pytest.raises(CertificateError):
-        prop4_check(model2d, rep, np.zeros(2), np.ones(2))
+def test_prop4_needs_margin(model2d, monkeypatch):
+    # delta <= 0 is no margin, and every rho_k that is no constant is
+    # refused, before any work
+    rho_k = block_lsi_constants(model2d)
+    z, u = np.zeros(2), np.ones(2)
+    monkeypatch.setattr(oracles, "memo_conditionals", must_not_run)
+    for delta in (0.0, -0.5):
+        with pytest.raises(CertificateError, match="delta <= 0"):
+            prop4_check(model2d, rho_k, delta, z, u)
+    for bad in bad_rho_k(2):
+        with pytest.raises(ValueError, match="rho_k must"):
+            prop4_check(model2d, bad, 0.5, z, u)
 
 
 def test_prop4_refuses_quartic_model(rng):
     model = random_quartic_model(rng, dim=4)
     with pytest.raises(ValueError, match="Gaussian model"):
-        prop4_check(model, criteria_report(model), np.zeros(4), np.ones(4))
+        prop4_check(model, block_lsi_constants(model), 0.5, np.zeros(4),
+                    np.ones(4))
 
 
 def test_bisect_rho_marton_without_cross_blocks_or_margin():
@@ -228,4 +246,4 @@ def test_bisect_rho_marton_without_cross_blocks_or_margin():
 def test_prop4_input_checks(model2d):
     rep = criteria_report(model2d)
     with pytest.raises(ValueError):
-        prop4_check(model2d, rep, np.zeros(3), np.zeros(2))
+        prop4_check(model2d, rep.rho_k, rep.delta, np.zeros(3), np.zeros(2))

@@ -1,5 +1,9 @@
 """Smoke test: each demo script runs to completion on small inputs and
-exits 4, as `lsicert verify` does, exactly when a printed check fails."""
+exits 4, as `lsicert verify` does, exactly when a printed check fails; a
+model `lsicert verify` refuses is refused with its stderr line and exit
+code."""
+
+import json
 
 import os
 import subprocess
@@ -8,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from lsicert.instances import random_quartic_model
+from lsicert.model import save_model
 
 ROOT = Path(__file__).resolve().parents[1]
 # The scripts run under the suite's warning policy (pyproject's
@@ -57,3 +64,35 @@ def test_entropy_flow_writes_trace_csv(tmp_path):
     assert rows[0, 3] == rows[0, 1] > 0.0
     assert np.all(np.diff(rows[:, 3]) < 0.0)
     assert np.all(rows[:, 1] <= rows[:, 3] * (1.0 + 1e-9) + 1e-12)
+
+
+def _refused_models(tmp_path):
+    """(path, exit code, stderr line) of a model each refusal covers."""
+    prec = np.full((3, 3), 0.55)
+    np.fill_diagonal(prec, 1.0)
+    nocert = tmp_path / "nocert.json"
+    nocert.write_text(json.dumps({"dim": 3, "partition": [[0], [1], [2]],
+                                  "precision": prec.tolist()}))
+    quartic = tmp_path / "quartic4.json"
+    save_model(random_quartic_model(np.random.default_rng(3), dim=4),
+               quartic)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    return [(nocert, 3, "no certificate: delta <= 0"),
+            (quartic, 1, "usage error: the closed-form verifiers need a "
+                         "Gaussian model (quartic = 0)"),
+            (bad, 2, "invalid model: model file is not valid JSON")]
+
+
+@pytest.mark.parametrize("script", ["contraction_demo.py",
+                                    "entropy_flow.py"])
+def test_script_refuses_as_verify_does(script, tmp_path):
+    for path, code, line in _refused_models(tmp_path):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                               str(path)], env=ENV, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(line), proc.stderr
+        assert proc.stdout == ""
