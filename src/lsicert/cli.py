@@ -21,7 +21,7 @@ a quartic term, since the closed-form verifiers need a Gaussian model,
 `verify` with --trials or --steps below 1, refused before any work,
 `verify gibbs` when the exact mixture would exceed the component cap or
 the byte budget, refused before any sweep, a model whose dense K, or a
-`toeplitz` section whose four dense m x m arrays, would exceed
+`toeplitz` section whose two dense m x m arrays, would exceed
 `model.DENSE_BYTE_BUDGET`, refused before anything is built, non-finite
 or overflowing `toeplitz` coefficients, and an --out path that cannot
 be written), 2 invalid model, 3 no certificate, 4 verification failure.

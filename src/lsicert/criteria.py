@@ -24,8 +24,8 @@ do the A0 diagnostics (a0_extremes), and criteria_report is built from
 all three; the block constants they share are computed once per model
 and kept on it (model.per_object).  `verify` calls only the routines
 whose constants its suite checks.  The block-matrix criterion's kappa
-reads a 1 x 1 cross block as |K_kl|, in block order, and takes one
-batched SVD per shape for every other block shape (cross_block_norms).
+reads a 1 x 1 cross block as |K_kl| and takes one batched SVD per shape
+for every other block shape (cross_block_norms).
 
 Every extreme eigenvalue of a whole matrix here (the certificates, the
 A0 diagnostics and the two Toeplitz sections) comes from
@@ -182,28 +182,24 @@ def cross_block_norms(model: GibbsModel) -> np.ndarray:
     """Symmetric matrix of largest singular values of the cross blocks.
 
     A 1 x 1 cross block's norm is |K_kl|, the bits its LAPACK SVD gives,
-    read without one.  On an all-singleton partition kappa is therefore
-    |K| gathered in block order (row and column k are coordinate
-    blocks[k][0]) with a zero diagonal, one m x m array in all; blocks in
-    coordinate order, as on every chain document, need no gather.
+    read without one.  Singleton blocks in coordinate order, as on every
+    chain document, therefore give kappa = |K| with a zero diagonal, one
+    m x m array in all.
 
-    Otherwise only block pairs with a nonzero cross entry are evaluated;
-    every other pair has kappa = 0 exactly.  The coupled pairs are
-    grouped by block shape, each group's cross blocks are gathered into
-    one (pairs, a, b) stack from the index rows of partition.size_groups,
-    and one batched np.linalg.norm(stack, 2) call per shape gives their
-    norms: the same LAPACK SVD per matrix as np.linalg.norm(block, 2), so
-    the same values.  Blocks are not padded to a common shape: padding
-    moves the singular values in the last bits.
+    Every other partition, permuted singletons included, evaluates only
+    block pairs with a nonzero cross entry; every other pair has
+    kappa = 0 exactly.  The coupled pairs are grouped by block shape, each
+    group's cross blocks are gathered into one (pairs, a, b) stack from
+    the index rows of partition.size_groups, and one batched
+    np.linalg.norm(stack, 2) call per shape gives their norms: the same
+    LAPACK SVD per matrix as np.linalg.norm(block, 2), so the same values.
+    Blocks are not padded to a common shape: padding moves the singular
+    values in the last bits.
     """
     part = model.partition
-    if part.dim == part.n:
-        order = part.size_groups[0][1][:, 0]
-        if np.array_equal(order, np.arange(part.n)):
-            kappa = np.abs(model.precision)
-        else:
-            kappa = model.precision[np.ix_(order, order)]
-            np.abs(kappa, out=kappa)
+    if part.dim == part.n and np.array_equal(part.size_groups[0][1][:, 0],
+                                             np.arange(part.n)):
+        kappa = np.abs(model.precision)
         np.fill_diagonal(kappa, 0.0)
         return kappa
     # group and slot of each block: block k is row slot[k] of the index
@@ -349,6 +345,21 @@ def _symbol_extrema(diag: float, band: dict):
     return float(sym.max()), float(sym.min()), float(np.abs(sym).max())
 
 
+def _section_spectrum(m: int, diag: float, band: dict) -> tuple:
+    """(max, min, sup|.|) of the symbol of diag*I + sum_j b_j (E_j + E_-j)
+    and (lambda_max, lambda_min, norm) of its m x m section, the one m x m
+    float array it keeps.  The section is built first, so an offset
+    outside 1..m-1 is refused before the symbol's Chebyshev companion
+    matrix is."""
+    mat = toeplitz_matrix(m, diag, band)
+    with np.errstate(all="ignore"):
+        max_sym, min_sym, sup_abs = _symbol_extrema(diag, band)
+    if not np.all(np.isfinite([max_sym, min_sym])):
+        raise ValueError("the symbol overflows: coefficients too large")
+    lo, hi = extreme_eigvalsh(mat)
+    return max_sym, min_sym, sup_abs, hi, lo, max(abs(lo), abs(hi))
+
+
 def toeplitz_spectrum_report(m: int, diag: float,
                              band: dict) -> ToeplitzSpectrumReport:
     """Exact symbol extrema and finite-section spectra.
@@ -356,31 +367,24 @@ def toeplitz_spectrum_report(m: int, diag: float,
     The symbol of diag*I + sum_j b_j (E_j + E_-j) is
     f(theta) = diag + 2 sum_j b_j cos(j theta); the finite sections have
     eigenvalues strictly inside (min f, max f) while their operator norms
-    converge to sup |f|.
+    converge to sup |f|.  _section_spectrum reports the band and then its
+    entrywise absolute value, one section at a time.
     """
     if m < 4:
         raise ValueError("finite sections below size 4 are not informative")
-    # the section, its abs and either a dense eigvalsh's working copy or
-    # extreme_eigvalsh's m x m boolean bandwidth mask: at most three m x m
-    # float arrays at once, charged as four
-    need = 4 * m * m * 8
+    # one section and either a dense eigvalsh's working copy or
+    # extreme_eigvalsh's m x m boolean bandwidth mask
+    need = 2 * m * m * 8
     if need > DENSE_BYTE_BUDGET:
         raise ValueError(f"a {m}x{m} section needs {need} bytes of dense "
                          f"arrays, over the {DENSE_BYTE_BUDGET}-byte budget")
     band = {int(k): float(v) for k, v in band.items()}
     if not np.all(np.isfinite([diag, *band.values()])):
         raise ValueError("diag and band coefficients must be finite")
-    mat = toeplitz_matrix(m, diag, band)  # rejects offsets outside 1..m-1
-
-    abs_band = {k: abs(v) for k, v in band.items()}
-    with np.errstate(all="ignore"):
-        max_sym, min_sym, sup_abs = _symbol_extrema(diag, band)
-        amax_sym, amin_sym, asup_abs = _symbol_extrema(abs(diag), abs_band)
-    if not np.all(np.isfinite([max_sym, min_sym, amax_sym, amin_sym])):
-        raise ValueError("the symbol overflows: coefficients too large")
-
-    lo, hi = extreme_eigvalsh(mat)
-    alo, ahi = extreme_eigvalsh(np.abs(mat))
+    plain = _section_spectrum(m, diag, band)
+    absolute = _section_spectrum(m, abs(diag),
+                                 {k: abs(v) for k, v in band.items()})
+    max_sym, min_sym, sup_abs = plain[:3]
 
     note = ""
     if sup_abs > max_sym + 1e-12:
@@ -393,12 +397,5 @@ def toeplitz_spectrum_report(m: int, diag: float,
             f"value understates the operator norm."
         )
 
-    return ToeplitzSpectrumReport(
-        m=m, diag=float(diag), band=tuple(sorted(band.items())),
-        max_symbol=max_sym, min_symbol=min_sym, sup_abs_symbol=sup_abs,
-        lambda_max_bm=hi, lambda_min_bm=lo,
-        svd_norm_bm=max(abs(lo), abs(hi)),
-        abs_max_symbol=amax_sym, abs_min_symbol=amin_sym,
-        abs_sup_abs_symbol=asup_abs,
-        abs_lambda_max_bm=ahi, abs_lambda_min_bm=alo,
-        abs_svd_norm_bm=max(abs(alo), abs(ahi)), note=note)
+    return ToeplitzSpectrumReport(m, float(diag), tuple(sorted(band.items())),
+                                  *plain, *absolute, note)

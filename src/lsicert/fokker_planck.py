@@ -91,15 +91,14 @@ def gaussian_fp_evolve(p0: GaussianDist, model: GibbsModel,
 class EntropyTrace:
     """Divergence and Fisher information along the flow on a time grid.
 
-    lsi_bound carries exp(-2 rho t) D(p0||q) when a decay rate rho is
-    attached, else None.
+    lsi_bound carries exp(-2 rho t) D(p0||q) when entropy_trace is given
+    a decay rate rho, else None.
     """
 
     times: np.ndarray
     kl_values: np.ndarray
     fisher_values: np.ndarray
     lsi_bound: np.ndarray | None
-    rho: float | None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -209,7 +208,7 @@ def entropy_trace(p0: GaussianDist, model: GibbsModel, times,
     if rho is not None:
         bound = np.exp(-2.0 * float(rho) * (times - times[0])) * kls[0]
     return EntropyTrace(times=times, kl_values=kls, fisher_values=fis,
-                        lsi_bound=bound, rho=rho)
+                        lsi_bound=bound)
 
 
 def dissipation_check(p0: GaussianDist, model: GibbsModel, times,

@@ -134,10 +134,6 @@ class GaussianDist:
     def precision(self) -> np.ndarray:
         return self.stack.precisions[0]
 
-    @property
-    def log_det_cov(self) -> float:
-        return float(self.stack.log_dets[0])
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.standard_normal((n, self.dim))
         return self.mean + z @ self.chol.T

@@ -363,6 +363,49 @@ dissipation,exp_decay_max_excess,-3.36899648803457e-12,0.0,1e-12,pass
 }
 
 
+# Two `toeplitz` reports, pinned byte for byte: building, solving and
+# freeing the band's section before its absolute value's may not move a
+# byte of them.
+_NOTE = ("sup|symbol| = {0} exceeds the largest symbol value {1}: the "
+         "symbol attains -{0} < -{1}, so finite-section operator norms "
+         "converge to {0} while the largest eigenvalues converge to {1}. A "
+         "coupling bound quoted as the largest symbol value understates the "
+         "operator norm.")
+TOEPLITZ_GOLDEN = {
+    "--m 512 --band 1=1,2=-1": {
+        "m": 512, "diag": 0.0, "band": [[1, 1.0], [2, -1.0]],
+        "max_symbol": 2.25, "min_symbol": -4.0, "sup_abs_symbol": 4.0,
+        "lambda_max_bm": 2.249860406666756,
+        "lambda_min_bm": -3.9998128908802646,
+        "svd_norm_bm": 3.9998128908802646,
+        "abs_max_symbol": 4.0, "abs_min_symbol": -2.25,
+        "abs_sup_abs_symbol": 4.0,
+        "abs_lambda_max_bm": 3.9998128908802646,
+        "abs_lambda_min_bm": -2.249860406666756,
+        "abs_svd_norm_bm": 3.9998128908802646,
+        "note": _NOTE.format(4, 2.25)},
+    "--m 16 --diag -2 --band 1=-1,3=-0.5": {
+        "m": 16, "diag": -2.0, "band": [[1, -1.0], [3, -0.5]],
+        "max_symbol": 1.0, "min_symbol": -5.0, "sup_abs_symbol": 5.0,
+        "lambda_max_bm": 0.837097009552614,
+        "lambda_min_bm": -4.837097009552611,
+        "svd_norm_bm": 4.837097009552611,
+        "abs_max_symbol": 5.0, "abs_min_symbol": -1.0,
+        "abs_sup_abs_symbol": 5.0,
+        "abs_lambda_max_bm": 4.837097009552611,
+        "abs_lambda_min_bm": -0.837097009552614,
+        "abs_svd_norm_bm": 4.837097009552611,
+        "note": _NOTE.format(5, 1)},
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TOEPLITZ_GOLDEN))
+def test_toeplitz_golden_bytes(argv, capsys):
+    code, out, err = run(["toeplitz", *argv.split()], capsys)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(TOEPLITZ_GOLDEN[argv], indent=2) + "\n"
+
+
 @pytest.mark.parametrize("subcheck", sorted(CLOSED_GOLDEN))
 def test_verify_closed_form_golden_bytes(subcheck, model_path, capsys):
     code, out, err = run(["verify", model_path, subcheck, "--trials", "3",
@@ -691,9 +734,27 @@ def test_toeplitz_bad_band(capsys):
 
 
 def test_toeplitz_dense_budget_checked_up_front(capsys):
-    # four dense 10^6 x 10^6 arrays would need 32 TB: refused from --m
+    # one 10^6 x 10^6 section and its solver's working copy would need
+    # 16 TB: refused from --m
     code, out, err = run(["toeplitz", "--m", "1000000", "--band", "1=1"],
                          capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error") and "budget" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_toeplitz_budget_is_one_section_and_its_working_copy(capsys):
+    # 2 m^2 x 8 bytes are charged, so m = 4096 fits the 256 MiB budget
+    # exactly and m = 4097 is the first size refused
+    code, out, err = run(["toeplitz", "--m", "4096", "--band", "1=1,2=-1"],
+                         capsys)
+    assert (code, err) == (0, "")
+    doc = strict_loads(out)
+    assert doc["m"] == 4096
+    assert doc["min_symbol"] < doc["lambda_min_bm"] < doc["lambda_max_bm"] \
+        < doc["max_symbol"]
+    code, out, err = run(["toeplitz", "--m", "4097", "--band", "1=1"], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("usage error") and "budget" in err

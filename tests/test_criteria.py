@@ -591,6 +591,20 @@ def test_toeplitz_report_rejects_offsets_outside_section(off):
         toeplitz_spectrum_report(8, 0.0, {off: 1.0})
 
 
+def test_toeplitz_report_holds_one_section_at_a_time():
+    # the band's section is solved and freed before its absolute value's
+    # is built; both at once would hold about 2 m^2
+    m = 2048
+    tracemalloc.start()
+    try:
+        rep = toeplitz_spectrum_report(m, 0.0, {1: 1.0, 2: -1.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * m * m * 8, peak / (m * m * 8)
+    assert rep.abs_lambda_max_bm == pytest.approx(rep.svd_norm_bm, rel=1e-12)
+
+
 def test_toeplitz_report_rejects_tiny_sections():
     with pytest.raises(ValueError):
         toeplitz_spectrum_report(3, 0.0, {1: 1.0})

@@ -288,16 +288,16 @@ def test_trace_invariants_enforced():
     good = np.array([2.0, 1.0, 0.5])
     with pytest.raises(ValueError):
         EntropyTrace(times=times[:1], kl_values=good[:1],
-                     fisher_values=good[:1], lsi_bound=None, rho=None)
+                     fisher_values=good[:1], lsi_bound=None)
     with pytest.raises(ValueError):
         EntropyTrace(times=np.array([0.0, 1.0, 1.0]), kl_values=good,
-                     fisher_values=good, lsi_bound=None, rho=None)
+                     fisher_values=good, lsi_bound=None)
     with pytest.raises(ValueError):
         EntropyTrace(times=times, kl_values=np.array([1.0, 2.0, 0.5]),
-                     fisher_values=good, lsi_bound=None, rho=None)
+                     fisher_values=good, lsi_bound=None)
     with pytest.raises(ValueError):
         EntropyTrace(times=times, kl_values=np.array([1.0, 0.5, -0.1]),
-                     fisher_values=good, lsi_bound=None, rho=None)
+                     fisher_values=good, lsi_bound=None)
 
 
 @pytest.mark.parametrize("times, kls, fis, bound, match", [
@@ -316,7 +316,7 @@ def test_trace_refuses_non_finite_values_and_negative_fisher(
     # sign checks before finiteness was required
     with pytest.raises(ValueError, match=match):
         EntropyTrace(times=np.array(times), kl_values=np.array(kls),
-                     fisher_values=np.array(fis), lsi_bound=bound, rho=1.0)
+                     fisher_values=np.array(fis), lsi_bound=bound)
 
 
 # ---- dissipation and decay ----

@@ -31,7 +31,6 @@ COARSE_FLOW = ["--nodes", "501", "--particles", "2000"]
 @pytest.mark.parametrize("script, args", [
     ("contraction_demo.py", ["--steps", "2"]),
     ("entropy_flow.py", COARSE_FLOW),
-    ("toeplitz_sections.py", ["--sizes", "8,16"]),
     ("entropy_flow.py", ["--nodes", "5001", "--particles", "2000"]),
 ])
 def test_script_runs(script, args):
