@@ -372,8 +372,8 @@ def toeplitz_spectrum_report(m: int, diag: float,
     """
     if m < 4:
         raise ValueError("finite sections below size 4 are not informative")
-    # one section and either a dense eigvalsh's working copy or
-    # extreme_eigvalsh's m x m boolean bandwidth mask
+    # one section and either a dense eigvalsh's working copy or the banded
+    # route's band storage; the bandwidth scan holds one 1 MiB mask block
     need = 2 * m * m * 8
     if need > DENSE_BYTE_BUDGET:
         raise ValueError(f"a {m}x{m} section needs {need} bytes of dense "

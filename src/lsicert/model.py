@@ -140,11 +140,18 @@ class BlockPartition:
 
 
 def _lower_bandwidth(mat: np.ndarray) -> int:
-    """Largest i - j over the nonzero entries (i, j) of mat, or 0."""
-    nz = mat != 0
-    rows = np.arange(len(mat))
-    first = nz.argmax(axis=1)  # leftmost nonzero of each row
-    return int(np.max(rows - first, where=nz[rows, first], initial=0))
+    """Largest i - j over the nonzero entries (i, j) of mat, or 0; the
+    nonzero mask is taken one _SYMMETRY_CHUNK_BYTES row block at a time."""
+    step = max(1, _SYMMETRY_CHUNK_BYTES // max(1, mat.shape[1]))
+    width = 0
+    for lo in range(0, len(mat), step):
+        nz = mat[lo:lo + step] != 0
+        rows = np.arange(len(nz))
+        first = nz.argmax(axis=1)  # leftmost nonzero of each row
+        width = max(width, int(np.max(rows + lo - first,
+                                      where=nz[rows, first], initial=0)))
+        del nz  # else it lives on while the next block's mask is built
+    return width
 
 
 def extreme_eigvalsh(mat: np.ndarray) -> tuple:

@@ -640,6 +640,25 @@ def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
     assert "65536 components" in err and "budget" in err
 
 
+def test_verify_gibbs_tracks_the_means_only(tmp_path, capsys, monkeypatch):
+    # the CLI starts at N(m + 1, K^-1), the target's covariance: 8 sweeps
+    # of a 4-block d = 8 model, 13 120 components if enumerated, run
+    # without building one mixture
+    part = BlockPartition(((0, 1), (2, 3), (4, 5), (6, 7)))
+    model = GibbsModel(partition=part,
+                       precision=toeplitz_matrix(8, 4.0, {1: 1.0, 2: -0.5}),
+                       mean=np.linspace(-1.0, 1.0, 8), quartic=np.zeros(8))
+    path = tmp_path / "b4d8.json"
+    save_model(model, path)
+    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", must_not_run)
+    code, out, err = run(["verify", str(path), "gibbs", "--steps", "8"],
+                         capsys)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[2:]
+    assert [r.split(",")[1] for r in rows] == [f"step={m}" for m in range(9)]
+    assert all(r.endswith(",pass") for r in rows)
+
+
 @pytest.mark.parametrize("blocks, args", [
     (2, ["--steps", "50001"]),
     (3, ["--steps", "100000"]),

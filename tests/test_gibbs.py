@@ -28,8 +28,8 @@ from lsicert.gibbs import (
     verify_contraction,
     verify_theorem1,
 )
-from lsicert.instances import (random_certified_model, random_gaussian,
-                               random_gaussians, random_spd)
+from lsicert.instances import (model_2d, random_certified_model,
+                               random_gaussian, random_gaussians, random_spd)
 from lsicert.model import BlockPartition, GibbsModel
 from lsicert.oracles import quad_kl
 
@@ -346,6 +346,80 @@ def test_contraction_rows_are_component_divergences(model2d):
         mix = apply_weighted_gibbs(mix, model2d, np.asarray(rep.rho_k))
         assert row.value == upper_kl(mix, q)
     assert rows[1].value == pytest.approx(rows[1].bound, rel=1e-14)
+
+
+def enumerated_values(p0, model, rho_k, steps):
+    """U_m for m = 1..steps by enumeration: the exact mixture after each
+    sweep, then the weighted closed-form divergence of its components."""
+    q = gaussian_target(model)
+    mix, values = GaussianMixture.single(p0), []
+    for _ in range(steps):
+        mix = apply_weighted_gibbs(mix, model, np.asarray(rho_k))
+        values.append(upper_kl(mix, q))
+    return values
+
+
+def certified_with_blocks(n_blocks, seed):
+    """The first random_certified_model of dimension 2 n_blocks with
+    n_blocks blocks in the seed's stream, and the stream."""
+    rng = np.random.default_rng(seed)
+    while True:
+        model = random_certified_model(rng, 2 * n_blocks)
+        if model.partition.n == n_blocks:
+            return model, rng
+
+
+@pytest.mark.parametrize("n_blocks, seed", [(None, 0), (2, 0), (2, 1),
+                                            (3, 0), (3, 1), (4, 0), (4, 1)])
+def test_mean_only_contraction_matches_enumeration(n_blocks, seed,
+                                                   monkeypatch):
+    # p0 with the target's covariance: verify_contraction builds no
+    # mixture, and its rows match the enumerated U_m (None: the 2-d
+    # reference)
+    if n_blocks is None:
+        model, rng = model_2d(), np.random.default_rng(seed)
+    else:
+        model, rng = certified_with_blocks(n_blocks, seed)
+    q = gaussian_target(model)
+    p0 = GaussianDist(q.mean + rng.normal(size=model.dim), q.cov)
+    rho_k, rho = block_lsi_constants(model), solve_rho_marton(model)
+    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", must_not_run)
+    rows = verify_contraction(p0, model, rho_k, rho, steps=5)
+    assert rows[0].value == rows[0].bound == kl(p0, q)
+    assert_allclose([r.value for r in rows[1:]],
+                    enumerated_values(p0, model, rho_k, 5), rtol=1e-12)
+    assert all(r.holds for r in rows)
+
+
+@pytest.mark.parametrize("cov, sweeps", [("target", 0), ("ulp", 3),
+                                         ("identity", 3)])
+def test_contraction_enumerates_unless_p0_has_the_target_covariance(
+        cov, sweeps, monkeypatch):
+    model, rng = certified_with_blocks(3, 2)
+    q = gaussian_target(model)
+    if cov == "target":
+        p_cov = q.cov
+    elif cov == "ulp":
+        p_cov = q.cov.copy()
+        p_cov[0, 0] = np.nextafter(p_cov[0, 0], np.inf)
+    else:
+        p_cov = np.eye(model.dim)
+    p0 = GaussianDist(q.mean + rng.normal(size=model.dim), p_cov)
+    if cov == "ulp":
+        assert np.count_nonzero(p0.cov != q.cov) == 1
+    calls = []
+    sweep = gibbs.apply_weighted_gibbs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", counted)
+    rho_k, rho = block_lsi_constants(model), solve_rho_marton(model)
+    rows = verify_contraction(p0, model, rho_k, rho, steps=3)
+    assert len(calls) == sweeps
+    assert_allclose([r.value for r in rows[1:]],
+                    enumerated_values(p0, model, rho_k, 3), rtol=1e-12)
 
 
 def test_inflated_rho_fails_the_check(model2d):

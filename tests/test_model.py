@@ -480,6 +480,38 @@ def test_extreme_eigvalsh_indefinite_chain(m):
     assert lo < 0 < hi
 
 
+def _whole_mask_bandwidth(mat):
+    rows, cols = np.nonzero(mat)
+    return int(np.max(rows - cols, initial=0))
+
+
+@pytest.mark.parametrize("row, col", [(0, 0), (63, 0), (64, 2), (64, 63),
+                                      (199, 100), (199, 0)])
+def test_lower_bandwidth_sees_every_row_block(monkeypatch, rng, row, col):
+    # 64-row blocks of a 200 x 200 chain: the widest entry in the first
+    # block, on either side of a block edge, or in the short last block
+    monkeypatch.setattr(lsimodel, "_SYMMETRY_CHUNK_BYTES", 64 * 200)
+    mat = _band_matrix(rng, 200, 1)
+    mat[row, col] = mat[col, row] = 0.5
+    assert lsimodel._lower_bandwidth(mat) == _whole_mask_bandwidth(mat) \
+        == max(1, row - col)
+    assert lsimodel._lower_bandwidth(np.zeros((200, 200))) == 0
+
+
+def test_lower_bandwidth_scans_the_mask_in_row_blocks():
+    # the whole m x m boolean mask would be 4 MiB at m = 2048
+    m = 2048
+    mat = toeplitz_matrix(m, 3.0, {1: 1.0, 5: -0.5})
+    tracemalloc.start()
+    try:
+        width = lsimodel._lower_bandwidth(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert width == 5
+    assert peak <= 2 << 20, peak
+
+
 @pytest.mark.parametrize("m", [64, 128, 256])
 @pytest.mark.parametrize("band", [{1: 1.0}, {1: -1.0, 2: 0.3}])
 def test_chain_fixtures_take_the_banded_path(banded_solves, m, band):
