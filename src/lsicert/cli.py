@@ -238,7 +238,7 @@ PARSER = build_parser()
 
 def run_refusing(command, args) -> int:
     """command(args), with a refusal printed as its one stderr line and
-    returned as its exit code; the demo scripts share it."""
+    returned as its exit code; scripts/entropy_flow.py shares it."""
     try:
         return command(args)
     except ModelError as exc:

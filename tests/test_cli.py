@@ -632,7 +632,7 @@ def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
     def no_sweep(*args, **kwargs):
         raise AssertionError("swept before the budget check")
 
-    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", no_sweep)
+    monkeypatch.setattr(gibbs, "_block_update_map", no_sweep)
     code, out, err = run(["verify", str(path), "gibbs", "--steps", "2",
                           "--samples", "2000"], capsys)
     assert code == 1
@@ -643,14 +643,14 @@ def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
 def test_verify_gibbs_tracks_the_means_only(tmp_path, capsys, monkeypatch):
     # the CLI starts at N(m + 1, K^-1), the target's covariance: 8 sweeps
     # of a 4-block d = 8 model, 13 120 components if enumerated, run
-    # without building one mixture
+    # without pushing one deviation
     part = BlockPartition(((0, 1), (2, 3), (4, 5), (6, 7)))
     model = GibbsModel(partition=part,
                        precision=toeplitz_matrix(8, 4.0, {1: 1.0, 2: -0.5}),
                        mean=np.linspace(-1.0, 1.0, 8), quartic=np.zeros(8))
     path = tmp_path / "b4d8.json"
     save_model(model, path)
-    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", must_not_run)
+    monkeypatch.setattr(gibbs, "_sweep", must_not_run)
     code, out, err = run(["verify", str(path), "gibbs", "--steps", "8"],
                          capsys)
     assert (code, err) == (0, "")
@@ -679,7 +679,7 @@ def test_verify_gibbs_oversized_run_refused_up_front(blocks, args, tmp_path,
     def no_sweep(*args, **kwargs):
         raise AssertionError("swept before the budget check")
 
-    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", no_sweep)
+    monkeypatch.setattr(gibbs, "_block_update_map", no_sweep)
     start = time.perf_counter()
     code, out, err = run(["verify", str(path), "gibbs", *args], capsys)
     assert time.perf_counter() - start < 1.0

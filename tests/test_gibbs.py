@@ -1,7 +1,9 @@
 """Block Gibbs sampler checks.
 
-The affine-update law is validated against a brute-force sampling oracle
-before the entropy identities and contraction bounds are tested.
+The block update law is validated against a brute-force sampling oracle,
+and the contraction rows against an enumeration of the sampler's whole
+n^m component laws written here from K with numpy alone, before the
+entropy identities and contraction bounds are tested.
 """
 
 import tracemalloc
@@ -11,25 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from lsicert import gibbs
 from lsicert.criteria import (block_lsi_constants, criteria_report,
                               solve_rho_marton)
-from lsicert.gaussian import GaussianDist, GaussianStack, gaussian_target, kl
+from lsicert.gaussian import GaussianDist, gaussian_target, kl
 from lsicert.gibbs import (
-    GaussianMixture,
     MixtureCapError,
-    apply_gibbs_block,
-    apply_weighted_gibbs,
     collapsed_word_count,
     entropy_drop_identity,
     verify_contraction,
     verify_theorem1,
 )
 from lsicert.instances import (model_2d, random_certified_model,
-                               random_gaussian, random_gaussians, random_spd)
+                               random_gaussian, random_quartic_model,
+                               random_spd)
 from lsicert.model import BlockPartition, GibbsModel
 from lsicert.oracles import quad_kl
 
@@ -41,6 +40,70 @@ ENTROPY_DROP_2D = 0.125  # hand derivation for the two-coordinate model
 def shifted_target(model, shift):
     q = gaussian_target(model)
     return GaussianDist(q.mean + np.asarray(shift, dtype=float), q.cov)
+
+
+def swept_laws(p0, model, rho_k, steps):
+    """(weights, means, covs) of the sampler's law after each of `steps`
+    weighted sweeps from p0, unmerged: n^m components after m sweeps.
+
+    The block-k update redraws x_k from N(m_k - K_kk^-1 K_k,rest (x_rest -
+    m_rest), K_kk^-1), read off K here with numpy alone.
+    """
+    prec, mu, dim = model.precision, model.mean, model.dim
+    share = np.asarray(rho_k, dtype=float) / np.sum(rho_k)
+    updates = []
+    for k in range(model.partition.n):
+        idx = list(model.partition.block(k))
+        cond_cov = np.linalg.inv(prec[np.ix_(idx, idx)])
+        lin = np.eye(dim)
+        lin[idx] = -cond_cov @ prec[idx]
+        lin[np.ix_(idx, idx)] = 0.0
+        noise = np.zeros((dim, dim))
+        noise[np.ix_(idx, idx)] = cond_cov
+        updates.append((lin, mu - lin @ mu, noise))
+    weights, means, covs = np.ones(1), p0.mean[None], p0.cov[None]
+    laws = []
+    for _ in range(steps):
+        weights = np.concatenate([s * weights for s in share])
+        means = np.concatenate([means @ lin.T + offset
+                                for lin, offset, _ in updates])
+        covs = np.concatenate([lin @ covs @ lin.T + noise
+                               for lin, _, noise in updates])
+        covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+        laws.append((weights, means, covs))
+    return laws
+
+
+def upper_values(p0, model, rho_k, steps):
+    """U_m = sum_c w_c D(p_c||q) over the unmerged step-m components,
+    m = 1..steps, each divergence in closed form from K."""
+    prec = model.precision
+    logdet_q = -np.linalg.slogdet(prec)[1]
+    values = []
+    for weights, means, covs in swept_laws(p0, model, rho_k, steps):
+        diff = means - model.mean
+        div = 0.5 * (np.einsum("ij,cji->c", prec, covs) - model.dim
+                     + np.einsum("ci,ij,cj->c", diff, prec, diff)
+                     + logdet_q - np.linalg.slogdet(covs)[1])
+        values.append(float(weights @ div))
+    return values
+
+
+def certified_with_blocks(n_blocks, seed):
+    """The first random_certified_model of dimension 2 n_blocks with
+    n_blocks blocks in the seed's stream, and the stream."""
+    rng = np.random.default_rng(seed)
+    while True:
+        model = random_certified_model(rng, 2 * n_blocks)
+        if model.partition.n == n_blocks:
+            return model, rng
+
+
+def four_block_model(seed=3):
+    rng = np.random.default_rng(seed)
+    part = BlockPartition(((0, 1), (2, 3), (4, 5), (6, 7)))
+    return GibbsModel(partition=part, precision=random_spd(rng, 8),
+                      mean=rng.normal(size=8), quartic=np.zeros(8)), rng
 
 
 # ---- update law vs sampling oracle ----
@@ -55,16 +118,14 @@ def test_block_update_moments_match_sampling_oracle(model2d, rng):
     x0_new = 0.5 * x[:, 1] + rng.standard_normal(n)
     draws = np.stack([x0_new, x[:, 1]], axis=1)
 
-    image = apply_gibbs_block(GaussianMixture.single(p), model2d, 0)
-    assert image.n_components == 1
-    g = image.components[0]
+    g = gibbs._block_image(p, model2d, 0)
     assert_allclose(g.mean, draws.mean(axis=0), atol=0.01)
     assert_allclose(g.cov, np.cov(draws.T), atol=0.02)
 
 
 def test_block_update_closed_form(model2d):
     p = GaussianDist(np.array([2.0, 4.0]), np.eye(2))
-    g = apply_gibbs_block(GaussianMixture.single(p), model2d, 0).components[0]
+    g = gibbs._block_image(p, model2d, 0)
     # x0 <- 0.5 x1 + xi: mean (2, 4), var of x0 = 0.25 var(x1) + 1
     assert_allclose(g.mean, [2.0, 4.0], atol=1e-12)
     assert_allclose(g.cov, [[1.25, 0.5], [0.5, 1.0]], atol=1e-12)
@@ -73,8 +134,7 @@ def test_block_update_closed_form(model2d):
 def test_block_update_fixes_target(model2d):
     q = gaussian_target(model2d)
     for k in (0, 1):
-        image = apply_gibbs_block(GaussianMixture.single(q), model2d, k)
-        assert kl(image.components[0], q) <= 1e-12
+        assert kl(gibbs._block_image(q, model2d, k), q) <= 1e-12
 
 
 def test_single_block_update_jumps_to_target():
@@ -84,83 +144,64 @@ def test_single_block_update_jumps_to_target():
                        quartic=np.zeros(2))
     q = gaussian_target(model)
     p = GaussianDist(np.array([5.0, -3.0]), 4.0 * np.eye(2))
-    image = apply_gibbs_block(GaussianMixture.single(p), model, 0)
-    assert kl(image.components[0], q) <= 1e-12
+    assert kl(gibbs._block_image(p, model, 0), q) <= 1e-12
+    rows = verify_contraction(p, model, [1.0], 1.0, steps=1)
+    assert rows[1].value <= 1e-12
 
 
-def test_block_update_rejects_quartic(model2d, rng):
-    from lsicert.instances import random_quartic_model
-
+def test_block_update_rejects_quartic(rng):
     model = random_quartic_model(rng, dim=2)
-    mix = GaussianMixture.single(random_gaussian(rng, 2))
-    with pytest.raises(ValueError):
-        apply_gibbs_block(mix, model, 0)
+    p = random_gaussian(rng, 2)
+    with pytest.raises(ValueError, match="Gaussian model"):
+        entropy_drop_identity(p, model, 0)
+    with pytest.raises(ValueError, match="Gaussian model"):
+        verify_contraction(p, model, [1.0, 1.0], 0.5, steps=1)
 
 
 def test_block_update_rejects_wrong_dimension(model2d, rng):
-    mix = GaussianMixture.single(random_gaussian(rng, 3))
+    p = random_gaussian(rng, 3)
     with pytest.raises(ValueError, match="dimension"):
-        apply_gibbs_block(mix, model2d, 0)
+        entropy_drop_identity(p, model2d, 0)
+    with pytest.raises(ValueError, match="dimension"):
+        verify_contraction(p, model2d, [1.0, 1.0], 0.5, steps=1)
 
 
-# ---- weighted sweep ----
+# ---- merged deviation sweep ----
 
 def test_weighted_sweep_component_layout(model2d):
-    p0 = GaussianDist(np.zeros(2), np.eye(2))
-    p1 = GaussianDist(np.ones(2), np.eye(2))
-    mix = GaussianMixture(np.array([0.25, 0.75]),
-                          GaussianStack(np.stack([p0.mean, p1.mean]),
-                                        np.stack([p0.cov, p1.cov])))
-    rho = np.array([3.0, 1.0])
-    out = apply_weighted_gibbs(mix, model2d, rho)
-    assert out.n_components == 4
-    # block-major ordering: block 0 applied to both components first
-    assert_allclose(out.weights, [0.75 * 0.25, 0.75 * 0.75,
-                                  0.25 * 0.25, 0.25 * 0.75])
-    direct0 = apply_gibbs_block(mix, model2d, 0)
-    direct1 = apply_gibbs_block(mix, model2d, 1)
-    assert_allclose(out.components[1].mean, direct0.components[1].mean)
-    assert_allclose(out.components[2].mean, direct1.components[0].mean)
+    # block-major order: block 0 applied to every component first; a word
+    # already ending in k is its own block-k image and merges with the
+    # pushes that reach it
+    q = gaussian_target(model2d)
+    delta = np.eye(2) - q.cov
+    share = np.array([0.75, 0.25])
+    once = gibbs._sweep(((),), np.ones(1), delta[None], share, model2d)
+    assert once[0] == ((0,), (1,))
+    assert_allclose(once[1], share)
+    twice = gibbs._sweep(*once, share, model2d)
+    assert twice[0] == ((0,), (1, 0), (0, 1), (1,))
+    assert_allclose(twice[1], [0.75 * 0.75, 0.75 * 0.25,
+                               0.25 * 0.75, 0.25 * 0.25])
+    image = gibbs._block_image(GaussianDist(q.mean, q.cov + once[2][1]),
+                               model2d, 0)
+    assert_allclose(twice[2][1], image.cov - q.cov, atol=1e-15)
 
 
-def test_block_update_keeps_updated_components(model2d, rng):
-    # Gamma_k Gamma_k = Gamma_k: a second block-k update is the identity
-    comps = random_gaussians(rng, 2, 2)
-    mix = GaussianMixture(np.array([0.4, 0.6]), comps)
-    once = apply_gibbs_block(mix, model2d, 1)
-    twice = apply_gibbs_block(once, model2d, 1)
-    assert once.words == ((0, 1), (1, 1))
-    assert twice.words == once.words
-    # kept rows are copied, not pushed again: a second push would move bits
-    for name in ("means", "covs", "chols"):
-        assert getattr(twice.laws, name).tobytes() == \
-            getattr(once.laws, name).tobytes()
-    assert_allclose(twice.weights, once.weights)
-
-
-def naive_sweep(mix, model, rho):
-    """Unmerged sweep image: one push per (block, component) pair."""
-    share = np.asarray(rho) / np.sum(rho)
-    weights, comps = [], []
-    for k in range(model.partition.n):
-        for w, comp in zip(mix.weights, mix.components):
-            image = apply_gibbs_block(GaussianMixture.single(comp), model, k)
-            weights.append(share[k] * w)
-            comps.append(image.components[0])
-    return GaussianMixture(np.array(weights),
-                           GaussianStack(np.stack([c.mean for c in comps]),
-                                         np.stack([c.cov for c in comps])))
-
-
-def reference_logpdf(mix, x):
-    stacked = np.stack([multivariate_normal(c.mean, c.cov).logpdf(x)
-                        for c in mix.components])
-    return logsumexp(stacked + np.log(mix.weights)[:, None], axis=0)
-
-
-def upper_kl(mix, q):
-    """U = sum_c w_c D(p_c||q), the closed-form bound on D(mix||q)."""
-    return mix.weights @ kl(mix.laws, q)
+def test_block_update_keeps_updated_components(model2d):
+    # L_k L_k = L_k: a component whose word ends in k is copied, not
+    # pushed again (a second push would move bits), and a push that lands
+    # on its word only adds weight
+    delta = np.array([[0.3, 0.1], [0.1, -0.2]])
+    share = np.array([0.5, 0.5])
+    once = gibbs._sweep(((),), np.ones(1), delta[None], share, model2d)
+    twice = gibbs._sweep(*once, share, model2d)
+    thrice = gibbs._sweep(*twice, share, model2d)
+    for word in once[0]:
+        assert twice[2][twice[0].index(word)].tobytes() == \
+            once[2][once[0].index(word)].tobytes()
+    kept = thrice[0].index((1, 0))
+    assert thrice[2][kept].tobytes() == twice[2][twice[0].index((1, 0))].tobytes()
+    assert thrice[1][kept] == pytest.approx(0.5 * 0.25 + 0.5 * 0.25)
 
 
 @given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
@@ -172,83 +213,47 @@ def test_merged_sweep_matches_naive_law(n_blocks, sweeps, seed):
                           + ((n_blocks - 1, n_blocks),))
     model = GibbsModel(partition=part, precision=random_spd(rng, dim),
                        mean=rng.normal(size=dim), quartic=np.zeros(dim))
-    rho = rng.uniform(0.5, 2.0, size=n_blocks)
-    merged = naive = GaussianMixture.single(random_gaussian(rng, dim))
-    for _ in range(sweeps):
-        merged = apply_weighted_gibbs(merged, model, rho)
-        naive = naive_sweep(naive, model, rho)
-    assert naive.n_components == n_blocks ** sweeps
-    assert merged.n_components == collapsed_word_count(n_blocks, sweeps) \
-        == n_blocks * sum((n_blocks - 1) ** j for j in range(sweeps))
-    x = np.vstack([c.sample(rng, 2) for c in naive.components[:25]]
-                  + [rng.normal(scale=3.0, size=(50, dim))])
-    assert_allclose(reference_logpdf(merged, x), reference_logpdf(naive, x),
-                    rtol=1e-10)
-    q = gaussian_target(model)
-    assert_allclose(upper_kl(merged, q), upper_kl(naive, q), rtol=1e-10)
+    rho_k = rng.uniform(0.5, 2.0, size=n_blocks)
+    p0 = random_gaussian(rng, dim)
+    counts = []
+    sweep = gibbs._sweep
+
+    def counted(*args):
+        out = sweep(*args)
+        counts.append(len(out[0]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs, "_sweep", counted)
+        rows = verify_contraction(p0, model, rho_k, 0.1, steps=sweeps)
+    assert counts == [collapsed_word_count(n_blocks, m)
+                      for m in range(1, sweeps + 1)]
+    assert counts[-1] == n_blocks * sum((n_blocks - 1) ** j
+                                        for j in range(sweeps))
+    assert_allclose([r.value for r in rows[1:]],
+                    upper_values(p0, model, rho_k, sweeps), rtol=1e-10)
 
 
 def test_weighted_sweep_fixes_target(model2d):
     q = gaussian_target(model2d)
-    mix = apply_weighted_gibbs(GaussianMixture.single(q), model2d,
-                               np.array([1.0, 1.0]))
-    assert np.all(kl(mix.laws, q) <= 1e-10)
+    rows = verify_contraction(q, model2d, [1.0, 1.0], 0.5, steps=3)
+    assert all(r.value <= 1e-10 for r in rows)
 
 
 def test_weighted_sweep_cap(model2d, monkeypatch):
     monkeypatch.setattr(gibbs, "DEFAULT_COMPONENT_CAP", 1)
-    mix = GaussianMixture.single(GaussianDist(np.zeros(2), np.eye(2)))
+    monkeypatch.setattr(gibbs, "_sweep", must_not_run)
+    p0 = GaussianDist(np.zeros(2), np.eye(2))
     with pytest.raises(MixtureCapError):
-        apply_weighted_gibbs(mix, model2d, np.array([1.0, 1.0]))
+        verify_contraction(p0, model2d, [1.0, 1.0], 0.5, steps=1)
 
 
 def test_weighted_sweep_rejects_bad_weights(model2d):
-    mix = GaussianMixture.single(GaussianDist(np.zeros(2), np.eye(2)))
+    p0 = GaussianDist(np.zeros(2), np.eye(2))
     with pytest.raises(ValueError):
-        apply_weighted_gibbs(mix, model2d, np.array([1.0, 0.0]))
+        verify_contraction(p0, model2d, [1.0, 0.0], 0.5, steps=1)
     with pytest.raises(ValueError):
-        apply_weighted_gibbs(mix, model2d, np.array([1.0]))
-
-
-# ---- mixture class ----
-
-def test_mixture_validation():
-    g = GaussianStack(np.zeros((2, 1)), np.ones((2, 1, 1)))
-    with pytest.raises(ValueError):
-        GaussianMixture(np.array([0.5, 0.6]), g)
-    with pytest.raises(ValueError):
-        GaussianMixture(np.array([1.0, 0.0]), g)
-    with pytest.raises(ValueError):
-        GaussianMixture(np.array([]), GaussianStack(np.zeros((0, 1)),
-                                                    np.zeros((0, 1, 1))))
-
-
-def _laws(*covs):
-    covs = np.array(covs, dtype=float)
-    return GaussianStack(np.zeros(covs.shape[:2]), covs)
-
-
-@pytest.mark.parametrize("build, message", [
-    (lambda: GaussianMixture([1.0], _laws([[1.0, 0.5], [0.0, 1.0]])),
-     "symmetric"),
-    (lambda: GaussianMixture([1.0], _laws([[1.0, 2.0], [2.0, 1.0]])),
-     "positive definite"),
-    (lambda: GaussianMixture([0.5, 0.5], _laws(np.eye(2))),
-     "one weight per component"),
-    (lambda: GaussianMixture([1.0], _laws(np.eye(2)), words=((0,), (1,))),
-     "one word per component"),
-    (lambda: GaussianMixture([1.5, -0.5], _laws(np.eye(2), np.eye(2))),
-     "must be positive"),
-    (lambda: GaussianMixture([0.5, 0.6], _laws(np.eye(2), np.eye(2))),
-     "sum to 1"),
-    (lambda: GaussianMixture(np.array([]), GaussianStack(np.zeros((0, 2)),
-                                                         np.zeros((0, 2, 2)))),
-     "at least one"),
-])
-def test_mixture_refusals(build, message):
-    # every law is checked once, by the stack, when the mixture is built
-    with pytest.raises(ValueError, match=message):
-        build()
+        verify_contraction(p0, model2d, [1.0], 0.5, steps=1)
 
 
 # ---- entropy inequalities ----
@@ -317,6 +322,16 @@ def test_entropy_drop_identity_random(seed):
     assert abs(chk.gap) <= 1e-9 * (1.0 + abs(chk.lhs))
 
 
+@pytest.mark.parametrize("k", [-1, True, 2, 1.0])
+def test_entropy_drop_refuses_bad_block_index(model2d, k, monkeypatch):
+    # -1 would silently check the last block; True, 2 and 1.0 are no
+    # block index of a 2-block model either: refused before any work
+    p = shifted_target(model2d, [1.0, 0.0])
+    monkeypatch.setattr(gibbs, "gaussian_target", must_not_run)
+    with pytest.raises(ValueError, match="block index"):
+        entropy_drop_identity(p, model2d, k)
+
+
 # ---- contraction along the sweep ----
 
 def test_contraction_reference(model2d):
@@ -333,48 +348,36 @@ def test_contraction_reference(model2d):
         assert row.holds
 
 
+@pytest.mark.parametrize("steps", [0, -1, 2.5, True])
+def test_contraction_refuses_bad_step_count(model2d, steps, monkeypatch):
+    # 0 and -1 would check nothing, 2.5 and True are no count: refused
+    # before any work, as the CLI refuses --steps below 1
+    rho_k, rho = block_lsi_constants(model2d), solve_rho_marton(model2d)
+    p0 = shifted_target(model2d, [1.0, 1.0])
+    monkeypatch.setattr(gibbs, "_check_budget", must_not_run)
+    monkeypatch.setattr(gibbs, "gaussian_target", must_not_run)
+    with pytest.raises(ValueError, match="at least one step"):
+        verify_contraction(p0, model2d, rho_k, rho, steps=steps)
+
+
 def test_contraction_rows_are_component_divergences(model2d):
     # each row's value is U_m, the weighted closed-form divergence of the
-    # step-m mixture's components; from the CLI's start on the 2-d
-    # reference, U_1 attains the bound, up to rounding
+    # step-m components; from the CLI's start on the 2-d reference, U_1
+    # attains the bound, up to rounding
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [1.0, 1.0])
-    q = gaussian_target(model2d)
     rows = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=3)
-    mix = GaussianMixture.single(p0)
-    for row in rows[1:]:
-        mix = apply_weighted_gibbs(mix, model2d, np.asarray(rep.rho_k))
-        assert row.value == upper_kl(mix, q)
+    assert_allclose([r.value for r in rows[1:]],
+                    upper_values(p0, model2d, rep.rho_k, 3), rtol=1e-12)
     assert rows[1].value == pytest.approx(rows[1].bound, rel=1e-14)
-
-
-def enumerated_values(p0, model, rho_k, steps):
-    """U_m for m = 1..steps by enumeration: the exact mixture after each
-    sweep, then the weighted closed-form divergence of its components."""
-    q = gaussian_target(model)
-    mix, values = GaussianMixture.single(p0), []
-    for _ in range(steps):
-        mix = apply_weighted_gibbs(mix, model, np.asarray(rho_k))
-        values.append(upper_kl(mix, q))
-    return values
-
-
-def certified_with_blocks(n_blocks, seed):
-    """The first random_certified_model of dimension 2 n_blocks with
-    n_blocks blocks in the seed's stream, and the stream."""
-    rng = np.random.default_rng(seed)
-    while True:
-        model = random_certified_model(rng, 2 * n_blocks)
-        if model.partition.n == n_blocks:
-            return model, rng
 
 
 @pytest.mark.parametrize("n_blocks, seed", [(None, 0), (2, 0), (2, 1),
                                             (3, 0), (3, 1), (4, 0), (4, 1)])
 def test_mean_only_contraction_matches_enumeration(n_blocks, seed,
                                                    monkeypatch):
-    # p0 with the target's covariance: verify_contraction builds no
-    # mixture, and its rows match the enumerated U_m (None: the 2-d
+    # p0 with the target's covariance: verify_contraction pushes no
+    # deviation, and its rows match the enumerated U_m (None: the 2-d
     # reference)
     if n_blocks is None:
         model, rng = model_2d(), np.random.default_rng(seed)
@@ -383,18 +386,21 @@ def test_mean_only_contraction_matches_enumeration(n_blocks, seed,
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + rng.normal(size=model.dim), q.cov)
     rho_k, rho = block_lsi_constants(model), solve_rho_marton(model)
-    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", must_not_run)
+    monkeypatch.setattr(gibbs, "_sweep", must_not_run)
     rows = verify_contraction(p0, model, rho_k, rho, steps=5)
     assert rows[0].value == rows[0].bound == kl(p0, q)
     assert_allclose([r.value for r in rows[1:]],
-                    enumerated_values(p0, model, rho_k, 5), rtol=1e-12)
+                    upper_values(p0, model, rho_k, 5), rtol=1e-12)
     assert all(r.holds for r in rows)
 
 
 @pytest.mark.parametrize("cov, sweeps", [("target", 0), ("ulp", 3),
-                                         ("identity", 3)])
+                                         ("identity", 3), ("random", 3)])
 def test_contraction_enumerates_unless_p0_has_the_target_covariance(
         cov, sweeps, monkeypatch):
+    # the deviations are swept from every start but one with a covariance
+    # bit-equal to K^-1, and the rows match the n^m enumeration with the
+    # same verdicts
     model, rng = certified_with_blocks(3, 2)
     q = gaussian_target(model)
     if cov == "target":
@@ -402,24 +408,30 @@ def test_contraction_enumerates_unless_p0_has_the_target_covariance(
     elif cov == "ulp":
         p_cov = q.cov.copy()
         p_cov[0, 0] = np.nextafter(p_cov[0, 0], np.inf)
-    else:
+    elif cov == "identity":
         p_cov = np.eye(model.dim)
+    else:
+        p_cov = random_gaussian(rng, model.dim).cov
     p0 = GaussianDist(q.mean + rng.normal(size=model.dim), p_cov)
     if cov == "ulp":
         assert np.count_nonzero(p0.cov != q.cov) == 1
     calls = []
-    sweep = gibbs.apply_weighted_gibbs
+    sweep = gibbs._sweep
 
     def counted(*args, **kwargs):
         calls.append(args)
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(gibbs, "apply_weighted_gibbs", counted)
+    monkeypatch.setattr(gibbs, "_sweep", counted)
     rho_k, rho = block_lsi_constants(model), solve_rho_marton(model)
     rows = verify_contraction(p0, model, rho_k, rho, steps=3)
     assert len(calls) == sweeps
-    assert_allclose([r.value for r in rows[1:]],
-                    enumerated_values(p0, model, rho_k, 3), rtol=1e-12)
+    values = upper_values(p0, model, rho_k, 3)
+    assert_allclose([r.value for r in rows[1:]], values, rtol=1e-12)
+    d0 = kl(p0, q)
+    factor = 1.0 - rho / np.sum(rho_k)
+    assert [r.holds for r in rows[1:]] == [
+        v <= factor ** m * d0 + 1e-9 for m, v in enumerate(values, start=1)]
 
 
 def test_inflated_rho_fails_the_check(model2d):
@@ -442,11 +454,12 @@ def test_rows_bound_the_quadrature_divergence(model2d):
     q = gaussian_target(model2d)
     p0 = GaussianDist(q.mean + 1.0, q.cov)
     rows = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=4)
-    mix = GaussianMixture.single(p0)
-    for row in rows[1:]:
-        mix = apply_weighted_gibbs(mix, model2d, np.asarray(rep.rho_k))
-        exact = quad_kl(lambda pts, mix=mix: np.exp(reference_logpdf(mix, pts)),
-                        multivariate_normal(q.mean, q.cov).pdf,
+    laws = swept_laws(p0, model2d, rep.rho_k, 4)
+    for row, (weights, means, covs) in zip(rows[1:], laws):
+        def mixture_pdf(pts, weights=weights, means=means, covs=covs):
+            return sum(w * multivariate_normal(m, c).pdf(pts)
+                       for w, m, c in zip(weights, means, covs))
+        exact = quad_kl(mixture_pdf, multivariate_normal(q.mean, q.cov).pdf,
                         [(-9, 9), (-9, 9)], 801)
         assert exact <= row.value
 
@@ -488,48 +501,53 @@ def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
 
 @pytest.mark.parametrize("sweeps", [5, 7])
 def test_sweep_and_kl_peak_within_component_budget(sweeps):
-    # d = 8 in four blocks: 484 or 4372 components.  The peak over the
-    # sweeps and the closed-form divergence pass, source mixture included,
-    # stays within what the budget check charges per component.
-    rng = np.random.default_rng(3)
-    part = BlockPartition(((0, 1), (2, 3), (4, 5), (6, 7)))
-    model = GibbsModel(partition=part, precision=random_spd(rng, 8),
-                       mean=rng.normal(size=8), quartic=np.zeros(8))
+    # d = 8 in four blocks, from covariance I: 484 or 4372 deviations.
+    # The peak over the sweeps and the log-determinant passes stays within
+    # what the budget check charges per component.
+    model, rng = four_block_model()
     q = gaussian_target(model)
-    tracemalloc.start()
-    try:
-        mix = GaussianMixture.single(random_gaussian(rng, 8))
-        for _ in range(sweeps):
-            mix = apply_weighted_gibbs(mix, model, np.ones(4))
-        upper_kl(mix, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert mix.n_components == collapsed_word_count(4, sweeps)
-    assert peak <= mix.n_components * gibbs._component_bytes(8)
+    p0 = GaussianDist(q.mean + rng.normal(size=8), np.eye(8))
+    gibbs._block_update_map(model, 0)  # the model's conditionals, once
+    counts = []
+    sweep = gibbs._sweep
+
+    def counted(*args):
+        out = sweep(*args)
+        counts.append(len(out[0]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gibbs, "_sweep", counted)
+        tracemalloc.start()
+        try:
+            verify_contraction(p0, model, np.ones(4), 0.1, steps=sweeps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert counts[-1] == collapsed_word_count(4, sweeps)
+    assert peak <= counts[-1] * gibbs._component_bytes(8)
 
 
 def test_sweep_image_holds_the_gathered_covariances_once():
-    # d = 8 in four blocks, 160 components to 484: the image stack keeps
-    # the gathered covariances, so the sweep peaks near 3 d^2 x 8 bytes
-    # per image component, words included
-    rng = np.random.default_rng(3)
-    part = BlockPartition(((0, 1), (2, 3), (4, 5), (6, 7)))
-    model = GibbsModel(partition=part, precision=random_spd(rng, 8),
-                       mean=rng.normal(size=8), quartic=np.zeros(8))
-    mix = GaussianMixture.single(random_gaussian(rng, 8))
+    # d = 8 in four blocks, 160 deviations to 484: the image is the
+    # gathered stack, pushed block by block, so the sweep peaks near
+    # 2 d^2 x 8 bytes per image deviation, words included (an extra copy
+    # of the image would add one d^2)
+    model, rng = four_block_model()
+    q = gaussian_target(model)
+    state = ((),), np.ones(1), (random_gaussian(rng, 8).cov - q.cov)[None]
+    share = np.full(4, 0.25)
     for _ in range(4):
-        mix = apply_weighted_gibbs(mix, model, np.ones(4))
+        state = gibbs._sweep(*state, share, model)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        image = apply_weighted_gibbs(mix, model, np.ones(4))
+        image = gibbs._sweep(*state, share, model)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert image.n_components == 484
-    assert image.laws.covs.flags.writeable is False
-    assert peak <= 3.5 * 8 * 8 * 8 * image.n_components
+    assert len(image[0]) == len(image[1]) == len(image[2]) == 484
+    assert peak <= 2.5 * 8 * 8 * 8 * 484
 
 
 def test_contraction_determinism(model2d):

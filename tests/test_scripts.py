@@ -1,4 +1,4 @@
-"""Smoke test: each demo script runs to completion on small inputs and
+"""Smoke test: the demo script runs to completion on small inputs and
 exits 4, as `lsicert verify` does, exactly when a printed check fails; a
 model `lsicert verify` refuses is refused with its stderr line and exit
 code."""
@@ -29,7 +29,6 @@ COARSE_FLOW = ["--nodes", "501", "--particles", "2000"]
 
 
 @pytest.mark.parametrize("script, args", [
-    ("contraction_demo.py", ["--steps", "2"]),
     ("entropy_flow.py", COARSE_FLOW),
     ("entropy_flow.py", ["--nodes", "5001", "--particles", "2000"]),
 ])
@@ -83,8 +82,7 @@ def _refused_models(tmp_path):
             (bad, 2, "invalid model: model file is not valid JSON")]
 
 
-@pytest.mark.parametrize("script", ["contraction_demo.py",
-                                    "entropy_flow.py"])
+@pytest.mark.parametrize("script", ["entropy_flow.py"])
 def test_script_refuses_as_verify_does(script, tmp_path):
     for path, code, line in _refused_models(tmp_path):
         proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
