@@ -28,9 +28,12 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
 COARSE_FLOW = ["--nodes", "501", "--particles", "2000"]
 
 
+# The ids are pinned so that adding or deleting a case renames no other.
 @pytest.mark.parametrize("script, args", [
-    ("entropy_flow.py", COARSE_FLOW),
-    ("entropy_flow.py", ["--nodes", "5001", "--particles", "2000"]),
+    pytest.param("entropy_flow.py", COARSE_FLOW,
+                 id="entropy_flow.py-args1"),
+    pytest.param("entropy_flow.py", ["--nodes", "5001", "--particles", "2000"],
+                 id="entropy_flow.py-args2"),
 ])
 def test_script_runs(script, args):
     code = 4 if args is COARSE_FLOW else 0
