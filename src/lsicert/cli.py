@@ -23,8 +23,9 @@ a quartic term, since the closed-form verifiers need a Gaussian model,
 the byte budget, refused before any sweep, a model whose dense K, or a
 `toeplitz` section whose two dense m x m arrays, would exceed
 `model.DENSE_BYTE_BUDGET`, refused before anything is built, non-finite
-or overflowing `toeplitz` coefficients, and an --out path that cannot
-be written), 2 invalid model, 3 no certificate, 4 verification failure.
+or overflowing `toeplitz` coefficients or an offset given twice, and an
+--out path that cannot be written), 2 invalid model, 3 no certificate,
+4 verification failure.
 Output is strict JSON or CSV, byte-identical across runs for equal
 inputs and seeds; all randomness derives from --seed.
 
@@ -178,14 +179,15 @@ def cmd_verify(args) -> int:
 def parse_band(text: str) -> dict:
     """{offset: coeff} from pairs such as '1=1,2=-1'; ValueError if bad."""
     band = {}
-    for item in text.replace(" ", ",").split(","):
-        if not item:
-            continue
+    for item in filter(None, text.replace(" ", ",").split(",")):
         try:
             off, coeff = item.split("=")
-            band[int(off)] = float(coeff)
+            off, coeff = int(off), float(coeff)
         except ValueError:
             raise ValueError(f"bad band entry {item!r}; expected offset=coeff")
+        if off in band:
+            raise ValueError(f"band offset {off} given twice")
+        band[off] = coeff
     if not band:
         raise ValueError("band specification is empty")
     return band

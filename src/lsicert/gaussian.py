@@ -164,7 +164,7 @@ def gaussian_target(model: GibbsModel) -> GaussianDist:
     Memoized on the model, so freed with it; both are read-only.
     """
     if not model.is_gaussian:
-        raise ValueError("model has a quartic term; its law is not Gaussian")
+        raise ValueError("model has a quartic term: not a Gaussian model")
     cov = np.linalg.inv(model.precision)
     target = GaussianDist(mean=np.array(model.mean), cov=0.5 * (cov + cov.T))
     target.stack.__dict__["precisions"] = model.precision[None]

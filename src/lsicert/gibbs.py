@@ -3,8 +3,9 @@
 Resampling block k from its target conditional is an affine update that
 leaves the target q = N(m, K^-1) fixed, so it moves a Gaussian law's
 deviation from q linearly (Amit 1991): N(m + y, K^-1 + Delta) goes to
-N(m + L_k y, K^-1 + L_k Delta L_k'), L_k the identity off block k and
-the conditional mean's gain on it.  Such a law has divergence
+N(m + L_k y, K^-1 + L_k Delta L_k'), L_k the identity but on block k's
+rows, the conditional mean's gain.  L_k is never built: one push rewrites
+block k's rows, then its columns, O(s_k d^2).  Such a law has divergence
 D = 1/2 tr(K (Delta + y y')) - 1/2 log det(I + K Delta) from q.
 
 After m sweeps from p0 the sampler's law is a mixture of such laws.  The
@@ -31,7 +32,7 @@ import numpy as np
 from .criteria import Check, _checked_rho, _checked_rho_k
 from .gaussian import (GaussianDist, GaussianStack, _dot, avg_conditional_kl,
                        gaussian_target, kl, memo_conditionals)
-from .model import GibbsModel, _is_integer, per_object
+from .model import GibbsModel, _is_integer
 
 DEFAULT_COMPONENT_CAP = 100_000
 # Largest storage a swept mixture may take; checked before any component
@@ -49,7 +50,7 @@ def _component_bytes(dim: int) -> int:
     7 d + 9 floats, kept as the charge of the enumeration of whole
     component laws, so the budget refuses the same runs.  It bounds the
     deviation sweep and its log determinants, words and weights included:
-    tracemalloc reads 2.3 d^2 floats per component at d = 32 and 64."""
+    tracemalloc reads 2.2-2.4 d^2 floats per component at d = 32 and 64."""
     return (7 * dim * dim + 7 * dim + 9) * 8
 
 
@@ -76,23 +77,13 @@ def collapsed_word_count(n_blocks: int, sweeps: int) -> int:
     return total
 
 
-@per_object
-def _block_update_map(model: GibbsModel, k: int) -> np.ndarray:
-    """L_k, the linear part of the block-k Gibbs update: resampling block
-    k from the target conditional sends x to m + L_k (x - m) plus
-    Gaussian noise supported on block k."""
-    idx = model.partition.block(k)
-    _, gain, _ = memo_conditionals(model, model.partition)
-    lin = np.eye(model.dim)
-    lin[idx] = gain[idx]
-    lin.flags.writeable = False
-    return lin
-
-
-def _require_gaussian(model: GibbsModel):
-    if not model.is_gaussian:
-        raise ValueError(
-            "exact Gibbs updates need a Gaussian model (zero quartic term)")
+def _push(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """L_k mat L_k' over any leading axes of mat: L_k is the identity but
+    on block k's rows idx, which hold rows, the conditional mean's gain."""
+    out = mat.copy()
+    out[..., idx, :] = rows @ mat
+    out[..., :, idx] = out @ rows.T
+    return out
 
 
 def _sweep(words: tuple, weights: np.ndarray, deltas: np.ndarray, share,
@@ -116,10 +107,11 @@ def _sweep(words: tuple, weights: np.ndarray, deltas: np.ndarray, share,
                 sources[key] = (k, c, kept)
     ks, cs, kept = np.array(list(sources.values()), dtype=int).reshape(-1, 3).T
     out = deltas[cs]
+    gain = memo_conditionals(model, model.partition)[1]
     for k in np.unique(ks[kept == 0]):
-        rows = np.flatnonzero((ks == k) & (kept == 0))
-        lin = _block_update_map(model, int(k))
-        out[rows] = lin @ out[rows] @ lin.T
+        pushed = np.flatnonzero((ks == k) & (kept == 0))
+        idx = model.partition.block(k)
+        out[pushed] = _push(out[pushed], idx, gain[idx])
     return tuple(merged), np.fromiter(merged.values(), float), out
 
 
@@ -151,9 +143,11 @@ class EntropyDropCheck:
 def _block_image(p: GaussianDist, model: GibbsModel, k: int) -> GaussianDist:
     """p Gamma_k, the law of the block-k update of a draw from p."""
     q = gaussian_target(model)
-    lin = _block_update_map(model, k)
-    return GaussianDist(q.mean + lin @ (p.mean - q.mean),
-                        q.cov + lin @ (p.cov - q.cov) @ lin.T)
+    idx = model.partition.block(k)
+    rows = memo_conditionals(model, model.partition)[1][idx]
+    y = p.mean - q.mean
+    y[idx] = rows @ y
+    return GaussianDist(q.mean + y, q.cov + _push(p.cov - q.cov, idx, rows))
 
 
 def entropy_drop_identity(p: GaussianDist, model: GibbsModel,
@@ -164,7 +158,6 @@ def entropy_drop_identity(p: GaussianDist, model: GibbsModel,
     lhs = D(p||q) - D(p Gamma_k||q), rhs = E[D(p^k || q^k)], gap = lhs - rhs.
     k must be an integer block index in 0..n-1.
     """
-    _require_gaussian(model)
     if not (_is_integer(k) and 0 <= k < model.partition.n):
         raise ValueError(f"block index must be an integer in "
                          f"0..{model.partition.n - 1}, got {k!r}")
@@ -196,21 +189,21 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
     if not (_is_integer(steps) and steps >= 1):
         raise ValueError(f"need an integer count of at least one step, "
                          f"got {steps!r}")
-    _require_gaussian(model)
+    q = gaussian_target(model)
     _check_budget(collapsed_word_count(model.partition.n, steps), model.dim)
     share = rho_k / rho_k.sum()
     factor = 1.0 - rho / float(rho_k.sum())
-    q = gaussian_target(model)
     d0 = kl(p0, q)
-    lins = [_block_update_map(model, k) for k in range(model.partition.n)]
+    gain = memo_conditionals(model, model.partition)[1]
+    pairs = [(idx, gain[idx]) for idx in map(np.array, model.partition.blocks)]
     y, delta = p0.mean - q.mean, p0.cov - q.cov
     moment = np.outer(y, y) + delta
     words, weights, deltas = ((),), np.ones(1), delta[None]
 
     rows = [Check("gibbs", "step=0", d0, d0, 0.0, True)]
     for m in range(1, steps + 1):
-        moment = sum(s * (lin @ moment @ lin.T)
-                     for s, lin in zip(share, lins))
+        moment = sum(s * _push(moment, idx, gain_rows)
+                     for s, (idx, gain_rows) in zip(share, pairs))
         value = 0.5 * float(np.sum(model.precision * moment))
         if delta.any():
             words, weights, deltas = _sweep(words, weights, deltas, share,

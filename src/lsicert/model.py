@@ -351,6 +351,8 @@ def model_from_dict(doc: dict) -> GibbsModel:
             band = {int(k): float(v) for k, v in spec["band"].items()}
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad toeplitz block: {exc}")
+        if len(band) != len(spec["band"]):
+            raise ModelFormatError("toeplitz band gives an offset twice")
         if not _is_integer(m):
             raise ModelFormatError("'toeplitz.m' must be an integer")
         if m != dim:

@@ -200,12 +200,14 @@ def prop4_check(model: GibbsModel, rho_k, delta: float, z, u) -> tuple:
     interaction bound rhs = (1 - delta)^2 sum rho_k |(z - u)_k|^2.
     Returns the checks lhs <= mid (param w2_vs_kl) and mid <= rhs
     (param kl_vs_quadratic).  Rows z, u of (T, dim) arrays are checked in
-    one pass and give one such pair per row.  delta = 1 - ||A0|| must be
-    positive (CertificateError).
+    one pass and give one such pair per row.  delta = 1 - ||A0|| is in
+    (0, 1]: CertificateError at most 0, ValueError above 1 or not finite.
     """
     if not model.is_gaussian:
         raise ValueError("closed-form check needs a Gaussian model")
     rho_k = _checked_rho_k(model, rho_k)
+    if not (np.isfinite(delta) and delta <= 1):
+        raise ValueError(f"delta must be finite and at most 1, got {delta!r}")
     if not delta > 0:
         raise CertificateError("delta <= 0")
     z = np.asarray(z, dtype=float)

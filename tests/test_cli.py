@@ -632,7 +632,7 @@ def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
     def no_sweep(*args, **kwargs):
         raise AssertionError("swept before the budget check")
 
-    monkeypatch.setattr(gibbs, "_block_update_map", no_sweep)
+    monkeypatch.setattr(gibbs, "_push", no_sweep)
     code, out, err = run(["verify", str(path), "gibbs", "--steps", "2",
                           "--samples", "2000"], capsys)
     assert code == 1
@@ -679,7 +679,7 @@ def test_verify_gibbs_oversized_run_refused_up_front(blocks, args, tmp_path,
     def no_sweep(*args, **kwargs):
         raise AssertionError("swept before the budget check")
 
-    monkeypatch.setattr(gibbs, "_block_update_map", no_sweep)
+    monkeypatch.setattr(gibbs, "_push", no_sweep)
     start = time.perf_counter()
     code, out, err = run(["verify", str(path), "gibbs", *args], capsys)
     assert time.perf_counter() - start < 1.0
@@ -742,9 +742,11 @@ def test_toeplitz_report(capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_toeplitz_bad_band(capsys):
-    # a malformed band, a non-finite diag and a symbol that overflows are
-    # each refused with one stderr line; a numpy warning fails the test
-    for args in (["--band", "oops"], ["--diag", "nan", "--band", "1=1"],
+    # a malformed band, an offset given twice (not last-wins), a
+    # non-finite diag and a symbol that overflows are each refused with
+    # one stderr line; a numpy warning fails the test
+    for args in (["--band", "oops"], ["--band", "1=1,1=-3"],
+                 ["--band", "01=1,1=1"], ["--diag", "nan", "--band", "1=1"],
                  ["--band", "1=1e308,2=1e308"]):
         code, out, err = run(["toeplitz", "--m", "8", *args], capsys)
         assert code == 1
@@ -788,6 +790,7 @@ def test_toeplitz_budget_is_one_section_and_its_working_copy(capsys):
     pytest.param(4, {"diag": float("nan")}, id="nan-diag"),
     pytest.param(4, {"band": {"1": float("inf")}}, id="inf-band"),
     pytest.param(4, {"band": {"1": 1.0, "2": float("-inf")}}, id="-inf-band"),
+    pytest.param(4, {"band": {"1": 1.0, "01": 0.5}}, id="repeated-offset"),
 ])
 def test_criteria_rejects_bad_toeplitz_spec(tmp_path, capsys, dim, spec):
     # refused before the matrix is built: exit 2, one stderr line, and no

@@ -18,7 +18,8 @@ from scipy.stats import multivariate_normal
 from lsicert import gibbs
 from lsicert.criteria import (block_lsi_constants, criteria_report,
                               solve_rho_marton)
-from lsicert.gaussian import GaussianDist, gaussian_target, kl
+from lsicert.gaussian import (GaussianDist, gaussian_target, kl,
+                              memo_conditionals)
 from lsicert.gibbs import (
     MixtureCapError,
     collapsed_word_count,
@@ -27,9 +28,9 @@ from lsicert.gibbs import (
     verify_theorem1,
 )
 from lsicert.instances import (model_2d, random_certified_model,
-                               random_gaussian, random_quartic_model,
-                               random_spd)
-from lsicert.model import BlockPartition, GibbsModel
+                               random_gaussian, random_partition,
+                               random_quartic_model, random_spd)
+from lsicert.model import BlockPartition, GibbsModel, toeplitz_matrix
 from lsicert.oracles import quad_kl
 
 from conftest import BAD_RHO, bad_rho_k, must_not_run
@@ -129,6 +130,32 @@ def test_block_update_closed_form(model2d):
     # x0 <- 0.5 x1 + xi: mean (2, 4), var of x0 = 0.25 var(x1) + 1
     assert_allclose(g.mean, [2.0, 4.0], atol=1e-12)
     assert_allclose(g.cov, [[1.25, 0.5], [0.5, 1.0]], atol=1e-12)
+
+
+def test_push_is_the_block_update_congruence():
+    # L_k M L_k' for one matrix and for a stack, on a permuted partition
+    # with blocks of 1, 2 and 3 coordinates; L_k is the identity but on
+    # block k's rows, -K_kk^-1 K_k,rest, built here from K alone
+    rng = np.random.default_rng(5)
+    part = random_partition(rng, 9)
+    assert set(part.sizes) == {1, 2, 3}
+    prec = random_spd(rng, 9)
+    model = GibbsModel(partition=part, precision=prec, mean=np.zeros(9),
+                       quartic=np.zeros(9))
+    gain = memo_conditionals(model, part)[1]
+    mats = np.stack([random_spd(rng, 9) for _ in range(4)])
+    before = mats.copy()
+    for k in range(part.n):
+        idx, rest = part.block(k), part.complement(k)
+        lin = np.eye(9)
+        lin[idx] = 0.0
+        lin[np.ix_(idx, rest)] = (-np.linalg.inv(prec[np.ix_(idx, idx)])
+                                  @ prec[np.ix_(idx, rest)])
+        want = lin @ mats @ lin.T
+        assert_allclose(gibbs._push(mats, idx, gain[idx]), want, rtol=1e-13)
+        assert_allclose(gibbs._push(mats[1], idx, gain[idx]), want[1],
+                        rtol=1e-13)
+    assert mats.tobytes() == before.tobytes()
 
 
 def test_block_update_fixes_target(model2d):
@@ -507,7 +534,7 @@ def test_sweep_and_kl_peak_within_component_budget(sweeps):
     model, rng = four_block_model()
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + rng.normal(size=8), np.eye(8))
-    gibbs._block_update_map(model, 0)  # the model's conditionals, once
+    memo_conditionals(model, model.partition)  # the model's conditionals, once
     counts = []
     sweep = gibbs._sweep
 
@@ -526,6 +553,25 @@ def test_sweep_and_kl_peak_within_component_budget(sweeps):
             tracemalloc.stop()
     assert counts[-1] == collapsed_word_count(4, sweeps)
     assert peak <= counts[-1] * gibbs._component_bytes(8)
+
+
+def test_contraction_keeps_no_dense_update_maps():
+    # 256 singleton blocks: one sweep of the second moment leaves the
+    # model's conditionals (2 m^2 floats) on it, not n dense m x m maps
+    m = 256
+    model = GibbsModel(partition=BlockPartition(tuple((i,) for i in range(m))),
+                       precision=toeplitz_matrix(m, 3.0, {1: 1.0}),
+                       mean=np.zeros(m), quartic=np.zeros(m))
+    q = gaussian_target(model)
+    p0 = GaussianDist(q.mean + 1.0, q.cov)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verify_contraction(p0, model, np.ones(m), 0.5, steps=1)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert kept < 4 * m * m * 8
 
 
 def test_sweep_image_holds_the_gathered_covariances_once():

@@ -591,7 +591,7 @@ def test_memoised_arrays_are_read_only():
     store = vars(model)["_per_object"]
     assert {key[0].__name__ for key in store} == {
         "block_lsi_constants", "a0_extremes", "gaussian_target",
-        "memo_conditionals", "_block_update_map", "_precision_eigh"}
+        "memo_conditionals", "_precision_eigh"}
     arrays = list(_memo_arrays(tuple(store.values())))
     assert len(arrays) > len(store)
     assert not any(arr.flags.writeable for arr in arrays)

@@ -211,14 +211,18 @@ def test_prop4_matches_per_block_loop(name):
 
 
 def test_prop4_needs_margin(model2d, monkeypatch):
-    # delta <= 0 is no margin, and every rho_k that is no constant is
-    # refused, before any work
+    # delta <= 0 is no margin, delta = 1 - ||A0|| is never above 1 (where
+    # (1 - delta)^2 grows again) nor NaN or infinite, and every rho_k that
+    # is no constant is refused, before any work
     rho_k = block_lsi_constants(model2d)
     z, u = np.zeros(2), np.ones(2)
     monkeypatch.setattr(oracles, "memo_conditionals", must_not_run)
     for delta in (0.0, -0.5):
         with pytest.raises(CertificateError, match="delta <= 0"):
             prop4_check(model2d, rho_k, delta, z, u)
+    for delta in (np.inf, -np.inf, np.nan, 1.9, 2.0, 1.0 + 1e-15):
+        with pytest.raises(ValueError, match="at most 1"):
+            prop4_check(model2d, rho_k, delta, np.array([3.0, -2.0]), z)
     for bad in bad_rho_k(2):
         with pytest.raises(ValueError, match="rho_k must"):
             prop4_check(model2d, bad, 0.5, z, u)
