@@ -43,7 +43,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .model import (DENSE_BYTE_BUDGET, GibbsModel, extreme_eigvalsh,
-                    per_object, toeplitz_matrix)
+                    per_object, toeplitz_band, toeplitz_matrix)
 
 
 class CertificateError(Exception):
@@ -378,7 +378,7 @@ def toeplitz_spectrum_report(m: int, diag: float,
     if need > DENSE_BYTE_BUDGET:
         raise ValueError(f"a {m}x{m} section needs {need} bytes of dense "
                          f"arrays, over the {DENSE_BYTE_BUDGET}-byte budget")
-    band = {int(k): float(v) for k, v in band.items()}
+    band = toeplitz_band(band)
     if not np.all(np.isfinite([diag, *band.values()])):
         raise ValueError("diag and band coefficients must be finite")
     plain = _section_spectrum(m, diag, band)

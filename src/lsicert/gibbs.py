@@ -8,15 +8,14 @@ rows, the conditional mean's gain.  L_k is never built: one push rewrites
 block k's rows, then its columns, O(s_k d^2).  Such a law has divergence
 D = 1/2 tr(K (Delta + y y')) - 1/2 log det(I + K Delta) from q.
 
-After m sweeps from p0 the sampler's law is a mixture of such laws.  The
-weighted sum of their divergences needs their second moment S_m = sum_w
-w_w (Delta_w + y_w y_w'), which moves by one linear recursion, and the
-log determinants of their deviations Delta_w.  A block update is
-idempotent (L_k L_k = L_k), so a component is keyed by its collapsed
-block word and equal words sum their weights: n sum_{j<m} (n-1)^j
-deviations after m sweeps of an n-block sampler instead of n^m.  From a
-start with the target's covariance, as every `lsicert verify ... gibbs`
-run takes, every deviation is 0 and none is pushed.
+After m sweeps from p0 the sampler's law is a mixture of such laws, one
+per collapsed block word, as a block update is idempotent (L_k L_k =
+L_k): n sum_{j<m} (n-1)^j words after m sweeps of n blocks, not n^m.
+They grow as a tree: each step extends the newest words by every block
+but their last, and a word is pushed and its log determinant taken once,
+when it is made.  From a start with the target's covariance, as every
+`lsicert verify ... gibbs` run takes, every deviation is 0 and no word
+is grown.
 
 The verifiers take the constants they check, rho_k and rho, and refuse
 any that is not finite and positive (one rho_k per block) before any
@@ -49,8 +48,8 @@ def _component_bytes(dim: int) -> int:
     """Bytes charged per component of the largest swept mixture: 7 d^2 +
     7 d + 9 floats, kept as the charge of the enumeration of whole
     component laws, so the budget refuses the same runs.  It bounds the
-    deviation sweep and its log determinants, words and weights included:
-    tracemalloc reads 2.2-2.4 d^2 floats per component at d = 32 and 64."""
+    word tree, its newest deviations and their log determinants:
+    tracemalloc reads 1.6-1.9 d^2 floats per word at d = 32 and 64."""
     return (7 * dim * dim + 7 * dim + 9) * 8
 
 
@@ -86,33 +85,16 @@ def _push(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep(words: tuple, weights: np.ndarray, deltas: np.ndarray, share,
-           model: GibbsModel) -> tuple:
-    """(words, weights, deltas) after one sweep of the weighted sampler,
-    block k drawn with probability share[k].
-
-    Every (block, component) move is keyed by its collapsed word.  A
-    component whose word already ends in k is its own image and its
-    deviation is copied; equal keys sum their weights in first-seen,
-    block-major order, and the other keys of each block k are pushed
-    through L_k in one batch.
-    """
-    merged, sources = {}, {}
-    for k, s in enumerate(share):
-        for c, (word, w) in enumerate(zip(words, weights)):
-            kept = bool(word) and word[-1] == k
-            key = word if kept else word + (k,)
-            merged[key] = merged.get(key, 0.0) + s * w
-            if kept or key not in sources:
-                sources[key] = (k, c, kept)
-    ks, cs, kept = np.array(list(sources.values()), dtype=int).reshape(-1, 3).T
-    out = deltas[cs]
-    gain = memo_conditionals(model, model.partition)[1]
-    for k in np.unique(ks[kept == 0]):
-        pushed = np.flatnonzero((ks == k) & (kept == 0))
-        idx = model.partition.block(k)
-        out[pushed] = _push(out[pushed], idx, gain[idx])
-    return tuple(merged), np.fromiter(merged.values(), float), out
+def _grow(last: np.ndarray, deltas: np.ndarray, pairs) -> tuple:
+    """(blocks, sources, grown): each word, of last block last[i] and
+    deviation deltas[i], extended by every block k but its last, block by
+    block: grown[j] = L_k deltas[sources[j]] L_k' for k = blocks[j]."""
+    sources = [np.flatnonzero(last != k) for k in range(len(pairs))]
+    blocks = np.repeat(np.arange(len(pairs)), list(map(len, sources)))
+    grown = np.empty((len(blocks), *deltas.shape[1:]))
+    for k, ((idx, rows), src) in enumerate(zip(pairs, sources)):
+        grown[blocks == k] = _push(deltas[src], idx, rows)
+    return blocks, np.concatenate(sources), grown
 
 
 def verify_theorem1(p, model: GibbsModel, rho_k, rho: float):
@@ -198,7 +180,11 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
     pairs = [(idx, gain[idx]) for idx in map(np.array, model.partition.blocks)]
     y, delta = p0.mean - q.mean, p0.cov - q.cov
     moment = np.outer(y, y) + delta
-    words, weights, deltas = ((),), np.ones(1), delta[None]
+    # the word tree: per word its last block (-1 for the start word, kept
+    # by no update, whose log det is read at weight 0 only), parent row,
+    # weight and log det(I + K Delta_w); the newest keep their deviations
+    last, parent, keep = np.array([-1]), np.array([0]), np.append(share, 0)
+    weights, logdet, deltas = np.ones(1), np.zeros(1), delta[None]
 
     rows = [Check("gibbs", "step=0", d0, d0, 0.0, True)]
     for m in range(1, steps + 1):
@@ -206,11 +192,17 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
                      for s, (idx, gain_rows) in zip(share, pairs))
         value = 0.5 * float(np.sum(model.precision * moment))
         if delta.any():
-            words, weights, deltas = _sweep(words, weights, deltas, share,
-                                            model)
+            first = len(last) - len(deltas)
+            blocks, sources, deltas = _grow(last[first:], deltas, pairs)
             shifted = model.precision @ deltas
             shifted += np.eye(model.dim)
-            value -= 0.5 * float(weights @ np.linalg.slogdet(shifted)[1])
+            last = np.concatenate([last, blocks])
+            parent = np.concatenate([parent, first + sources])
+            logdet = np.concatenate([logdet, np.linalg.slogdet(shifted)[1]])
+            # a word is reached from itself, kept, or from its parent
+            weights = np.concatenate([weights, np.zeros(len(blocks))])
+            weights = keep[last] * (weights + weights[parent])
+            value -= 0.5 * float(weights @ logdet)
         rows.append(Check.within_rounding("gibbs", f"step={m}",
                                           max(value, 0.0), factor ** m * d0))
     return tuple(rows)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import numbers
+import re
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import chain
@@ -274,18 +275,28 @@ class GibbsModel:
         return cross
 
 
+def toeplitz_band(band: dict) -> dict:
+    """{offset: coeff} of a band keyed by integers, not bools, or
+    decimal-integer strings, one key per offset; else ModelFormatError."""
+    offsets = {int(k): float(v) for k, v in band.items() if _is_integer(k)
+               or isinstance(k, str) and re.fullmatch("[+-]?[0-9]+", k)}
+    if len(offsets) < len(band):
+        raise ModelFormatError("band keys must name distinct integer offsets")
+    return offsets
+
+
 def toeplitz_matrix(m: int, diag: float, band: dict) -> np.ndarray:
     """Symmetric banded Toeplitz matrix diag*I + sum_j b_j (E_j + E_-j).
 
-    band maps positive offsets to coefficients; offsets at or beyond m fall
-    outside the matrix and are rejected.  The matrix is the only m x m
-    array built: each diagonal gets one value, rounded as the sum
-    diag*I + b_1 (E_1 + E_-1) + ... of dense terms would round it, signed
-    zeros included.
+    band maps positive offsets to coefficients, read by toeplitz_band;
+    offsets at or beyond m fall outside the matrix and are rejected.  The
+    matrix is the only m x m array built: each diagonal gets one value,
+    rounded as the sum diag*I + b_1 (E_1 + E_-1) + ... of dense terms
+    would round it, signed zeros included.
     """
     if m < 1:
         raise ModelValidationError("toeplitz size must be >= 1")
-    terms = [(int(off), float(coeff)) for off, coeff in band.items()]
+    terms = list(toeplitz_band(band).items())
     for j, _ in terms:
         if j < 1 or j >= m:
             raise ModelValidationError(
@@ -348,11 +359,9 @@ def model_from_dict(doc: dict) -> GibbsModel:
         spec = doc["toeplitz"]
         try:
             m, diag = spec["m"], float(spec["diag"])
-            band = {int(k): float(v) for k, v in spec["band"].items()}
+            band = toeplitz_band(spec["band"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad toeplitz block: {exc}")
-        if len(band) != len(spec["band"]):
-            raise ModelFormatError("toeplitz band gives an offset twice")
         if not _is_integer(m):
             raise ModelFormatError("'toeplitz.m' must be an integer")
         if m != dim:
@@ -393,16 +402,22 @@ def model_digest(model: GibbsModel) -> str:
     return h.hexdigest()
 
 
+def _unique_keys(pairs: list) -> dict:
+    if len(doc := dict(pairs)) < len(pairs):
+        raise ModelFormatError("model file gives a key twice in one object")
+    return doc
+
+
 def load_model(path) -> GibbsModel:
     """Load a model from a JSON file.
 
     The document carries 'dim', 'partition', 'mean' (optional, default 0),
     'quartic' (optional, default 0) and either an explicit 'precision'
-    matrix or a banded 'toeplitz' shorthand.
+    matrix or a banded 'toeplitz' shorthand; no key given twice.
     """
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}")
     except json.JSONDecodeError as exc:

@@ -650,7 +650,7 @@ def test_verify_gibbs_tracks_the_means_only(tmp_path, capsys, monkeypatch):
                        mean=np.linspace(-1.0, 1.0, 8), quartic=np.zeros(8))
     path = tmp_path / "b4d8.json"
     save_model(model, path)
-    monkeypatch.setattr(gibbs, "_sweep", must_not_run)
+    monkeypatch.setattr(gibbs, "_grow", must_not_run)
     code, out, err = run(["verify", str(path), "gibbs", "--steps", "8"],
                          capsys)
     assert (code, err) == (0, "")
@@ -802,6 +802,24 @@ def test_criteria_rejects_bad_toeplitz_spec(tmp_path, capsys, dim, spec):
     assert code == 2
     assert out == ""
     assert err.startswith("invalid model") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"dim": 4, "partition": [[0], [1], [2], [3]], "toeplitz": '
+                 '{"m": 4, "diag": 3.0, "band": {"1": 1.0, "1": 0.5}}}',
+                 id="band"),
+    pytest.param('{"dim": 2, "partition": [[0], [1]], "mean": [5.0, 5.0], '
+                 '"precision": [[1.0, 0.0], [0.0, 1.0]], "mean": [0.0, 0.0]}',
+                 id="mean"),
+])
+def test_criteria_refuses_a_key_given_twice(text, tmp_path, capsys):
+    # read last-wins, each document was a certified model (exit 0)
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    code, out, err = run(["criteria", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "invalid model: model file gives a key twice in one object\n"
 
 
 @pytest.mark.parametrize("band", ["-1=1", "-2=1", "0=1", "16=1", "100000=1"])

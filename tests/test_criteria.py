@@ -31,8 +31,8 @@ from lsicert.instances import (
     random_certified_model,
     random_quartic_model,
 )
-from lsicert.model import (BlockPartition, GibbsModel, ModelValidationError,
-                           toeplitz_matrix)
+from lsicert.model import (BlockPartition, GibbsModel, ModelFormatError,
+                           ModelValidationError, toeplitz_matrix)
 from lsicert.oracles import bisect_rho_marton, bisect_rho_or, build_A_rho
 
 from conftest import batching_cases
@@ -589,6 +589,17 @@ def test_toeplitz_report_empty_band_is_constant_symbol():
 def test_toeplitz_report_rejects_offsets_outside_section(off):
     with pytest.raises(ModelValidationError):
         toeplitz_spectrum_report(8, 0.0, {off: 1.0})
+
+
+@pytest.mark.parametrize("band", [{1: 1.0, "1": -3.0}, {1.7: 1.0},
+                                  {True: 1.0}, {"+1": 1.0, "01": 2.0}])
+def test_toeplitz_report_reads_band_keys_as_integers(band):
+    # the rule model documents follow: int() kept {1: 1, "1": -3} as
+    # b_1 = -3 and read 1.7 and True as offset 1
+    with pytest.raises(ModelFormatError, match="band keys"):
+        toeplitz_spectrum_report(8, 3.0, band)
+    assert toeplitz_spectrum_report(8, 3.0, {"01": 1.0, 2: 0.5}).band == (
+        (1, 1.0), (2, 0.5))
 
 
 def test_toeplitz_report_holds_one_section_at_a_time():

@@ -193,42 +193,112 @@ def test_block_update_rejects_wrong_dimension(model2d, rng):
         verify_contraction(p, model2d, [1.0, 1.0], 0.5, steps=1)
 
 
-# ---- merged deviation sweep ----
+# ---- word tree ----
 
-def test_weighted_sweep_component_layout(model2d):
-    # block-major order: block 0 applied to every component first; a word
-    # already ending in k is its own block-k image and merges with the
-    # pushes that reach it
+def block_pairs(model):
+    """(indices, gain rows) of every block, as verify_contraction takes
+    them."""
+    gain = memo_conditionals(model, model.partition)[1]
+    return [(idx, gain[idx]) for idx in map(np.array, model.partition.blocks)]
+
+
+def counting_grow(counts):
+    """gibbs._grow, appending the number of words each call grows."""
+    grow = gibbs._grow
+
+    def counted(*args):
+        out = grow(*args)
+        counts.append(len(out[0]))
+        return out
+
+    return counted
+
+
+def word_weights(p0, model, rho_k, steps, marked):
+    """Summed weight of the marked words (0 = the first word grown) after
+    each step m = 1..steps, read off verify_contraction's rows.
+
+    _grow is patched to give each marked word the deviation (e^(-1/d) - 1)
+    K^-1, whose log det(I + K Delta) is -1, and every other word 0, so
+    each row exceeds the all-zero run's by half the marked weight.
+    """
+    probe = (np.exp(-1.0 / model.dim) - 1.0) * gaussian_target(model).cov
+    grow = gibbs._grow
+
+    def values(marks):
+        made = []
+
+        def fake(*args):
+            blocks, sources, _ = grow(*args)
+            rows = np.arange(len(made), len(made) + len(blocks))
+            made.extend(rows)
+            return blocks, sources, np.isin(rows, marks)[:, None, None] * probe
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gibbs, "_grow", fake)
+            rows = verify_contraction(p0, model, rho_k, 0.1, steps=steps)
+        return np.array([r.value for r in rows[1:]])
+
+    return 2.0 * (values(marked) - values([]))
+
+
+def covariance_twice_the_target(model, rng):
+    """A start with Delta_0 = K^-1: every U_m is positive, so no row is
+    clipped at 0."""
+    q = gaussian_target(model)
+    return GaussianDist(q.mean + rng.normal(size=model.dim), 2.0 * q.cov)
+
+
+def test_weighted_sweep_component_layout(model2d, rng):
+    # block-major order: block 0 extends every newest word first, and a
+    # word already ending in k is not extended by k; its weight grows
+    # from itself, kept, and from its parent, extended
     q = gaussian_target(model2d)
-    delta = np.eye(2) - q.cov
-    share = np.array([0.75, 0.25])
-    once = gibbs._sweep(((),), np.ones(1), delta[None], share, model2d)
-    assert once[0] == ((0,), (1,))
-    assert_allclose(once[1], share)
-    twice = gibbs._sweep(*once, share, model2d)
-    assert twice[0] == ((0,), (1, 0), (0, 1), (1,))
-    assert_allclose(twice[1], [0.75 * 0.75, 0.75 * 0.25,
-                               0.25 * 0.75, 0.25 * 0.25])
-    image = gibbs._block_image(GaussianDist(q.mean, q.cov + once[2][1]),
+    pairs = block_pairs(model2d)
+    start = (np.eye(2) - q.cov)[None]
+    blocks, sources, once = gibbs._grow(np.array([-1]), start, pairs)
+    assert (blocks.tolist(), sources.tolist()) == ([0, 1], [0, 0])
+    blocks, sources, twice = gibbs._grow(blocks, once, pairs)
+    assert (blocks.tolist(), sources.tolist()) == ([0, 1], [1, 0])
+    image = gibbs._block_image(GaussianDist(q.mean, q.cov + once[1]),
                                model2d, 0)
-    assert_allclose(twice[2][1], image.cov - q.cov, atol=1e-15)
+    assert_allclose(twice[0], image.cov - q.cov, atol=1e-15)
+    # words (0,), (1,), (1, 0), (0, 1), block 0 drawn with weight 3/4
+    p0 = covariance_twice_the_target(model2d, rng)
+    weights = np.column_stack([word_weights(p0, model2d, [3.0, 1.0], 2, [j])
+                               for j in range(4)])
+    assert_allclose(weights, [[0.75, 0.25, 0.0, 0.0],
+                              [0.75 * 0.75, 0.25 * 0.25,
+                               0.75 * 0.25, 0.25 * 0.75]], atol=1e-12)
 
 
-def test_block_update_keeps_updated_components(model2d):
-    # L_k L_k = L_k: a component whose word ends in k is copied, not
-    # pushed again (a second push would move bits), and a push that lands
-    # on its word only adds weight
-    delta = np.array([[0.3, 0.1], [0.1, -0.2]])
-    share = np.array([0.5, 0.5])
-    once = gibbs._sweep(((),), np.ones(1), delta[None], share, model2d)
-    twice = gibbs._sweep(*once, share, model2d)
-    thrice = gibbs._sweep(*twice, share, model2d)
-    for word in once[0]:
-        assert twice[2][twice[0].index(word)].tobytes() == \
-            once[2][once[0].index(word)].tobytes()
-    kept = thrice[0].index((1, 0))
-    assert thrice[2][kept].tobytes() == twice[2][twice[0].index((1, 0))].tobytes()
-    assert thrice[1][kept] == pytest.approx(0.5 * 0.25 + 0.5 * 0.25)
+def test_block_update_keeps_updated_components(model2d, monkeypatch):
+    # L_k L_k = L_k: no word is extended by its last block, each word is
+    # pushed once, when it is made, and the next step extends the very
+    # bits it was made with
+    q = gaussian_target(model2d)
+    p0 = GaussianDist(q.mean, q.cov + np.array([[0.3, 0.1], [0.1, -0.2]]))
+    pushed, calls = [], []
+    push, grow = gibbs._push, gibbs._grow
+
+    def counted_push(mat, idx, rows):
+        if mat.ndim == 3:  # a stack of deviations, not the moment
+            pushed.append(len(mat))
+        return push(mat, idx, rows)
+
+    def recorded(last, deltas, pairs):
+        out = grow(last, deltas, pairs)
+        calls.append((last, deltas.tobytes(), out))
+        return out
+
+    monkeypatch.setattr(gibbs, "_push", counted_push)
+    monkeypatch.setattr(gibbs, "_grow", recorded)
+    verify_contraction(p0, model2d, [1.0, 1.0], 0.5, steps=3)
+    assert sum(pushed) == collapsed_word_count(2, 3) == 6
+    for (last, _, (blocks, sources, grown)), after in zip(calls, calls[1:]):
+        assert np.all(blocks != last[sources])
+        assert after[0].tolist() == blocks.tolist()
+        assert after[1] == grown.tobytes()
 
 
 @given(st.integers(2, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
@@ -243,22 +313,30 @@ def test_merged_sweep_matches_naive_law(n_blocks, sweeps, seed):
     rho_k = rng.uniform(0.5, 2.0, size=n_blocks)
     p0 = random_gaussian(rng, dim)
     counts = []
-    sweep = gibbs._sweep
-
-    def counted(*args):
-        out = sweep(*args)
-        counts.append(len(out[0]))
-        return out
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gibbs, "_sweep", counted)
+        mp.setattr(gibbs, "_grow", counting_grow(counts))
         rows = verify_contraction(p0, model, rho_k, 0.1, steps=sweeps)
-    assert counts == [collapsed_word_count(n_blocks, m)
-                      for m in range(1, sweeps + 1)]
-    assert counts[-1] == n_blocks * sum((n_blocks - 1) ** j
-                                        for j in range(sweeps))
+    assert np.cumsum(counts).tolist() == [collapsed_word_count(n_blocks, m)
+                                          for m in range(1, sweeps + 1)]
+    assert sum(counts) == n_blocks * sum((n_blocks - 1) ** j
+                                         for j in range(sweeps))
     assert_allclose([r.value for r in rows[1:]],
                     upper_values(p0, model, rho_k, sweeps), rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_blocks, steps", [(1, 4), (2, 6), (3, 5), (4, 4)])
+def test_word_weights_sum_to_one(n_blocks, steps, rng):
+    # the weight recursion keeps a probability on the words made so far
+    # after every step, a one-block model included
+    model = (GibbsModel(partition=BlockPartition(((0, 1),)),
+                        precision=random_spd(rng, 2), mean=np.zeros(2),
+                        quartic=np.zeros(2)) if n_blocks == 1
+             else certified_with_blocks(n_blocks, 0)[0])
+    p0 = covariance_twice_the_target(model, rng)
+    rho_k = rng.uniform(0.5, 2.0, size=n_blocks)
+    words = range(collapsed_word_count(n_blocks, steps))
+    assert_allclose(word_weights(p0, model, rho_k, steps, words), 1.0,
+                    rtol=1e-12)
 
 
 def test_weighted_sweep_fixes_target(model2d):
@@ -269,7 +347,7 @@ def test_weighted_sweep_fixes_target(model2d):
 
 def test_weighted_sweep_cap(model2d, monkeypatch):
     monkeypatch.setattr(gibbs, "DEFAULT_COMPONENT_CAP", 1)
-    monkeypatch.setattr(gibbs, "_sweep", must_not_run)
+    monkeypatch.setattr(gibbs, "_grow", must_not_run)
     p0 = GaussianDist(np.zeros(2), np.eye(2))
     with pytest.raises(MixtureCapError):
         verify_contraction(p0, model2d, [1.0, 1.0], 0.5, steps=1)
@@ -413,7 +491,7 @@ def test_mean_only_contraction_matches_enumeration(n_blocks, seed,
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + rng.normal(size=model.dim), q.cov)
     rho_k, rho = block_lsi_constants(model), solve_rho_marton(model)
-    monkeypatch.setattr(gibbs, "_sweep", must_not_run)
+    monkeypatch.setattr(gibbs, "_grow", must_not_run)
     rows = verify_contraction(p0, model, rho_k, rho, steps=5)
     assert rows[0].value == rows[0].bound == kl(p0, q)
     assert_allclose([r.value for r in rows[1:]],
@@ -425,7 +503,7 @@ def test_mean_only_contraction_matches_enumeration(n_blocks, seed,
                                          ("identity", 3), ("random", 3)])
 def test_contraction_enumerates_unless_p0_has_the_target_covariance(
         cov, sweeps, monkeypatch):
-    # the deviations are swept from every start but one with a covariance
+    # the word tree is grown from every start but one with a covariance
     # bit-equal to K^-1, and the rows match the n^m enumeration with the
     # same verdicts
     model, rng = certified_with_blocks(3, 2)
@@ -443,13 +521,7 @@ def test_contraction_enumerates_unless_p0_has_the_target_covariance(
     if cov == "ulp":
         assert np.count_nonzero(p0.cov != q.cov) == 1
     calls = []
-    sweep = gibbs._sweep
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sweep(*args, **kwargs)
-
-    monkeypatch.setattr(gibbs, "_sweep", counted)
+    monkeypatch.setattr(gibbs, "_grow", counting_grow(calls))
     rho_k, rho = block_lsi_constants(model), solve_rho_marton(model)
     rows = verify_contraction(p0, model, rho_k, rho, steps=3)
     assert len(calls) == sweeps
@@ -528,31 +600,24 @@ def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
 
 @pytest.mark.parametrize("sweeps", [5, 7])
 def test_sweep_and_kl_peak_within_component_budget(sweeps):
-    # d = 8 in four blocks, from covariance I: 484 or 4372 deviations.
-    # The peak over the sweeps and the log-determinant passes stays within
+    # d = 8 in four blocks, from covariance I: 484 or 4372 words.  The
+    # peak over the grown words and their log determinants stays within
     # what the budget check charges per component.
     model, rng = four_block_model()
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + rng.normal(size=8), np.eye(8))
     memo_conditionals(model, model.partition)  # the model's conditionals, once
     counts = []
-    sweep = gibbs._sweep
-
-    def counted(*args):
-        out = sweep(*args)
-        counts.append(len(out[0]))
-        return out
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gibbs, "_sweep", counted)
+        mp.setattr(gibbs, "_grow", counting_grow(counts))
         tracemalloc.start()
         try:
             verify_contraction(p0, model, np.ones(4), 0.1, steps=sweeps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert counts[-1] == collapsed_word_count(4, sweeps)
-    assert peak <= counts[-1] * gibbs._component_bytes(8)
+    assert sum(counts) == collapsed_word_count(4, sweeps)
+    assert peak <= sum(counts) * gibbs._component_bytes(8)
 
 
 def test_contraction_keeps_no_dense_update_maps():
@@ -575,25 +640,26 @@ def test_contraction_keeps_no_dense_update_maps():
 
 
 def test_sweep_image_holds_the_gathered_covariances_once():
-    # d = 8 in four blocks, 160 deviations to 484: the image is the
-    # gathered stack, pushed block by block, so the sweep peaks near
-    # 2 d^2 x 8 bytes per image deviation, words included (an extra copy
-    # of the image would add one d^2)
+    # d = 8 in four blocks, the 108 newest words grown into 324: each
+    # block's gathered batch is pushed into its slice of one stack, so one
+    # _grow call peaks at 1.62 d^2 x 8 bytes per grown deviation (a
+    # concatenated stack or an extra copy of it would add one d^2)
     model, rng = four_block_model()
     q = gaussian_target(model)
-    state = ((),), np.ones(1), (random_gaussian(rng, 8).cov - q.cov)[None]
-    share = np.full(4, 0.25)
+    pairs = block_pairs(model)
+    last, deltas = np.array([-1]), (random_gaussian(rng, 8).cov - q.cov)[None]
     for _ in range(4):
-        state = gibbs._sweep(*state, share, model)
+        last, _, deltas = gibbs._grow(last, deltas, pairs)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        image = gibbs._sweep(*state, share, model)
+        blocks, sources, grown = gibbs._grow(last, deltas, pairs)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(image[0]) == len(image[1]) == len(image[2]) == 484
-    assert peak <= 2.5 * 8 * 8 * 8 * 484
+    assert (len(deltas), len(blocks), len(sources), len(grown)) == (108, 324,
+                                                                   324, 324)
+    assert peak <= 1.75 * 8 * 8 * 8 * 324
 
 
 def test_contraction_determinism(model2d):

@@ -322,6 +322,21 @@ def test_load_model_bad_json(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("band", [{1.7: 1.0}, {True: 1.0}, {1: 1.0, "1": 0.5},
+                                  {"1.0": 1.0}, {" 1": 1.0}, {"1_0": 1.0}])
+def test_model_from_dict_reads_band_keys_as_integers(band):
+    # a key is an integer, not a bool, or a decimal-integer string, one
+    # per offset: int() read 1.7 and True as 1, " 1" as 1 and "1_0" as
+    # 10, and kept the last of two keys naming one offset
+    doc = {"dim": 4, "partition": [[i] for i in range(4)],
+           "toeplitz": {"m": 4, "diag": 3.0, "band": band}}
+    with pytest.raises(ModelFormatError, match="band keys"):
+        model_from_dict(doc)
+    doc["toeplitz"]["band"] = {"01": 1.0, 2: 0.5}
+    assert model_from_dict(doc).precision.tobytes() == toeplitz_matrix(
+        4, 3.0, {1: 1.0, 2: 0.5}).tobytes()
+
+
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(tmp_path / "absent.json")
