@@ -23,9 +23,9 @@ a quartic term, since the closed-form verifiers need a Gaussian model,
 the byte budget, refused before any sweep, a model whose dense K, or a
 `toeplitz` section whose two dense m x m arrays, would exceed
 `model.DENSE_BYTE_BUDGET`, refused before anything is built, non-finite
-or overflowing `toeplitz` coefficients or an offset given twice, and an
---out path that cannot be written), 2 invalid model, 3 no certificate,
-4 verification failure.
+or overflowing `toeplitz` coefficients, an offset not matching
+[+-]?[0-9]+ or given twice, and an --out path that cannot be written),
+2 invalid model, 3 no certificate, 4 verification failure.
 Output is strict JSON or CSV, byte-identical across runs for equal
 inputs and seeds; all randomness derives from --seed.
 
@@ -47,7 +47,7 @@ from .criteria import (CertificateError, a0_extremes, block_lsi_constants,
                        criteria_report, solve_rho_marton,
                        toeplitz_spectrum_report)
 from .gaussian import GaussianDist, gaussian_target
-from .model import ModelError, load_model, model_digest
+from .model import ModelError, load_model, model_digest, toeplitz_band
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,10 +135,8 @@ def _trial_checks(subcheck: str, model, rho_k, rho: float, rng,
     subcheck, one tuple per instance, drawn in the per-instance rng order
     and checked in one stacked call.  prop4, alone, reads delta."""
     if subcheck == "prop4":
-        z, u = np.empty((2, count, model.dim))
-        for t in range(count):
-            z[t] = rng.normal(loc=model.mean, scale=2.0)
-            u[t] = rng.normal(loc=model.mean, scale=2.0)
+        z, u = np.moveaxis(rng.normal(loc=model.mean, scale=2.0,
+                                      size=(count, 2, model.dim)), 1, 0)
         delta = 1.0 - a0_extremes(model)[0]
         return list(oracles.prop4_check(model, rho_k, delta, z, u))
     laws = instances.random_gaussians(rng, count, model.dim)
@@ -182,8 +180,8 @@ def parse_band(text: str) -> dict:
     for item in filter(None, text.replace(" ", ",").split(",")):
         try:
             off, coeff = item.split("=")
-            off, coeff = int(off), float(coeff)
-        except ValueError:
+            (off, coeff), = toeplitz_band({off: coeff}).items()
+        except (ValueError, ModelError):
             raise ValueError(f"bad band entry {item!r}; expected offset=coeff")
         if off in band:
             raise ValueError(f"band offset {off} given twice")
@@ -249,7 +247,7 @@ def run_refusing(command, args) -> int:
     except CertificateError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
-    except (gibbs.MixtureCapError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,18 +1,18 @@
 """Entropy flow of the overdamped Langevin diffusion toward the target.
 
-For Gaussian models the time-t law of the diffusion started at a Gaussian
-is Gaussian with closed-form moments, so divergence and Fisher
-information along the flow are exact.  Both split into a mean part,
-O(d) per time node, and a covariance part that depends only on
-S = cov_0 - K^-1.  When the initial covariance is the target's, S = 0
-and the trace is its mean part alone, O(T d) for T nodes; this is the
-case of `lsicert verify dissipation`, which starts at N(m + 1, K^-1).
-Otherwise a trace takes one Cholesky C_t = L_t L_t' per time node and
-one triangular inverse of it (LAPACK dtrtri, by gaussian.tril_inverse),
-in chunks of nodes: log det C_t = 2 sum log diag L_t, and the Fisher
-covariance term tr((K - C_t^-1) C_t (K - C_t^-1)) = ||L_t' K - L_t^-1||_F^2
-because L_t' C_t^-1 = L_t^-1.  Grid times must be finite and
-non-negative.  The module also checks the de Bruijn dissipation
+For Gaussian models the flow moves a law's deviation from the target q =
+N(m, K^-1), from gaussian_target, as a block Gibbs update does: with
+E_t = exp(-K t), N(m + y, K^-1 + Delta) goes to N(m + E_t y, K^-1 +
+E_t Delta E_t), so divergence and Fisher information are exact.  Both
+split into a mean part, O(d) per time node, and a covariance part that
+depends only on Delta.  When Delta = 0 exactly, the trace is its mean
+part alone, O(T d) for T nodes; this is the case of `lsicert verify
+dissipation`, which starts at N(m + 1, K^-1).  Otherwise a trace takes
+one Cholesky C_t = L_t L_t' per time node and one triangular inverse of
+it (LAPACK dtrtri, by gaussian.tril_inverse), in chunks of nodes:
+log det C_t = 2 sum log diag L_t, and the Fisher covariance term
+tr((K - C_t^-1) C_t (K - C_t^-1)) = ||L_t' K - L_t^-1||_F^2 because
+L_t' C_t^-1 = L_t^-1.  The module also checks the de Bruijn dissipation
 identity dD/dt = -I on grids and exponential entropy decay under a
 certified constant, anchored at the grid's first node, and runs an
 Euler-Maruyama particle simulator that covers quartic models as well.
@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import Check
-from .gaussian import GaussianDist, gaussian_target, tril_inverse
+from .criteria import Check, _checked_rho
+from .gaussian import (GaussianDist, _check_same_dim, gaussian_target,
+                       tril_inverse)
 from .model import (GibbsModel, _is_integer, extreme_eigvalsh, grad_potential,
                     per_object)
 
@@ -67,24 +68,21 @@ def gaussian_fp_evolve(p0: GaussianDist, model: GibbsModel,
                        t: float) -> GaussianDist:
     """Law of the diffusion at time t for a Gaussian model.
 
-    With K = U diag(w) U' and E = exp(-K t), the moments are
-    mean_t = m + E (mean_0 - m) and cov_t = E (cov_0 - K^-1) E + K^-1.
+    The flow moves the deviation from the target q = N(m, K^-1): with
+    E = exp(-K t), N(m + y, K^-1 + Delta) goes to N(m + E y, K^-1 +
+    E Delta E), so q itself is returned bit for bit.
     """
-    if not model.is_gaussian:
-        raise ValueError("closed-form evolution needs a Gaussian model")
-    if p0.dim != model.dim:
-        raise ValueError("initial law dimension does not match model")
+    q = gaussian_target(model)
+    _check_same_dim(p0, q)
     if t < 0:
         raise ValueError("time must be non-negative")
     if t == 0:
         return p0
     w, vecs = _precision_eigh(model)
-    decay = np.exp(-w * t)
-    expm = (vecs * decay) @ vecs.T
-    kinv = (vecs / w) @ vecs.T
-    mean = model.mean + expm @ (p0.mean - model.mean)
-    cov = expm @ (p0.cov - kinv) @ expm + kinv
-    return GaussianDist(mean, 0.5 * (cov + cov.T))
+    expm = (vecs * np.exp(-w * t)) @ vecs.T
+    pushed = expm @ (p0.cov - q.cov) @ expm
+    return GaussianDist(q.mean + expm @ (p0.mean - q.mean),
+                        q.cov + 0.5 * (pushed + pushed.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,19 +133,19 @@ class EntropyTrace:
             object.__setattr__(self, "lsi_bound", bound)
 
 
-def _trace_arrays(p0: GaussianDist, model: GibbsModel, times: np.ndarray):
+def _trace_arrays(p0: GaussianDist, q: GaussianDist, model: GibbsModel,
+                  times: np.ndarray):
     """Vectorized divergence/Fisher arrays along the flow.
 
     Works in the eigenbasis of K, where the evolution acts diagonally;
     both information functionals are invariant under the rotation, and
     K becomes W = diag(w).  Each splits exactly into a mean part (quad
     for 2 D, term_mean for I) and a covariance part that depends only on
-    S = V' cov_0 V - W^-1 and is second order in S.  When cov_0 is
-    bit-equal to the target's covariance, S is rounding of order
-    1e-15 and its part of D and I is of order 1e-30, so the trace is the
-    mean part alone, O(T d).  (S itself is never exactly zero: W^-1
-    comes from eigh, cov_0 from inv(K).)  Otherwise each evolved
-    covariance C_t = L_t L_t' is factored once: log det C_t =
+    S = V' Delta V, Delta = cov_0 - K^-1 the deviation from the target's
+    covariance, and is second order in S.  When Delta = 0 exactly, as
+    from a start with the target's covariance, the covariance part is 0
+    and the trace is the mean part alone, O(T d).  Otherwise each
+    evolved covariance C_t = L_t L_t' is factored once: log det C_t =
     2 sum log diag L_t, and since L_t' C_t^-1 = L_t^-1 the Fisher
     covariance term tr((W - C_t^-1) C_t (W - C_t^-1)) is
     ||L_t' W - L_t^-1||_F^2.  The grid is taken in chunks of
@@ -156,15 +154,16 @@ def _trace_arrays(p0: GaussianDist, model: GibbsModel, times: np.ndarray):
     """
     w, vecs = _precision_eigh(model)
     d = model.dim
-    mu0 = vecs.T @ (p0.mean - model.mean)
+    mu0 = vecs.T @ (p0.mean - q.mean)
     decay = np.exp(-np.outer(times, w))
     means = decay * mu0
     quad = np.einsum('ti,i,ti->t', means, w, means)
     term_mean = np.einsum('ti,i,i,ti->t', means, w, w, means)
-    if np.array_equal(p0.cov, gaussian_target(model).cov):
+    delta = p0.cov - q.cov
+    if not delta.any():
         return np.maximum(0.5 * quad, 0.0), np.maximum(term_mean, 0.0)
 
-    shifted = vecs.T @ p0.cov @ vecs - np.diag(1.0 / w)
+    shifted = vecs.T @ delta @ vecs
     logdet_q = -float(np.sum(np.log(w)))
     traces, logdets, fis = (np.empty(times.size) for _ in range(3))
     diag = np.arange(d)
@@ -192,21 +191,22 @@ def entropy_trace(p0: GaussianDist, model: GibbsModel, times,
     """Evaluate the flow on a grid; attach the decay bound when rho given.
 
     The grid must be one-dimensional with at least two nodes, each
-    finite and non-negative (ValueError before any work).  The bound exp(-2 rho (t - t_0)) D(p_t0||q) is anchored at
-    the grid's first node t_0, where the trace's first divergence is
-    read.
+    finite and non-negative, p0 must have the model's dimension and a
+    given rho must be finite and positive (ValueError before any work).
+    The bound exp(-2 rho (t - t_0)) D(p_t0||q) is anchored at the grid's
+    first node t_0, where the trace's first divergence is read.
     """
-    if not model.is_gaussian:
-        raise ValueError("closed-form traces need a Gaussian model")
+    q = gaussian_target(model)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("trace needs at least two grid nodes")
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("grid times must be finite and non-negative")
-    kls, fis = _trace_arrays(p0, model, times)
-    bound = None
-    if rho is not None:
-        bound = np.exp(-2.0 * float(rho) * (times - times[0])) * kls[0]
+    _check_same_dim(p0, q)
+    rho = None if rho is None else _checked_rho(rho)
+    kls, fis = _trace_arrays(p0, q, model, times)
+    bound = None if rho is None \
+        else np.exp(-2.0 * rho * (times - times[0])) * kls[0]
     return EntropyTrace(times=times, kl_values=kls, fisher_values=fis,
                         lsi_bound=bound)
 

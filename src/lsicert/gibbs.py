@@ -39,27 +39,22 @@ DEFAULT_COMPONENT_CAP = 100_000
 MIXTURE_BYTE_BUDGET = 1 << 30
 
 
-class MixtureCapError(RuntimeError):
-    """Exact mixture tracking would exceed the component cap or the
-    byte budget."""
-
-
 def _component_bytes(dim: int) -> int:
     """Bytes charged per component of the largest swept mixture: 7 d^2 +
     7 d + 9 floats, kept as the charge of the enumeration of whole
     component laws, so the budget refuses the same runs.  It bounds the
     word tree, its newest deviations and their log determinants:
-    tracemalloc reads 1.6-1.9 d^2 floats per word at d = 32 and 64."""
+    tracemalloc reads 1.2-1.3 d^2 floats per word at d = 32 and 64."""
     return (7 * dim * dim + 7 * dim + 9) * 8
 
 
 def _check_budget(count: int, dim: int) -> None:
     if count > DEFAULT_COMPONENT_CAP:
-        raise MixtureCapError(f"mixture would have more than "
-                              f"{DEFAULT_COMPONENT_CAP} components")
+        raise ValueError(f"mixture would have more than "
+                         f"{DEFAULT_COMPONENT_CAP} components")
     size = count * _component_bytes(dim)
     if size > MIXTURE_BYTE_BUDGET:
-        raise MixtureCapError(
+        raise ValueError(
             f"{count} components in dimension {dim} need {size} bytes, "
             f"budget is {MIXTURE_BYTE_BUDGET}")
 
@@ -85,16 +80,24 @@ def _push(mat: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grow(last: np.ndarray, deltas: np.ndarray, pairs) -> tuple:
-    """(blocks, sources, grown): each word, of last block last[i] and
-    deviation deltas[i], extended by every block k but its last, block by
-    block: grown[j] = L_k deltas[sources[j]] L_k' for k = blocks[j]."""
+def _grow(last: np.ndarray, deltas: np.ndarray, pairs,
+          precision: np.ndarray) -> tuple:
+    """(blocks, sources, grown, logdets): each word, of last block last[i]
+    and deviation deltas[i], extended by every block k but its last, block
+    by block: grown[j] = L_k deltas[sources[j]] L_k' for k = blocks[j], and
+    logdets[j] = log det(I + K grown[j]), taken right after k's push."""
     sources = [np.flatnonzero(last != k) for k in range(len(pairs))]
-    blocks = np.repeat(np.arange(len(pairs)), list(map(len, sources)))
+    bounds = np.cumsum([0, *map(len, sources)])
+    blocks = np.repeat(np.arange(len(pairs)), np.diff(bounds))
     grown = np.empty((len(blocks), *deltas.shape[1:]))
-    for k, ((idx, rows), src) in enumerate(zip(pairs, sources)):
-        grown[blocks == k] = _push(deltas[src], idx, rows)
-    return blocks, np.concatenate(sources), grown
+    logdets, diag = np.empty(len(blocks)), np.arange(len(precision))
+    for (idx, rows), src, lo, hi in zip(pairs, sources, bounds, bounds[1:]):
+        grown[lo:hi] = _push(deltas[src], idx, rows)
+        shifted = precision @ grown[lo:hi]
+        shifted[:, diag, diag] += 1.0
+        logdets[lo:hi] = np.linalg.slogdet(shifted)[1]
+        del shifted  # freed before the next push, which sets the peak
+    return blocks, np.concatenate(sources), grown, logdets
 
 
 def verify_theorem1(p, model: GibbsModel, rho_k, rho: float):
@@ -165,7 +168,7 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
     Delta_0 + y y' (y = p0.mean - m, Delta_0 = p0.cov - K^-1) and S_{m+1}
     = sum_k (rho_k/R) L_k S_m L_k'.  The budget is charged for
     collapsed_word_count(n_blocks, steps) components: past the cap or
-    the byte budget, MixtureCapError is raised before any row.
+    the byte budget, ValueError is raised before any row.
     """
     rho_k, rho = _checked_rho_k(model, rho_k), _checked_rho(rho)
     if not (_is_integer(steps) and steps >= 1):
@@ -193,12 +196,11 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
         value = 0.5 * float(np.sum(model.precision * moment))
         if delta.any():
             first = len(last) - len(deltas)
-            blocks, sources, deltas = _grow(last[first:], deltas, pairs)
-            shifted = model.precision @ deltas
-            shifted += np.eye(model.dim)
+            blocks, sources, deltas, grown_logdet = _grow(
+                last[first:], deltas, pairs, model.precision)
             last = np.concatenate([last, blocks])
             parent = np.concatenate([parent, first + sources])
-            logdet = np.concatenate([logdet, np.linalg.slogdet(shifted)[1]])
+            logdet = np.concatenate([logdet, grown_logdet])
             # a word is reached from itself, kept, or from its parent
             weights = np.concatenate([weights, np.zeros(len(blocks))])
             weights = keep[last] * (weights + weights[parent])

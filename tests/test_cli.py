@@ -742,11 +742,14 @@ def test_toeplitz_report(capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_toeplitz_bad_band(capsys):
-    # a malformed band, an offset given twice (not last-wins), a
+    # a malformed band, an offset that is no decimal integer (read as 10
+    # and 1 by int()), an offset given twice (not last-wins), a
     # non-finite diag and a symbol that overflows are each refused with
     # one stderr line; a numpy warning fails the test
-    for args in (["--band", "oops"], ["--band", "1=1,1=-3"],
-                 ["--band", "01=1,1=1"], ["--diag", "nan", "--band", "1=1"],
+    for args in (["--band", "oops"], ["--band", "1_0=1"],
+                 ["--band", "\u0661=1"], ["--band", "1=1,1=-3"],
+                 ["--band", "01=1,1=1"], ["--band", "1=1,01=2"],
+                 ["--diag", "nan", "--band", "1=1"],
                  ["--band", "1=1e308,2=1e308"]):
         code, out, err = run(["toeplitz", "--m", "8", *args], capsys)
         assert code == 1

@@ -30,6 +30,8 @@ from lsicert.instances import (random_certified_model, random_gaussian,
                                random_quartic_model)
 from lsicert.model import BlockPartition, GibbsModel, grad_potential
 
+from conftest import BAD_RHO, must_not_run
+
 
 def one_dim_model():
     part = BlockPartition(((0,),))
@@ -79,6 +81,17 @@ def test_evolve_fixes_target(model2d):
     q = gaussian_target(model2d)
     g = gaussian_fp_evolve(q, model2d, 1.7)
     assert kl(g, q) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0.3, 1.7, 40.0])
+def test_evolve_keeps_the_target_bit_for_bit(model2d, t):
+    # the flow moves the deviation from q, which is 0 at q itself
+    for model in (model2d, random_certified_model(np.random.default_rng(7),
+                                                  dim=16)):
+        q = gaussian_target(model)
+        g = gaussian_fp_evolve(q, model, t)
+        assert g.mean.tobytes() == q.mean.tobytes()
+        assert g.cov.tobytes() == q.cov.tobytes()
 
 
 def test_evolve_semigroup(model2d):
@@ -238,6 +251,34 @@ def test_trace_refuses_bad_grid_times(model2d, monkeypatch, times, match):
     for rho in (None, 0.5):
         with pytest.raises(ValueError, match=match):
             entropy_trace(p0, model2d, np.array(times), rho=rho)
+
+
+@pytest.mark.parametrize("model_dim, p0_dim", [(3, 1), (2, 3)])
+def test_trace_refuses_a_start_of_another_dimension(monkeypatch, model_dim,
+                                                    p0_dim):
+    # Delta = cov_0 - K^-1 would broadcast a 1-d start over a 3-d model
+    monkeypatch.setattr(fokker_planck, "_trace_arrays", must_not_run)
+    model = random_certified_model(np.random.default_rng(3), dim=model_dim)
+    p0 = GaussianDist(np.ones(p0_dim), np.eye(p0_dim))
+    times = np.linspace(0.0, 1.0, 11)
+    for check in (entropy_trace, dissipation_check):
+        for rho in (None, 0.5):
+            with pytest.raises(ValueError, match="dimension"):
+                check(p0, model, times, rho=rho)
+
+
+@pytest.mark.parametrize("rho", [r for r in BAD_RHO if r is not None])
+def test_trace_refuses_a_rate_that_is_not_finite_and_positive(
+        model2d, monkeypatch, rho):
+    # exp(-2 rho t) D0 with rho <= 0 only grows, so every decay row would
+    # pass; refused before any work, as by every other verifier
+    monkeypatch.setattr(fokker_planck, "_trace_arrays", must_not_run)
+    q = gaussian_target(model2d)
+    p0 = GaussianDist(q.mean + 1.0, q.cov)
+    times = np.linspace(0.0, 5.0, 5001)
+    for check in (entropy_trace, dissipation_check):
+        with pytest.raises(ValueError, match="rho must be finite and positive"):
+            check(p0, model2d, times, rho=rho)
 
 
 def test_trace_grid_spans_partial_chunks(monkeypatch):

@@ -21,7 +21,6 @@ from lsicert.criteria import (block_lsi_constants, criteria_report,
 from lsicert.gaussian import (GaussianDist, gaussian_target, kl,
                               memo_conditionals)
 from lsicert.gibbs import (
-    MixtureCapError,
     collapsed_word_count,
     entropy_drop_identity,
     verify_contraction,
@@ -219,7 +218,7 @@ def word_weights(p0, model, rho_k, steps, marked):
     each step m = 1..steps, read off verify_contraction's rows.
 
     _grow is patched to give each marked word the deviation (e^(-1/d) - 1)
-    K^-1, whose log det(I + K Delta) is -1, and every other word 0, so
+    K^-1 and its log det(I + K Delta), -1, and every other word 0, so
     each row exceeds the all-zero run's by half the marked weight.
     """
     probe = (np.exp(-1.0 / model.dim) - 1.0) * gaussian_target(model).cov
@@ -229,10 +228,11 @@ def word_weights(p0, model, rho_k, steps, marked):
         made = []
 
         def fake(*args):
-            blocks, sources, _ = grow(*args)
+            blocks, sources, _, _ = grow(*args)
             rows = np.arange(len(made), len(made) + len(blocks))
             made.extend(rows)
-            return blocks, sources, np.isin(rows, marks)[:, None, None] * probe
+            marked = np.isin(rows, marks)
+            return blocks, sources, marked[:, None, None] * probe, -1.0 * marked
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gibbs, "_grow", fake)
@@ -252,17 +252,20 @@ def covariance_twice_the_target(model, rng):
 def test_weighted_sweep_component_layout(model2d, rng):
     # block-major order: block 0 extends every newest word first, and a
     # word already ending in k is not extended by k; its weight grows
-    # from itself, kept, and from its parent, extended
+    # from itself, kept, and from its parent, extended; each grown word
+    # comes with its log det(I + K Delta)
     q = gaussian_target(model2d)
-    pairs = block_pairs(model2d)
+    pairs, K = block_pairs(model2d), model2d.precision
     start = (np.eye(2) - q.cov)[None]
-    blocks, sources, once = gibbs._grow(np.array([-1]), start, pairs)
+    blocks, sources, once, _ = gibbs._grow(np.array([-1]), start, pairs, K)
     assert (blocks.tolist(), sources.tolist()) == ([0, 1], [0, 0])
-    blocks, sources, twice = gibbs._grow(blocks, once, pairs)
+    blocks, sources, twice, logdets = gibbs._grow(blocks, once, pairs, K)
     assert (blocks.tolist(), sources.tolist()) == ([0, 1], [1, 0])
     image = gibbs._block_image(GaussianDist(q.mean, q.cov + once[1]),
                                model2d, 0)
     assert_allclose(twice[0], image.cov - q.cov, atol=1e-15)
+    assert_allclose(logdets, np.linalg.slogdet(np.eye(2) + K @ twice)[1],
+                    rtol=1e-14)
     # words (0,), (1,), (1, 0), (0, 1), block 0 drawn with weight 3/4
     p0 = covariance_twice_the_target(model2d, rng)
     weights = np.column_stack([word_weights(p0, model2d, [3.0, 1.0], 2, [j])
@@ -286,8 +289,8 @@ def test_block_update_keeps_updated_components(model2d, monkeypatch):
             pushed.append(len(mat))
         return push(mat, idx, rows)
 
-    def recorded(last, deltas, pairs):
-        out = grow(last, deltas, pairs)
+    def recorded(last, deltas, *args):
+        out = grow(last, deltas, *args)
         calls.append((last, deltas.tobytes(), out))
         return out
 
@@ -295,7 +298,8 @@ def test_block_update_keeps_updated_components(model2d, monkeypatch):
     monkeypatch.setattr(gibbs, "_grow", recorded)
     verify_contraction(p0, model2d, [1.0, 1.0], 0.5, steps=3)
     assert sum(pushed) == collapsed_word_count(2, 3) == 6
-    for (last, _, (blocks, sources, grown)), after in zip(calls, calls[1:]):
+    for (last, _, (blocks, sources, grown, _)), after in zip(calls,
+                                                             calls[1:]):
         assert np.all(blocks != last[sources])
         assert after[0].tolist() == blocks.tolist()
         assert after[1] == grown.tobytes()
@@ -349,7 +353,7 @@ def test_weighted_sweep_cap(model2d, monkeypatch):
     monkeypatch.setattr(gibbs, "DEFAULT_COMPONENT_CAP", 1)
     monkeypatch.setattr(gibbs, "_grow", must_not_run)
     p0 = GaussianDist(np.zeros(2), np.eye(2))
-    with pytest.raises(MixtureCapError):
+    with pytest.raises(ValueError, match="more than 1 components"):
         verify_contraction(p0, model2d, [1.0, 1.0], 0.5, steps=1)
 
 
@@ -581,7 +585,7 @@ def test_contraction_cap_fallback(model2d, monkeypatch):
     monkeypatch.setattr(gibbs, "DEFAULT_COMPONENT_CAP", 4)
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [2.0, -1.0])
-    with pytest.raises(MixtureCapError):
+    with pytest.raises(ValueError, match="more than 4 components"):
         verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=4)
 
 
@@ -592,7 +596,7 @@ def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
                         5 * gibbs._component_bytes(2))
     rep = criteria_report(model2d)
     p0 = shifted_target(model2d, [2.0, -1.0])
-    with pytest.raises(MixtureCapError):
+    with pytest.raises(ValueError, match="6 components in dimension 2 need"):
         verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=3)
     rows = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=2)
     assert [r.param for r in rows] == ["step=0", "step=1", "step=2"]
@@ -642,18 +646,21 @@ def test_contraction_keeps_no_dense_update_maps():
 def test_sweep_image_holds_the_gathered_covariances_once():
     # d = 8 in four blocks, the 108 newest words grown into 324: each
     # block's gathered batch is pushed into its slice of one stack, so one
-    # _grow call peaks at 1.62 d^2 x 8 bytes per grown deviation (a
-    # concatenated stack or an extra copy of it would add one d^2)
+    # _grow call peaks at 1.64 d^2 x 8 bytes per grown deviation, its log
+    # determinant included (a concatenated stack or an extra copy of it
+    # would add one d^2)
     model, rng = four_block_model()
     q = gaussian_target(model)
     pairs = block_pairs(model)
     last, deltas = np.array([-1]), (random_gaussian(rng, 8).cov - q.cov)[None]
     for _ in range(4):
-        last, _, deltas = gibbs._grow(last, deltas, pairs)
+        last, _, deltas, _ = gibbs._grow(last, deltas, pairs,
+                                         model.precision)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        blocks, sources, grown = gibbs._grow(last, deltas, pairs)
+        blocks, sources, grown, _ = gibbs._grow(last, deltas, pairs,
+                                                model.precision)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
