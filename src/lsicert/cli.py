@@ -23,9 +23,12 @@ a quartic term, since the closed-form verifiers need a Gaussian model,
 the byte budget, refused before any sweep, a model whose dense K, or a
 `toeplitz` section whose two dense m x m arrays, would exceed
 `model.DENSE_BYTE_BUDGET`, refused before anything is built, non-finite
-or overflowing `toeplitz` coefficients, an offset not matching
-[+-]?[0-9]+ or given twice, and an --out path that cannot be written),
-2 invalid model, 3 no certificate, 4 verification failure.
+or overflowing `toeplitz` coefficients, an offset or any other integer
+option not matching [+-]?[0-9]+, an offset given twice, a --diag or band
+coefficient that is no decimal literal such as 1, -0.5, .5 or 2e-3, and
+an --out path that cannot be written), 2 invalid model (including a
+`toeplitz.diag` or band coefficient that is a bool or a string, not a
+number), 3 no certificate, 4 verification failure.
 Output is strict JSON or CSV, byte-identical across runs for equal
 inputs and seeds; all randomness derives from --seed.
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -174,13 +178,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(c.holds for _, c in rows) else EXIT_VERIFY_FAILED
 
 
+def _integer(text: str) -> int:
+    """argparse type of the integer options: [+-]?[0-9]+ alone, where
+    int() also reads '1_000' and non-ASCII digits."""
+    if not re.fullmatch("[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
+def _decimal(text: str) -> float:
+    """float(text) for a decimal literal; ValueError for anything else
+    float() reads, such as '1_0', 'nan' or non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?",
+                        text):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return float(text)
+
+
 def parse_band(text: str) -> dict:
     """{offset: coeff} from pairs such as '1=1,2=-1'; ValueError if bad."""
     band = {}
     for item in filter(None, text.replace(" ", ",").split(",")):
         try:
             off, coeff = item.split("=")
-            (off, coeff), = toeplitz_band({off: coeff}).items()
+            (off, coeff), = toeplitz_band({off: _decimal(coeff)}).items()
         except (ValueError, ModelError):
             raise ValueError(f"bad band entry {item!r}; expected offset=coeff")
         if off in band:
@@ -192,7 +213,8 @@ def parse_band(text: str) -> dict:
 
 
 def cmd_toeplitz(args) -> int:
-    report = toeplitz_spectrum_report(args.m, args.diag, parse_band(args.band))
+    report = toeplitz_spectrum_report(args.m, _decimal(args.diag),
+                                      parse_band(args.band))
     doc = dataclasses.asdict(report)
     _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
     return EXIT_OK
@@ -212,19 +234,20 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("model", help="path to a model JSON file")
     pv.add_argument("subcheck", choices=SUBCHECKS)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--samples", type=int, default=200_000,
+    pv.add_argument("--seed", type=_integer, default=0)
+    pv.add_argument("--samples", type=_integer, default=200_000,
                     help="ignored; gibbs rows are closed form")
-    pv.add_argument("--steps", type=int, default=8,
+    pv.add_argument("--steps", type=_integer, default=8,
                     help="Gibbs sweeps to track")
-    pv.add_argument("--trials", type=int, default=None,
+    pv.add_argument("--trials", type=_integer, default=None,
                     help="random instances for closed-form checks")
     pv.add_argument("--out", default=None, help="write the CSV table here")
 
     pt = sub.add_parser("toeplitz", help="banded coupling spectrum report")
-    pt.add_argument("--m", type=int, required=True,
+    pt.add_argument("--m", type=_integer, required=True,
                     help="finite section size")
-    pt.add_argument("--diag", type=float, default=0.0)
+    pt.add_argument("--diag", default="0",
+                    help="diagonal coefficient, a decimal number")
     pt.add_argument("--band", required=True,
                     help="offset=coeff pairs, e.g. '1=1,2=-1'")
     pt.add_argument("--out", default=None, help="write the JSON report here")

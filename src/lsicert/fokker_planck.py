@@ -16,15 +16,14 @@ L_t' C_t^-1 = L_t^-1.  The module also checks the de Bruijn dissipation
 identity dD/dt = -I on grids and exponential entropy decay under a
 certified constant, anchored at the grid's first node, and runs an
 Euler-Maruyama particle simulator that covers quartic models as well.
-The simulator draws its noise on one worker thread, in stream order:
-while the calling thread takes the gradient of one block of rows and
-updates it, the worker fills the noise of the blocks after it.  The
+The simulator draws its noise on one worker thread, a whole step ahead:
+the worker fills step s + 1's noise into one of two n x d buffers while
+the calling thread updates step s, block of rows by block of rows.  The
 worker calls only numpy, and it is stopped before the simulator returns.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,9 +46,6 @@ _TRACE_CHUNK_BYTES = 1 << 20
 # Size of one block of particle rows in langevin_particles: its step
 # temporaries stay in cache and come from the allocator's free lists.
 _PARTICLE_CHUNK_BYTES = 256 << 10
-# Blocks of noise in flight on the worker: the caller holds one while it
-# updates, so a ring of three keeps two draws queued and the worker busy.
-_NOISE_RING = 3
 
 
 class StepSizeError(ValueError):
@@ -295,15 +291,17 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
     """Euler-Maruyama particles X <- X - grad V dt + sqrt(2 dt) xi.
 
     Requires a finite dt below a tenth of the inverse curvature bound,
-    and integer counts and checkpoints, the latter in [0, steps].  Steps update the particles
-    in place, one block of rows at a time.  The noise is drawn on one
-    worker thread, in stream order, up to _NOISE_RING blocks ahead of
-    the update: the stream and the particles are those of one draw per
-    step.  A failed draw raises here, and the worker is stopped before
-    the call returns or raises.  At each checkpoint step the empirical
-    moments are recorded; for Gaussian models they are compared against
-    the closed-form moments within tolerance bands of five times the
-    Monte Carlo plus discretization scale.
+    and integer counts and checkpoints, the latter in [0, steps].  Steps
+    update the particles in place, one block of rows at a time, while
+    one worker thread draws the next step's noise into the other of two
+    n x d buffers (a working set of about 4 n d floats, the particles
+    included).  A buffer goes back to the worker only once its noise is
+    added: the stream and the particles are those of one draw per step.
+    A failed draw raises here, and the worker is stopped before the call
+    returns or raises.  At each checkpoint step the empirical moments are
+    recorded; for Gaussian models they are compared against the
+    closed-form moments within tolerance bands of five times the Monte
+    Carlo plus discretization scale.
     """
     if not (_is_integer(n) and n >= 1_000):
         raise ValueError("need an integer count of at least 1000 particles")
@@ -311,8 +309,7 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
         raise ValueError("need an integer count of at least one step")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("step size must be positive and finite")
-    if p0.dim != model.dim:
-        raise ValueError("initial law dimension does not match model")
+    _check_same_dim(p0, model)
     lam = curvature_bound(model, p0)
     if lam > 0 and dt > _STABILITY_FRACTION / lam:
         raise StepSizeError(
@@ -332,28 +329,21 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
         recorded.append(_checkpoint(model, p0, x, 0, 0.0, lam, dt, n))
     root = np.sqrt(2.0 * dt)
     rows = max(1, _PARTICLE_CHUNK_BYTES // (8 * model.dim))
-    blocks = [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
-    # rows of each draw, in stream order
-    sizes = (hi - lo for _ in range(steps) for lo, hi in blocks)
-    ring = [np.empty((min(rows, n), model.dim)) for _ in range(_NOISE_RING)]
-    pending = deque()  # (future, ring slot), one per draw in flight
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise")
     try:
-        for buf, k in zip(ring, sizes):
-            pending.append((pool.submit(_scaled_normals, rng, buf[:k], root),
-                            buf))
+        # the noise of steps 1 and 2, then of step + 2 once step's is added
+        draws = [pool.submit(_scaled_normals, rng, np.empty_like(x), root)
+                 for _ in range(min(2, steps))]
         for step in range(1, steps + 1):
-            for lo, hi in blocks:
-                xs = x[lo:hi]
+            noise = draws.pop(0).result()
+            for lo in range(0, n, rows):
+                xs = x[lo:lo + rows]
                 grad = grad_potential(model, xs)
                 grad *= dt  # in place, in the order of x - grad dt + root noise
                 xs -= grad
-                future, buf = pending.popleft()
-                xs += future.result()
-                k = next(sizes, 0)
-                if k:
-                    pending.append((pool.submit(_scaled_normals, rng,
-                                                buf[:k], root), buf))
+                xs += noise[lo:lo + rows]
+            if step + 2 <= steps:
+                draws.append(pool.submit(_scaled_normals, rng, noise, root))
             if step in marks:
                 recorded.append(_checkpoint(model, p0, x, step, step * dt,
                                             lam, dt, n))

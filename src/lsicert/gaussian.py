@@ -90,11 +90,17 @@ class GaussianStack:
 
     @cached_property
     def precisions(self) -> np.ndarray:
-        """L^-T L^-1 from the Cholesky factors, by tril_inverse."""
+        """L^-T L^-1 from the Cholesky factors, by tril_inverse; about
+        two stacks at the peak, the precisions and one for P C - I."""
         inv = tril_inverse(self.chols)
         prec = inv.swapaxes(-1, -2) @ inv
-        prec = 0.5 * (prec + prec.swapaxes(-1, -2))
-        defect = float(np.abs(prec @ self.covs - np.eye(self.dim)).max())
+        del inv
+        prec += prec.swapaxes(-1, -2)
+        prec *= 0.5
+        resid = prec @ self.covs
+        diag = np.arange(self.dim)
+        resid[:, diag, diag] -= 1.0
+        defect = float(np.abs(resid, out=resid).max())
         if defect > _INVERSE_TOL:
             raise ValueError(
                 f"covariance too ill-conditioned to invert (defect {defect:.3g})")

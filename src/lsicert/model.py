@@ -72,6 +72,17 @@ def _is_integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _real(v, what: str) -> float:
+    """float(v) for a real number v that is not a bool; else
+    ModelFormatError, as for a string or an int too large for a float."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            pass
+    raise ModelFormatError(f"{what} must be a real number within float range")
+
+
 def _index(v) -> int:
     if not _is_integer(v):
         raise ModelFormatError(f"partition entries must be integers, got {v!r}")
@@ -277,8 +288,10 @@ class GibbsModel:
 
 def toeplitz_band(band: dict) -> dict:
     """{offset: coeff} of a band keyed by integers, not bools, or
-    decimal-integer strings, one key per offset; else ModelFormatError."""
-    offsets = {int(k): float(v) for k, v in band.items() if _is_integer(k)
+    decimal-integer strings, one key per offset, with real coefficients,
+    not bools or strings; else ModelFormatError."""
+    offsets = {int(k): _real(v, "each band coefficient")
+               for k, v in band.items() if _is_integer(k)
                or isinstance(k, str) and re.fullmatch("[+-]?[0-9]+", k)}
     if len(offsets) < len(band):
         raise ModelFormatError("band keys must name distinct integer offsets")
@@ -358,10 +371,11 @@ def model_from_dict(doc: dict) -> GibbsModel:
     else:
         spec = doc["toeplitz"]
         try:
-            m, diag = spec["m"], float(spec["diag"])
+            m, diag = spec["m"], spec["diag"]
             band = toeplitz_band(spec["band"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad toeplitz block: {exc}")
+        diag = _real(diag, "'toeplitz.diag'")
         if not _is_integer(m):
             raise ModelFormatError("'toeplitz.m' must be an integer")
         if m != dim:

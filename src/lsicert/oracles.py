@@ -9,7 +9,9 @@ bad constants before any work, as gibbs.verify_theorem1 does.  The
 estimators take a different route than the main modules, so agreement
 with them is evidence of correctness; the quadrature takes its densities
 as callables, so a reference density (scipy.stats in the tests) shares
-no code with the closed forms.
+no code with the closed forms.  The bisections do share their inputs:
+both read criteria.block_lsi_constants, and bisect_rho_or reads kappa
+from criteria.cross_block_norms, so those are tested on their own.
 """
 
 from __future__ import annotations

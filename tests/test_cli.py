@@ -189,6 +189,12 @@ def test_criteria_strict_json(model_path, quartic_model_path,
     pytest.param({"quartic": [0.0, [0.0, 1.0]]}, id="ragged-quartic"),
     pytest.param({"partition": [[0.7], [1.9]]}, id="float-index"),
     pytest.param({"partition": [[True], [0]]}, id="bool-index"),
+    pytest.param({"precision": None,
+                  "toeplitz": {"m": 2, "diag": 3.0, "band": {"1": True}}},
+                 id="bool-coefficient"),
+    pytest.param({"precision": None,
+                  "toeplitz": {"m": 2, "diag": "3", "band": {"1": 1.0}}},
+                 id="text-diag"),
 ])
 def test_criteria_rejects_non_finite_quartic(tmp_path, capsys, edit):
     doc = {k: v for k, v in {**model_to_dict(model_2d()), **edit}.items()
@@ -744,17 +750,50 @@ def test_toeplitz_report(capsys):
 def test_toeplitz_bad_band(capsys):
     # a malformed band, an offset that is no decimal integer (read as 10
     # and 1 by int()), an offset given twice (not last-wins), a
-    # non-finite diag and a symbol that overflows are each refused with
-    # one stderr line; a numpy warning fails the test
+    # coefficient or diag that is no decimal literal (read as 10 and 1 by
+    # float()), a non-finite diag and a symbol that overflows are each
+    # refused with one stderr line; a numpy warning fails the test
     for args in (["--band", "oops"], ["--band", "1_0=1"],
                  ["--band", "\u0661=1"], ["--band", "1=1,1=-3"],
                  ["--band", "01=1,1=1"], ["--band", "1=1,01=2"],
+                 ["--band", "1=1_0"], ["--band", "1=\u0661"],
+                 ["--band", "1=inf"], ["--band", "1= 1"],
+                 ["--diag", "1_0", "--band", "1=1"],
+                 ["--diag", "\u0661", "--band", "1=1"],
                  ["--diag", "nan", "--band", "1=1"],
+                 ["--diag", "1e999", "--band", "1=1"],
                  ["--band", "1=1e308,2=1e308"]):
         code, out, err = run(["toeplitz", "--m", "8", *args], capsys)
         assert code == 1
         assert out == ""
         assert err.startswith("usage error") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["toeplitz", "--m", "1_6", "--band", "1=1"],
+    ["toeplitz", "--m", "\u0661\u0666", "--band", "1=1"],
+    ["toeplitz", "--m", " 16", "--band", "1=1"],
+    ["verify", "MODEL", "gibbs", "--steps", "1_000"],
+    ["verify", "MODEL", "theorem1", "--trials", "1_0"],
+    ["verify", "MODEL", "theorem1", "--trials", "2", "--seed", "1_0"],
+    ["verify", "MODEL", "gibbs", "--samples", "2_000"],
+])
+def test_integer_options_are_decimal_integers(argv, model_path, capsys):
+    # int() reads '1_6' as 16, Arabic-Indic digits and padded text too
+    argv = [model_path if a == "MODEL" else a for a in argv]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+
+
+def test_decimal_options_keep_their_readings(capsys):
+    # signs, leading zeros, a bare point and exponents still read
+    code, out, _ = run(["toeplitz", "--m", "+08", "--diag=-.5e1",
+                        "--band", "01=1.,2=-2E-1"], capsys)
+    assert code == 0
+    doc = strict_loads(out)
+    assert (doc["m"], doc["diag"], doc["band"]) == (8, -5.0,
+                                                    [[1, 1.0], [2, -0.2]])
 
 
 def test_toeplitz_dense_budget_checked_up_front(capsys):

@@ -8,6 +8,7 @@ top of it is exercised.
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -503,18 +504,19 @@ def quartic_2d():
 
 
 @pytest.mark.parametrize("quartic, block_rows, n, steps, marks", [
-    # quartic drift, one block per step, fewer draws than the ring holds
+    # quartic drift, one block per step, as many steps as noise buffers
     (True, None, 1000, 2, [2]),
-    # 4 blocks per step, 5 steps: 20 draws, not a multiple of the ring
+    # 4 blocks per step, 5 steps: an odd count, each buffer reused
     (False, 250, 1000, 5, [5]),
-    # blocks of 300, 300, 300 and a partial 100
+    # blocks of 300, 300, 300 and a partial last block of 100 rows
     (True, 300, 1000, 4, [4]),
-    # checkpoints at 0 and mid-run, between steps that share draws in flight
+    # checkpoints at 0 and mid-run, while the next step's draw is in flight
     (False, 300, 1000, 6, [0, 3, 6]),
+    # one step: fewer steps than noise buffers
+    (True, None, 1000, 1, [1]),
 ])
 def test_langevin_pipeline_matches_out_of_place_reference(
         model2d, monkeypatch, quartic, block_rows, n, steps, marks):
-    assert fokker_planck._NOISE_RING == 3
     if block_rows is not None:
         monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES",
                             block_rows * 8 * 2)
@@ -529,6 +531,53 @@ def test_langevin_pipeline_matches_out_of_place_reference(
     for cp, (mean, cov) in zip(res.checkpoints, moments):
         assert cp.emp_mean.tobytes() == mean.tobytes()
         assert cp.emp_cov.tobytes() == cov.tobytes()
+
+
+class SynchronousPool:
+    """Stands in for the noise worker: each draw runs at submit, so a
+    buffer given back before its noise was added is overwritten first."""
+
+    def __init__(self, **kwargs):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, **kwargs):
+        pass
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_langevin_buffer_goes_back_only_after_its_noise_is_added(
+        model2d, monkeypatch, steps):
+    monkeypatch.setattr(fokker_planck, "ThreadPoolExecutor", SynchronousPool)
+    monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES", 300 * 8 * 2)
+    p0 = GaussianDist(np.array([1.0, -1.0]), 0.5 * np.eye(2))
+    res = langevin_particles(model2d, p0, dt=0.05, steps=steps, n=1000,
+                             seed=5)
+    x, _ = out_of_place_particles(model2d, p0, 0.05, steps, 1000, 5, [])
+    assert res.particles.tobytes() == x.tobytes()
+
+
+def test_langevin_peak_memory_is_four_particle_arrays():
+    # the bench-sized call: the particles, two whole-step noise buffers and
+    # a checkpoint's centered copy; measured 4.24 times the particles
+    rng = np.random.default_rng(8)
+    model = random_certified_model(rng, dim=8)
+    q = gaussian_target(model)
+    p0 = GaussianDist(q.mean + 2.0, q.cov)
+    dt = 0.05 / curvature_bound(model, p0)
+    n = 20_000
+    tracemalloc.start()
+    try:
+        langevin_particles(model, p0, dt=dt, steps=60, n=n, seed=1,
+                           checkpoints=[30, 60])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * n * 8 * 8, peak / (n * 8 * 8)
 
 
 def test_langevin_pipeline_under_fast_thread_switching(model2d, monkeypatch):

@@ -337,6 +337,25 @@ def test_model_from_dict_reads_band_keys_as_integers(band):
         4, 3.0, {1: 1.0, 2: 0.5}).tobytes()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("band", {"1": True}), ("band", {"1": "0.5"}), ("band", {"1": None}),
+    ("band", {"1": 10 ** 400}), ("diag", True), ("diag", "3"),
+    ("diag", 10 ** 400)], ids=["bool-coefficient", "text-coefficient",
+                               "null-coefficient", "huge-coefficient",
+                               "bool-diag", "text-diag", "huge-diag"])
+def test_model_from_dict_reads_toeplitz_scalars_as_real_numbers(key, value):
+    # float() read True as 1.0 and "0.5" as 0.5, and raised OverflowError
+    # on an integer past the float range
+    doc = {"dim": 4, "partition": [[i] for i in range(4)],
+           "toeplitz": {"m": 4, "diag": 3.0, "band": {"1": 1.0}}}
+    doc["toeplitz"][key] = value
+    with pytest.raises(ModelFormatError, match="real number"):
+        model_from_dict(doc)
+    doc["toeplitz"].update(diag=3, band={"1": 1})
+    assert model_from_dict(doc).precision.tobytes() == toeplitz_matrix(
+        4, 3.0, {1: 1.0}).tobytes()
+
+
 def test_load_model_missing_file(tmp_path):
     with pytest.raises(ModelFormatError):
         load_model(tmp_path / "absent.json")
