@@ -5,7 +5,10 @@ flow, checks the dissipation identity dD/dt = -I and the exponential
 decay bound exp(-2 rho t) D0 under the certified constant, and
 cross-checks with an Euler-Maruyama particle cloud.  Exits 4, as
 `lsicert verify` does, when any printed check fails, and refuses a model
-`lsicert verify` refuses with its stderr line and exit code.
+`lsicert verify` refuses with its stderr line and exit code.  Numeric
+options are read as `lsicert` reads its own: --nodes, --particles and
+--seed as decimal integers, --horizon as a decimal literal, so `5_001`
+or `1_0` is refused with exit 1 and one stderr line.
 
 Usage: python scripts/entropy_flow.py [model.json] [--csv out.csv]
 """
@@ -15,8 +18,8 @@ import sys
 
 import numpy as np
 
-from lsicert.cli import (EXIT_OK, EXIT_VERIFY_FAILED, certified_constants,
-                         run_refusing)
+from lsicert.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _decimal,
+                         _integer, certified_constants, run_refusing)
 from lsicert.fokker_planck import (
     EntropyTrace,
     curvature_bound,
@@ -41,28 +44,36 @@ def write_entropy_csv(trace: EntropyTrace, path) -> None:
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0],
+                                 exit_on_error=False)
     ap.add_argument("model", nargs="?", default=None,
                     help="model JSON (default: built-in 2d reference)")
-    ap.add_argument("--horizon", type=float, default=5.0)
-    ap.add_argument("--nodes", type=int, default=5001)
+    ap.add_argument("--horizon", default="5",
+                    help="end of the time grid, a decimal number")
+    ap.add_argument("--nodes", type=_integer, default=5001)
     ap.add_argument("--csv", default=None, help="dump the trace here")
-    ap.add_argument("--particles", type=int, default=20_000)
-    ap.add_argument("--seed", type=int, default=7)
-    return run_refusing(flow, ap.parse_args())
+    ap.add_argument("--particles", type=_integer, default=20_000)
+    ap.add_argument("--seed", type=_integer, default=7)
+    try:
+        args = ap.parse_args()
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return run_refusing(flow, args)
 
 
 def flow(args) -> int:
+    horizon = _decimal(args.horizon)
     model = load_model(args.model) if args.model else model_2d()
     _, rho = certified_constants(model)
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + 2.0, q.cov)
-    times = np.linspace(0.0, args.horizon, args.nodes)
+    times = np.linspace(0.0, horizon, args.nodes)
 
     trace, checks = dissipation_check(p0, model, times, rho=rho)
     print(f"certified rho = {rho:.6f}")
     print(f"D(p0||q) = {trace.kl_values[0]:.6f}, "
-          f"D(p_T||q) = {trace.kl_values[-1]:.3e} at T = {args.horizon}")
+          f"D(p_T||q) = {trace.kl_values[-1]:.3e} at T = {horizon}")
 
     for c in checks:
         print(f"{c.param} {c.value:.3e} (bound {c.bound:.3e}, tolerance "

@@ -27,8 +27,11 @@ or overflowing `toeplitz` coefficients, an offset or any other integer
 option not matching [+-]?[0-9]+, an offset given twice, a --diag or band
 coefficient that is no decimal literal such as 1, -0.5, .5 or 2e-3, and
 an --out path that cannot be written), 2 invalid model (including a
-`toeplitz.diag` or band coefficient that is a bool or a string, not a
-number), 3 no certificate, 4 verification failure.
+`toeplitz.diag` or band coefficient, or any entry of `precision`, `mean`
+or `quartic`, that is a bool, a string or null, not a number, or an
+integer beyond the float range, and a file that is not UTF-8 JSON, nests
+too deeply for the parser or holds an integer of more digits than int()
+reads), 3 no certificate, 4 verification failure.
 Output is strict JSON or CSV, byte-identical across runs for equal
 inputs and seeds; all randomness derives from --seed.
 

@@ -98,22 +98,27 @@ class CriteriaReport:
     """Certificates and diagnostics for one model.
 
     rho_marton / rho_or are None when the corresponding criterion yields
-    no positive constant; certified is True exactly when rho_marton is
-    present.
+    no positive constant.
     """
 
     rho_k: tuple
-    delta: float
     norm_A0: float
     rho_marton: float | None
     rho_or: float | None
     lambda_max_A0: float
-    certified: bool
     flags: tuple
 
+    @property
+    def delta(self) -> float:
+        """The interaction margin 1 - ||A0||."""
+        return 1.0 - self.norm_A0
+
+    @property
+    def certified(self) -> bool:
+        """Whether the interaction-matrix criterion gives a constant."""
+        return self.rho_marton is not None
+
     def __post_init__(self):
-        if abs(self.norm_A0 - (1.0 - self.delta)) > 1e-9:
-            raise ValueError("delta must equal 1 - norm_A0")
         if self.rho_marton is not None:
             if self.rho_marton > min(self.rho_k) * (1 + 1e-12):
                 raise ValueError("certified constant exceeds min block constant")
@@ -290,12 +295,10 @@ def criteria_report(model: GibbsModel) -> CriteriaReport:
 
     return CriteriaReport(
         rho_k=tuple(float(r) for r in rho_k),
-        delta=1.0 - norm0,
         norm_A0=norm0,
         rho_marton=rho_marton,
         rho_or=rho_or,
         lambda_max_A0=hi_a0,
-        certified=rho_marton is not None,
         flags=tuple(flags),
     )
 

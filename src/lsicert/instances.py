@@ -120,26 +120,6 @@ def random_certified_model(rng: np.random.Generator, dim: int | None = None,
                       mean=base.mean, quartic=np.zeros(dim))
 
 
-def random_attractive_chain(rng: np.random.Generator,
-                            n: int | None = None) -> GibbsModel:
-    """Singleton-block tridiagonal model with non-positive couplings.
-
-    Diagonal entries in [1, 2] and couplings in [-0.4, 0] keep the
-    interaction norm at most 0.8, so the certificate exists and the
-    certified constant is exactly the smallest precision eigenvalue.
-    """
-    if n is None:
-        n = int(rng.integers(2, 9))
-    diag = rng.uniform(1.0, 2.0, size=n)
-    off = rng.uniform(-0.4, 0.0, size=n - 1)
-    prec = np.diag(diag)
-    prec += np.diag(off, k=1) + np.diag(off, k=-1)
-    part = BlockPartition(tuple((i,) for i in range(n)))
-    return GibbsModel(partition=part, precision=prec,
-                      mean=rng.normal(scale=1.0, size=n),
-                      quartic=np.zeros(n))
-
-
 def random_quartic_model(rng: np.random.Generator,
                          dim: int | None = None) -> GibbsModel:
     """Certified-structure model with a non-trivial quartic term."""

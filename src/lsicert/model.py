@@ -335,12 +335,28 @@ def grad_potential(model: GibbsModel, x: np.ndarray) -> np.ndarray:
     return grad if model.is_gaussian else grad + 4.0 * model.quartic * (x * x * x)
 
 
-def _float_array(doc: dict, key: str, default) -> np.ndarray:
+def _float_array(doc: dict, key: str, dim: int, ndim: int) -> np.ndarray:
+    """doc[key], a list of numbers (ndim 1) or a list of such lists
+    (ndim 2), as a float array; zeros of length dim when key is absent.
+
+    Every leaf follows _real's rule: a real number, not a bool, within
+    the float range; anything else, or a ragged array, is a
+    ModelFormatError.  The rule is checked once per distinct leaf type,
+    collected in one C-level pass, not by a Python call per leaf.
+    """
+    if key not in doc:
+        return np.zeros(dim)
+    value = doc[key]
     try:
-        return np.array(doc.get(key, default), dtype=float)
-    except (TypeError, ValueError):
-        raise ModelFormatError(f"'{key}' must be a rectangular array of "
-                               "numbers")
+        types = set(map(type, chain.from_iterable(value) if ndim == 2
+                        else value))
+        if all(issubclass(t, numbers.Real) and not issubclass(t, bool)
+               for t in types):
+            return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ModelFormatError(f"'{key}' must be a rectangular array of real "
+                           "numbers within float range")
 
 
 def model_from_dict(doc: dict) -> GibbsModel:
@@ -367,7 +383,7 @@ def model_from_dict(doc: dict) -> GibbsModel:
         raise ModelFormatError(
             "model document needs exactly one of 'precision' or 'toeplitz'")
     if has_prec:
-        precision = _float_array(doc, "precision", None)
+        precision = _float_array(doc, "precision", dim, 2)
     else:
         spec = doc["toeplitz"]
         try:
@@ -384,8 +400,8 @@ def model_from_dict(doc: dict) -> GibbsModel:
         precision = toeplitz_matrix(m, diag, band)
     precision.flags.writeable = False  # built here: the model may keep it
 
-    mean = _float_array(doc, "mean", np.zeros(dim))
-    quartic = _float_array(doc, "quartic", np.zeros(dim))
+    mean = _float_array(doc, "mean", dim, 1)
+    quartic = _float_array(doc, "quartic", dim, 1)
     return GibbsModel(partition=partition, precision=precision,
                       mean=mean, quartic=quartic)
 
@@ -427,14 +443,17 @@ def load_model(path) -> GibbsModel:
 
     The document carries 'dim', 'partition', 'mean' (optional, default 0),
     'quartic' (optional, default 0) and either an explicit 'precision'
-    matrix or a banded 'toeplitz' shorthand; no key given twice.
+    matrix or a banded 'toeplitz' shorthand; no key given twice.  A file
+    that is not UTF-8, nests too deeply for the parser or holds an integer
+    of more digits than int() reads is no valid JSON, as is a syntax error.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ModelFormatError(f"model file is not valid JSON: {exc}")
     return model_from_dict(doc)
 

@@ -1,86 +1,27 @@
 """Independent estimators used to cross-check the closed-form calculus.
 
-The interaction matrix A^rho and bisection on the two certificate
-thresholds, grid quadrature for divergence and Fisher information
-(dimensions 1 to 3), the sorted-sample coupling for one-dimensional W2,
-and closed-form checkers for the transport inequality (at a rho) and
+Grid quadrature for divergence and Fisher information (dimensions 1 to
+3), and closed-form checkers for the transport inequality (at a rho) and
 the per-block mean-shift comparison (at rho_k and delta), which refuse
 bad constants before any work, as gibbs.verify_theorem1 does.  The
-estimators take a different route than the main modules, so agreement
-with them is evidence of correctness; the quadrature takes its densities
-as callables, so a reference density (scipy.stats in the tests) shares
-no code with the closed forms.  The bisections do share their inputs:
-both read criteria.block_lsi_constants, and bisect_rho_or reads kappa
-from criteria.cross_block_norms, so those are tested on their own.
+quadrature takes its densities as callables, so a reference density
+(scipy.stats in the tests) shares no code with the closed forms.  The
+bisections on both certificate thresholds, which the tests hold the
+certificates against, live with the tests (tests/reference.py) and read
+no constant the certificates compute.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .criteria import (CertificateError, Check, _checked_rho,
-                       _checked_rho_k, block_lsi_constants,
-                       cross_block_norms)
+from .criteria import CertificateError, Check, _checked_rho, _checked_rho_k
 from .gaussian import (GaussianStack, _dot, _matvec, gaussian_target, kl,
                        memo_conditionals, w2)
 from .model import GibbsModel
 
 MASS_DEFECT_LIMIT = 1e-4
 _TINY = 1e-300
-
-
-def _bisect_largest(feasible, rho_min: float) -> float | None:
-    """Largest rho in (0, rho_min] with feasible(rho), for a feasible set
-    that is an interval starting at 0; None when no positive rho is
-    feasible.  Sixty halvings resolve rho to rho_min * 2^-60.  rho_min
-    itself is never evaluated, as the scalings are singular there;
-    feasibility just below it stands for the supremum.
-    """
-    if rho_min <= 0:
-        return None
-    hi = rho_min * (1.0 - 1e-13)
-    if feasible(hi):
-        return rho_min
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
-    return lo if lo > 0 else None
-
-
-def build_A_rho(model: GibbsModel, rho: float) -> np.ndarray:
-    """Interaction matrix A^rho, the reference for the closed form.
-
-    Entry (i, j) with i in block k and j in block l != k is the cross
-    Hessian entry divided by sqrt((rho_k - rho)(rho_l - rho)); diagonal
-    blocks are zero.  Requires rho below every block constant.
-    """
-    gaps = block_lsi_constants(model)[model.partition.coordinate_block] - rho
-    if np.any(gaps <= 0):
-        raise CertificateError(
-            f"rho = {rho} is not below every block constant")
-    return model.cross / np.sqrt(np.outer(gaps, gaps))
-
-
-def bisect_rho_marton(model: GibbsModel) -> float | None:
-    """Interaction-matrix certificate by bisection on ||A^rho|| <= 1."""
-    return _bisect_largest(
-        lambda r: np.linalg.norm(build_A_rho(model, r), 2) <= 1.0,
-        float(block_lsi_constants(model).min()))
-
-
-def bisect_rho_or(model: GibbsModel) -> float | None:
-    """Block-matrix certificate by bisection on the Perron form
-    lambda_max(S kappa S) <= 1, S = diag((rho_k - rho)^-1/2)."""
-    rho_k = block_lsi_constants(model)
-    kappa = cross_block_norms(model)
-
-    def feasible(r: float) -> bool:
-        scale = 1.0 / np.sqrt(rho_k - r)
-        scaled = scale[:, None] * kappa * scale[None, :]
-        return np.linalg.eigvalsh(scaled)[-1] <= 1.0
-
-    return _bisect_largest(feasible, float(rho_k.min()))
 
 
 class QuadratureError(ValueError):
@@ -163,17 +104,6 @@ def quad_fisher(p_density, q_density, box, pts_per_dim: int) -> QuadValue:
     for g in grads:
         sq += g * g
     return QuadValue(float(np.sum(weights * pvals * sq)), defect)
-
-
-def w2_empirical_1d(samples_p, samples_q) -> float:
-    """Empirical 1-d W2 via the sorted-sample (quantile) coupling."""
-    sp = np.sort(np.asarray(samples_p, dtype=float).ravel())
-    sq = np.sort(np.asarray(samples_q, dtype=float).ravel())
-    if sp.size != sq.size:
-        raise ValueError("sample sets must have equal size")
-    if sp.size == 0:
-        raise ValueError("sample sets must be non-empty")
-    return float(np.sqrt(np.mean((sp - sq) ** 2)))
 
 
 def transport_check(p, model: GibbsModel, rho: float):

@@ -21,11 +21,12 @@ from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl, w2
 from lsicert.gibbs import entropy_drop_identity, verify_contraction, verify_theorem1
 from lsicert.instances import (
     model_2d,
-    random_attractive_chain,
     random_certified_model,
     random_gaussian,
 )
-from lsicert.oracles import prop4_check, quad_fisher, quad_kl, transport_check, w2_empirical_1d
+from lsicert.oracles import prop4_check, quad_fisher, quad_kl, transport_check
+
+from reference import random_attractive_chain, w2_empirical_1d
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:

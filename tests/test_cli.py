@@ -2,17 +2,22 @@
 byte-for-byte determinism."""
 
 import argparse
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsicert import cli, criteria, fokker_planck, gibbs
 from lsicert.criteria import Check, criteria_report
@@ -195,6 +200,14 @@ def test_criteria_strict_json(model_path, quartic_model_path,
     pytest.param({"precision": None,
                   "toeplitz": {"m": 2, "diag": "3", "band": {"1": 1.0}}},
                  id="text-diag"),
+    # float() read true as 1 and "1_0" as 10, and raised OverflowError on
+    # an integer past the float range
+    pytest.param({"mean": [True, "1_0"]}, id="bool-and-text-mean"),
+    pytest.param({"precision": [[True, -0.5], [-0.5, True]]},
+                 id="bool-precision"),
+    pytest.param({"precision": [[10 ** 400, -0.5], [-0.5, 1.0]]},
+                 id="huge-precision"),
+    pytest.param({"quartic": [0, -10 ** 400]}, id="huge-quartic"),
 ])
 def test_criteria_rejects_non_finite_quartic(tmp_path, capsys, edit):
     doc = {k: v for k, v in {**model_to_dict(model_2d()), **edit}.items()
@@ -203,6 +216,104 @@ def test_criteria_rejects_non_finite_quartic(tmp_path, capsys, edit):
     assert code == 2
     assert err.startswith("invalid model") and len(err.splitlines()) == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(json.dumps(model_to_dict(model_2d())).encode("utf-16"),
+                 id="utf-16"),
+    pytest.param(b"[" * 5000 + b"]" * 5000, id="nested-5000-deep"),
+    pytest.param(b'{"dim": ' + b"1" * 5000 + b"}", id="5000-digit-integer"),
+])
+def test_criteria_refuses_unreadable_json(data, tmp_path, capsys):
+    # each was read as a usage error (exit 1) or raised a RecursionError
+    # through main: a UnicodeDecodeError and the int() digit limit are
+    # ValueErrors, and deep nesting exhausts the parser's recursion
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    code, out, err = run(["criteria", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid model: model file is not valid JSON")
+    assert len(err.splitlines()) == 1
+
+
+# Small documents whose leaves the fuzz test below replaces: the dense
+# 2-d reference, a 2-block model with a quartic term, and a chain spec.
+_FUZZ_DOCS = (
+    model_to_dict(model_2d()),
+    {"dim": 3, "partition": [[0, 1], [2]],
+     "precision": [[2.0, 0.5, 0.1], [0.5, 2.0, 0.2], [0.1, 0.2, 1.0]],
+     "quartic": [0.0, 0.1, 0.0]},
+    {"dim": 3, "partition": [[0], [1], [2]], "mean": [0, 1, 2],
+     "toeplitz": {"m": 3, "diag": 3.0, "band": {"1": 1.0}}},
+)
+_DROP = object()  # replacing a member of an object by this deletes it
+_JSON_VALUES = st.one_of(
+    st.sampled_from([_DROP, None, True, False, 0, 1, -1, 2, 0.5, -0.5, "",
+                     "1", "1_0", "nan", [], {}, [0], [[0]], 10 ** 400,
+                     -10 ** 400, 1.7e308, 5e-324]),
+    st.floats(-4.0, 4.0), st.integers(-4, 4),
+    st.integers(), st.floats(), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans(), st.none()),
+             max_size=3),
+)
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) \
+        else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    """doc with the value at path replaced by a copy of value, so that no
+    drawn container is shared between documents or within one."""
+    parent = _at(doc, path[:-1])
+    if value is _DROP and path and isinstance(parent, dict):
+        del parent[path[-1]]
+        return doc
+    value = None if value is _DROP else copy.deepcopy(value)
+    if not path:
+        return value
+    parent[path[-1]] = value
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=300, derandomize=True)
+def test_criteria_on_mutated_documents(tmp_path_factory, data):
+    # whatever a small document's leaves hold, criteria exits with a
+    # documented code, one stderr line on refusal and no traceback, and
+    # prints strict JSON when it prints a report: always on exit 0, and
+    # on exit 3 unless a block is not positive definite.  A document it
+    # accepts holds numbers alone: no bool, string or null is read as one
+    doc = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        doc = _replaced(doc, path, data.draw(_JSON_VALUES))
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["criteria", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in range(5)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (code != 0)
+    if code == 0 or out:
+        strict_loads(out)
+    assert code in (0, 3) or out == ""
+    if code == 0:
+        leaves = [_at(doc, p) for p in _paths(doc)]
+        assert {type(v) for v in leaves} <= {int, float, list, dict}
 
 
 @pytest.mark.filterwarnings("error")

@@ -27,15 +27,15 @@ from lsicert.criteria import (
 )
 from lsicert.instances import (
     model_2d,
-    random_attractive_chain,
     random_certified_model,
     random_quartic_model,
 )
 from lsicert.model import (BlockPartition, GibbsModel, ModelFormatError,
                            ModelValidationError, toeplitz_matrix)
-from lsicert.oracles import bisect_rho_marton, bisect_rho_or, build_A_rho
 
 from conftest import batching_cases
+from reference import (bisect_rho_marton, bisect_rho_or, build_A_rho,
+                       random_attractive_chain)
 
 RHO_2D = 0.5   # hand derivation: ||A^rho|| = 0.5 / (1 - rho) hits 1 at 0.5
 
@@ -124,7 +124,7 @@ def test_build_A_rho_reference(model2d):
 
 
 def test_build_A_rho_rejects_rho_at_block_constant(model2d):
-    with pytest.raises(CertificateError):
+    with pytest.raises(ValueError, match="not below every block constant"):
         build_A_rho(model2d, 1.0)
 
 
@@ -528,13 +528,8 @@ def test_criteria_report_rejects_indefinite_block():
 
 def test_report_invariant_violation_raises():
     with pytest.raises(ValueError):
-        CriteriaReport(rho_k=(1.0,), delta=0.5, norm_A0=0.9,
-                       rho_marton=None, rho_or=None, lambda_max_A0=None,
-                       certified=False, flags=())
-    with pytest.raises(ValueError):
-        CriteriaReport(rho_k=(1.0,), delta=0.5, norm_A0=0.5,
-                       rho_marton=2.0, rho_or=None, lambda_max_A0=None,
-                       certified=True, flags=())
+        CriteriaReport(rho_k=(1.0,), norm_A0=0.5, rho_marton=2.0,
+                       rho_or=None, lambda_max_A0=None, flags=())
 
 
 # ---- banded spectra ----

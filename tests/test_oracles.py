@@ -12,7 +12,6 @@ from lsicert.criteria import (CertificateError, block_lsi_constants,
                               criteria_report, solve_rho_marton)
 from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl, w2
 from lsicert.instances import (
-    random_attractive_chain,
     random_certified_model,
     random_gaussian,
     random_quartic_model,
@@ -21,15 +20,15 @@ from lsicert.model import BlockPartition, GibbsModel
 from lsicert.oracles import (
     QuadratureError,
     QuadValue,
-    bisect_rho_marton,
     prop4_check,
     quad_fisher,
     quad_kl,
     transport_check,
-    w2_empirical_1d,
 )
 
 from conftest import BAD_RHO, bad_rho_k, batching_cases, must_not_run
+from reference import (bisect_rho_marton, random_attractive_chain,
+                       w2_empirical_1d)
 
 
 def gauss_density(g):

@@ -96,3 +96,25 @@ def test_script_refuses_as_verify_does(script, tmp_path):
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith(line), proc.stderr
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["--nodes", "5_001"], id="underscore-nodes"),
+    pytest.param(["--particles", "2_000"], id="underscore-particles"),
+    pytest.param(["--seed", "\u0667"], id="arabic-indic-seed"),
+    pytest.param(["--horizon", "5_0"], id="underscore-horizon"),
+])
+def test_entropy_flow_reads_numbers_as_lsicert_does(args):
+    # int() read '5_001' as 5001 and Arabic-Indic digits as decimals, and
+    # float() read '5_0' as 50: each is refused with exit 1, as lsicert
+    # refuses --steps 1_000, in one stderr line
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                               "entropy_flow.py"),
+                           "--particles", "2000", *args],
+                          env=ENV, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("usage error")
+    assert proc.stderr.count("\n") == 1
