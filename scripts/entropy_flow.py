@@ -5,20 +5,21 @@ flow, checks the dissipation identity dD/dt = -I and the exponential
 decay bound exp(-2 rho t) D0 under the certified constant, and
 cross-checks with an Euler-Maruyama particle cloud.  Exits 4, as
 `lsicert verify` does, when any printed check fails, and refuses a model
-`lsicert verify` refuses with its stderr line and exit code.  Numeric
-options are read as `lsicert` reads its own: --nodes, --particles and
---seed as decimal integers, --horizon as a decimal literal, so `5_001`
-or `1_0` is refused with exit 1 and one stderr line.
+`lsicert verify` refuses with its stderr line and exit code.  Arguments
+are read as `lsicert` reads its own: --nodes, --particles and --seed as
+decimal integers, --horizon as a finite decimal literal, so `5_001`,
+`1_0`, `1e999` or an unknown option is refused with exit 1 and one
+stderr line.  Every check runs before the first line is printed, so a
+refused run prints nothing to stdout.
 
 Usage: python scripts/entropy_flow.py [model.json] [--csv out.csv]
 """
 
-import argparse
 import sys
 
 import numpy as np
 
-from lsicert.cli import (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, _decimal,
+from lsicert.cli import (EXIT_OK, EXIT_VERIFY_FAILED, ArgParser, _decimal,
                          _integer, certified_constants, run_refusing)
 from lsicert.fokker_planck import (
     EntropyTrace,
@@ -44,8 +45,7 @@ def write_entropy_csv(trace: EntropyTrace, path) -> None:
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0],
-                                 exit_on_error=False)
+    ap = ArgParser(description=__doc__.split("\n")[0])
     ap.add_argument("model", nargs="?", default=None,
                     help="model JSON (default: built-in 2d reference)")
     ap.add_argument("--horizon", default="5",
@@ -54,38 +54,32 @@ def main():
     ap.add_argument("--csv", default=None, help="dump the trace here")
     ap.add_argument("--particles", type=_integer, default=20_000)
     ap.add_argument("--seed", type=_integer, default=7)
-    try:
-        args = ap.parse_args()
-    except argparse.ArgumentError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return run_refusing(flow, args)
+    return run_refusing(lambda argv: flow(ap.parse_args(argv)), sys.argv[1:])
 
 
 def flow(args) -> int:
     horizon = _decimal(args.horizon)
+    if not np.isfinite(horizon):
+        raise ValueError(f"--horizon must be finite, got {args.horizon!r}")
     model = load_model(args.model) if args.model else model_2d()
     _, rho = certified_constants(model)
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + 2.0, q.cov)
     times = np.linspace(0.0, horizon, args.nodes)
-
     trace, checks = dissipation_check(p0, model, times, rho=rho)
-    print(f"certified rho = {rho:.6f}")
-    print(f"D(p0||q) = {trace.kl_values[0]:.6f}, "
-          f"D(p_T||q) = {trace.kl_values[-1]:.3e} at T = {horizon}")
-
-    for c in checks:
-        print(f"{c.param} {c.value:.3e} (bound {c.bound:.3e}, tolerance "
-              f"{c.tolerance:.3e}) -> {'ok' if c.holds else 'FAIL'}")
-
-    lam = curvature_bound(model, p0)
-    dt = 0.05 / lam
+    dt = 0.05 / curvature_bound(model, p0)
     steps = max(1, int(round(1.0 / dt)))
     sim = langevin_particles(model, p0, dt=dt, steps=steps,
                              n=args.particles, seed=args.seed,
                              checkpoints=[steps])
     cp = sim.checkpoints[-1]
+
+    print(f"certified rho = {rho:.6f}")
+    print(f"D(p0||q) = {trace.kl_values[0]:.6f}, "
+          f"D(p_T||q) = {trace.kl_values[-1]:.3e} at T = {horizon}")
+    for c in checks:
+        print(f"{c.param} {c.value:.3e} (bound {c.bound:.3e}, tolerance "
+              f"{c.tolerance:.3e}) -> {'ok' if c.holds else 'FAIL'}")
     print(f"particle cloud at t = {cp.t:.3f}: "
           f"moments within bands -> "
           f"{'ok' if cp.within_bands else 'FAIL'}")

@@ -19,8 +19,10 @@ chunk size.
 Exit codes: 0 success, 1 usage error (including `verify` on a model with
 a quartic term, since the closed-form verifiers need a Gaussian model,
 `verify` with --trials or --steps below 1, refused before any work,
-`verify gibbs` when the exact mixture would exceed the component cap or
-the byte budget, refused before any sweep, a model whose dense K, or a
+`verify gibbs` when its mean-only sweep would exceed the byte budget or
+gibbs.MEAN_ONLY_OP_BUDGET, refused before any sweep, a bad option value,
+an unknown option or a missing argument, each as one `usage error` line
+without argparse's usage text, a model whose dense K, or a
 `toeplitz` section whose two dense m x m arrays, would exceed
 `model.DENSE_BYTE_BUDGET`, refused before anything is built, non-finite
 or overflowing `toeplitz` coefficients, an offset or any other integer
@@ -223,8 +225,18 @@ def cmd_toeplitz(args) -> int:
     return EXIT_OK
 
 
+class ArgParser(argparse.ArgumentParser):
+    """An argument parser that raises ValueError with its message where
+    argparse prints its usage and exits 2 (a bad option value, an unknown
+    option, a missing argument), so that run_refusing reports it in one
+    line with exit 1; --help still prints and exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgParser(
         prog="lsicert",
         description="Certified log-Sobolev constants for block Gibbs "
                     "models, with entropy-inequality verifiers.")
@@ -278,13 +290,17 @@ def run_refusing(command, args) -> int:
         return EXIT_USAGE
 
 
+def _command(argv) -> int:
+    args = PARSER.parse_args(argv)
+    return {"criteria": cmd_criteria, "verify": cmd_verify,
+            "toeplitz": cmd_toeplitz}[args.command](args)
+
+
 def main(argv=None) -> int:
     try:
-        args = PARSER.parse_args(argv)
-    except SystemExit as exc:
+        return run_refusing(_command, argv)
+    except SystemExit as exc:  # --help, once its text is printed
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    return run_refusing({"criteria": cmd_criteria, "verify": cmd_verify,
-                         "toeplitz": cmd_toeplitz}[args.command], args)
 
 
 def entrypoint() -> None:

@@ -16,15 +16,14 @@ L_t' C_t^-1 = L_t^-1.  The module also checks the de Bruijn dissipation
 identity dD/dt = -I on grids and exponential entropy decay under a
 certified constant, anchored at the grid's first node, and runs an
 Euler-Maruyama particle simulator that covers quartic models as well.
-The simulator draws its noise on one worker thread, a whole step ahead:
-the worker fills step s + 1's noise into one of two n x d buffers while
-the calling thread updates step s, block of rows by block of rows.  The
-worker calls only numpy, and it is stopped before the simulator returns.
+The simulator updates the particles in place, block of rows by block of
+rows, and draws each block's noise into one block-sized buffer just
+before adding it; the blocks are taken in row order, so the stream gives
+every particle the normals of one whole-step draw.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,16 +291,15 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
 
     Requires a finite dt below a tenth of the inverse curvature bound,
     and integer counts and checkpoints, the latter in [0, steps].  Steps
-    update the particles in place, one block of rows at a time, while
-    one worker thread draws the next step's noise into the other of two
-    n x d buffers (a working set of about 4 n d floats, the particles
-    included).  A buffer goes back to the worker only once its noise is
-    added: the stream and the particles are those of one draw per step.
-    A failed draw raises here, and the worker is stopped before the call
-    returns or raises.  At each checkpoint step the empirical moments are
-    recorded; for Gaussian models they are compared against the
-    closed-form moments within tolerance bands of five times the Monte
-    Carlo plus discretization scale.
+    update the particles in place, one block of rows at a time: the
+    block's drift, then its noise, drawn into one reused block-sized
+    buffer (a working set of about 2 n d floats, the particles and a
+    checkpoint's centered copy).  The blocks are taken in row order, so
+    the stream and the particles are those of one draw per step.  At
+    each checkpoint step the empirical moments are recorded; for Gaussian
+    models they are compared against the closed-form moments within
+    tolerance bands of five times the Monte Carlo plus discretization
+    scale.
     """
     if not (_is_integer(n) and n >= 1_000):
         raise ValueError("need an integer count of at least 1000 particles")
@@ -329,37 +327,22 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
         recorded.append(_checkpoint(model, p0, x, 0, 0.0, lam, dt, n))
     root = np.sqrt(2.0 * dt)
     rows = max(1, _PARTICLE_CHUNK_BYTES // (8 * model.dim))
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise")
-    try:
-        # the noise of steps 1 and 2, then of step + 2 once step's is added
-        draws = [pool.submit(_scaled_normals, rng, np.empty_like(x), root)
-                 for _ in range(min(2, steps))]
-        for step in range(1, steps + 1):
-            noise = draws.pop(0).result()
-            for lo in range(0, n, rows):
-                xs = x[lo:lo + rows]
-                grad = grad_potential(model, xs)
-                grad *= dt  # in place, in the order of x - grad dt + root noise
-                xs -= grad
-                xs += noise[lo:lo + rows]
-            if step + 2 <= steps:
-                draws.append(pool.submit(_scaled_normals, rng, noise, root))
-            if step in marks:
-                recorded.append(_checkpoint(model, p0, x, step, step * dt,
-                                            lam, dt, n))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    noise = np.empty((min(rows, n), model.dim))
+    for step in range(1, steps + 1):
+        for lo in range(0, n, rows):
+            xs = x[lo:lo + rows]
+            grad = grad_potential(model, xs)
+            grad *= dt  # in place, in the order of x - grad dt + root noise
+            xs -= grad
+            buf = noise[:len(xs)]
+            rng.standard_normal(out=buf)
+            buf *= root
+            xs += buf
+        if step in marks:
+            recorded.append(_checkpoint(model, p0, x, step, step * dt,
+                                        lam, dt, n))
     return LangevinResult(particles=x, checkpoints=tuple(recorded),
                           dt=float(dt), steps=int(steps), seed=int(seed))
-
-
-def _scaled_normals(rng: np.random.Generator, buf: np.ndarray,
-                    root: float) -> np.ndarray:
-    """Fill buf with root * N(0, 1) draws; runs on the noise worker, so it
-    calls nothing but numpy."""
-    rng.standard_normal(out=buf)
-    buf *= root
-    return buf
 
 
 def _checkpoint(model, p0, x, step, t, lam, dt, n) -> LangevinCheckpoint:

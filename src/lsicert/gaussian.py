@@ -91,11 +91,16 @@ class GaussianStack:
     @cached_property
     def precisions(self) -> np.ndarray:
         """L^-T L^-1 from the Cholesky factors, by tril_inverse; about
-        two stacks at the peak, the precisions and one for P C - I."""
+        two stacks at the peak, the precisions and one for P C - I.  The
+        product P is symmetrized as P' + P in a contiguous copy of P':
+        P + P' takes a ufunc buffer of up to one more stack, and P += P'
+        also an overlap copy of P."""
         inv = tril_inverse(self.chols)
-        prec = inv.swapaxes(-1, -2) @ inv
+        prod = inv.swapaxes(-1, -2) @ inv
         del inv
-        prec += prec.swapaxes(-1, -2)
+        prec = prod.swapaxes(-1, -2).copy()
+        prec += prod
+        del prod
         prec *= 0.5
         resid = prec @ self.covs
         diag = np.arange(self.dim)
@@ -141,8 +146,9 @@ class GaussianDist:
         return self.stack.precisions[0]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        z = rng.standard_normal((n, self.dim))
-        return self.mean + z @ self.chol.T
+        x = rng.standard_normal((n, self.dim)) @ self.chol.T
+        x += self.mean
+        return x
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,7 +15,8 @@ They grow as a tree: each step extends the newest words by every block
 but their last, and a word is pushed and its log determinant taken once,
 when it is made.  From a start with the target's covariance, as every
 `lsicert verify ... gibbs` run takes, every deviation is 0 and no word
-is grown.
+is grown, so none is charged: such a mean-only sweep is charged its
+bytes and operations instead.
 
 The verifiers take the constants they check, rho_k and rho, and refuse
 any that is not finite and positive (one rho_k per block) before any
@@ -29,14 +30,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import Check, _checked_rho, _checked_rho_k
-from .gaussian import (GaussianDist, GaussianStack, _dot, avg_conditional_kl,
-                       gaussian_target, kl, memo_conditionals)
-from .model import GibbsModel, _is_integer
+from .gaussian import (GaussianDist, GaussianStack, _check_same_dim, _dot,
+                       avg_conditional_kl, gaussian_target, kl,
+                       memo_conditionals)
+from .model import DENSE_BYTE_BUDGET, GibbsModel, _is_integer
 
 DEFAULT_COMPONENT_CAP = 100_000
 # Largest storage a swept mixture may take; checked before any component
 # is built.
 MIXTURE_BYTE_BUDGET = 1 << 30
+# Operations a mean-only sweep may take, charged before the first push:
+# a block push costs about d^2 + _PUSH_OPS of them, _PUSH_OPS standing
+# for its fixed interpreter cost (about 13 us), at about 3 ns each on a
+# 2 vCPU machine (d = 512 and 1 024), so the ceiling is about 6 s.
+MEAN_ONLY_OP_BUDGET = 2 * 10**9
+_PUSH_OPS = 4096
+# Floats per d^2 a mean-only sweep holds at its peak, charged against
+# model.DENSE_BYTE_BUDGET: the moment, a push's copy, the weighted sum's
+# temporaries and the block conditionals (8.2 measured at m = 256).
+_MEAN_ONLY_FLOATS = 9
 
 
 def _component_bytes(dim: int) -> int:
@@ -57,6 +69,19 @@ def _check_budget(count: int, dim: int) -> None:
         raise ValueError(
             f"{count} components in dimension {dim} need {size} bytes, "
             f"budget is {MIXTURE_BYTE_BUDGET}")
+
+
+def _check_mean_only_budget(n_blocks: int, steps: int, dim: int) -> None:
+    size = _MEAN_ONLY_FLOATS * dim * dim * 8
+    if size > DENSE_BYTE_BUDGET:
+        raise ValueError(
+            f"a mean-only sweep in dimension {dim} needs {size} bytes, "
+            f"over the {DENSE_BYTE_BUDGET}-byte budget")
+    ops = steps * n_blocks * (dim * dim + _PUSH_OPS)
+    if ops > MEAN_ONLY_OP_BUDGET:
+        raise ValueError(
+            f"{steps} sweeps of {n_blocks} blocks in dimension {dim} take "
+            f"about {ops} operations, over the {MEAN_ONLY_OP_BUDGET} budget")
 
 
 def collapsed_word_count(n_blocks: int, sweeps: int) -> int:
@@ -166,22 +191,30 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
 
     U_m = 1/2 tr(K S_m) - 1/2 sum_w w_w log det(I + K Delta_w), S_0 =
     Delta_0 + y y' (y = p0.mean - m, Delta_0 = p0.cov - K^-1) and S_{m+1}
-    = sum_k (rho_k/R) L_k S_m L_k'.  The budget is charged for
-    collapsed_word_count(n_blocks, steps) components: past the cap or
-    the byte budget, ValueError is raised before any row.
+    = sum_k (rho_k/R) L_k S_m L_k'.  When Delta_0 != 0 the budget is
+    charged for collapsed_word_count(n_blocks, steps) components; when
+    Delta_0 = 0 no word is grown, and the mean-only sweep is charged its
+    bytes and its operations (_check_mean_only_budget).  Past either,
+    ValueError is raised before any row.
     """
     rho_k, rho = _checked_rho_k(model, rho_k), _checked_rho(rho)
     if not (_is_integer(steps) and steps >= 1):
         raise ValueError(f"need an integer count of at least one step, "
                          f"got {steps!r}")
     q = gaussian_target(model)
-    _check_budget(collapsed_word_count(model.partition.n, steps), model.dim)
+    _check_same_dim(p0, q)
+    y, delta = p0.mean - q.mean, p0.cov - q.cov
+    grows = bool(delta.any())
+    if grows:
+        _check_budget(collapsed_word_count(model.partition.n, steps),
+                      model.dim)
+    else:
+        _check_mean_only_budget(model.partition.n, steps, model.dim)
     share = rho_k / rho_k.sum()
     factor = 1.0 - rho / float(rho_k.sum())
     d0 = kl(p0, q)
     gain = memo_conditionals(model, model.partition)[1]
     pairs = [(idx, gain[idx]) for idx in map(np.array, model.partition.blocks)]
-    y, delta = p0.mean - q.mean, p0.cov - q.cov
     moment = np.outer(y, y) + delta
     # the word tree: per word its last block (-1 for the start word, kept
     # by no update, whose log det is read at weight 0 only), parent row,
@@ -194,7 +227,7 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
         moment = sum(s * _push(moment, idx, gain_rows)
                      for s, (idx, gain_rows) in zip(share, pairs))
         value = 0.5 * float(np.sum(model.precision * moment))
-        if delta.any():
+        if grows:
             first = len(last) - len(deltas)
             blocks, sources, deltas, grown_logdet = _grow(
                 last[first:], deltas, pairs, model.precision)

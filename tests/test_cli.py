@@ -737,8 +737,9 @@ def test_verify_quartic_model_usage_error(tmp_path, capsys):
 
 def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
                                                   monkeypatch):
-    # 256 singleton blocks, 2 sweeps: 65 536 components of 256 x 256 fit
-    # the component cap but not the byte budget; nothing may be swept
+    # 256 singleton blocks, 2 sweeps from the CLI's start: the mean-only
+    # sweep is charged 9 d^2 floats against the dense byte budget, here
+    # lowered to one byte less; nothing may be swept
     m = 256
     model = GibbsModel(partition=BlockPartition(tuple((i,) for i in range(m))),
                        precision=toeplitz_matrix(m, 4.0, {1: 1.0}),
@@ -750,11 +751,27 @@ def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
         raise AssertionError("swept before the budget check")
 
     monkeypatch.setattr(gibbs, "_push", no_sweep)
+    monkeypatch.setattr(gibbs, "DENSE_BYTE_BUDGET",
+                        gibbs._MEAN_ONLY_FLOATS * m * m * 8 - 1)
     code, out, err = run(["verify", str(path), "gibbs", "--steps", "2",
                           "--samples", "2000"], capsys)
     assert code == 1
     assert out == ""
-    assert "65536 components" in err and "budget" in err
+    assert f"dimension {m} needs" in err and "budget" in err
+
+
+def test_verify_gibbs_runs_a_five_site_chain(tmp_path, capsys, monkeypatch):
+    # 8 sweeps of 5 blocks would enumerate 109 225 words, over the
+    # component cap; the CLI's start grows none, so the run is not refused
+    path = write_doc(tmp_path, {"dim": 5, "partition": [[i] for i in range(5)],
+                                "toeplitz": {"m": 5, "diag": 4.0,
+                                             "band": {"1": 1.0}}})
+    monkeypatch.setattr(gibbs, "_grow", must_not_run)
+    code, out, err = run(["verify", path, "gibbs"], capsys)
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[2:]
+    assert [r.split(",")[1] for r in rows] == [f"step={m}" for m in range(9)]
+    assert all(r.endswith(",pass") for r in rows)
 
 
 def test_verify_gibbs_tracks_the_means_only(tmp_path, capsys, monkeypatch):
@@ -777,15 +794,18 @@ def test_verify_gibbs_tracks_the_means_only(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("blocks, args", [
-    (2, ["--steps", "50001"]),
-    (3, ["--steps", "100000"]),
+    (2, ["--steps", "243903"]),
+    (3, ["--steps", "162404"]),
     (2, ["--steps", "10000000"]),
 ])
 def test_verify_gibbs_oversized_run_refused_up_front(blocks, args, tmp_path,
                                                     capsys, monkeypatch):
-    # the component count is charged before the first sweep: an oversized
-    # run, from just over the cap (2 x 50 001 components) up, is refused
-    # at once, in one line
+    # the mean-only sweep's operations are charged before the first sweep:
+    # an oversized run, from one step past gibbs.MEAN_ONLY_OP_BUDGET up,
+    # is refused at once, in one line
+    steps = int(args[1])
+    per_step = blocks * (blocks * blocks + gibbs._PUSH_OPS)
+    assert steps > gibbs.MEAN_ONLY_OP_BUDGET // per_step
     prec = np.full((blocks, blocks), -0.5)
     np.fill_diagonal(prec, 2.0)
     path = tmp_path / "blocks.json"
@@ -878,6 +898,36 @@ def test_toeplitz_bad_band(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("usage error") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["verify", "MODEL", "gibbs", "--steps", "1_000"],
+                 "argument --steps: invalid integer: '1_000'",
+                 id="bad-integer"),
+    pytest.param(["verify", "MODEL", "gibbs", "--bogus"],
+                 "unrecognized arguments: --bogus", id="unknown-option"),
+    pytest.param(["criteria", "MODEL", "--out"],
+                 "argument --out: expected one argument", id="no-out-path"),
+    pytest.param(["verify", "MODEL"],
+                 "the following arguments are required: subcheck",
+                 id="no-subcheck"),
+    pytest.param(["toeplitz", "--m", "8"],
+                 "the following arguments are required: --band",
+                 id="no-band"),
+    pytest.param(["verify", "MODEL", "bogus"],
+                 "argument subcheck: invalid choice", id="bad-subcheck"),
+    pytest.param([], "the following arguments are required: command",
+                 id="no-command"),
+])
+def test_argv_errors_are_one_usage_line(argv, message, model_path, capsys):
+    # argparse printed its usage before the error line; now the error is
+    # the one stderr line, exit 1, as every other refusal
+    argv = [model_path if a == "MODEL" else a for a in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage error: {message}"), err
+    assert len(err.splitlines()) == 1
+    assert "usage:" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -147,6 +147,25 @@ def test_stack_precisions_peak_near_two_stacks(rng):
     assert got.tobytes() == want.tobytes()
 
 
+def test_stack_precisions_of_small_blocks_peak_near_two_stacks(rng):
+    # at T = 81, d = 8 symmetrizing in place took an overlap copy and a
+    # ufunc buffer of the whole stack: 3.04 stacks; 2.23 measured since.
+    # Each row equals the single law's precision bit for bit.
+    t, d = 81, 8
+    stack = random_gaussians(rng, t, d)
+    tracemalloc.start()
+    try:
+        got = stack.precisions
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * t * d * d * 8, peak / (t * d * d * 8)
+    for i in (0, 40, 80):
+        law = stack.law(i)
+        assert got[i].tobytes() == law.precision.tobytes()
+        assert np.array_equal(got[i], got[i].T)
+
+
 def test_gaussian_target_reference(model2d):
     q = gaussian_target(model2d)
     assert_allclose(q.cov, (4.0 / 3.0) * np.array([[1.0, 0.5], [0.5, 1.0]]),

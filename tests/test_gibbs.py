@@ -581,10 +581,19 @@ def test_component_divergence_contracts_each_sweep(seed):
         assert after.value <= factor * before.value + 1e-9
 
 
+def general_start(model, shift):
+    """A law whose covariance is not the target's, so that a sweep grows
+    the word tree."""
+    q = gaussian_target(model)
+    return GaussianDist(q.mean + np.asarray(shift, dtype=float),
+                        np.eye(model.dim))
+
+
 def test_contraction_cap_fallback(model2d, monkeypatch):
     monkeypatch.setattr(gibbs, "DEFAULT_COMPONENT_CAP", 4)
+    monkeypatch.setattr(gibbs, "_grow", must_not_run)
     rep = criteria_report(model2d)
-    p0 = shifted_target(model2d, [2.0, -1.0])
+    p0 = general_start(model2d, [2.0, -1.0])
     with pytest.raises(ValueError, match="more than 4 components"):
         verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=4)
 
@@ -595,11 +604,56 @@ def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
     monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET",
                         5 * gibbs._component_bytes(2))
     rep = criteria_report(model2d)
-    p0 = shifted_target(model2d, [2.0, -1.0])
+    p0 = general_start(model2d, [2.0, -1.0])
     with pytest.raises(ValueError, match="6 components in dimension 2 need"):
         verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=3)
     rows = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=2)
     assert [r.param for r in rows] == ["step=0", "step=1", "step=2"]
+
+
+def singleton_chain(m):
+    return GibbsModel(partition=BlockPartition(tuple((i,) for i in range(m))),
+                      precision=toeplitz_matrix(m, 4.0, {1: 1.0}),
+                      mean=np.zeros(m), quartic=np.zeros(m))
+
+
+def test_general_start_past_the_cap_is_refused_before_any_row(monkeypatch):
+    model = singleton_chain(5)
+    rho_k, rho = block_lsi_constants(model), solve_rho_marton(model)
+    assert collapsed_word_count(5, 8) > gibbs.DEFAULT_COMPONENT_CAP
+    monkeypatch.setattr(gibbs, "_push", must_not_run)
+    monkeypatch.setattr(gibbs, "_grow", must_not_run)
+    monkeypatch.setattr(gibbs, "kl", must_not_run)
+    with pytest.raises(ValueError, match="more than 100000 components"):
+        verify_contraction(general_start(model, np.ones(5)), model, rho_k,
+                           rho, steps=8)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 5, 64])
+def test_mean_only_operation_ceiling(blocks):
+    # the largest step count inside MEAN_ONLY_OP_BUDGET is charged
+    # without error, one more is refused
+    per_step = blocks * (blocks * blocks + gibbs._PUSH_OPS)
+    steps = gibbs.MEAN_ONLY_OP_BUDGET // per_step
+    gibbs._check_mean_only_budget(blocks, steps, blocks)
+    with pytest.raises(ValueError, match="operations, over the"):
+        gibbs._check_mean_only_budget(blocks, steps + 1, blocks)
+
+
+def test_mean_only_sweep_peak_within_its_byte_charge():
+    # 256 singleton blocks, 8 sweeps from the CLI's start: the moment, a
+    # push's copy, the weighted sum's temporaries and the model's
+    # conditionals; 8.2 d^2 floats measured, 9 charged
+    m = 256
+    model = singleton_chain(m)
+    p0 = shifted_target(model, np.ones(m))
+    tracemalloc.start()
+    try:
+        verify_contraction(p0, model, np.ones(m), 0.5, steps=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= gibbs._MEAN_ONLY_FLOATS * m * m * 8, peak / (m * m * 8)
 
 
 @pytest.mark.parametrize("sweeps", [5, 7])

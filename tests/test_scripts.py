@@ -118,3 +118,25 @@ def test_entropy_flow_reads_numbers_as_lsicert_does(args):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("usage error")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args, line", [
+    pytest.param(["--bogus"], "usage error: unrecognized arguments: --bogus",
+                 id="unknown-option"),
+    pytest.param(["--particles", "0"], "usage error: need an integer count "
+                 "of at least 1000 particles", id="too-few-particles"),
+    pytest.param(["--horizon", "1e999"], "usage error: --horizon must be "
+                 "finite", id="infinite-horizon"),
+])
+def test_entropy_flow_refuses_before_printing(args, line):
+    # argparse printed its usage and exited 2 on an unknown option; the
+    # particle count was refused after the closed-form lines were printed,
+    # and an infinite horizon warned in np.linspace first
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" /
+                                               "entropy_flow.py"), *args],
+                          env=ENV, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(line), proc.stderr
+    assert proc.stderr.count("\n") == 1
