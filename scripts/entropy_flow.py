@@ -9,8 +9,9 @@ cross-checks with an Euler-Maruyama particle cloud.  Exits 4, as
 are read as `lsicert` reads its own: --nodes, --particles and --seed as
 decimal integers, --horizon as a finite decimal literal, so `5_001`,
 `1_0`, `1e999` or an unknown option is refused with exit 1 and one
-stderr line.  Every check runs before the first line is printed, so a
-refused run prints nothing to stdout.
+stderr line, as is a grid or particle cloud over the budgets of
+`lsicert.model.charge`.  Every check runs before the first line is
+printed, so a refused run prints nothing to stdout.
 
 Usage: python scripts/entropy_flow.py [model.json] [--csv out.csv]
 """
@@ -29,7 +30,7 @@ from lsicert.fokker_planck import (
 )
 from lsicert.gaussian import GaussianDist, gaussian_target
 from lsicert.instances import model_2d
-from lsicert.model import load_model
+from lsicert.model import charge, load_model
 
 
 def write_entropy_csv(trace: EntropyTrace, path) -> None:
@@ -65,6 +66,7 @@ def flow(args) -> int:
     _, rho = certified_constants(model)
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + 2.0, q.cov)
+    charge(f"a grid of {args.nodes} nodes", 8 * args.nodes)
     times = np.linspace(0.0, horizon, args.nodes)
     trace, checks = dissipation_check(p0, model, times, rho=rho)
     dt = 0.05 / curvature_bound(model, p0)

@@ -19,12 +19,11 @@ chunk size.
 Exit codes: 0 success, 1 usage error (including `verify` on a model with
 a quartic term, since the closed-form verifiers need a Gaussian model,
 `verify` with --trials or --steps below 1, refused before any work,
-`verify gibbs` when its mean-only sweep would exceed the byte budget or
-gibbs.MEAN_ONLY_OP_BUDGET, refused before any sweep, a bad option value,
-an unknown option or a missing argument, each as one `usage error` line
-without argparse's usage text, a model whose dense K, or a
-`toeplitz` section whose two dense m x m arrays, would exceed
-`model.DENSE_BYTE_BUDGET`, refused before anything is built, non-finite
+work over a budget of `model.charge`, refused before it is built: a
+model's dense K, a `toeplitz` section, a `verify` table's rows, --trials
+charged before the model is read, or a `verify gibbs` sweep's bytes and
+pushes; a bad option value, an unknown option or a missing argument,
+each as one `usage error` line without argparse's usage text, non-finite
 or overflowing `toeplitz` coefficients, an offset or any other integer
 option not matching [+-]?[0-9]+, an offset given twice, a --diag or band
 coefficient that is no decimal literal such as 1, -0.5, .5 or 2e-3, and
@@ -56,7 +55,8 @@ from .criteria import (CertificateError, a0_extremes, block_lsi_constants,
                        criteria_report, solve_rho_marton,
                        toeplitz_spectrum_report)
 from .gaussian import GaussianDist, gaussian_target
-from .model import ModelError, load_model, model_digest, toeplitz_band
+from .model import (ROW_BYTES, ModelError, charge, load_model, model_digest,
+                    toeplitz_band)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,6 +66,7 @@ EXIT_VERIFY_FAILED = 4
 
 SUBCHECKS = ("theorem1", "gibbs", "transport", "prop4", "dissipation")
 _DEFAULT_TRIALS = {"theorem1": 200, "transport": 500, "prop4": 500}
+_ROWS_PER_TRIAL = {"theorem1": 1, "transport": 1, "prop4": 2}
 # Size of the covariance stack of one chunk of closed-form trials; each
 # chunk is drawn and checked in one stacked verifier call.
 _TRIAL_CHUNK_BYTES = 256 << 10
@@ -161,6 +162,8 @@ def cmd_verify(args) -> int:
         print("usage error: need --trials >= 1 and --steps >= 1",
               file=sys.stderr)
         return EXIT_USAGE
+    rows = trials * _ROWS_PER_TRIAL.get(args.subcheck, 0)
+    charge(f"a table of {trials} trials", rows * ROW_BYTES)
     model = load_model(args.model)
     rho_k, rho = certified_constants(model)
     if args.subcheck == "gibbs":

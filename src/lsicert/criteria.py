@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .model import (DENSE_BYTE_BUDGET, GibbsModel, extreme_eigvalsh,
-                    per_object, toeplitz_band, toeplitz_matrix)
+from .model import (GibbsModel, charge, extreme_eigvalsh, per_object,
+                    toeplitz_band, toeplitz_matrix)
 
 
 class CertificateError(Exception):
@@ -377,10 +377,7 @@ def toeplitz_spectrum_report(m: int, diag: float,
         raise ValueError("finite sections below size 4 are not informative")
     # one section and either a dense eigvalsh's working copy or the banded
     # route's band storage; the bandwidth scan holds one 1 MiB mask block
-    need = 2 * m * m * 8
-    if need > DENSE_BYTE_BUDGET:
-        raise ValueError(f"a {m}x{m} section needs {need} bytes of dense "
-                         f"arrays, over the {DENSE_BYTE_BUDGET}-byte budget")
+    charge(f"a {m}x{m} section", 2 * m * m * 8)
     band = toeplitz_band(band)
     if not np.all(np.isfinite([diag, *band.values()])):
         raise ValueError("diag and band coefficients must be finite")

@@ -31,8 +31,8 @@ import numpy as np
 from .criteria import Check, _checked_rho
 from .gaussian import (GaussianDist, _check_same_dim, gaussian_target,
                        tril_inverse)
-from .model import (GibbsModel, _is_integer, extreme_eigvalsh, grad_potential,
-                    per_object)
+from .model import (GibbsModel, _is_integer, charge, extreme_eigvalsh,
+                    grad_potential, per_object)
 
 DISSIPATION_REL_TOL = 1e-5
 INTEGRAL_REL_TOL = 1e-4
@@ -188,6 +188,8 @@ def entropy_trace(p0: GaussianDist, model: GibbsModel, times,
     The grid must be one-dimensional with at least two nodes, each
     finite and non-negative, p0 must have the model's dimension and a
     given rho must be finite and positive (ValueError before any work).
+    A node is charged 2 d + 16 floats (tracemalloc reads 2 d + 6 on the
+    mean-only trace, 2 d + 12 with a covariance part, at d = 1 to 32).
     The bound exp(-2 rho (t - t_0)) D(p_t0||q) is anchored at the grid's
     first node t_0, where the trace's first divergence is read.
     """
@@ -195,6 +197,8 @@ def entropy_trace(p0: GaussianDist, model: GibbsModel, times,
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("trace needs at least two grid nodes")
+    charge(f"a trace of {times.size} nodes in dimension {model.dim}",
+           8 * (2 * model.dim + 16) * times.size)
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise ValueError("grid times must be finite and non-negative")
     _check_same_dim(p0, q)
@@ -294,7 +298,8 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
     update the particles in place, one block of rows at a time: the
     block's drift, then its noise, drawn into one reused block-sized
     buffer (a working set of about 2 n d floats, the particles and a
-    checkpoint's centered copy).  The blocks are taken in row order, so
+    checkpoint's centered copy; 2.5 n d floats and steps n d operations
+    are charged).  The blocks are taken in row order, so
     the stream and the particles are those of one draw per step.  At
     each checkpoint step the empirical moments are recorded; for Gaussian
     models they are compared against the closed-form moments within
@@ -308,6 +313,9 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("step size must be positive and finite")
     _check_same_dim(p0, model)
+    charge(f"a cloud of {n} particles in dimension {model.dim} over "
+           f"{steps} steps", 20 * int(n) * model.dim,
+           int(steps) * int(n) * model.dim)  # Python ints: no wraparound
     lam = curvature_bound(model, p0)
     if lam > 0 and dt > _STABILITY_FRACTION / lam:
         raise StepSizeError(

@@ -15,8 +15,8 @@ They grow as a tree: each step extends the newest words by every block
 but their last, and a word is pushed and its log determinant taken once,
 when it is made.  From a start with the target's covariance, as every
 `lsicert verify ... gibbs` run takes, every deviation is 0 and no word
-is grown, so none is charged: such a mean-only sweep is charged its
-bytes and operations instead.
+is grown, so such a mean-only sweep is charged for its moment, rows and
+pushes alone.
 
 The verifiers take the constants they check, rho_k and rho, and refuse
 any that is not finite and positive (one rho_k per block) before any
@@ -33,55 +33,21 @@ from .criteria import Check, _checked_rho, _checked_rho_k
 from .gaussian import (GaussianDist, GaussianStack, _check_same_dim, _dot,
                        avg_conditional_kl, gaussian_target, kl,
                        memo_conditionals)
-from .model import DENSE_BYTE_BUDGET, GibbsModel, _is_integer
+from .model import ROW_BYTES, GibbsModel, _is_integer, charge
 
 DEFAULT_COMPONENT_CAP = 100_000
-# Largest storage a swept mixture may take; checked before any component
-# is built.
-MIXTURE_BYTE_BUDGET = 1 << 30
-# Operations a mean-only sweep may take, charged before the first push:
-# a block push costs about d^2 + _PUSH_OPS of them, _PUSH_OPS standing
-# for its fixed interpreter cost (about 13 us), at about 3 ns each on a
-# 2 vCPU machine (d = 512 and 1 024), so the ceiling is about 6 s.
-MEAN_ONLY_OP_BUDGET = 2 * 10**9
+# A block push is charged d^2 + _PUSH_OPS operations, _PUSH_OPS standing
+# for its fixed interpreter cost (about 13 us).
 _PUSH_OPS = 4096
-# Floats per d^2 a mean-only sweep holds at its peak, charged against
-# model.DENSE_BYTE_BUDGET: the moment, a push's copy, the weighted sum's
-# temporaries and the block conditionals (8.2 measured at m = 256).
-_MEAN_ONLY_FLOATS = 9
 
 
-def _component_bytes(dim: int) -> int:
-    """Bytes charged per component of the largest swept mixture: 7 d^2 +
-    7 d + 9 floats, kept as the charge of the enumeration of whole
-    component laws, so the budget refuses the same runs.  It bounds the
-    word tree, its newest deviations and their log determinants:
-    tracemalloc reads 1.2-1.3 d^2 floats per word at d = 32 and 64."""
-    return (7 * dim * dim + 7 * dim + 9) * 8
-
-
-def _check_budget(count: int, dim: int) -> None:
-    if count > DEFAULT_COMPONENT_CAP:
-        raise ValueError(f"mixture would have more than "
-                         f"{DEFAULT_COMPONENT_CAP} components")
-    size = count * _component_bytes(dim)
-    if size > MIXTURE_BYTE_BUDGET:
-        raise ValueError(
-            f"{count} components in dimension {dim} need {size} bytes, "
-            f"budget is {MIXTURE_BYTE_BUDGET}")
-
-
-def _check_mean_only_budget(n_blocks: int, steps: int, dim: int) -> None:
-    size = _MEAN_ONLY_FLOATS * dim * dim * 8
-    if size > DENSE_BYTE_BUDGET:
-        raise ValueError(
-            f"a mean-only sweep in dimension {dim} needs {size} bytes, "
-            f"over the {DENSE_BYTE_BUDGET}-byte budget")
-    ops = steps * n_blocks * (dim * dim + _PUSH_OPS)
-    if ops > MEAN_ONLY_OP_BUDGET:
-        raise ValueError(
-            f"{steps} sweeps of {n_blocks} blocks in dimension {dim} take "
-            f"about {ops} operations, over the {MEAN_ONLY_OP_BUDGET} budget")
+def _sweep_floats(dim: int, words: int) -> int:
+    """Floats a sweep that grows `words` words holds at its peak: 9 d^2
+    for the moment, a push's copy, the weighted sum's temporaries and the
+    block conditionals (8.2 measured at m = 256), and 2 d^2 + 24 per word
+    for its deviation, log determinant and tree entries (tracemalloc:
+    1.27-1.33 d^2 at d = 8 and 32, under 7 floats at d = 2)."""
+    return 9 * dim * dim + words * (2 * dim * dim + 24)
 
 
 def collapsed_word_count(n_blocks: int, sweeps: int) -> int:
@@ -191,11 +157,11 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
 
     U_m = 1/2 tr(K S_m) - 1/2 sum_w w_w log det(I + K Delta_w), S_0 =
     Delta_0 + y y' (y = p0.mean - m, Delta_0 = p0.cov - K^-1) and S_{m+1}
-    = sum_k (rho_k/R) L_k S_m L_k'.  When Delta_0 != 0 the budget is
-    charged for collapsed_word_count(n_blocks, steps) components; when
-    Delta_0 = 0 no word is grown, and the mean-only sweep is charged its
-    bytes and its operations (_check_mean_only_budget).  Past either,
-    ValueError is raised before any row.
+    = sum_k (rho_k/R) L_k S_m L_k'.  Before any row the run is charged
+    _sweep_floats for its words, collapsed_word_count(n, steps) of them
+    when Delta_0 != 0 (at most DEFAULT_COMPONENT_CAP) and none when
+    Delta_0 = 0, plus ROW_BYTES a row, and steps n (d^2 + _PUSH_OPS)
+    operations; past either budget, ValueError.
     """
     rho_k, rho = _checked_rho_k(model, rho_k), _checked_rho(rho)
     if not (_is_integer(steps) and steps >= 1):
@@ -205,11 +171,14 @@ def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,
     _check_same_dim(p0, q)
     y, delta = p0.mean - q.mean, p0.cov - q.cov
     grows = bool(delta.any())
-    if grows:
-        _check_budget(collapsed_word_count(model.partition.n, steps),
-                      model.dim)
-    else:
-        _check_mean_only_budget(model.partition.n, steps, model.dim)
+    n, d = model.partition.n, model.dim
+    words = collapsed_word_count(n, steps) if grows else 0
+    if words > DEFAULT_COMPONENT_CAP:
+        raise ValueError(f"mixture would have more than "
+                         f"{DEFAULT_COMPONENT_CAP} components")
+    charge(f"a run of {steps} sweeps of {n} blocks in dimension {d}",
+           8 * _sweep_floats(d, words) + (int(steps) + 1) * ROW_BYTES,
+           int(steps) * n * (d * d + _PUSH_OPS))
     share = rho_k / rho_k.sum()
     factor = 1.0 - rho / float(rho_k.sum())
     d0 = kl(p0, q)

@@ -28,9 +28,14 @@ import numpy as np
 from scipy.linalg import eigvals_banded
 
 SYMMETRY_TOL = 1e-12
-# Bytes a document may ask for in its dense K, charged before anything is
-# built.  Structured storage for Toeplitz specs would lift this for them.
+# Bytes and operations one run may ask for, each charged by `charge`
+# before anything large is built.  An operation is about 3 ns on a 2 vCPU
+# machine, so OP_BUDGET is about 6 s of work.
 DENSE_BYTE_BUDGET = 256 * 2**20
+OP_BUDGET = 2 * 10**9
+# Bytes charged per row of a `verify` table, from its Check to its CSV
+# line: tracemalloc reads 460 (gibbs) to 550 (prop4) at the CLI.
+ROW_BYTES = 640
 # Size of one row block of A - A' in `symmetrized`, which takes a stack of
 # matrices a block at a time so that no full temporary is built.
 _SYMMETRY_CHUNK_BYTES = 1 << 20
@@ -38,6 +43,17 @@ _SYMMETRY_CHUNK_BYTES = 1 << 20
 # bandwidth b when m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m.
 _BANDED_MIN_DIM = 64
 _BANDED_RATIO = 32
+
+
+def charge(what: str, nbytes: int, ops: int = 0) -> None:
+    """Refuse `what` in one ValueError line when it needs more than
+    DENSE_BYTE_BUDGET bytes or takes more than OP_BUDGET operations."""
+    if nbytes > DENSE_BYTE_BUDGET:
+        raise ValueError(f"{what} needs {nbytes} bytes, over the "
+                         f"{DENSE_BYTE_BUDGET}-byte budget")
+    if ops > OP_BUDGET:
+        raise ValueError(f"{what} takes about {ops} operations, over the "
+                         f"{OP_BUDGET} budget")
 
 
 def per_object(fn):
@@ -368,10 +384,7 @@ def model_from_dict(doc: dict) -> GibbsModel:
     dim = doc["dim"]
     if not _is_integer(dim):
         raise ModelFormatError("'dim' must be an integer")
-    dense_bytes = int(dim) ** 2 * 8
-    if dense_bytes > DENSE_BYTE_BUDGET:
-        raise ValueError(f"a dense {dim}x{dim} precision needs {dense_bytes} "
-                         f"bytes, over the {DENSE_BYTE_BUDGET}-byte budget")
+    charge(f"a dense {dim}x{dim} precision", int(dim) ** 2 * 8)
     partition = BlockPartition(doc["partition"])
     if partition.dim != dim:
         raise ModelValidationError(

@@ -5,6 +5,7 @@ import argparse
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsicert import cli, criteria, fokker_planck, gibbs
+from lsicert import model as lsimodel
 from lsicert.criteria import Check, criteria_report
 from lsicert.gaussian import GaussianDist, gaussian_target
 from lsicert.instances import (model_2d, random_certified_model,
@@ -314,6 +316,42 @@ def test_criteria_on_mutated_documents(tmp_path_factory, data):
     if code == 0:
         leaves = [_at(doc, p) for p in _paths(doc)]
         assert {type(v) for v in leaves} <= {int, float, list, dict}
+
+
+# an integer option's token: small, so that an admitted run stays cheap,
+# from 10^9 to 10^12, past every budget it is charged against, or text
+# that is no such integer
+_COUNT_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str), st.integers(10 ** 9, 10 ** 12).map(str),
+    st.sampled_from(["1_0", "+2", "-0", "1e3", "", " 4", "\u0663"]))
+
+
+@given(st.data())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_verify_and_toeplitz_on_generated_options(tmp_path_factory, data):
+    # whatever --trials, --steps, --m and --seed hold, verify (every
+    # subcheck, on the documents above) and toeplitz exit with a documented
+    # code, print no traceback and, on refusal, one stderr line
+    if data.draw(st.booleans()):
+        argv = ["toeplitz", "--m", data.draw(_COUNT_TOKENS), "--band", "1=1"]
+    else:
+        doc = data.draw(st.integers(0, len(_FUZZ_DOCS) - 1))
+        path = tmp_path_factory.getbasetemp() / f"options-{doc}.json"
+        if not path.exists():
+            path.write_text(json.dumps(_FUZZ_DOCS[doc]))
+        argv = ["verify", str(path), data.draw(st.sampled_from(cli.SUBCHECKS))]
+        for option in ("--trials", "--steps", "--seed"):
+            if data.draw(st.booleans()):
+                argv += [option, data.draw(st.one_of(
+                    _COUNT_TOKENS, st.integers(0, 10 ** 12).map(str)))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in range(5)
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (code not in (0, 4)), err
+    assert (out != "") == (code in (0, 4))
 
 
 @pytest.mark.filterwarnings("error")
@@ -738,8 +776,8 @@ def test_verify_quartic_model_usage_error(tmp_path, capsys):
 def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
                                                   monkeypatch):
     # 256 singleton blocks, 2 sweeps from the CLI's start: the mean-only
-    # sweep is charged 9 d^2 floats against the dense byte budget, here
-    # lowered to one byte less; nothing may be swept
+    # sweep is charged 9 d^2 floats and its 3 rows against the dense byte
+    # budget, here lowered to one byte less; nothing may be swept
     m = 256
     model = GibbsModel(partition=BlockPartition(tuple((i,) for i in range(m))),
                        precision=toeplitz_matrix(m, 4.0, {1: 1.0}),
@@ -751,8 +789,9 @@ def test_verify_gibbs_byte_budget_checked_up_front(tmp_path, capsys,
         raise AssertionError("swept before the budget check")
 
     monkeypatch.setattr(gibbs, "_push", no_sweep)
-    monkeypatch.setattr(gibbs, "DENSE_BYTE_BUDGET",
-                        gibbs._MEAN_ONLY_FLOATS * m * m * 8 - 1)
+    monkeypatch.setattr(lsimodel, "DENSE_BYTE_BUDGET",
+                        8 * gibbs._sweep_floats(m, 0)
+                        + 3 * lsimodel.ROW_BYTES - 1)
     code, out, err = run(["verify", str(path), "gibbs", "--steps", "2",
                           "--samples", "2000"], capsys)
     assert code == 1
@@ -797,15 +836,19 @@ def test_verify_gibbs_tracks_the_means_only(tmp_path, capsys, monkeypatch):
     (2, ["--steps", "243903"]),
     (3, ["--steps", "162404"]),
     (2, ["--steps", "10000000"]),
+    (1, ["--steps", "419430"]),
 ])
 def test_verify_gibbs_oversized_run_refused_up_front(blocks, args, tmp_path,
                                                     capsys, monkeypatch):
-    # the mean-only sweep's operations are charged before the first sweep:
-    # an oversized run, from one step past gibbs.MEAN_ONLY_OP_BUDGET up,
-    # is refused at once, in one line
+    # the mean-only sweep's operations and rows are charged before the
+    # first sweep: an oversized run, from one step past model.OP_BUDGET
+    # (or, on one block, past the rows' byte budget) up, is refused at
+    # once, in one line
     steps = int(args[1])
     per_step = blocks * (blocks * blocks + gibbs._PUSH_OPS)
-    assert steps > gibbs.MEAN_ONLY_OP_BUDGET // per_step
+    rows_bytes = lsimodel.DENSE_BYTE_BUDGET - 8 * gibbs._sweep_floats(blocks, 0)
+    assert steps > min(lsimodel.OP_BUDGET // per_step,
+                       rows_bytes // lsimodel.ROW_BYTES - 1)
     prec = np.full((blocks, blocks), -0.5)
     np.fill_diagonal(prec, 2.0)
     path = tmp_path / "blocks.json"
@@ -823,6 +866,81 @@ def test_verify_gibbs_oversized_run_refused_up_front(blocks, args, tmp_path,
     assert code == 1
     assert out == ""
     assert err.startswith("usage error") and len(err.splitlines()) == 1
+
+
+def _two_block_model(dim):
+    half = dim // 2
+    part = BlockPartition((tuple(range(half)), tuple(range(half, dim))))
+    return GibbsModel(partition=part,
+                      precision=toeplitz_matrix(dim, 4.0, {1: 1.0}),
+                      mean=np.zeros(dim), quartic=np.zeros(dim))
+
+
+def _first_steps_over(fits):
+    """The least step count s with fits(s) false, fits(s - 1) true."""
+    steps = 1
+    while fits(steps):
+        steps += 1
+    return steps
+
+
+def _refusal_site(site, tmp_path):
+    """A call one unit past one budget of lsicert.model.charge; whatever
+    it needs but does not build is built here."""
+    budget, ops = lsimodel.DENSE_BYTE_BUDGET, lsimodel.OP_BUDGET
+    if site == "dense-precision":
+        dim = math.isqrt(budget // 8) + 1
+        doc = {"dim": dim, "partition": [[i] for i in range(dim)],
+               "toeplitz": {"m": dim, "diag": 3.0, "band": {"1": 1.0}}}
+        return lambda: lsimodel.model_from_dict(doc)
+    if site == "toeplitz-section":
+        m = math.isqrt(budget // 16) + 1
+        return lambda: criteria.toeplitz_spectrum_report(m, 3.0, {1: 1.0})
+    if site == "trials":
+        path = write_doc(tmp_path, model_to_dict(model_2d()))
+        trials = budget // lsimodel.ROW_BYTES + 1
+        return lambda: cli.cmd_verify(cli.PARSER.parse_args(
+            ["verify", path, "theorem1", "--trials", str(trials)]))
+    if site in ("gibbs-words", "gibbs-operations"):
+        dim = 32 if site == "gibbs-words" else 2
+        model = _two_block_model(dim)
+        q = gaussian_target(model)
+        p0 = GaussianDist(q.mean + 1.0, np.eye(dim) if dim == 32 else q.cov)
+        if dim == 32:  # 2 s words after s sweeps of two blocks
+            steps = _first_steps_over(lambda s: 8 * gibbs._sweep_floats(
+                dim, 2 * s) + (s + 1) * lsimodel.ROW_BYTES <= budget)
+        else:
+            steps = ops // (2 * (4 + gibbs._PUSH_OPS)) + 1
+        return lambda: gibbs.verify_contraction(p0, model, np.ones(2), 0.5,
+                                                steps)
+    model = _two_block_model(2)
+    p0 = gaussian_target(model)
+    if site == "trace-nodes":
+        times = np.linspace(0.0, 1.0, budget // (8 * (2 * 2 + 16)) + 1)
+        return lambda: fokker_planck.entropy_trace(p0, model, times)
+    n, steps = ((budget // 40 + 1, 1) if site == "particle-bytes"
+                else (1000, ops // 2000 + 1))
+    return lambda: fokker_planck.langevin_particles(model, p0, 0.01, steps,
+                                                    n, seed=0)
+
+
+@pytest.mark.parametrize("site", [
+    "dense-precision", "toeplitz-section", "trials", "gibbs-words",
+    "gibbs-operations", "trace-nodes", "particle-bytes",
+    "particle-operations"])
+def test_each_charge_refuses_before_one_mib(site, tmp_path):
+    # one unit past its budget, each refusal site raises its one-line
+    # ValueError before it has allocated 1 MiB
+    call = _refusal_site(site, tmp_path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget") as info:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(str(info.value).splitlines()) == 1
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("args", [

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import multivariate_normal
 
 from lsicert import gibbs
+from lsicert import model as lsimodel
 from lsicert.criteria import (block_lsi_constants, criteria_report,
                               solve_rho_marton)
 from lsicert.gaussian import (GaussianDist, gaussian_target, kl,
@@ -463,7 +464,7 @@ def test_contraction_refuses_bad_step_count(model2d, steps, monkeypatch):
     # before any work, as the CLI refuses --steps below 1
     rho_k, rho = block_lsi_constants(model2d), solve_rho_marton(model2d)
     p0 = shifted_target(model2d, [1.0, 1.0])
-    monkeypatch.setattr(gibbs, "_check_budget", must_not_run)
+    monkeypatch.setattr(gibbs, "charge", must_not_run)
     monkeypatch.setattr(gibbs, "gaussian_target", must_not_run)
     with pytest.raises(ValueError, match="at least one step"):
         verify_contraction(p0, model2d, rho_k, rho, steps=steps)
@@ -599,13 +600,15 @@ def test_contraction_cap_fallback(model2d, monkeypatch):
 
 
 def test_contraction_fallback_respects_byte_budget(model2d, monkeypatch):
-    # room for 5 components of 2 x 2: steps 1 and 2 (2 and 4 components)
-    # fit, step 3 (6 components) is refused before any sweep
-    monkeypatch.setattr(gibbs, "MIXTURE_BYTE_BUDGET",
-                        5 * gibbs._component_bytes(2))
+    # room for 5 components of 2 x 2 and 4 rows: steps 1 and 2 (2 and 4
+    # components) fit, step 3 (6 components) is refused before any sweep
+    monkeypatch.setattr(lsimodel, "DENSE_BYTE_BUDGET",
+                        8 * gibbs._sweep_floats(2, 5)
+                        + 4 * lsimodel.ROW_BYTES)
     rep = criteria_report(model2d)
     p0 = general_start(model2d, [2.0, -1.0])
-    with pytest.raises(ValueError, match="6 components in dimension 2 need"):
+    with pytest.raises(ValueError, match="3 sweeps of 2 blocks in dimension "
+                                         "2 needs"):
         verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=3)
     rows = verify_contraction(p0, model2d, rep.rho_k, rep.rho_marton, steps=2)
     assert [r.param for r in rows] == ["step=0", "step=1", "step=2"]
@@ -629,15 +632,35 @@ def test_general_start_past_the_cap_is_refused_before_any_row(monkeypatch):
                            rho, steps=8)
 
 
+class Admitted(Exception):
+    """Raised by a patched push: the run passed its charge."""
+
+
 @pytest.mark.parametrize("blocks", [1, 2, 5, 64])
-def test_mean_only_operation_ceiling(blocks):
-    # the largest step count inside MEAN_ONLY_OP_BUDGET is charged
-    # without error, one more is refused
+def test_mean_only_operation_ceiling(blocks, monkeypatch):
+    # the largest step count inside model.OP_BUDGET and, for its rows,
+    # model.DENSE_BYTE_BUDGET reaches the first push, one more is refused;
+    # the rows bind first on one block alone
+    ceiling = {1: 419429, 2: 243902, 5: 97063, 64: 3814}[blocks]
     per_step = blocks * (blocks * blocks + gibbs._PUSH_OPS)
-    steps = gibbs.MEAN_ONLY_OP_BUDGET // per_step
-    gibbs._check_mean_only_budget(blocks, steps, blocks)
-    with pytest.raises(ValueError, match="operations, over the"):
-        gibbs._check_mean_only_budget(blocks, steps + 1, blocks)
+    by_rows = (lsimodel.DENSE_BYTE_BUDGET - 8 * gibbs._sweep_floats(blocks, 0)
+               ) // lsimodel.ROW_BYTES - 1
+    assert ceiling == min(lsimodel.OP_BUDGET // per_step, by_rows)
+    model = GibbsModel(partition=BlockPartition(tuple((i,) for i in
+                                                      range(blocks))),
+                       precision=4.0 * np.eye(blocks), mean=np.zeros(blocks),
+                       quartic=np.zeros(blocks))
+    p0 = shifted_target(model, np.ones(blocks))
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(gibbs, "_push", admitted)
+    with pytest.raises(Admitted):
+        verify_contraction(p0, model, np.ones(blocks), 0.5, ceiling)
+    unit = "bytes" if blocks == 1 else "operations"
+    with pytest.raises(ValueError, match=f"{unit}, over the"):
+        verify_contraction(p0, model, np.ones(blocks), 0.5, ceiling + 1)
 
 
 def test_mean_only_sweep_peak_within_its_byte_charge():
@@ -653,14 +676,14 @@ def test_mean_only_sweep_peak_within_its_byte_charge():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= gibbs._MEAN_ONLY_FLOATS * m * m * 8, peak / (m * m * 8)
+    assert peak <= 8 * gibbs._sweep_floats(m, 0), peak / (m * m * 8)
 
 
 @pytest.mark.parametrize("sweeps", [5, 7])
 def test_sweep_and_kl_peak_within_component_budget(sweeps):
     # d = 8 in four blocks, from covariance I: 484 or 4372 words.  The
     # peak over the grown words and their log determinants stays within
-    # what the budget check charges per component.
+    # what verify_contraction charges for them and its rows.
     model, rng = four_block_model()
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + rng.normal(size=8), np.eye(8))
@@ -675,7 +698,8 @@ def test_sweep_and_kl_peak_within_component_budget(sweeps):
         finally:
             tracemalloc.stop()
     assert sum(counts) == collapsed_word_count(4, sweeps)
-    assert peak <= sum(counts) * gibbs._component_bytes(8)
+    assert peak <= (8 * gibbs._sweep_floats(8, sum(counts))
+                    + (sweeps + 1) * lsimodel.ROW_BYTES)
 
 
 def test_contraction_keeps_no_dense_update_maps():
@@ -735,7 +759,7 @@ def test_contraction_needs_certificate(model2d, monkeypatch):
     # every rho and rho_k that is no constant is refused before any work
     rho_k, rho = block_lsi_constants(model2d), solve_rho_marton(model2d)
     p0 = shifted_target(model2d, [1.0, 1.0])
-    monkeypatch.setattr(gibbs, "_check_budget", must_not_run)
+    monkeypatch.setattr(gibbs, "charge", must_not_run)
     monkeypatch.setattr(gibbs, "gaussian_target", must_not_run)
     for bad in BAD_RHO:
         with pytest.raises(ValueError, match="rho must be"):

@@ -127,11 +127,16 @@ def test_entropy_flow_reads_numbers_as_lsicert_does(args):
                  "of at least 1000 particles", id="too-few-particles"),
     pytest.param(["--horizon", "1e999"], "usage error: --horizon must be "
                  "finite", id="infinite-horizon"),
+    pytest.param(["--nodes", "100000000000"], "usage error: a grid of "
+                 "100000000000 nodes needs", id="oversized-grid"),
+    pytest.param(["--particles", "100000000000"], "usage error: a cloud of "
+                 "100000000000 particles", id="oversized-cloud"),
 ])
 def test_entropy_flow_refuses_before_printing(args, line):
     # argparse printed its usage and exited 2 on an unknown option; the
     # particle count was refused after the closed-form lines were printed,
-    # and an infinite horizon warned in np.linspace first
+    # an infinite horizon warned in np.linspace first, and an oversized
+    # grid or cloud ended in a numpy allocation traceback
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" /
                                                "entropy_flow.py"), *args],
                           env=ENV, capture_output=True, text=True,
