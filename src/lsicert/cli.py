@@ -21,8 +21,9 @@ a quartic term, since the closed-form verifiers need a Gaussian model,
 `verify` with --trials or --steps below 1, refused before any work,
 work over a budget of `model.charge`, refused before it is built: a
 model's dense K, a `toeplitz` section, a `verify` table's rows, --trials
-charged before the model is read, or a `verify gibbs` sweep's bytes and
-pushes; a bad option value, an unknown option or a missing argument,
+charged before the model is read, the closed-form trials' operations,
+charged once it is read, or a `verify gibbs` sweep's bytes and pushes; a
+bad option value, an unknown option or a missing argument,
 each as one `usage error` line without argparse's usage text, non-finite
 or overflowing `toeplitz` coefficients, an offset or any other integer
 option not matching [+-]?[0-9]+, an offset given twice, a --diag or band
@@ -67,6 +68,14 @@ EXIT_VERIFY_FAILED = 4
 SUBCHECKS = ("theorem1", "gibbs", "transport", "prop4", "dissipation")
 _DEFAULT_TRIALS = {"theorem1": 200, "transport": 500, "prop4": 500}
 _ROWS_PER_TRIAL = {"theorem1": 1, "transport": 1, "prop4": 2}
+# A closed-form trial in dimension d is charged d^3 + _TRIAL_OPS
+# operations (d^2 + _TRIAL_OPS for prop4, which factors no matrix per
+# trial), _TRIAL_OPS standing for its fixed cost.  Calibrated on theorem1
+# at d = 32, where 20 000 trials ran in 2.77 s on a 2 vCPU machine: 46 000
+# operations a trial at model.OP_BUDGET's 3 ns, of which d^3 = 32 768,
+# leaving 13 000, rounded up.  A trial at d <= 8 took 17-40 us there,
+# 6 000-13 000 operations.
+_TRIAL_OPS = 16384
 # Size of the covariance stack of one chunk of closed-form trials; each
 # chunk is drawn and checked in one stacked verifier call.
 _TRIAL_CHUNK_BYTES = 256 << 10
@@ -165,6 +174,11 @@ def cmd_verify(args) -> int:
     rows = trials * _ROWS_PER_TRIAL.get(args.subcheck, 0)
     charge(f"a table of {trials} trials", rows * ROW_BYTES)
     model = load_model(args.model)
+    if args.subcheck in _DEFAULT_TRIALS:
+        d = model.dim
+        work = d * d if args.subcheck == "prop4" else d ** 3
+        charge(f"{trials} {args.subcheck} trials in dimension {d}", 0,
+               trials * (work + _TRIAL_OPS))
     rho_k, rho = certified_constants(model)
     if args.subcheck == "gibbs":
         rows = [(None, c) for c in gibbs.verify_contraction(

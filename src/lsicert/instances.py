@@ -1,17 +1,23 @@
 """Reference and random model instances for experiments and verification.
 
 Generators take an explicit numpy Generator so every instance stream is
-reproducible from a single seed.
+reproducible from a single seed.  The stream is fixed by the order of the
+draws, not by how the drawn numbers are then combined: a random certified
+model draws its dimension and interaction norm (when not given), its
+partition, then block by block the eigenvalues and the matrix to
+orthogonalize, then the cross part and the mean.  Blocks of one size
+share one QR and one eigensolve, and each stacked block equals the one
+random_spd draws alone.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
 from .gaussian import GaussianDist, GaussianStack
 from .model import BlockPartition, GibbsModel
-
-from . import criteria
 
 
 def model_2d() -> GibbsModel:
@@ -86,13 +92,27 @@ def random_certified_model(rng: np.random.Generator, dim: int | None = None,
     """Gaussian model with a guaranteed positive interaction margin.
 
     Block-diagonal curvature is drawn first; the cross-block part is then
-    rescaled so that ||A|| at rho = 0 hits target_norm < 1.  Since the
+    rescaled so that ||A|| at rho = 0 hits target_norm, a real number in
+    [0, 1), refused with ValueError before anything is drawn.  Since the
     quadratic form of the cross part is bounded by (1 - delta) times the
     block curvature, the assembled precision matrix is positive definite
     by construction.  Needs dim >= 2, as the model has two blocks or more.
+
+    The draws, in order: dim and target_norm when not given, the
+    partition, then for each block in block order its log-uniform
+    eigenvalues on [0.5, 2.5] and its standard normal matrix, then the
+    cross part and the mean.  The blocks of one size are then factored in
+    one _spd call and their constants rho_k read from one eigvalsh, so
+    the model equals, bit for bit, the one drawn with random_spd block by
+    block and rho_k read from a block-diagonal model.
     """
     if dim is not None and dim < 2:
         raise ValueError(f"a certified model needs dim >= 2, got {dim}")
+    if target_norm is not None and not (
+            isinstance(target_norm, numbers.Real)
+            and not isinstance(target_norm, bool) and 0 <= target_norm < 1):
+        raise ValueError("target_norm must be a real number in [0, 1), "
+                         f"got {target_norm!r}")
     if dim is None:
         dim = int(rng.integers(2, 9))
     if target_norm is None:
@@ -100,24 +120,29 @@ def random_certified_model(rng: np.random.Generator, dim: int | None = None,
     part = random_partition(rng, dim)
     while part.n < 2:
         part = random_partition(rng, dim)
+    lo, hi = np.log(0.5), np.log(2.5)
+    draws = [(np.exp(rng.uniform(lo, hi, size=s)), rng.standard_normal((s, s)))
+             for s in part.sizes]
     prec = np.zeros((dim, dim))
-    for k in range(part.n):
-        idx = part.block(k)
-        prec[np.ix_(idx, idx)] = random_spd(rng, idx.size, lo=0.5, hi=2.5)
+    rho_k = np.empty(part.n)
+    for ks, idx in part.size_groups:
+        blocks = _spd(np.array([draws[k][0] for k in ks]),
+                      np.array([draws[k][1] for k in ks]))
+        prec[idx[:, :, None], idx[:, None, :]] = blocks
+        rho_k[ks] = np.linalg.eigvalsh(blocks)[:, 0]
+    if not rho_k.min() > 0:
+        raise ValueError("a drawn diagonal block is not positive definite")
 
     cross = rng.standard_normal((dim, dim))
     cross = 0.5 * (cross + cross.T)
     cross[part.coordinate_block[:, None] == part.coordinate_block] = 0.0
-    base = GibbsModel(partition=part, precision=prec,
-                      mean=rng.normal(scale=1.0, size=dim),
-                      quartic=np.zeros(dim))
-    rho_k = criteria.block_lsi_constants(base)
+    mean = rng.normal(scale=1.0, size=dim)
     scale = 1.0 / np.sqrt(rho_k[part.coordinate_block])
     raw_norm = np.linalg.norm(scale[:, None] * cross * scale[None, :], 2)
     if raw_norm > 0:
         cross *= target_norm / raw_norm
-    return GibbsModel(partition=part, precision=prec + cross,
-                      mean=base.mean, quartic=np.zeros(dim))
+    return GibbsModel(partition=part, precision=prec + cross, mean=mean,
+                      quartic=np.zeros(dim))
 
 
 def random_quartic_model(rng: np.random.Generator,

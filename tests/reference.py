@@ -1,8 +1,10 @@
 """Reference computations that the tests hold the package against.
 
 Bisection on both certificate thresholds and the interaction matrix
-A^rho, the sorted-sample coupling for one-dimensional W2, and a random
-attractive chain whose certified constant is known exactly.
+A^rho, the sorted-sample coupling for one-dimensional W2, a random
+attractive chain whose certified constant is known exactly, and the
+block-by-block draw of the random certified and quartic models that
+pins the instance stream.
 
 The bisections read nothing the certificates compute: the block
 constants rho_k (one eigvalsh per diagonal block), the cross-block norms
@@ -19,6 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
+from lsicert.criteria import block_lsi_constants
+from lsicert.instances import random_partition, random_spd
 from lsicert.model import BlockPartition, GibbsModel
 
 
@@ -145,3 +149,45 @@ def random_attractive_chain(rng: np.random.Generator,
     return GibbsModel(partition=part, precision=prec,
                       mean=rng.normal(scale=1.0, size=n),
                       quartic=np.zeros(n))
+
+
+def random_certified_model_loop(rng: np.random.Generator,
+                                dim: int | None = None,
+                                target_norm: float | None = None
+                                ) -> GibbsModel:
+    """instances.random_certified_model drawn block by block: one
+    random_spd per diagonal block, a validated block-diagonal model, and
+    its block_lsi_constants to scale the cross part."""
+    if dim is None:
+        dim = int(rng.integers(2, 9))
+    if target_norm is None:
+        target_norm = float(rng.uniform(0.1, 0.9))
+    part = random_partition(rng, dim)
+    while part.n < 2:
+        part = random_partition(rng, dim)
+    prec = np.zeros((dim, dim))
+    for k in range(part.n):
+        idx = part.block(k)
+        prec[np.ix_(idx, idx)] = random_spd(rng, idx.size, lo=0.5, hi=2.5)
+    cross = rng.standard_normal((dim, dim))
+    cross = 0.5 * (cross + cross.T)
+    cross[part.coordinate_block[:, None] == part.coordinate_block] = 0.0
+    base = GibbsModel(partition=part, precision=prec,
+                      mean=rng.normal(scale=1.0, size=dim),
+                      quartic=np.zeros(dim))
+    rho_k = block_lsi_constants(base)
+    scale = 1.0 / np.sqrt(rho_k[part.coordinate_block])
+    raw_norm = np.linalg.norm(scale[:, None] * cross * scale[None, :], 2)
+    if raw_norm > 0:
+        cross *= target_norm / raw_norm
+    return GibbsModel(partition=part, precision=prec + cross,
+                      mean=base.mean, quartic=np.zeros(dim))
+
+
+def random_quartic_model_loop(rng: np.random.Generator,
+                              dim: int | None = None) -> GibbsModel:
+    """instances.random_quartic_model on random_certified_model_loop."""
+    base = random_certified_model_loop(rng, dim=dim)
+    return GibbsModel(partition=base.partition, precision=base.precision,
+                      mean=base.mean,
+                      quartic=rng.uniform(0.01, 0.3, size=base.dim))

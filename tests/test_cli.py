@@ -868,6 +868,65 @@ def test_verify_gibbs_oversized_run_refused_up_front(blocks, args, tmp_path,
     assert err.startswith("usage error") and len(err.splitlines()) == 1
 
 
+class _Admitted(Exception):
+    """Raised in place of the first step after `verify`'s charges."""
+
+
+def _admitted(model):
+    raise _Admitted
+
+
+@pytest.mark.parametrize("subcheck, dim, work", [
+    ("theorem1", 2, 8), ("transport", 32, 32 ** 3), ("prop4", 32, 32 ** 2)])
+def test_verify_trial_operations_charged_before_a_trial(subcheck, dim, work,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+    # once the model is read, a closed-form run is charged trials times
+    # d^3 + _TRIAL_OPS operations (d^2 for prop4): one trial past
+    # model.OP_BUDGET is refused before any trial is drawn, with rows to
+    # spare under the byte budget, and the last admitted count reaches
+    # the certificate
+    path = tmp_path / "model.json"
+    save_model(_two_block_model(dim), path)
+    ceiling = lsimodel.OP_BUDGET // (work + cli._TRIAL_OPS)
+    assert 2 * (ceiling + 1) * lsimodel.ROW_BYTES <= lsimodel.DENSE_BYTE_BUDGET
+
+    monkeypatch.setattr(cli, "certified_constants", _admitted)
+    with pytest.raises(_Admitted):
+        cli.main(["verify", str(path), subcheck, "--trials", str(ceiling)])
+    code, out, err = run(["verify", str(path), subcheck,
+                          "--trials", str(ceiling + 1)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: {ceiling + 1} {subcheck} trials in "
+                   f"dimension {dim} takes about "
+                   f"{(ceiling + 1) * (work + cli._TRIAL_OPS)} operations, "
+                   f"over the {lsimodel.OP_BUDGET} budget\n")
+
+
+def test_verify_trials_charge_admits_default_and_benchmark_runs(
+        tmp_path, monkeypatch):
+    # the default trial counts at d = 64, and the largest runs the
+    # benchmark makes (50 trials at d = 32, 5 theorem1 trials on a
+    # 128-site chain), stay under the operation budget, while the
+    # 419 430 theorem1 trials the rows admit at d = 32 do not
+    monkeypatch.setattr(cli, "certified_constants", _admitted)
+    runs = [(64, sub, None) for sub in cli._DEFAULT_TRIALS]
+    runs += [(32, sub, 50) for sub in cli._DEFAULT_TRIALS]
+    runs += [(128, "theorem1", 5)]
+    for dim, subcheck, trials in runs:
+        path = tmp_path / f"chain{dim}.json"
+        path.write_text(json.dumps(
+            {"dim": dim, "partition": [[i] for i in range(dim)],
+             "toeplitz": {"m": dim, "diag": 3.0, "band": {"1": 1.0}}}))
+        argv = ["verify", str(path), subcheck]
+        if trials is not None:
+            argv += ["--trials", str(trials)]
+        with pytest.raises(_Admitted):
+            cli.main(argv)
+    assert cli.main(["verify", str(tmp_path / "chain32.json"), "theorem1",
+                     "--trials", "419430"]) == 1
+
+
 def _two_block_model(dim):
     half = dim // 2
     part = BlockPartition((tuple(range(half)), tuple(range(half, dim))))
@@ -901,6 +960,12 @@ def _refusal_site(site, tmp_path):
         trials = budget // lsimodel.ROW_BYTES + 1
         return lambda: cli.cmd_verify(cli.PARSER.parse_args(
             ["verify", path, "theorem1", "--trials", str(trials)]))
+    if site == "trial-operations":
+        path = write_doc(tmp_path, model_to_dict(model_2d()))
+        trials = ops // (2 ** 3 + cli._TRIAL_OPS) + 1
+        assert trials * lsimodel.ROW_BYTES <= budget  # the rows fit
+        return lambda: cli.cmd_verify(cli.PARSER.parse_args(
+            ["verify", path, "theorem1", "--trials", str(trials)]))
     if site in ("gibbs-words", "gibbs-operations"):
         dim = 32 if site == "gibbs-words" else 2
         model = _two_block_model(dim)
@@ -925,8 +990,8 @@ def _refusal_site(site, tmp_path):
 
 
 @pytest.mark.parametrize("site", [
-    "dense-precision", "toeplitz-section", "trials", "gibbs-words",
-    "gibbs-operations", "trace-nodes", "particle-bytes",
+    "dense-precision", "toeplitz-section", "trials", "trial-operations",
+    "gibbs-words", "gibbs-operations", "trace-nodes", "particle-bytes",
     "particle-operations"])
 def test_each_charge_refuses_before_one_mib(site, tmp_path):
     # one unit past its budget, each refusal site raises its one-line

@@ -34,6 +34,7 @@ from lsicert.instances import (model_2d, random_certified_model,
                                random_quartic_model)
 
 from conftest import batching_cases
+from reference import random_certified_model_loop, random_quartic_model_loop
 
 
 def test_partition_basic():
@@ -383,6 +384,59 @@ def test_random_certified_model_needs_two_coordinates(dim):
     # one coordinate cannot be split into the two blocks a model needs
     with pytest.raises(ValueError, match="dim >= 2"):
         random_certified_model(np.random.default_rng(0), dim=dim)
+
+
+@pytest.mark.parametrize("target_norm", [
+    float("nan"), float("inf"), -float("inf"), True, False, 1.0, 1.5, -0.1,
+    -1e-300, "0.5", None])
+@pytest.mark.parametrize("dim", [None, 6])
+def test_random_certified_model_refuses_bad_target_norm(target_norm, dim):
+    # an interaction norm outside [0, 1) would give an uncertified model,
+    # a failed validation or a flipped cross part: it is refused before
+    # the generator draws anything
+    if target_norm is None:
+        target_norm = np.float64(1.0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"target_norm must be a real "
+                                         r"number in \[0, 1\)"):
+        random_certified_model(rng, dim=dim, target_norm=target_norm)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("target_norm", [0.0, 0, 0.9, np.float64(0.9)])
+def test_random_certified_model_edge_norms_certify(target_norm):
+    # the ends of the admitted range give the norm asked for, and a
+    # certificate
+    for seed in range(20):
+        model = random_certified_model(np.random.default_rng(seed), dim=6,
+                                       target_norm=target_norm)
+        report = criteria_report(model)
+        assert report.certified
+        assert report.norm_A0 == pytest.approx(float(target_norm), abs=1e-12)
+
+
+def _same_draw(model, want, rng, rng_want):
+    assert model.partition == want.partition
+    for name in ("precision", "mean", "quartic"):
+        assert getattr(model, name).tobytes() == getattr(want, name).tobytes()
+    assert rng.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [None, 2, 3, 17, 64])
+def test_random_models_match_the_block_by_block_draw(dim):
+    # the stacked blocks draw the same stream and give, bit for bit, the
+    # models that one random_spd per block and a block-diagonal model's
+    # block_lsi_constants give
+    for seed in range(200):
+        for target_norm in (None, 0.25, 0.9):
+            rng, rng_want = (np.random.default_rng(seed) for _ in range(2))
+            _same_draw(random_certified_model(rng, dim, target_norm),
+                       random_certified_model_loop(rng_want, dim, target_norm),
+                       rng, rng_want)
+        rng, rng_want = (np.random.default_rng(seed) for _ in range(2))
+        _same_draw(random_quartic_model(rng, dim),
+                   random_quartic_model_loop(rng_want, dim), rng, rng_want)
 
 
 def test_model_to_dict_roundtrip_values(model2d):
