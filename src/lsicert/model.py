@@ -12,6 +12,12 @@ dynamics operate at the block level.
 When lam = 0 the model is Gaussian and K must be positive definite.  With
 a non-trivial quartic term the density is still normalizable for any
 symmetric K, so positive definiteness is not required.
+
+One Cholesky factorization of K decides positive definiteness.  It takes
+the route extreme_eigvalsh takes, by one rule (_lower_band): LAPACK
+dpbtrf on K's lower band storage when m >= 64 and 32 b <= m for the lower
+bandwidth b, else np.linalg.cholesky.  Only a K that fails pays for the
+eigen-solve whose least eigenvalue the refusal reports.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import cached_property, wraps
 from itertools import chain
 
 import numpy as np
-from scipy.linalg import eigvals_banded
+from scipy.linalg.lapack import dlamch, dpbtrf, dsbevx
 
 SYMMETRY_TOL = 1e-12
 # Bytes and operations one run may ask for, each charged by `charge`
@@ -39,8 +45,8 @@ ROW_BYTES = 640
 # Size of one row block of A - A' in `symmetrized`, which takes a stack of
 # matrices a block at a time so that no full temporary is built.
 _SYMMETRY_CHUNK_BYTES = 1 << 20
-# extreme_eigvalsh takes the banded solver for an m x m matrix of lower
-# bandwidth b when m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m.
+# An m x m matrix of lower bandwidth b takes the banded LAPACK routines
+# (_lower_band) when m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m.
 _BANDED_MIN_DIM = 64
 _BANDED_RATIO = 32
 
@@ -182,39 +188,82 @@ def _lower_bandwidth(mat: np.ndarray) -> int:
     return width
 
 
+def _lower_band(mat: np.ndarray):
+    """(b+1, m) lower band storage of the m x m matrix mat, whose lower
+    bandwidth b is read from the nonzeros, when the banded routines take
+    it: m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m.  Else None, and
+    mat takes the dense routines."""
+    m = len(mat)
+    if m < _BANDED_MIN_DIM:
+        return None
+    b = _lower_bandwidth(mat)
+    if _BANDED_RATIO * b > m:
+        return None
+    band = np.zeros((b + 1, m))
+    for k in range(b + 1):
+        band[k, :m - k] = np.diagonal(mat, -k)
+    return band
+
+
+def _banded_eigval(band: np.ndarray, i: int) -> float:
+    """The i-th smallest eigenvalue (1-based) of the symmetric matrix in
+    lower band storage band: one LAPACK dsbevx call with the arguments
+    scipy.linalg.eigvals_banded(band, lower=True, select="i") passes, so
+    the same bits, without its argument checks.  A band holding NaN or
+    inf is refused with ValueError, as that wrapper refuses it."""
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    # abstol twice the safe minimum, the most accurate bisection
+    w, _, _, _, info = dsbevx(band, 0.0, 1.0, i, i, compute_v=0, range=2,
+                              lower=1, abstol=2 * dlamch("s"), mmax=1,
+                              overwrite_ab=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal sbevx")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"sbevx did not converge (LAPACK info={info})")
+    return float(w[0])
+
+
 def extreme_eigvalsh(mat: np.ndarray) -> tuple:
     """(lambda_min, lambda_max) of a symmetric matrix, from its lower
     triangle as np.linalg.eigvalsh reads it.
 
-    The lower bandwidth b is read from the nonzeros.  When m >= 64 and
-    32 b <= m, each extreme is one scipy eigvals_banded call on (b+1, m)
-    band storage, O(m^2 b) in time; otherwise one dense eigvalsh, O(m^3).
-    Solver time for both extremes on one thread, the bandwidth scan
-    aside (ms):
+    When _lower_band gives band storage (m >= 64 and 32 b <= m for the
+    lower bandwidth b), each extreme is one LAPACK dsbevx call on it
+    (_banded_eigval), O(m^2 b) in time; otherwise one dense eigvalsh,
+    O(m^3).  Solver time for both extremes on one thread of a 2 vCPU
+    Xeon, the bandwidth scan aside (ms, best of 5 to 30):
 
         m      dense   b=0    b=1    b=2    b=8    b=32
-        32     0.08    0.10   0.12   0.15   0.22
-        64     0.29    0.10   0.18   0.23   0.45   0.69
-        256    4.4     0.13   0.47   1.4    3.7    5.3
-        1024   177     0.30   1.4    15     54     122
+        32     0.050   0.012  0.027  0.036  0.058
+        64     0.17    0.016  0.057  0.085  0.16   0.29
+        256    2.8     0.042  0.25   0.72   1.9    3.5
+        1024   111     0.13   1.0    8.3    28     79
 
     At full bandwidth the banded solver is several times slower than
     dense, so dense matrices keep the dense path.
     """
     mat = np.asarray(mat, dtype=float)
-    m = len(mat)
-    if m >= _BANDED_MIN_DIM:
-        b = _lower_bandwidth(mat)
-        if _BANDED_RATIO * b <= m:
-            band = np.zeros((b + 1, m))
-            for k in range(b + 1):
-                band[k, :m - k] = np.diagonal(mat, -k)
-            lo, hi = (float(eigvals_banded(band, lower=True, select="i",
-                                           select_range=(i, i))[0])
-                      for i in (0, m - 1))
-            return lo, hi
+    band = _lower_band(mat)
+    if band is not None:
+        return _banded_eigval(band, 1), _banded_eigval(band, len(mat))
     evals = np.linalg.eigvalsh(mat)
     return float(evals[0]), float(evals[-1])
+
+
+def _is_positive_definite(mat: np.ndarray) -> bool:
+    """Whether one Cholesky factorization of the symmetric matrix mat, read
+    from its lower triangle, succeeds: LAPACK dpbtrf on _lower_band's
+    storage, else np.linalg.cholesky."""
+    band = _lower_band(mat)
+    if band is not None:
+        return dpbtrf(band, lower=1)[1] == 0
+    try:
+        np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def symmetrized(mat: np.ndarray, tol: float) -> tuple:
@@ -274,12 +323,11 @@ class GibbsModel:
             raise ModelValidationError("precision matrix is not symmetric")
         if np.any(quart < 0):
             raise ModelValidationError("quartic coefficients must be >= 0")
-        if np.all(quart == 0):
+        if np.all(quart == 0) and not _is_positive_definite(prec):
             lam_min = extreme_eigvalsh(prec)[0]
-            if lam_min <= 0:
-                raise ModelValidationError(
-                    f"precision must be positive definite for a Gaussian model "
-                    f"(min eigenvalue {lam_min:.6g})")
+            raise ModelValidationError(
+                f"precision must be positive definite for a Gaussian model "
+                f"(min eigenvalue {lam_min:.6g})")
         for name, arr in (("precision", prec), ("mean", mean),
                           ("quartic", quart)):
             arr.flags.writeable = False
@@ -472,6 +520,9 @@ def load_model(path) -> GibbsModel:
 
 
 def save_model(model: GibbsModel, path) -> None:
+    """Write the model's document form as compact JSON on one line.
+    json.dumps with no indent takes the C encoder (json.dump, which
+    streams, never does), and each float is written in its shortest
+    round-trip form, so load_model reads back the same bits."""
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_dict(model)) + "\n")

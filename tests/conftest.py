@@ -59,16 +59,32 @@ def rng():
 
 @pytest.fixture
 def banded_solves(monkeypatch):
-    """The band storage shape of every eigvals_banded call that
+    """The band storage shape of every LAPACK dsbevx call that
     model.extreme_eigvalsh makes during the test, in call order."""
     calls = []
-    banded = lsimodel.eigvals_banded
+    banded = lsimodel.dsbevx
 
     def counted(band, *args, **kwargs):
         calls.append(band.shape)
         return banded(band, *args, **kwargs)
 
-    monkeypatch.setattr(lsimodel, "eigvals_banded", counted)
+    monkeypatch.setattr(lsimodel, "dsbevx", counted)
+    return calls
+
+
+@pytest.fixture
+def banded_choleskys(monkeypatch):
+    """The band storage shape of every LAPACK dpbtrf call that the
+    positive-definiteness check of a Gaussian model makes during the
+    test, in call order."""
+    calls = []
+    factor = lsimodel.dpbtrf
+
+    def counted(band, *args, **kwargs):
+        calls.append(band.shape)
+        return factor(band, *args, **kwargs)
+
+    monkeypatch.setattr(lsimodel, "dpbtrf", counted)
     return calls
 
 
@@ -104,3 +120,21 @@ def batching_cases():
                             (9, 10), (11,)))),
         "one block": (dense, BlockPartition((tuple(range(15)),))),
     }
+
+
+# Gaussian documents whose precision is indefinite, with the message that
+# refuses each: a 64-site chain with diag 1 and band {1: 1}, whose
+# eigenvalues 1 + 2 cos(k pi / 65) go below 0 (banded route), and a dense
+# 3 x 3 with eigenvalues -1, 1 and 3 (dense route).
+_PD_MESSAGE = ("precision must be positive definite for a Gaussian model "
+               "(min eigenvalue {})")
+INDEFINITE_DOCS = {
+    "banded chain": (
+        {"dim": 64, "partition": [[i] for i in range(64)],
+         "toeplitz": {"m": 64, "diag": 1.0, "band": {"1": 1.0}}},
+        _PD_MESSAGE.format(-0.997664)),
+    "dense 3x3": (
+        {"dim": 3, "partition": [[0], [1], [2]],
+         "precision": [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        _PD_MESSAGE.format(-1)),
+}

@@ -31,7 +31,7 @@ from lsicert.model import (BlockPartition, GibbsModel, load_model,
                            toeplitz_matrix)
 from lsicert.oracles import prop4_check, transport_check
 
-from conftest import must_not_run
+from conftest import INDEFINITE_DOCS, must_not_run
 
 
 @pytest.fixture
@@ -510,7 +510,7 @@ prop4,trial=2:w2_vs_kl,8.452618863433749,8.452618863433749,1e-09,pass
 prop4,trial=2:kl_vs_quadratic,8.452618863433749,8.452618863433749,1e-09,pass
 """,
     "dissipation": """\
-dissipation,max_residual,8.325004285936188e-08,1.5000000000000002e-05,\
+dissipation,max_residual,2.277067423506196e-13,1.5000000000000002e-05,\
 1.5000000000000002e-05,pass
 dissipation,integral_identity_rel_err,8.27718363849428e-08,0.0001,0.0001,pass
 dissipation,exp_decay_max_excess,-3.36899648803457e-12,0.0,1e-12,pass
@@ -586,6 +586,15 @@ def test_verify_dissipation(model_path, capsys):
     params = [line.split(",")[1] for line in lines[2:]]
     assert params == ["max_residual", "integral_identity_rel_err",
                       "exp_decay_max_excess"]
+
+
+def test_verify_dissipation_passes_on_a_certified_chain(tmp_path, capsys):
+    # the 3-site chain with lambda_max(K) ~ 4.4: a centered difference's
+    # O(h^2) error failed max_residual here (7.3e-4 over its 5.8e-4 bound)
+    code, out, _ = run(["verify", write_doc(tmp_path, _FUZZ_DOCS[2]),
+                        "dissipation"], capsys)
+    assert code == 0
+    assert all(line.endswith(",pass") for line in check_csv_shape(out, 0)[2:])
 
 
 def test_verify_dissipation_takes_mean_only_route(model_path, capsys,
@@ -1249,6 +1258,9 @@ _SINGLETONS = {"dim": 2, "partition": [[0], [1]]}
     pytest.param(None, ["toeplitz", "--m", "8", "--band", ","], 1,
                  "usage error: band specification is empty",
                  id="empty-band"),
+    *(pytest.param(doc, None, 2, f"invalid model: {message}",
+                   id=f"indefinite-{name.replace(' ', '-')}")
+      for name, (doc, message) in INDEFINITE_DOCS.items()),
 ])
 def test_documented_refusals(tmp_path, capsys, doc, argv, code, err_line):
     # one stderr line, no traceback and nothing on stdout

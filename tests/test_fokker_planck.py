@@ -27,7 +27,8 @@ from lsicert.fokker_planck import (
 from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl
 from lsicert.instances import (random_certified_model, random_gaussian,
                                random_quartic_model)
-from lsicert.model import BlockPartition, GibbsModel, grad_potential
+from lsicert.model import (BlockPartition, GibbsModel, grad_potential,
+                           model_from_dict)
 
 from conftest import BAD_RHO, must_not_run
 
@@ -368,6 +369,41 @@ def test_dissipation_reference(model2d):
     assert (res.check, res.param) == ("dissipation", "max_residual")
     assert res.holds
     assert res.value <= res.bound == res.tolerance
+
+
+def test_dissipation_residual_sees_a_scaled_fisher_column(monkeypatch):
+    # the 3-site chain on the CLI's grid: its residual is far below the
+    # tolerance, yet I scaled by 1 + 1e-4 is caught
+    model = model_from_dict({"dim": 3, "partition": [[0], [1], [2]],
+                             "mean": [0, 1, 2], "toeplitz": {
+                                 "m": 3, "diag": 3.0, "band": {"1": 1.0}}})
+    q = gaussian_target(model)
+    p0 = GaussianDist(q.mean + 1.0, q.cov)
+    times = np.linspace(0.0, 5.0, 5001)
+    _, (res, _) = dissipation_check(p0, model, times)
+    assert res.holds
+    assert res.value <= 1e-4 * res.bound
+    trace_arrays = fokker_planck._trace_arrays
+
+    def scaled(*args):
+        kls, fis = trace_arrays(*args)
+        return kls, fis * (1.0 + 1e-4)
+
+    monkeypatch.setattr(fokker_planck, "_trace_arrays", scaled)
+    _, (res, _) = dissipation_check(p0, model, times)
+    assert res.value > res.bound
+    assert not res.holds
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9, 41])
+def test_interior_slopes_are_exact_on_quartics(n):
+    # five-node windows (all nodes when fewer) differentiate a polynomial
+    # of their degree exactly, on uneven grids too
+    t = np.cumsum(np.random.default_rng(n).uniform(0.5, 1.5, n))
+    coeffs = [0.3, -1.0, 0.5, 2.0, -0.25][:min(5, n)]
+    slopes = fokker_planck._interior_slopes(t, np.polyval(coeffs, t))
+    assert_allclose(slopes, np.polyval(np.polyder(coeffs), t[1:-1]),
+                    rtol=1e-9, atol=1e-9)
 
 
 def test_dissipation_flags_coarse_grid(model2d):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import eigvals_banded
 
 from lsicert import model as lsimodel
 from lsicert.model import (
@@ -33,7 +34,7 @@ from lsicert.gibbs import verify_contraction
 from lsicert.instances import (model_2d, random_certified_model,
                                random_quartic_model)
 
-from conftest import batching_cases
+from conftest import INDEFINITE_DOCS, batching_cases, must_not_run
 from reference import random_certified_model_loop, random_quartic_model_loop
 
 
@@ -253,12 +254,18 @@ def test_toeplitz_rejects_bad_offset():
 
 
 def test_model_roundtrip(model2d, tmp_path):
+    # every float comes back with its bits; the file is one compact line
     path = tmp_path / "m.json"
-    save_model(model2d, path)
-    loaded = load_model(path)
-    assert_allclose(loaded.precision, model2d.precision)
-    assert_allclose(loaded.mean, model2d.mean)
-    assert loaded.partition.blocks == model2d.partition.blocks
+    for model in (model2d,
+                  random_certified_model(np.random.default_rng(4), dim=12),
+                  random_quartic_model(np.random.default_rng(5), dim=6)):
+        save_model(model, path)
+        assert path.read_text().count("\n") == 1
+        loaded = load_model(path)
+        for name in ("precision", "mean", "quartic"):
+            assert getattr(loaded, name).tobytes() \
+                == getattr(model, name).tobytes()
+        assert loaded.partition.blocks == model.partition.blocks
 
 
 def test_load_model_toeplitz_shorthand(tmp_path):
@@ -568,6 +575,55 @@ def test_extreme_eigvalsh_indefinite_chain(m):
     assert lo < 0 < hi
 
 
+@pytest.mark.parametrize("b", [1, 2, 8])
+@pytest.mark.parametrize("m", [64, 200, 512])
+def test_banded_eigval_matches_eigvals_banded_bits(rng, m, b):
+    # lower band storage, whether or not extreme_eigvalsh routes m, b to it
+    mat = _band_matrix(rng, m, b)
+    band = np.array([np.pad(np.diagonal(mat, -k), (0, k))
+                     for k in range(b + 1)])
+    for i in (0, 1, m // 2, m - 1):
+        want = eigvals_banded(band, lower=True, select="i",
+                              select_range=(i, i))
+        assert np.float64(lsimodel._banded_eigval(band, i + 1)).tobytes() \
+            == want[0].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_banded_eigval_refuses_non_finite_band(bad):
+    band = np.ones((3, 64))
+    band[1, 5] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lsimodel._banded_eigval(band, 1)
+
+
+@pytest.mark.parametrize("banded", [False, True], ids=["dense d=16",
+                                                     "banded m=64"])
+def test_positive_definite_gaussian_builds_with_no_eigen_solve(
+        monkeypatch, banded_choleskys, banded):
+    # one Cholesky decides: dpbtrf on the band, else np.linalg.cholesky
+    precision = toeplitz_matrix(64, 3.0, {1: 1.0}) if banded \
+        else random_certified_model(np.random.default_rng(16),
+                                    dim=16).precision
+    dim = len(precision)
+    monkeypatch.setattr(lsimodel, "extreme_eigvalsh", must_not_run)
+    if banded:
+        monkeypatch.setattr(np.linalg, "cholesky", must_not_run)
+    GibbsModel(partition=BlockPartition(tuple((i,) for i in range(dim))),
+               precision=precision, mean=np.zeros(dim), quartic=np.zeros(dim))
+    assert banded_choleskys == ([(2, 64)] if banded else [])
+
+
+@pytest.mark.parametrize("name", sorted(INDEFINITE_DOCS))
+def test_indefinite_gaussian_refused_with_its_min_eigenvalue(
+        banded_choleskys, name):
+    doc, message = INDEFINITE_DOCS[name]
+    with pytest.raises(ModelValidationError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == message
+    assert banded_choleskys == ([(2, 64)] if name == "banded chain" else [])
+
+
 def _whole_mask_bandwidth(mat):
     rows, cols = np.nonzero(mat)
     return int(np.max(rows - cols, initial=0))
@@ -602,18 +658,22 @@ def test_lower_bandwidth_scans_the_mask_in_row_blocks():
 
 @pytest.mark.parametrize("m", [64, 128, 256])
 @pytest.mark.parametrize("band", [{1: 1.0}, {1: -1.0, 2: 0.3}])
-def test_chain_fixtures_take_the_banded_path(banded_solves, m, band):
+def test_chain_fixtures_take_the_banded_path(banded_solves,
+                                            banded_choleskys, m, band):
     model = model_from_dict(
         {"dim": m, "partition": [[i] for i in range(m)],
          "toeplitz": {"m": m, "diag": 3.0,
                       "band": {str(k): v for k, v in band.items()}}})
-    assert len(banded_solves) == 2  # the positive-definiteness check
+    # the positive-definiteness check: one banded Cholesky, no solve
+    assert banded_solves == []
+    assert banded_choleskys == [(max(band) + 1, m)]
     criteria_report(model)
     # A0, D0 - C, D0 + C and diag(rho_k) - kappa: two solves each
-    assert len(banded_solves) == 2 + 4 * 2
+    assert len(banded_solves) == 4 * 2
     toeplitz_spectrum_report(m, 0.0, {1: 1.0, 2: -1.0})
-    assert len(banded_solves) == 2 + 4 * 2 + 2 * 2
+    assert len(banded_solves) == 4 * 2 + 2 * 2
     assert set(banded_solves) == {(max(band) + 1, m), (3, m)}
+    assert len(banded_choleskys) == 1
 
 
 @pytest.mark.parametrize("dim", [16, 32, 64])

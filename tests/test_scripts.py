@@ -23,9 +23,10 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
            PYTHONWARNINGS="error::RuntimeWarning")
 
 
-# 501 nodes is a grid coarser than the dissipation check accepts, so its
-# max_residual row fails: a correct verdict, and the script exits 4.
-COARSE_FLOW = ["--nodes", "501", "--particles", "2000"]
+# 41 nodes on [0, 5] is a grid coarser than the dissipation check accepts
+# (spacing 0.125 > 0.1), so its max_residual row fails: a correct
+# verdict, and the script exits 4.
+COARSE_FLOW = ["--nodes", "41", "--particles", "2000"]
 
 
 # The ids are pinned so that adding or deleting a case renames no other.
