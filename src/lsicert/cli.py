@@ -35,7 +35,7 @@ integer beyond the float range, and a file that is not UTF-8 JSON, nests
 too deeply for the parser or holds an integer of more digits than int()
 reads), 3 no certificate, 4 verification failure.
 Output is strict JSON or CSV, byte-identical across runs for equal
-inputs and seeds; all randomness derives from --seed.
+inputs, seeds and BLAS thread count; all randomness derives from --seed.
 
 The argument parser is built once, when the module is imported, so a
 caller that runs `main` many times in one process pays for it once.

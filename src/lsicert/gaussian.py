@@ -1,23 +1,22 @@
 """Closed-form information calculus for multivariate Gaussians.
 
-Implements relative entropy, relative Fisher information, quadratic
-Wasserstein distance, Schur-complement conditionals and the averaged
-conditional divergence that drives the block entropy estimates.  W2 takes
-the Bures form through the Cholesky factor L of the second covariance:
-the eigenvalues of Sigma_q^1/2 Sigma_p Sigma_q^1/2 are those of
-L' Sigma_p L, so one eigvalsh gives the cross term.  The conditionals and
-divergences of all blocks are taken in one pass, with one batched
-inverse per block size.  A precision is L^-T L^-1 from the Cholesky
-factor L, with L^-1 from one LAPACK dtrtri per law (tril_inverse), except
-for the target N(m, K^-1) of a model, whose precision is K itself.
+Implements relative entropy, quadratic Wasserstein distance,
+Schur-complement conditionals and the averaged conditional divergence
+that drives the block entropy estimates.  W2 takes the Bures form
+through the Cholesky factor L of the second covariance: the eigenvalues
+of Sigma_q^1/2 Sigma_p Sigma_q^1/2 are those of L' Sigma_p L, so one
+eigvalsh gives the cross term.  The conditionals and divergences of all
+blocks are taken in one pass, with one batched inverse per block size.
+A precision is L^-T L^-1 from the Cholesky factor L, with L^-1 from one
+LAPACK dtrtri per law (tril_inverse), except for the target N(m, K^-1)
+of a model, whose precision is K itself.
 
 A GaussianStack holds T laws as (T, d) means and (T, d, d) covariances,
 each checked as a GaussianDist is; `kl`, `w2`, `avg_conditional_kl` and
 `block_conditionals` take such a leading trial axis and compute every
 row as they compute a single law, so a row of a stack equals the call
 on that one law bit for bit.  Relative entropy D(p||q) is
-E_p[log(dp/dq)] in nats; relative Fisher information is
-I(p||q) = E_p[|grad log(dp/dq)|^2].
+E_p[log(dp/dq)] in nats.
 """
 
 from __future__ import annotations
@@ -261,19 +260,6 @@ def kl(p, q):
     val = 0.5 * (np.sum(qs.precisions * ps.covs, axis=(1, 2)) - n + quad
                  + qs.log_dets - ps.log_dets)
     return _unstack(np.maximum(val, 0.0), p, q)
-
-
-def fisher(p: GaussianDist, q: GaussianDist) -> float:
-    """Relative Fisher information I(p||q) = E_p |grad log(dp/dq)|^2.
-
-    For Gaussians the score difference is affine, giving
-    tr((Lq - Lp) Sp (Lq - Lp)) + |Lq (mp - mq)|^2 with L the precisions.
-    """
-    _check_same_dim(p, q)
-    s = q.precision - p.precision
-    term_cov = float(np.sum((s @ p.cov) * s))
-    v = q.precision @ (p.mean - q.mean)
-    return max(term_cov + float(v @ v), 0.0)
 
 
 def w2(p, q):

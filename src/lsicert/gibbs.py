@@ -25,8 +25,6 @@ work; a rho above the true constant is no input error: its check fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .criteria import Check, _checked_rho, _checked_rho_k
@@ -107,40 +105,6 @@ def verify_theorem1(p, model: GibbsModel, rho_k, rho: float):
     checks = tuple(Check.within_rounding("theorem1", "", a, b)
                    for a, b in zip(lhs, rhs))
     return checks if isinstance(p, GaussianStack) else checks[0]
-
-
-@dataclass(frozen=True)
-class EntropyDropCheck:
-    lhs: float
-    rhs: float
-    gap: float
-
-
-def _block_image(p: GaussianDist, model: GibbsModel, k: int) -> GaussianDist:
-    """p Gamma_k, the law of the block-k update of a draw from p."""
-    q = gaussian_target(model)
-    idx = model.partition.block(k)
-    rows = memo_conditionals(model, model.partition)[1][idx]
-    y = p.mean - q.mean
-    y[idx] = rows @ y
-    return GaussianDist(q.mean + y, q.cov + _push(p.cov - q.cov, idx, rows))
-
-
-def entropy_drop_identity(p: GaussianDist, model: GibbsModel,
-                          k: int) -> EntropyDropCheck:
-    """Exact identity: the entropy drop of the block-k update equals the
-    averaged conditional divergence of that block.
-
-    lhs = D(p||q) - D(p Gamma_k||q), rhs = E[D(p^k || q^k)], gap = lhs - rhs.
-    k must be an integer block index in 0..n-1.
-    """
-    if not (_is_integer(k) and 0 <= k < model.partition.n):
-        raise ValueError(f"block index must be an integer in "
-                         f"0..{model.partition.n - 1}, got {k!r}")
-    q = gaussian_target(model)
-    lhs = kl(p, q) - kl(_block_image(p, model, k), q)
-    rhs = float(avg_conditional_kl(p, q, model.partition)[k])
-    return EntropyDropCheck(lhs=lhs, rhs=rhs, gap=lhs - rhs)
 
 
 def verify_contraction(p0: GaussianDist, model: GibbsModel, rho_k,

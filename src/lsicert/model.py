@@ -91,7 +91,8 @@ class ModelValidationError(ModelError):
 
 
 def _is_integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, numbers.Integral)
+                              and not isinstance(v, bool))
 
 
 def _real(v, what: str) -> float:

@@ -1,10 +1,18 @@
 """Reference computations that the tests hold the package against.
 
-Bisection on both certificate thresholds and the interaction matrix
-A^rho, the sorted-sample coupling for one-dimensional W2, a random
-attractive chain whose certified constant is known exactly, and the
-block-by-block draw of the random certified and quartic models that
-pins the instance stream.
+Grid quadrature of divergence and Fisher information, Fisher information
+of two Gaussians in closed form, the dense block Gibbs update and its
+entropy drop, bisection on both certificate thresholds and the
+interaction matrix A^rho, the sorted-sample coupling for one-dimensional
+W2, a random attractive chain whose certified constant is known exactly,
+and the block-by-block draw of the random certified and quartic models
+that pins the instance stream.
+
+The quadrature takes its densities as callables (scipy.stats in the
+tests), so it shares no code with the closed forms.  The block update
+L_k is built as a d x d matrix from K and the partition alone, with no
+use of the package's block conditionals or of the push that
+gibbs.verify_contraction runs.
 
 The bisections read nothing the certificates compute: the block
 constants rho_k (one eigvalsh per diagonal block), the cross-block norms
@@ -22,8 +30,110 @@ from itertools import combinations
 import numpy as np
 
 from lsicert.criteria import block_lsi_constants
+from lsicert.gaussian import (GaussianDist, avg_conditional_kl,
+                              gaussian_target, kl)
 from lsicert.instances import random_partition, random_spd
 from lsicert.model import BlockPartition, GibbsModel
+
+MASS_DEFECT_LIMIT = 1e-4
+_TINY = 1e-300
+
+
+class QuadratureError(ValueError):
+    """A density's mass on the quadrature grid is off 1 by more than
+    MASS_DEFECT_LIMIT."""
+
+
+def _integral(vals: np.ndarray, axes) -> float:
+    """Trapezoid rule over every axis of a grid of values."""
+    for ax in reversed(axes):
+        vals = np.trapezoid(vals, ax, axis=-1)
+    return float(vals)
+
+
+def _on_grid(p_density, q_density, box, pts_per_dim: int) -> tuple:
+    """(axes, p, q): both densities on a grid of pts_per_dim points a side
+    over a box of 1 to 3 sides, each refused with QuadratureError unless
+    it integrates to 1 within MASS_DEFECT_LIMIT there."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    if not 1 <= len(box) <= 3 or pts_per_dim < 8 \
+            or any(hi <= lo for lo, hi in box):
+        raise ValueError("need 1 to 3 box sides of positive length and at "
+                         "least 8 points per dimension")
+    axes = [np.linspace(lo, hi, pts_per_dim) for lo, hi in box]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    vals = []
+    for label, density in (("p", p_density), ("q", q_density)):
+        val = np.asarray(density(points.reshape(-1, len(box))),
+                         dtype=float).reshape(points.shape[:-1])
+        mass = _integral(val, axes)
+        if abs(mass - 1.0) > MASS_DEFECT_LIMIT:
+            raise QuadratureError(
+                f"{label} density integrates to {mass:.8g} on the box; "
+                f"enlarge the box or refine the grid")
+        vals.append(val)
+    return axes, *vals
+
+
+def _log_ratio(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(p, _TINY)) - np.log(np.maximum(q, _TINY))
+
+
+def quad_kl(p_density, q_density, box, pts_per_dim: int) -> float:
+    """Trapezoid quadrature of D(p||q) = integral p log(p/q) on a box;
+    densities are callables on an (npts, d) array of points."""
+    axes, p, q = _on_grid(p_density, q_density, box, pts_per_dim)
+    return _integral(np.where(p > _TINY, p * _log_ratio(p, q), 0.0), axes)
+
+
+def quad_fisher(p_density, q_density, box, pts_per_dim: int) -> float:
+    """Trapezoid quadrature of I(p||q) = integral p |grad log(p/q)|^2, the
+    gradient by central differences on the grid (exact for Gaussian
+    pairs, whose log ratio is quadratic)."""
+    axes, p, q = _on_grid(p_density, q_density, box, pts_per_dim)
+    grads = np.reshape(np.gradient(_log_ratio(p, q), *axes),
+                       (len(axes), *p.shape))
+    return _integral(p * np.sum(grads ** 2, axis=0), axes)
+
+
+def fisher(p: GaussianDist, q: GaussianDist) -> float:
+    """I(p||q) = E_p |grad log(dp/dq)|^2 in closed form: the score
+    difference S (x - m_p) + L_q (m_p - m_q), S = L_q - L_p with L the
+    precisions, is affine, so I = tr(S Sigma_p S) + |L_q (m_p - m_q)|^2."""
+    prec_q = np.linalg.inv(q.cov)
+    s = prec_q - np.linalg.inv(p.cov)
+    v = prec_q @ (p.mean - q.mean)
+    return max(float(np.sum((s @ p.cov) * s) + v @ v), 0.0)
+
+
+def block_update(model: GibbsModel, k: int) -> tuple:
+    """(lin, offset, noise) of the block-k Gibbs update x -> lin x +
+    offset + xi, xi ~ N(0, noise): x_k is redrawn from N(m_k - K_kk^-1
+    K_k,rest (x_rest - m_rest), K_kk^-1), so lin is the identity with
+    block k's rows -K_kk^-1 K_k,. and zeros on block k."""
+    prec, idx = model.precision, list(model.partition.block(k))
+    cond_cov = np.linalg.inv(prec[np.ix_(idx, idx)])
+    lin = np.eye(model.dim)
+    lin[idx] = -cond_cov @ prec[idx]
+    lin[np.ix_(idx, idx)] = 0.0
+    noise = np.zeros_like(lin)
+    noise[np.ix_(idx, idx)] = cond_cov
+    return lin, model.mean - lin @ model.mean, noise
+
+
+def block_image(p: GaussianDist, model: GibbsModel, k: int) -> GaussianDist:
+    """p Gamma_k, the law of the block-k update of a draw from p."""
+    lin, offset, noise = block_update(model, k)
+    return GaussianDist(lin @ p.mean + offset, lin @ p.cov @ lin.T + noise)
+
+
+def entropy_drop(p: GaussianDist, model: GibbsModel, k: int) -> tuple:
+    """(lhs, rhs) of the entropy-drop identity of the block-k update:
+    lhs = D(p||q) - D(p Gamma_k||q) and rhs = E[D(p^k(.|xbar) ||
+    q^k(.|xbar))], the averaged conditional divergence of block k."""
+    q = gaussian_target(model)
+    return (kl(p, q) - kl(block_image(p, model, k), q),
+            float(avg_conditional_kl(p, q, model.partition)[k]))
 
 
 def _block_constants(model: GibbsModel) -> np.ndarray:

@@ -24,13 +24,14 @@ from lsicert.fokker_planck import (
     gaussian_fp_evolve,
     langevin_particles,
 )
-from lsicert.gaussian import GaussianDist, fisher, gaussian_target, kl
+from lsicert.gaussian import GaussianDist, gaussian_target, kl
 from lsicert.instances import (random_certified_model, random_gaussian,
                                random_quartic_model)
 from lsicert.model import (BlockPartition, GibbsModel, grad_potential,
                            model_from_dict)
 
 from conftest import BAD_RHO, must_not_run
+from reference import fisher
 
 
 def one_dim_model():

@@ -21,7 +21,6 @@ from lsicert.gaussian import (
     GaussianStack,
     avg_conditional_kl,
     block_conditionals,
-    fisher,
     gaussian_target,
     kl,
     memo_conditionals,
@@ -32,9 +31,9 @@ from lsicert.instances import (model_2d, random_certified_model,
                                random_gaussian, random_gaussians,
                                random_partition, random_quartic_model)
 from lsicert.model import BlockPartition, GibbsModel, toeplitz_matrix
-from lsicert.oracles import quad_fisher, quad_kl
 
 from conftest import batching_cases
+from reference import fisher, quad_fisher, quad_kl
 
 KL_UNIT_SHIFT = 0.5                        # derived: 1d quadrature, N(1,1) vs N(0,1)
 KL_VARIANCE_2 = 0.5 * (1.0 - np.log(2.0))  # derived: 1d quadrature, N(0,2) vs N(0,1)
