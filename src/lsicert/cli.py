@@ -11,7 +11,7 @@ its suites check: rho_k and rho_marton, and delta = 1 - ||A0|| for
 prop4 alone.
 
 The closed-form suites (theorem1, transport, prop4) draw their trials in
-chunks of _TRIAL_CHUNK_BYTES of covariances, in the order a trial-by-trial
+chunks of model.CHUNK_BYTES of covariances, in the order a trial-by-trial
 loop draws them, and check each chunk in one stacked verifier call; each
 row equals the single-trial call, so the table does not depend on the
 chunk size.
@@ -22,8 +22,9 @@ a quartic term, since the closed-form verifiers need a Gaussian model,
 work over a budget of `model.charge`, refused before it is built: a
 model's dense K, a `toeplitz` section, a `verify` table's rows, --trials
 charged before the model is read, the closed-form trials' operations,
-charged once it is read, or a `verify gibbs` sweep's bytes and pushes; a
-bad option value, an unknown option or a missing argument,
+charged once it is read, a `verify gibbs` sweep's bytes and pushes, or
+a `dissipation` trace's nodes, up to 5000 kappa(K) + 1; a bad option
+value, an unknown option or a missing argument,
 each as one `usage error` line without argparse's usage text, non-finite
 or overflowing `toeplitz` coefficients, an offset or any other integer
 option not matching [+-]?[0-9]+, an offset given twice, a --diag or band
@@ -57,7 +58,7 @@ from .criteria import (CertificateError, a0_extremes, block_lsi_constants,
                        toeplitz_spectrum_report)
 from .gaussian import GaussianDist, gaussian_target
 from .model import (ROW_BYTES, ModelError, charge, load_model, model_digest,
-                    toeplitz_band)
+                    per_chunk, toeplitz_band)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,9 +77,6 @@ _ROWS_PER_TRIAL = {"theorem1": 1, "transport": 1, "prop4": 2}
 # leaving 13 000, rounded up.  A trial at d <= 8 took 17-40 us there,
 # 6 000-13 000 operations.
 _TRIAL_OPS = 16384
-# Size of the covariance stack of one chunk of closed-form trials; each
-# chunk is drawn and checked in one stacked verifier call.
-_TRIAL_CHUNK_BYTES = 256 << 10
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -184,12 +182,12 @@ def cmd_verify(args) -> int:
         rows = [(None, c) for c in gibbs.verify_contraction(
             _default_p0(model), model, rho_k, rho, steps=args.steps)]
     elif args.subcheck == "dissipation":
-        _, checks = fokker_planck.dissipation_check(
-            _default_p0(model), model, np.linspace(0.0, 5.0, 5001), rho=rho)
+        _, checks = fokker_planck.dissipation_check(_default_p0(model),
+                                                    model, rho=rho)
         rows = [(None, c) for c in checks]
     else:
         rng = np.random.default_rng(args.seed)
-        chunk = max(1, _TRIAL_CHUNK_BYTES // (8 * model.dim * model.dim))
+        chunk = per_chunk(8 * model.dim * model.dim)
         rows = []
         for lo in range(0, trials, chunk):
             trial_rows = _trial_checks(args.subcheck, model, rho_k, rho, rng,

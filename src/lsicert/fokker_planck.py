@@ -13,8 +13,8 @@ it (LAPACK dtrtri, by gaussian.tril_inverse), in chunks of nodes:
 log det C_t = 2 sum log diag L_t, and the Fisher covariance term
 tr((K - C_t^-1) C_t (K - C_t^-1)) = ||L_t' K - L_t^-1||_F^2 because
 L_t' C_t^-1 = L_t^-1.  The module also checks the de Bruijn dissipation
-identity dD/dt = -I on grids and exponential entropy decay under a
-certified constant, anchored at the grid's first node, and runs an
+identity dD/dt = -I and exponential entropy decay under a certified
+constant on a time grid that it reads from K's spectrum, and runs an
 Euler-Maruyama particle simulator that covers quartic models as well.
 The simulator updates the particles in place, block of rows by block of
 rows, and draws each block's noise into one block-sized buffer just
@@ -33,19 +33,13 @@ from .criteria import Check, _checked_rho
 from .gaussian import (GaussianDist, _check_same_dim, gaussian_target,
                        tril_inverse)
 from .model import (GibbsModel, _is_integer, charge, extreme_eigvalsh,
-                    grad_potential, per_object)
+                    grad_potential, per_chunk, per_object)
 
 DISSIPATION_REL_TOL = 1e-5
 INTEGRAL_REL_TOL = 1e-4
 DECAY_SLACK = 1e-9
 DECAY_ATOL = 1e-12
-COARSE_SPACING = 0.1
 _STABILITY_FRACTION = 0.1
-# Size of one chunk of evolved covariances in _trace_arrays.
-_TRACE_CHUNK_BYTES = 1 << 20
-# Size of one block of particle rows in langevin_particles: its step
-# temporaries stay in cache and come from the allocator's free lists.
-_PARTICLE_CHUNK_BYTES = 256 << 10
 
 
 class StepSizeError(ValueError):
@@ -145,7 +139,7 @@ def _trace_arrays(p0: GaussianDist, q: GaussianDist, model: GibbsModel,
     2 sum log diag L_t, and since L_t' C_t^-1 = L_t^-1 the Fisher
     covariance term tr((W - C_t^-1) C_t (W - C_t^-1)) is
     ||L_t' W - L_t^-1||_F^2.  The grid is taken in chunks of
-    _TRACE_CHUNK_BYTES of covariances, so memory is O(chunk d^2 + T d)
+    model.CHUNK_BYTES of covariances, so memory is O(chunk d^2 + T d)
     for T nodes.
     """
     w, vecs = _precision_eigh(model)
@@ -163,7 +157,7 @@ def _trace_arrays(p0: GaussianDist, q: GaussianDist, model: GibbsModel,
     logdet_q = -float(np.sum(np.log(w)))
     traces, logdets, fis = (np.empty(times.size) for _ in range(3))
     diag = np.arange(d)
-    step = max(1, _TRACE_CHUNK_BYTES // (8 * d * d))
+    step = per_chunk(8 * d * d)
     for lo in range(0, times.size, step):
         dec = decay[lo:lo + step]
         covs = dec[:, :, None] * dec[:, None, :]
@@ -233,36 +227,46 @@ def _interior_slopes(t: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return slopes
 
 
-def dissipation_check(p0: GaussianDist, model: GibbsModel, times,
+def dissipation_check(p0: GaussianDist, model: GibbsModel,
                       rho: float | None = None) -> tuple:
     """(trace, checks): one entropy trace and the checks read from it.
 
-    max_residual compares dD/dt with -I at interior nodes, with
-    tolerance (and bound) 1e-5 (1 + max I); it fails on grids coarser
-    than 0.1, which are not trusted.  dD/dt is the derivative of the
-    quartic through the five nodes around each node (_interior_slopes):
-    its O(h^4) error stays far below the tolerance on the CLI's grid
-    (spacing 0.001), where a centered difference's O(h^2) error, third
-    derivative of D times h^2 / 6, could exceed it.
+    The grid is read from K's spectrum: with s_hi = max(1, lambda_max /
+    10) and s_lo = max(1, lambda_min / 10), round(5000 s_hi / s_lo) + 1
+    even nodes on [0, 5 / s_lo], charged before it is built.  Spacing
+    is at most 0.001 and 0.01 / lambda_max, the horizon 5 is cut only
+    where the slowest mode's divergence has fallen by e^-100, and a K
+    with lambda_max <= 10 gets linspace(0, 5, 5001).  max_residual
+    compares dD/dt with -I at interior nodes, with tolerance (and
+    bound) 1e-5 (1 + max I); dD/dt is the derivative of the quartic
+    through the five nodes around each node (_interior_slopes), whose
+    O(h^4) error stays far below the tolerance at that spacing, where a
+    centered difference's O(h^2) error, third derivative of D times
+    h^2 / 6, could exceed it.
     integral_identity_rel_err is |D0 - D_T - int I| / max(D0, 1e-12)
     with a trapezoid integral, bounded by INTEGRAL_REL_TOL.  With rho,
     exp_decay_max_excess is max(D_t - exp(-2 rho t) D0 (1 + DECAY_SLACK)),
     against 0 within DECAY_ATOL.
     """
-    trace = entropy_trace(p0, model, times, rho=rho)
+    w = _precision_eigh(model)[0]
+    s_hi, s_lo = max(1.0, w[-1] / 10.0), max(1.0, w[0] / 10.0)
+    nodes = round(5000 * s_hi / s_lo) + 1
+    charge(f"a trace of {nodes} nodes in dimension {model.dim}",
+           8 * (2 * model.dim + 16) * nodes)
+    trace = entropy_trace(p0, model, np.linspace(0.0, 5.0 / s_lo, nodes),
+                          rho=rho)
     t = trace.times
     dvals = trace.kl_values
     residuals = np.abs(_interior_slopes(t, dvals)
                        + trace.fisher_values[1:-1])
     max_res = float(residuals.max()) if residuals.size else 0.0
     tol = DISSIPATION_REL_TOL * (1.0 + float(trace.fisher_values.max()))
-    coarse = bool(np.diff(t).max() > COARSE_SPACING)
     integral = float(np.trapezoid(trace.fisher_values, t))
     rel_err = float(abs(dvals[0] - dvals[-1] - integral)
                     / max(dvals[0], 1e-12))
     checks = [
         Check("dissipation", "max_residual", max_res, tol, tol,
-              bool(max_res <= tol and not coarse)),
+              bool(max_res <= tol)),
         Check("dissipation", "integral_identity_rel_err", rel_err,
               INTEGRAL_REL_TOL, INTEGRAL_REL_TOL,
               bool(rel_err <= INTEGRAL_REL_TOL)),
@@ -361,7 +365,7 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
     if 0 in marks:
         recorded.append(_checkpoint(model, p0, x, 0, 0.0, lam, dt, n))
     root = np.sqrt(2.0 * dt)
-    rows = max(1, _PARTICLE_CHUNK_BYTES // (8 * model.dim))
+    rows = per_chunk(8 * model.dim)
     noise = np.empty((min(rows, n), model.dim))
     for step in range(1, steps + 1):
         for lo in range(0, n, rows):

@@ -42,9 +42,10 @@ OP_BUDGET = 2 * 10**9
 # Bytes charged per row of a `verify` table, from its Check to its CSV
 # line: tracemalloc reads 460 (gibbs) to 550 (prop4) at the CLI.
 ROW_BYTES = 640
-# Size of one row block of A - A' in `symmetrized`, which takes a stack of
-# matrices a block at a time so that no full temporary is built.
-_SYMMETRY_CHUNK_BYTES = 1 << 20
+# Size of one block of every batched pass (symmetry checks, entropy
+# traces, Langevin particle rows, closed-form trials): its temporaries
+# stay in cache, and no output depends on it.
+CHUNK_BYTES = 256 << 10
 # An m x m matrix of lower bandwidth b takes the banded LAPACK routines
 # (_lower_band) when m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m.
 _BANDED_MIN_DIM = 64
@@ -60,6 +61,11 @@ def charge(what: str, nbytes: int, ops: int = 0) -> None:
     if ops > OP_BUDGET:
         raise ValueError(f"{what} takes about {ops} operations, over the "
                          f"{OP_BUDGET} budget")
+
+
+def per_chunk(item_bytes: int) -> int:
+    """Items of item_bytes bytes in one CHUNK_BYTES block, at least 1."""
+    return max(1, CHUNK_BYTES // item_bytes)
 
 
 def per_object(fn):
@@ -176,8 +182,8 @@ class BlockPartition:
 
 def _lower_bandwidth(mat: np.ndarray) -> int:
     """Largest i - j over the nonzero entries (i, j) of mat, or 0; the
-    nonzero mask is taken one _SYMMETRY_CHUNK_BYTES row block at a time."""
-    step = max(1, _SYMMETRY_CHUNK_BYTES // max(1, mat.shape[1]))
+    nonzero mask is taken one CHUNK_BYTES row block at a time."""
+    step = per_chunk(max(1, mat.shape[1]))
     width = 0
     for lo in range(0, len(mat), step):
         nz = mat[lo:lo + step] != 0
@@ -270,13 +276,13 @@ def _is_positive_definite(mat: np.ndarray) -> bool:
 def symmetrized(mat: np.ndarray, tol: float) -> tuple:
     """(S, asym) for the finite matrices A over the last two axes of mat:
     asym flags each A with max|A - A'| > tol max(1, max|A|), taken one
-    _SYMMETRY_CHUNK_BYTES row block at a time; S is mat if it is read-only,
+    CHUNK_BYTES row block at a time; S is mat if it is read-only,
     owns its data and is bitwise symmetric, else 0.5 A + 0.5 A'.  A kept
     mat is handed over: its owner must not make it writeable again, or a
     write would change the model or law but not the factors cached from it."""
     flat = mat.reshape(-1, *mat.shape[-2:])
     n = flat.shape[2]
-    rows = max(1, _SYMMETRY_CHUNK_BYTES // (8 * n))
+    rows = per_chunk(8 * n)
     mats = max(1, rows // n)  # whole matrices per block, when they fit
     limit = tol * np.fmax(1.0, np.fmax(-flat.min((1, 2)), flat.max((1, 2))))
     asym = np.zeros(len(flat), dtype=bool)

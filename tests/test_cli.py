@@ -612,6 +612,75 @@ def test_verify_dissipation_takes_mean_only_route(model_path, capsys,
                       "exp_decay_max_excess"]
 
 
+def _chain(m, diag):
+    return {"dim": m, "partition": [[i] for i in range(m)],
+            "toeplitz": {"m": m, "diag": diag, "band": {"1": 1.0}}}
+
+
+def _scaled_reference(c):
+    return {"dim": 2, "partition": [[0], [1]],
+            "precision": [[c, -0.5 * c], [-0.5 * c, c]]}
+
+
+# Certified models whose lambda_max(K) (52 to 1 500) made the fixed
+# linspace(0, 5, 5001) grid too coarse: each exited 4, on a false
+# max_residual or integral_identity_rel_err row, before the grid was
+# read from K's spectrum.
+STIFF_DOCS = {"reference-x100": _scaled_reference(100.0),
+              "reference-x1000": _scaled_reference(1000.0),
+              **{f"chain{m}-diag{d}": _chain(m, float(d))
+                 for m in (3, 8, 32) for d in (50, 300)}}
+
+
+@pytest.mark.parametrize("name", list(STIFF_DOCS))
+def test_verify_dissipation_passes_on_stiff_models(name, tmp_path, capsys):
+    code, out, err = run(["verify", write_doc(tmp_path, STIFF_DOCS[name]),
+                          "dissipation"], capsys)
+    assert (code, err) == (0, "")
+    rows = check_csv_shape(out, 0)[2:]
+    assert [row.split(",")[-1] for row in rows] == ["pass"] * 3
+
+
+def test_verify_dissipation_refuses_an_oversized_grid(tmp_path, capsys,
+                                                      monkeypatch):
+    # kappa(K) = 1e6 asks for 5e8 + 1 nodes: charged before the grid or
+    # any trace array is built
+    monkeypatch.setattr(fokker_planck, "_trace_arrays", must_not_run)
+    doc = {"dim": 2, "partition": [[0], [1]],
+           "precision": [[1.0, 0.0], [0.0, 1e6]]}
+    path = write_doc(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        code, out, err = run(["verify", path, "dissipation"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: a trace of 500000001 nodes")
+    assert err.count("\n") == 1
+    assert peak < 2**20, peak
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-3.0, 3.0))
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_every_subcheck_passes_whatever_the_units_of_k(tmp_path_factory,
+                                                       seed, log_c):
+    # a certified model stays certified with K scaled by c in [1e-3, 1e3]:
+    # every subcheck exits 0 on it, before and after the scaling
+    doc = model_to_dict(random_certified_model(np.random.default_rng(seed)))
+    prec = np.array(doc["precision"])
+    path = tmp_path_factory.mktemp("units") / "model.json"
+    for c in (1.0, 10.0 ** log_c):
+        doc["precision"] = (c * prec).tolist()
+        path.write_text(json.dumps(doc))
+        for subcheck in cli.SUBCHECKS:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = cli.main(["verify", str(path), subcheck,
+                                 "--trials", "5"])
+            assert code == 0, (c, subcheck, out.getvalue())
+
+
 def with_trial(i, check):
     """check with its trial prefixed to its param, as `verify` prints it."""
     return replace(check, param=f"trial={i}:{check.param}" if check.param
@@ -628,8 +697,7 @@ def library_checks(model, subcheck, seed, trials):
     if subcheck == "gibbs":
         return list(gibbs.verify_contraction(p0, model, rho_k, rho, steps=2))
     if subcheck == "dissipation":
-        _, checks = fokker_planck.dissipation_check(
-            p0, model, np.linspace(0.0, 5.0, 5001), rho=rho)
+        _, checks = fokker_planck.dissipation_check(p0, model, rho=rho)
         return list(checks)
     rng = np.random.default_rng(seed)
     out = []
@@ -687,7 +755,7 @@ def test_verify_chunks_give_the_rows_of_one_chunk(subcheck, model_path,
     assert counts == [11]
     counts.clear()
     # the 2-d model's covariance takes 32 bytes: three trials per chunk
-    monkeypatch.setattr(cli, "_TRIAL_CHUNK_BYTES", 3 * 32 + 31)
+    monkeypatch.setattr(lsimodel, "CHUNK_BYTES", 3 * 32 + 31)
     chunked_code, chunked, _ = run(args, capsys)
     assert counts == [3, 3, 3, 2]
     assert code == chunked_code == 0

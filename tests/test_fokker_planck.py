@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lsicert import fokker_planck
+from lsicert import model as lsimodel
 from lsicert.fokker_planck import (
     EntropyTrace,
     StepSizeError,
@@ -262,10 +263,11 @@ def test_trace_refuses_a_start_of_another_dimension(monkeypatch, model_dim,
     model = random_certified_model(np.random.default_rng(3), dim=model_dim)
     p0 = GaussianDist(np.ones(p0_dim), np.eye(p0_dim))
     times = np.linspace(0.0, 1.0, 11)
-    for check in (entropy_trace, dissipation_check):
-        for rho in (None, 0.5):
-            with pytest.raises(ValueError, match="dimension"):
-                check(p0, model, times, rho=rho)
+    for rho in (None, 0.5):
+        with pytest.raises(ValueError, match="dimension"):
+            entropy_trace(p0, model, times, rho=rho)
+        with pytest.raises(ValueError, match="dimension"):
+            dissipation_check(p0, model, rho=rho)
 
 
 @pytest.mark.parametrize("rho", [r for r in BAD_RHO if r is not None])
@@ -277,22 +279,23 @@ def test_trace_refuses_a_rate_that_is_not_finite_and_positive(
     q = gaussian_target(model2d)
     p0 = GaussianDist(q.mean + 1.0, q.cov)
     times = np.linspace(0.0, 5.0, 5001)
-    for check in (entropy_trace, dissipation_check):
-        with pytest.raises(ValueError, match="rho must be finite and positive"):
-            check(p0, model2d, times, rho=rho)
+    with pytest.raises(ValueError, match="rho must be finite and positive"):
+        entropy_trace(p0, model2d, times, rho=rho)
+    with pytest.raises(ValueError, match="rho must be finite and positive"):
+        dissipation_check(p0, model2d, rho=rho)
 
 
 def test_trace_grid_spans_partial_chunks(monkeypatch):
     # 5001 nodes at d = 32 fill several chunks and leave a partial one;
     # chunks of 7 nodes at d = 5 must give the same values as one chunk
-    step = fokker_planck._TRACE_CHUNK_BYTES // (8 * 32 * 32)
+    step = lsimodel.CHUNK_BYTES // (8 * 32 * 32)
     assert 1 < step < 5001 and 5001 % step
     rng = np.random.default_rng(5)
     model = random_certified_model(rng, dim=5)
     p0 = random_gaussian(rng, 5)
     times = np.linspace(0.0, 5.0, 5001)
     whole = entropy_trace(p0, model, times)
-    monkeypatch.setattr(fokker_planck, "_TRACE_CHUNK_BYTES", 7 * 8 * 5 * 5)
+    monkeypatch.setattr(lsimodel, "CHUNK_BYTES", 7 * 8 * 5 * 5)
     chunked = entropy_trace(p0, model, times)
     assert_allclose(chunked.kl_values, whole.kl_values, rtol=1e-14,
                     atol=1e-15)
@@ -366,22 +369,56 @@ def test_trace_refuses_non_finite_values_and_negative_fisher(
 def test_dissipation_reference(model2d):
     p0 = GaussianDist(np.array([2.0, -1.0]),
                       np.array([[0.5, 0.1], [0.1, 0.7]]))
-    _, (res, _) = dissipation_check(p0, model2d, np.linspace(0.0, 5.0, 5001))
+    _, (res, _) = dissipation_check(p0, model2d)
     assert (res.check, res.param) == ("dissipation", "max_residual")
     assert res.holds
     assert res.value <= res.bound == res.tolerance
 
 
+def diag_model(diag):
+    d = len(diag)
+    return GibbsModel(partition=BlockPartition(tuple((i,) for i in range(d))),
+                      precision=np.diag(diag), mean=np.zeros(d),
+                      quartic=np.zeros(d))
+
+
+@pytest.mark.parametrize("diag", [[1.0, 1.5], [0.01, 10.0], [10.0]])
+def test_dissipation_grid_below_lambda_10_is_the_fixed_grid(diag):
+    # lambda_max(K) <= 10 keeps linspace(0, 5, 5001) bit for bit, however
+    # small lambda_min is
+    model = diag_model(diag)
+    q = gaussian_target(model)
+    trace, _ = dissipation_check(GaussianDist(q.mean + 1.0, q.cov), model)
+    assert np.array_equal(trace.times, np.linspace(0.0, 5.0, 5001))
+
+
+@pytest.mark.parametrize("diag", [[50.0, 500.0], [20.0, 20.0], [1.0, 300.0]])
+def test_dissipation_grid_follows_the_spectrum_of_a_stiff_k(diag):
+    # spacing at most 0.01 / lambda_max, and the horizon 5 cut only where
+    # the slowest mode's divergence exp(-2 lambda_min t) has fallen by
+    # e^-100; every row holds
+    model = diag_model(diag)
+    q = gaussian_target(model)
+    trace, checks = dissipation_check(GaussianDist(q.mean + 1.0, q.cov),
+                                      model, rho=min(diag))
+    t = trace.times
+    assert t[0] == 0.0
+    assert np.diff(t).max() <= 0.01 / max(diag) * (1.0 + 1e-9)
+    assert t[-1] == pytest.approx(min(5.0, 50.0 / min(diag)), rel=1e-15)
+    assert len(t) == round(5000 * max(1.0, max(diag) / 10)
+                           / max(1.0, min(diag) / 10)) + 1
+    assert all(c.holds for c in checks), checks
+
+
 def test_dissipation_residual_sees_a_scaled_fisher_column(monkeypatch):
-    # the 3-site chain on the CLI's grid: its residual is far below the
+    # the 3-site chain on its 5001-node grid: its residual is far below the
     # tolerance, yet I scaled by 1 + 1e-4 is caught
     model = model_from_dict({"dim": 3, "partition": [[0], [1], [2]],
                              "mean": [0, 1, 2], "toeplitz": {
                                  "m": 3, "diag": 3.0, "band": {"1": 1.0}}})
     q = gaussian_target(model)
     p0 = GaussianDist(q.mean + 1.0, q.cov)
-    times = np.linspace(0.0, 5.0, 5001)
-    _, (res, _) = dissipation_check(p0, model, times)
+    _, (res, _) = dissipation_check(p0, model)
     assert res.holds
     assert res.value <= 1e-4 * res.bound
     trace_arrays = fokker_planck._trace_arrays
@@ -391,7 +428,7 @@ def test_dissipation_residual_sees_a_scaled_fisher_column(monkeypatch):
         return kls, fis * (1.0 + 1e-4)
 
     monkeypatch.setattr(fokker_planck, "_trace_arrays", scaled)
-    _, (res, _) = dissipation_check(p0, model, times)
+    _, (res, _) = dissipation_check(p0, model)
     assert res.value > res.bound
     assert not res.holds
 
@@ -407,15 +444,6 @@ def test_interior_slopes_are_exact_on_quartics(n):
                     rtol=1e-9, atol=1e-9)
 
 
-def test_dissipation_flags_coarse_grid(model2d):
-    # started at the target, D and I stay 0 and the residual is rounding;
-    # the check still fails because the grid is coarser than 0.1
-    p0 = gaussian_target(model2d)
-    _, (res, _) = dissipation_check(p0, model2d, np.linspace(0.0, 5.0, 26))
-    assert res.value <= res.bound
-    assert not res.holds
-
-
 def test_dissipation_integral_identity(model2d):
     # D(0) - D(T) equals the integral of I along the flow
     p0 = GaussianDist(np.array([2.0, -1.0]), 0.4 * np.eye(2))
@@ -424,7 +452,7 @@ def test_dissipation_integral_identity(model2d):
     integral = float(np.trapezoid(trace.fisher_values, times))
     drop = float(trace.kl_values[0] - trace.kl_values[-1])
     assert integral == pytest.approx(drop, rel=1e-4)
-    _, checks = dissipation_check(p0, model2d, times)
+    _, checks = dissipation_check(p0, model2d)
     # no decay check without a rate
     assert [c.param for c in checks] == ["max_residual",
                                          "integral_identity_rel_err"]
@@ -433,8 +461,8 @@ def test_dissipation_integral_identity(model2d):
     assert checks[1].holds
 
 
-def decay_check(p0, model, rho, times):
-    check = dissipation_check(p0, model, times, rho=rho)[1][-1]
+def decay_check(p0, model, rho):
+    check = dissipation_check(p0, model, rho=rho)[1][-1]
     assert check.param == "exp_decay_max_excess"
     assert (check.bound, check.tolerance) == (0.0, 1e-12)
     return check
@@ -443,11 +471,10 @@ def decay_check(p0, model, rho, times):
 def test_exp_decay_tight_and_falsified():
     model = one_dim_model()
     p0 = GaussianDist(np.array([2.0]), np.eye(1))
-    times = np.linspace(0.0, 4.0, 401)
     # the certified rate 1 is exactly attained for a pure mean shift
-    assert decay_check(p0, model, 1.0, times).holds
+    assert decay_check(p0, model, 1.0).holds
     # any faster claimed rate must be rejected
-    assert not decay_check(p0, model, 1.05, times).holds
+    assert not decay_check(p0, model, 1.05).holds
 
 
 def test_exp_decay_bound_anchored_at_first_node(model2d):
@@ -458,10 +485,10 @@ def test_exp_decay_bound_anchored_at_first_node(model2d):
     rho = criteria_report(model2d).rho_marton
     q = gaussian_target(model2d)
     p0 = GaussianDist(q.mean + 1.0, q.cov)
-    for times in (np.linspace(0.0, 5.0, 5001), np.linspace(0.5, 5.5, 5001)):
-        check = decay_check(p0, model2d, rho, times)
-        assert check.holds, check
+    assert decay_check(p0, model2d, rho).holds
+    times = np.linspace(0.5, 5.5, 5001)
     trace = entropy_trace(p0, model2d, times, rho=rho)
+    assert np.all(trace.kl_values <= trace.lsi_bound * (1.0 + 1e-9))
     assert trace.lsi_bound[0] == trace.kl_values[0]
     assert_allclose(trace.lsi_bound,
                     np.exp(-2.0 * rho * (times - 0.5)) * trace.kl_values[0],
@@ -477,8 +504,7 @@ def test_exp_decay_under_certified_rate(seed):
     model = random_certified_model(rng)
     rep = criteria_report(model)
     p0 = random_gaussian(rng, model.dim)
-    times = np.linspace(0.0, 3.0, 61)
-    assert decay_check(p0, model, rep.rho_marton, times).holds
+    assert decay_check(p0, model, rep.rho_marton).holds
 
 
 # ---- particles ----
@@ -503,7 +529,7 @@ def test_langevin_step_matches_out_of_place_reference(model2d, monkeypatch,
     # x <- x - grad dt + sqrt(2 dt) xi, one fresh draw per step; blocks of
     # 7 rows leave a partial block of 1000 particles
     if block_rows is not None:
-        monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES",
+        monkeypatch.setattr(lsimodel, "CHUNK_BYTES",
                             block_rows * 8 * 2)
     p0 = GaussianDist(np.array([2.0, -1.0]), 0.5 * np.eye(2))
     res = langevin_particles(model2d, p0, dt=0.05, steps=7, n=1000, seed=4)
@@ -553,7 +579,7 @@ def quartic_2d():
 def test_langevin_pipeline_matches_out_of_place_reference(
         model2d, monkeypatch, quartic, block_rows, n, steps, marks):
     if block_rows is not None:
-        monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES",
+        monkeypatch.setattr(lsimodel, "CHUNK_BYTES",
                             block_rows * 8 * 2)
     model = quartic_2d() if quartic else model2d
     p0 = GaussianDist(np.array([1.0, -1.0]), 0.5 * np.eye(2))
@@ -597,7 +623,7 @@ def test_langevin_gradient_error_stops_worker(model2d, monkeypatch):
             raise RuntimeError("gradient failed")
         return grad_potential(model, x)
 
-    monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES", 250 * 8 * 2)
+    monkeypatch.setattr(lsimodel, "CHUNK_BYTES", 250 * 8 * 2)
     monkeypatch.setattr(fokker_planck, "grad_potential", failing_grad)
     p0 = GaussianDist(np.zeros(2), np.eye(2))
     before = threading.active_count()
@@ -628,7 +654,7 @@ def test_langevin_draw_error_reaches_caller(model2d, monkeypatch):
 
     monkeypatch.setattr(fokker_planck.np.random, "default_rng",
                         FailingGenerator)
-    monkeypatch.setattr(fokker_planck, "_PARTICLE_CHUNK_BYTES", 250 * 8 * 2)
+    monkeypatch.setattr(lsimodel, "CHUNK_BYTES", 250 * 8 * 2)
     p0 = GaussianDist(np.zeros(2), np.eye(2))
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="draw failed"):

@@ -209,7 +209,7 @@ def test_symmetry_check_sees_every_row_block(monkeypatch, row, col):
     # block, on either side of a block edge, or in the short last block;
     # the same rows of the second law of a stack, and the same laws of a
     # stack of 200 small covariances taken 64 at a time
-    monkeypatch.setattr(lsimodel, "_SYMMETRY_CHUNK_BYTES", 64 * 200 * 8)
+    monkeypatch.setattr(lsimodel, "CHUNK_BYTES", 64 * 200 * 8)
     prec = np.eye(200)
     prec[row, col] = 1e-3
     part = BlockPartition(tuple((i,) for i in range(200)))
@@ -634,7 +634,7 @@ def _whole_mask_bandwidth(mat):
 def test_lower_bandwidth_sees_every_row_block(monkeypatch, rng, row, col):
     # 64-row blocks of a 200 x 200 chain: the widest entry in the first
     # block, on either side of a block edge, or in the short last block
-    monkeypatch.setattr(lsimodel, "_SYMMETRY_CHUNK_BYTES", 64 * 200)
+    monkeypatch.setattr(lsimodel, "CHUNK_BYTES", 64 * 200)
     mat = _band_matrix(rng, 200, 1)
     mat[row, col] = mat[col, row] = 0.5
     assert lsimodel._lower_bandwidth(mat) == _whole_mask_bandwidth(mat) \
