@@ -49,6 +49,8 @@ import dataclasses
 import json
 import re
 import sys
+from functools import cache
+from itertools import repeat
 
 import numpy as np
 
@@ -90,6 +92,37 @@ def _write_text(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write --out: {exc}") from exc
 
 
+# the C encoder, which json.dumps on Python 3.11 skips for any indent
+_json_value = json.JSONEncoder(allow_nan=False).encode
+
+
+@cache
+def _json_list(pad: str):
+    """The C encoder's encode, allow_nan=False, whose item separator starts
+    a new line at pad."""
+    return json.JSONEncoder(allow_nan=False,
+                            separators=(",\n" + pad, ": ")).encode
+
+
+def _indented_json(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, allow_nan=False) for a JSON scalar or a
+    str-keyed dict or list of such values, written by the C encoder.  A
+    list of scalars, such as a report's rho_k, takes one call."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [_json_value(key) + ": " + _indented_json(item, inner)
+                 for key, item in value.items()]
+    elif not isinstance(value, (list, tuple)) or not value:
+        return _json_value(value)
+    elif any(map(isinstance, value, repeat((dict, list, tuple)))):
+        items = [_indented_json(item, inner) for item in value]
+    else:
+        items = [_json_list(inner)(value)[1:-1]]
+    ends = "{}" if isinstance(value, dict) else "[]"
+    return (ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad
+            + ends[1])
+
+
 def _report_json(model, report) -> str:
     doc = {
         "model": {"dim": model.dim,
@@ -104,7 +137,7 @@ def _report_json(model, report) -> str:
         "norm_A0": float(report.norm_A0),
         "lambda_max_A0": float(report.lambda_max_A0),
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return _indented_json(doc) + "\n"
 
 
 def cmd_criteria(args) -> int:
@@ -236,7 +269,7 @@ def cmd_toeplitz(args) -> int:
     report = toeplitz_spectrum_report(args.m, _decimal(args.diag),
                                       parse_band(args.band))
     doc = dataclasses.asdict(report)
-    _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
+    _write_text(_indented_json(doc) + "\n", args.out)
     return EXIT_OK
 
 

@@ -32,7 +32,10 @@ A0 diagnostics and the two Toeplitz sections) comes from
 model.extreme_eigvalsh.  On the nearest-neighbour chains whose constants
 must hold uniformly in the size m these matrices are banded, and a
 narrow band of width b takes two O(m^2 b) banded solves in place of one
-O(m^3) dense eigvalsh (the crossover is stated there).
+O(m^3) dense eigvalsh (the crossover is stated there).  A chain spec's K
+is kept in band storage (model.LowerBand), and on its singleton
+partition every such matrix is formed on the band in O(m b) memory
+(_chain_band), as are the Toeplitz sections (model.toeplitz_section).
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .model import (GibbsModel, charge, extreme_eigvalsh, per_object,
-                    toeplitz_band, toeplitz_matrix)
+from .model import (GibbsModel, LowerBand, charge, extreme_eigvalsh,
+                    per_object, toeplitz_band, toeplitz_section)
 
 
 class CertificateError(Exception):
@@ -131,25 +134,50 @@ def block_lsi_constants(model: GibbsModel) -> np.ndarray:
 
     For models with a quartic term this is still a valid lower bound on
     the conditional curvature, since the quartic Hessian contribution is
-    diagonal and non-negative.  Blocks of one size are stacked and share
-    one batched eigvalsh call.
+    diagonal and non-negative.  A 1 x 1 block's constant is its diagonal
+    entry, the bits eigvalsh returns for it, read off the band on a band
+    model; larger blocks of one size are stacked and share one batched
+    eigvalsh call.
     """
     out = np.empty(model.partition.n)
     for ks, idx in model.partition.size_groups:
+        if idx.shape[1] == 1:
+            diagonal = np.diagonal(model.precision) if model.band is None \
+                else model.band.rows[0]
+            out[ks] = diagonal[idx[:, 0]]
+            continue
         subs = model.precision[idx[:, :, None], idx[:, None, :]]
         out[ks] = np.linalg.eigvalsh(subs)[:, 0]
     out.flags.writeable = False
     return out
 
 
+def _chain_band(model: GibbsModel) -> LowerBand | None:
+    """K's LowerBand when the model keeps one and block k is coordinate k
+    for every k, as on every chain document: then C is K off its diagonal,
+    and D0 +- C, diag(rho_k) - kappa and A0 are formed on the band, each
+    entry by the operations the dense route applies to it.  Else None, and
+    they are formed from the dense K, which a band model with any other
+    partition builds on demand."""
+    if model.band is not None and model.partition.ordered_singletons:
+        return model.band
+    return None
+
+
+def _on_band(diagonal: np.ndarray, below: np.ndarray) -> LowerBand:
+    """The LowerBand with diagonal on row 0 and the rows below it."""
+    return LowerBand(np.vstack([diagonal, below]))
+
+
 def _lambda_min_lower(mat: np.ndarray) -> float:
     """Least eigenvalue rounded down by the eigensolver's a-priori error
     bound n * eps * max(|lambda_min|, |lambda_max|), so rounding never
     inflates a certificate.  Both extremes come from
-    model.extreme_eigvalsh: the banded solver on a narrow band, a dense
-    eigvalsh otherwise."""
+    model.extreme_eigvalsh: the banded solver on a LowerBand or a narrow
+    band, a dense eigvalsh otherwise."""
     lo, hi = extreme_eigvalsh(mat)
-    return float(lo - len(mat) * np.finfo(float).eps * max(abs(lo), abs(hi)))
+    return float(lo - mat.shape[0] * np.finfo(float).eps
+                 * max(abs(lo), abs(hi)))
 
 
 def _positive_block_constants(model: GibbsModel) -> np.ndarray:
@@ -173,11 +201,17 @@ def solve_rho_marton(model: GibbsModel) -> float:
     """
     rho_k = _positive_block_constants(model)
     rho_coord = rho_k[model.partition.coordinate_block]
-    if not model.cross.any():
+    band = _chain_band(model)
+    if band is not None and len(band.rows) > 1:
+        # rho_i -+ 0 is rho_i on the diagonal; below it 0 -+ K_ij
+        pair = [_on_band(rho_coord, op(0.0, band.rows[1:]))
+                for op in (np.subtract, np.add)]
+    elif band is None and model.cross.any():
+        d0 = np.diag(rho_coord)
+        pair = (d0 - model.cross, d0 + model.cross)
+    else:  # C = 0
         return float(rho_coord.min())
-    d0 = np.diag(rho_coord)
-    rho = min(_lambda_min_lower(d0 - model.cross),
-              _lambda_min_lower(d0 + model.cross))
+    rho = min(map(_lambda_min_lower, pair))
     if rho <= 0:
         raise CertificateError("delta <= 0")
     return rho
@@ -202,8 +236,7 @@ def cross_block_norms(model: GibbsModel) -> np.ndarray:
     values in the last bits.
     """
     part = model.partition
-    if part.dim == part.n and np.array_equal(part.size_groups[0][1][:, 0],
-                                             np.arange(part.n)):
+    if part.ordered_singletons:
         kappa = np.abs(model.precision)
         np.fill_diagonal(kappa, 0.0)
         return kappa
@@ -240,14 +273,21 @@ def otto_reznikoff(model: GibbsModel) -> float:
     definite.
     """
     rho_k = _positive_block_constants(model)
-    kappa = cross_block_norms(model)
-    if not kappa.any():
-        return float(rho_k.min())
-    # diag(rho_k) - kappa in kappa's own buffer; subtracting from +0.0
-    # gives the bits of the off-diagonal 0 - kappa (negation would give
-    # -0.0 where kappa is 0)
-    mat = np.subtract(0.0, kappa, out=kappa)
-    np.fill_diagonal(mat, rho_k)
+    band = _chain_band(model)
+    if band is not None:
+        if len(band.rows) == 1:
+            return float(rho_k.min())
+        # kappa_kl = |K_kl|, below the diagonal
+        mat = _on_band(rho_k, np.subtract(0.0, np.abs(band.rows[1:])))
+    else:
+        kappa = cross_block_norms(model)
+        if not kappa.any():
+            return float(rho_k.min())
+        # diag(rho_k) - kappa in kappa's own buffer; subtracting from +0.0
+        # gives the bits of the off-diagonal 0 - kappa (negation would give
+        # -0.0 where kappa is 0)
+        mat = np.subtract(0.0, kappa, out=kappa)
+        np.fill_diagonal(mat, rho_k)
     rho = _lambda_min_lower(mat)
     if rho <= 0:
         raise CertificateError(
@@ -262,7 +302,17 @@ def a0_extremes(model: GibbsModel) -> tuple:
     matrix at rho = 0, once per model; prop4 reads delta = 1 - ||A0||."""
     scale = 1.0 / np.sqrt(_positive_block_constants(model)[
         model.partition.coordinate_block])
-    lo, hi = extreme_eigvalsh(scale[:, None] * model.cross * scale[None, :])
+    band = _chain_band(model)
+    if band is None:
+        a0 = scale[:, None] * model.cross * scale[None, :]
+    else:
+        # (s_i K_ij) s_j below the diagonal, (s_i 0) s_i = 0 on it
+        m = len(scale)
+        below = np.zeros_like(band.rows[1:])
+        for k, row in enumerate(band.rows[1:], start=1):
+            below[k - 1, :m - k] = scale[k:] * row[:m - k] * scale[:m - k]
+        a0 = _on_band(np.zeros(m), below)
+    lo, hi = extreme_eigvalsh(a0)
     return max(abs(lo), abs(hi)), hi
 
 
@@ -350,11 +400,12 @@ def _symbol_extrema(diag: float, band: dict):
 
 def _section_spectrum(m: int, diag: float, band: dict) -> tuple:
     """(max, min, sup|.|) of the symbol of diag*I + sum_j b_j (E_j + E_-j)
-    and (lambda_max, lambda_min, norm) of its m x m section, the one m x m
-    float array it keeps.  The section is built first, so an offset
-    outside 1..m-1 is refused before the symbol's Chebyshev companion
-    matrix is."""
-    mat = toeplitz_matrix(m, diag, band)
+    and (lambda_max, lambda_min, norm) of its m x m section, which is
+    model.toeplitz_section's band storage when the banded solver takes it,
+    else the one m x m float array it keeps.  The section is built first,
+    so an offset outside 1..m-1 is refused before the symbol's Chebyshev
+    companion matrix is."""
+    mat = toeplitz_section(m, diag, band)
     with np.errstate(all="ignore"):
         max_sym, min_sym, sup_abs = _symbol_extrema(diag, band)
     if not np.all(np.isfinite([max_sym, min_sym])):
@@ -375,8 +426,8 @@ def toeplitz_spectrum_report(m: int, diag: float,
     """
     if m < 4:
         raise ValueError("finite sections below size 4 are not informative")
-    # one section and either a dense eigvalsh's working copy or the banded
-    # route's band storage; the bandwidth scan holds one 1 MiB mask block
+    # one dense section and a dense eigvalsh's working copy; a section the
+    # banded solver takes is built in band storage, O(m b)
     charge(f"a {m}x{m} section", 2 * m * m * 8)
     band = toeplitz_band(band)
     if not np.all(np.isfinite([diag, *band.values()])):

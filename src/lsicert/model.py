@@ -13,11 +13,19 @@ When lam = 0 the model is Gaussian and K must be positive definite.  With
 a non-trivial quartic term the density is still normalizable for any
 symmetric K, so positive definiteness is not required.
 
-One Cholesky factorization of K decides positive definiteness.  It takes
-the route extreme_eigvalsh takes, by one rule (_lower_band): LAPACK
-dpbtrf on K's lower band storage when m >= 64 and 32 b <= m for the lower
-bandwidth b, else np.linalg.cholesky.  Only a K that fails pays for the
-eigen-solve whose least eigenvalue the refusal reports.
+An m x m matrix of lower bandwidth b takes the banded LAPACK routines
+when m >= 64 and 32 b <= m (_takes_band), else the dense ones.  A
+`toeplitz` spec is routed once, at load: one the banded routines take is
+built straight into lower band storage (b+1, m) (LowerBand, one value a
+diagonal), and the model keeps it as `band`; `precision`, the dense K
+every reader sees, is then built only on its first read.  A dense
+document is routed per matrix by _lower_band, which reads b from the
+nonzeros.
+
+One Cholesky factorization of K decides positive definiteness: LAPACK
+dpbtrf on K's lower band storage when it takes the banded routines, else
+np.linalg.cholesky.  Only a K that fails pays for the eigen-solve whose
+least eigenvalue the refusal reports.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import hashlib
 import json
 import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from itertools import chain
 
@@ -171,6 +179,12 @@ class BlockPartition:
                                 for s in np.unique(sizes)))
 
     @cached_property
+    def ordered_singletons(self) -> bool:
+        """Whether block k is the one coordinate k, for every k."""
+        return self.dim == self.n and np.array_equal(
+            self.size_groups[0][1][:, 0], np.arange(self.n))
+
+    @cached_property
     def coordinate_block(self) -> np.ndarray:
         """Map from coordinate index to the block containing it."""
         flat = np.fromiter(chain.from_iterable(self.blocks), dtype=int,
@@ -195,21 +209,72 @@ def _lower_bandwidth(mat: np.ndarray) -> int:
     return width
 
 
-def _lower_band(mat: np.ndarray):
-    """(b+1, m) lower band storage of the m x m matrix mat, whose lower
-    bandwidth b is read from the nonzeros, when the banded routines take
-    it: m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m.  Else None, and
-    mat takes the dense routines."""
+def _takes_band(m: int, b: int) -> bool:
+    """Whether an m x m matrix of lower bandwidth b takes the banded
+    routines: m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m."""
+    return m >= _BANDED_MIN_DIM and _BANDED_RATIO * b <= m
+
+
+@dataclass(frozen=True, eq=False)
+class LowerBand:
+    """A symmetric m x m matrix in LAPACK lower band storage.
+
+    rows[k, i] is entry (i + k, i) for k = 0..b; the last k slots of row
+    k are unread.  Trailing all-zero rows are trimmed, so b is the
+    lower bandwidth _lower_bandwidth reads from the nonzeros of the dense
+    matrix, and each LAPACK routine gets the width it would get from that
+    matrix.  Every entry beyond the band equals fill, a signed zero, so
+    dense rows have the bits of the matrix the band stands for.
+    """
+
+    rows: np.ndarray
+    fill: float = 0.0
+
+    def __post_init__(self):
+        coupled = np.flatnonzero(self.rows[1:].any(axis=1))
+        width = int(coupled[-1]) + 1 if len(coupled) else 0
+        object.__setattr__(self, "rows", self.rows[:width + 1])
+
+    @property
+    def shape(self) -> tuple:
+        """(m, m), the dense matrix's shape."""
+        return self.rows.shape[1], self.rows.shape[1]
+
+    def dense_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of the dense matrix, one new (hi - lo, m) array."""
+        m = self.rows.shape[1]
+        out = np.full((min(hi, m) - lo, m), self.fill)
+        i = np.arange(lo, lo + len(out))
+        for k, row in enumerate(self.rows):
+            # entries (i, i - k) and (i, i + k) are row[i - k] and row[i]
+            for col, at in ((i - k, i - k), (i + k, i)):
+                inside = (col >= 0) & (col < m)
+                out[i[inside] - lo, col[inside]] = row[at[inside]]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The dense m x m matrix, one new array."""
+        return self.dense_rows(0, self.rows.shape[1])
+
+
+def _lower_band(mat):
+    """mat itself when it is a LowerBand.  Else the LowerBand of the dense
+    m x m matrix mat, whose lower bandwidth b is read from the nonzeros,
+    when the banded routines take it (_takes_band); else None, and mat
+    takes the dense routines."""
+    if isinstance(mat, LowerBand):
+        return mat
+    mat = np.asarray(mat, dtype=float)
     m = len(mat)
     if m < _BANDED_MIN_DIM:
         return None
     b = _lower_bandwidth(mat)
-    if _BANDED_RATIO * b > m:
+    if not _takes_band(m, b):
         return None
     band = np.zeros((b + 1, m))
     for k in range(b + 1):
         band[k, :m - k] = np.diagonal(mat, -k)
-    return band
+    return LowerBand(band)
 
 
 def _banded_eigval(band: np.ndarray, i: int) -> float:
@@ -232,15 +297,16 @@ def _banded_eigval(band: np.ndarray, i: int) -> float:
     return float(w[0])
 
 
-def extreme_eigvalsh(mat: np.ndarray) -> tuple:
-    """(lambda_min, lambda_max) of a symmetric matrix, from its lower
-    triangle as np.linalg.eigvalsh reads it.
+def extreme_eigvalsh(mat) -> tuple:
+    """(lambda_min, lambda_max) of a symmetric matrix, a LowerBand or a
+    dense array, from its lower triangle as np.linalg.eigvalsh reads it.
 
-    When _lower_band gives band storage (m >= 64 and 32 b <= m for the
-    lower bandwidth b), each extreme is one LAPACK dsbevx call on it
-    (_banded_eigval), O(m^2 b) in time; otherwise one dense eigvalsh,
-    O(m^3).  Solver time for both extremes on one thread of a 2 vCPU
-    Xeon, the bandwidth scan aside (ms, best of 5 to 30):
+    A matrix _lower_band keeps in band storage (a LowerBand, or a dense
+    one when m >= 64 and 32 b <= m for its lower bandwidth b) takes one
+    LAPACK dsbevx call per extreme (_banded_eigval), O(m^2 b) in time; any
+    other matrix one dense eigvalsh, O(m^3).  Solver time for both extremes on
+    one thread of a 2 vCPU Xeon, the bandwidth scan aside (ms, best of 5
+    to 30):
 
         m      dense   b=0    b=1    b=2    b=8    b=32
         32     0.050   0.012  0.027  0.036  0.058
@@ -251,21 +317,21 @@ def extreme_eigvalsh(mat: np.ndarray) -> tuple:
     At full bandwidth the banded solver is several times slower than
     dense, so dense matrices keep the dense path.
     """
-    mat = np.asarray(mat, dtype=float)
     band = _lower_band(mat)
     if band is not None:
-        return _banded_eigval(band, 1), _banded_eigval(band, len(mat))
+        m = band.shape[0]
+        return _banded_eigval(band.rows, 1), _banded_eigval(band.rows, m)
     evals = np.linalg.eigvalsh(mat)
     return float(evals[0]), float(evals[-1])
 
 
-def _is_positive_definite(mat: np.ndarray) -> bool:
-    """Whether one Cholesky factorization of the symmetric matrix mat, read
-    from its lower triangle, succeeds: LAPACK dpbtrf on _lower_band's
-    storage, else np.linalg.cholesky."""
+def _is_positive_definite(mat) -> bool:
+    """Whether one Cholesky factorization of the symmetric matrix mat, a
+    LowerBand or read from the lower triangle of a dense array, succeeds:
+    LAPACK dpbtrf on the band (_lower_band), else np.linalg.cholesky."""
     band = _lower_band(mat)
     if band is not None:
-        return dpbtrf(band, lower=1)[1] == 0
+        return dpbtrf(band.rows, lower=1)[1] == 0
     try:
         np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
@@ -303,16 +369,25 @@ def symmetrized(mat: np.ndarray, tol: float) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class GibbsModel:
-    """Gibbs density exp(-V) with quadratic-plus-quartic potential V."""
+    """Gibbs density exp(-V) with quadratic-plus-quartic potential V.
+
+    precision is a dense array or a LowerBand, symmetric by construction.
+    A LowerBand is kept as `band`, read-only, and `precision` is then built
+    from it on its first read; `band` is None on a dense model.
+    """
 
     partition: BlockPartition
     precision: np.ndarray
     mean: np.ndarray
     quartic: np.ndarray
+    band: LowerBand | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         n = self.partition.dim
-        prec = np.asarray(self.precision, dtype=float)
+        band = self.precision if isinstance(self.precision, LowerBand) \
+            else None
+        prec = band if band is not None \
+            else np.asarray(self.precision, dtype=float)
         mean = np.asarray(self.mean, dtype=float)
         quart = np.asarray(self.quartic, dtype=float)
         if prec.shape != (n, n):
@@ -323,11 +398,13 @@ class GibbsModel:
         if quart.shape != (n,):
             raise ModelFormatError(
                 f"quartic must have length {n}, got {quart.shape}")
-        if not all(np.all(np.isfinite(arr)) for arr in (prec, mean, quart)):
+        entries = prec if band is None else band.rows
+        if not all(np.all(np.isfinite(arr)) for arr in (entries, mean, quart)):
             raise ModelValidationError("model entries must be finite")
-        prec, asym = symmetrized(prec, SYMMETRY_TOL)
-        if asym:
-            raise ModelValidationError("precision matrix is not symmetric")
+        if band is None:
+            prec, asym = symmetrized(prec, SYMMETRY_TOL)
+            if asym:
+                raise ModelValidationError("precision matrix is not symmetric")
         if np.any(quart < 0):
             raise ModelValidationError("quartic coefficients must be >= 0")
         if np.all(quart == 0) and not _is_positive_definite(prec):
@@ -335,10 +412,26 @@ class GibbsModel:
             raise ModelValidationError(
                 f"precision must be positive definite for a Gaussian model "
                 f"(min eigenvalue {lam_min:.6g})")
-        for name, arr in (("precision", prec), ("mean", mean),
-                          ("quartic", quart)):
+        dense = (("precision", prec),) if band is None else ()
+        for name, arr in (*dense, ("mean", mean), ("quartic", quart)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if band is not None:
+            band.rows.flags.writeable = False
+            object.__setattr__(self, "band", band)
+            del self.__dict__["precision"]  # built by __getattr__ when read
+
+    def __getattr__(self, name):
+        # reached only for a name the instance does not hold: a band
+        # model's dense K before its first read
+        band = self.__dict__.get("band")
+        if name != "precision" or band is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        dense = band.dense()
+        dense.flags.writeable = False
+        self.__dict__["precision"] = dense
+        return dense
 
     @property
     def dim(self) -> int:
@@ -369,14 +462,16 @@ def toeplitz_band(band: dict) -> dict:
     return offsets
 
 
-def toeplitz_matrix(m: int, diag: float, band: dict) -> np.ndarray:
-    """Symmetric banded Toeplitz matrix diag*I + sum_j b_j (E_j + E_-j).
+def toeplitz_lower_band(m: int, diag: float, band: dict) -> LowerBand:
+    """Symmetric banded Toeplitz matrix diag*I + sum_j b_j (E_j + E_-j) as
+    a LowerBand whose rows broadcast one value along each diagonal.
 
     band maps positive offsets to coefficients, read by toeplitz_band;
-    offsets at or beyond m fall outside the matrix and are rejected.  The
-    matrix is the only m x m array built: each diagonal gets one value,
-    rounded as the sum diag*I + b_1 (E_1 + E_-1) + ... of dense terms
-    would round it, signed zeros included.
+    offsets at or beyond m fall outside the matrix and are rejected.  Each
+    diagonal gets one value, rounded as the sum diag*I + b_1 (E_1 + E_-1)
+    + ... of dense terms would round it, signed zeros included; so does
+    the fill beyond the band, which is -0.0 when diag and every b_j carry
+    a minus sign.  Offsets past the last nonzero diagonal are not stored.
     """
     if m < 1:
         raise ModelValidationError("toeplitz size must be >= 1")
@@ -392,11 +487,26 @@ def toeplitz_matrix(m: int, diag: float, band: dict) -> np.ndarray:
             val += coeff * (1.0 if k == j else 0.0)
         return val
 
-    mat = np.full((m, m), entry(-1))
-    for k in {0, *(j for j, _ in terms)}:
-        np.fill_diagonal(mat[:, k:], entry(k))
-        np.fill_diagonal(mat[k:, :], entry(k))
-    return mat
+    width = max((j for j, _ in terms if entry(j) != 0), default=0)
+    # each diagonal's value broadcast along its row: a wide band that
+    # takes the dense route costs no (b+1, m) array beside its dense matrix
+    values = np.array([entry(k) for k in range(width + 1)])
+    return LowerBand(np.broadcast_to(values[:, None], (width + 1, m)),
+                     entry(-1))
+
+
+def toeplitz_matrix(m: int, diag: float, band: dict) -> np.ndarray:
+    """The dense m x m matrix of toeplitz_lower_band(m, diag, band), the
+    only m x m array built."""
+    return toeplitz_lower_band(m, diag, band).dense()
+
+
+def toeplitz_section(m: int, diag: float, band: dict):
+    """toeplitz_lower_band(m, diag, band) when the banded routines take it
+    (_takes_band), else its dense matrix: the route is read off the spec,
+    with no scan of an m x m array."""
+    lower = toeplitz_lower_band(m, diag, band)
+    return lower if _takes_band(m, len(lower.rows) - 1) else lower.dense()
 
 
 def grad_potential(model: GibbsModel, x: np.ndarray) -> np.ndarray:
@@ -465,8 +575,9 @@ def model_from_dict(doc: dict) -> GibbsModel:
         if m != dim:
             raise ModelValidationError(
                 f"toeplitz size {m} does not match dim {dim}")
-        precision = toeplitz_matrix(m, diag, band)
-    precision.flags.writeable = False  # built here: the model may keep it
+        precision = toeplitz_section(m, diag, band)
+    if not isinstance(precision, LowerBand):
+        precision.flags.writeable = False  # built here: the model may keep it
 
     mean = _float_array(doc, "mean", dim, 1)
     quartic = _float_array(doc, "quartic", dim, 1)
@@ -490,11 +601,17 @@ def model_digest(model: GibbsModel) -> str:
 
     Hashed in order: the little-endian float64 bytes of precision
     (row-major), mean and quartic; then, per block, its length and its
-    indices as little-endian int64.
+    indices as little-endian int64.  precision is hashed one CHUNK_BYTES
+    row block at a time, built from the band on a band model.
     """
     h = hashlib.sha256()
-    for arr in (model.precision, model.mean, model.quartic):
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    step = per_chunk(8 * model.dim)
+    for lo in range(0, model.dim, step):
+        rows = model.precision[lo:lo + step] if model.band is None \
+            else model.band.dense_rows(lo, lo + step)
+        h.update(np.ascontiguousarray(rows, dtype="<f8"))
+    for arr in (model.mean, model.quartic):
+        h.update(np.ascontiguousarray(arr, dtype="<f8"))
     h.update(np.array([v for blk in model.partition.blocks
                        for v in (len(blk), *blk)], dtype="<i8").tobytes())
     return h.hexdigest()

@@ -107,25 +107,114 @@ def test_criteria_json_report(model_path, capsys):
                             "sha256": model_digest(model_2d())}
 
 
-def test_criteria_echo_is_model_not_file(tmp_path, capsys):
-    # m = 256 chains as a toeplitz spec and as its dense expansion; the
-    # subnormal band survives both loads unchanged
-    m = 256
-    for coeff in (1.0, 5e-324):
-        spec = write_doc(tmp_path, {"dim": m,
-                                    "partition": [[i] for i in range(m)],
-                                    "toeplitz": {"m": m, "diag": 3.0,
-                                                 "band": {"1": coeff}}})
-        dense = tmp_path / "dense.json"
-        save_model(load_model(spec), dense)
-        code, out, _ = run(["criteria", spec], capsys)
-        assert code == 0
-        assert run(["criteria", str(dense)], capsys) == (0, out, "")
-        assert len(out.encode()) < 8 * 1024
+# band coefficients: negative, zero of either sign and subnormal among them
+_ANY_COEFF = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]),
+                       st.floats(-1.5, 1.5))
+_NEGATIVE_COEFF = st.one_of(st.sampled_from([-0.0, -5e-324]),
+                            st.floats(-1.5, -0.0))
+
+
+@st.composite
+def chain_docs(draw, sizes=st.integers(8, 300)):
+    """A singleton chain's `toeplitz` document: m on both sides of the
+    banded route's m >= 64, a band of width 1 to 3, and either a Gaussian
+    model, positive definite or not, or a quartic one whose diag and band
+    are all negative, so that its off-band fill is -0.0."""
+    m = draw(sizes)
+    quartic = draw(st.booleans())
+    coeff = _NEGATIVE_COEFF if quartic else _ANY_COEFF
+    band = draw(st.dictionaries(st.integers(1, 3), coeff, min_size=1))
+    diag = draw(st.floats(-4.0, -0.0) if quartic else st.floats(1.0, 8.0))
+    doc = {"dim": m, "partition": [[i] for i in range(m)],
+           "toeplitz": {"m": m, "diag": diag,
+                        "band": {str(k): v for k, v in band.items()}}}
+    if quartic:
+        doc["quartic"] = [0.1] * m
+    return doc
+
+
+@given(chain_docs())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_criteria_echo_is_model_not_file(tmp_path_factory, doc):
+    # a toeplitz spec, which loads into band storage when the banded
+    # routines take it, and its dense expansion, which is routed by the
+    # nonzeros it holds, give the same criteria bytes and exit code, a
+    # refusal included; the subnormal band survives both loads
+    m, spec = doc["dim"], doc["toeplitz"]
+    dense = {**doc, "precision": toeplitz_matrix(
+        m, spec["diag"], {int(k): v for k, v in spec["band"].items()}
+    ).tolist()}
+    del dense["toeplitz"]
+    tmp = tmp_path_factory.mktemp("echo")
+    runs = []
+    for name, body in (("spec", doc), ("dense", dense)):
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(body))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["criteria", str(path)])
+        runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    if code != 2:
+        assert model_digest(load_model(tmp / "spec.json")) \
+            == model_digest(load_model(tmp / "dense.json"))
+    if code == 0:
         echo = json.loads(out)["model"]
         assert list(echo) == ["dim", "block_sizes", "sha256"]
         assert echo["dim"] == m and echo["block_sizes"] == [1] * m
-        assert echo["sha256"] == model_digest(load_model(dense))
+        assert echo["sha256"] == model_digest(load_model(tmp / "dense.json"))
+        assert len(out) < 1024 + 48 * m  # an echo, not the m^2 entries
+
+
+def _criteria_run(path) -> tuple:
+    """(exit code, report or None) of `lsicert criteria path`."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(["criteria", str(path)])
+    return code, strict_loads(out.getvalue()) if out.getvalue() else None
+
+
+@given(chain_docs(st.integers(8, 160)), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_criteria_values_do_not_depend_on_coordinate_order(tmp_path_factory,
+                                                           doc, seed):
+    # coordinate j of the permuted chain is coordinate perm[j], and block k
+    # still holds old coordinate k: K[perm][:, perm] is no band, so it
+    # takes the dense route.  Every exit code is kept, each block constant
+    # bit for bit, and each other value moves by at most 4 m eps ||M||
+    # plus m tiny where entries underflow: on each side the eigen-solve
+    # errs by up to m eps ||M|| and the certificate is shifted down by as
+    # much.  ||M|| is bounded by Gershgorin: rho + 2 sum|b_j| for the
+    # certificates, 2 sum|b_j| / rho for A0, rho being every block's
+    # constant, diag
+    m, spec = doc["dim"], doc["toeplitz"]
+    band = {int(k): v for k, v in spec["band"].items()}
+    perm = np.random.default_rng(seed).permutation(m)
+    prec = toeplitz_matrix(m, spec["diag"], band)[np.ix_(perm, perm)]
+    permuted = {**doc, "precision": prec.tolist(),
+                "partition": [[int(j)] for j in np.argsort(perm)]}
+    del permuted["toeplitz"]
+    tmp = tmp_path_factory.mktemp("permuted")
+    (tmp / "chain.json").write_text(json.dumps(doc))
+    (tmp / "permuted.json").write_text(json.dumps(permuted))
+    code, want = _criteria_run(tmp / "chain.json")
+    permuted_code, got = _criteria_run(tmp / "permuted.json")
+    assert permuted_code == code
+    if want is None:
+        return
+    assert got["rho_k"] == want["rho_k"]
+    rho = spec["diag"]
+    coupling = 2.0 * sum(abs(v) for v in band.values())
+    bound = 4.0 * m * np.finfo(float).eps
+    tiny = m * np.finfo(float).tiny  # where the entries underflow
+    for key, scale in (("rho_marton", rho + coupling),
+                       ("rho_or", rho + coupling),
+                       ("delta", coupling / rho), ("norm_A0", coupling / rho),
+                       ("lambda_max_A0", coupling / rho)):
+        assert (got[key] is None) == (want[key] is None), key
+        if want[key] is not None:
+            assert abs(got[key] - want[key]) <= bound * scale + tiny, key
 
 
 def test_criteria_deterministic_bytes(model_path, tmp_path, capsys):
@@ -134,6 +223,28 @@ def test_criteria_deterministic_bytes(model_path, tmp_path, capsys):
     assert cli.main(["criteria", model_path, "--out", str(out1)]) == 0
     assert cli.main(["criteria", model_path, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.text(max_size=5))
+
+
+@given(st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner),
+    st.dictionaries(st.text(max_size=3), inner, max_size=4)), max_leaves=20))
+@settings(max_examples=300, derandomize=True)
+def test_indented_json_is_the_pure_python_encoders_bytes(value):
+    # criteria and toeplitz reports are written by the C encoder in the
+    # layout json.dumps(indent=2) gives
+    assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_indented_json_refuses_non_finite_floats(bad):
+    for value in (bad, [1.0, bad], {"a": [[bad]]}):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._indented_json(value)
 
 
 def test_criteria_invalid_model_exit(bad_model_path, capsys):
@@ -402,6 +513,27 @@ def test_criteria_dense_budget_checked_up_front(tmp_path, capsys):
     assert err.startswith("usage error") and "budget" in err
     assert len(err.splitlines()) == 1
     assert peak < 64 * 2**20
+
+
+def test_criteria_on_a_chain_spec_builds_no_dense_k(tmp_path, capsys):
+    # an m = 2 048 chain spec stays in band storage from load to report:
+    # a few m (b + 1) floats, O(m) for the document, the partition and the
+    # report, and one CHUNK_BYTES row block of the digest; its dense K
+    # alone would be 32 MiB
+    m, width = 2048, 2
+    path = write_doc(tmp_path, {"dim": m, "partition": [[i] for i in range(m)],
+                                "toeplitz": {"m": m, "diag": 3.0,
+                                             "band": {"1": -1.0, "2": 0.3}}})
+    tracemalloc.start()
+    try:
+        code, out, err = run(["criteria", path], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rho_k"] == [3.0] * m
+    assert peak <= 4 * m * (width + 1) * 8 + 512 * m + lsimodel.CHUNK_BYTES, \
+        peak
 
 
 @pytest.mark.parametrize("option", [["--tol", "1e-10"], ["--probes", "8"],

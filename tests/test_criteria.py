@@ -448,11 +448,18 @@ def test_block_constants_match_per_block_loop(name):
     assert_array_equal(block_lsi_constants(model), want)
 
 
+def _two_pair_model() -> GibbsModel:
+    """A 4-site chain in the blocks {0, 1} and {2, 3}."""
+    return GibbsModel(partition=BlockPartition(((0, 1), (2, 3))),
+                      precision=toeplitz_matrix(4, 3.0, {1: 1.0}),
+                      mean=np.zeros(4), quartic=np.zeros(4))
+
+
 def test_criteria_report_computes_block_constants_once(monkeypatch):
     # block_lsi_constants takes one stacked (blocks, s, s) eigvalsh per
-    # block size, and it is the only caller that stacks: count those.
-    # The report and both certificates read the constants, and the
-    # memo on the model computes them once for all of them.
+    # block size above 1, and it is the only caller that stacks: count
+    # those.  The report and both certificates read the constants, and
+    # the memo on the model computes them once for all of them.
     stacked = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -462,12 +469,14 @@ def test_criteria_report_computes_block_constants_once(monkeypatch):
         return eigvalsh(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    model = model_2d()
+    model = _two_pair_model()
     criteria_report(model)
     solve_rho_marton(model)
     otto_reznikoff(model)
-    assert stacked == [(2, 1, 1)]
-    criteria_report(model_2d())  # a new model computes its own
+    assert stacked == [(2, 2, 2)]
+    criteria_report(_two_pair_model())  # a new model computes its own
+    assert len(stacked) == 2
+    criteria_report(model_2d())  # 1 x 1 blocks are read off the diagonal
     assert len(stacked) == 2
 
 

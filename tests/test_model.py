@@ -25,6 +25,7 @@ from lsicert.model import (
     extreme_eigvalsh,
     save_model,
     toeplitz_matrix,
+    toeplitz_section,
 )
 from lsicert.criteria import criteria_report, toeplitz_spectrum_report
 from lsicert.fokker_planck import entropy_trace
@@ -311,6 +312,72 @@ def test_model_digest_byte_layout():
     for blk in model.partition.blocks:
         h.update(struct.pack(f"<{len(blk) + 1}q", len(blk), *blk))
     assert model_digest(model) == h.hexdigest()
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64, 200])
+def test_band_model_streams_the_dense_digest(monkeypatch, block_rows):
+    # a chain spec whose diag and band are negative has -0.0 off the band;
+    # its digest hashes dense row blocks built from the band, whether or
+    # not the block size divides m, and builds no dense K on the model
+    m, band = 200, {1: -1.0, 3: -0.5}
+    monkeypatch.setattr(lsimodel, "CHUNK_BYTES", block_rows * 8 * m)
+    model = model_from_dict(
+        {"dim": m, "partition": [[i] for i in range(m)], "quartic": [0.1] * m,
+         "toeplitz": {"m": m, "diag": -3.0,
+                      "band": {str(k): v for k, v in band.items()}}})
+    assert model.band is not None
+    digest = model_digest(model)
+    assert "precision" not in vars(model)
+    want = _dense_toeplitz_sum(m, -3.0, band)
+    assert np.signbit(want[m - 1, 0])
+    dense = GibbsModel(partition=model.partition, precision=want,
+                       mean=model.mean, quartic=model.quartic)
+    assert digest == model_digest(dense)
+    assert model.precision.tobytes() == want.tobytes()
+    assert not model.precision.flags.writeable
+    assert model.precision is model.precision  # built once, on first read
+
+
+@pytest.mark.parametrize("diag, band, width", [
+    (3.0, {1: 1.0, 2: 0.0, 3: -0.0}, 1),  # zero diagonals past the band
+    (300.0, {1: 5e-324}, 1),  # A0's entries underflow to zero
+    (3.0, {2: -0.5, 1: 0.0}, 2),  # a zero diagonal inside the band
+])
+def test_band_route_hands_lapack_the_dense_routes_widths(
+        banded_solves, banded_choleskys, diag, band, width):
+    # every LAPACK call on a matrix formed on the band gets the width read
+    # from the nonzeros of the same matrix formed densely, and the same
+    # report comes out
+    m = 64
+    spec = model_from_dict(
+        {"dim": m, "partition": [[i] for i in range(m)],
+         "toeplitz": {"m": m, "diag": diag,
+                      "band": {str(k): v for k, v in band.items()}}})
+    assert spec.band.rows.shape == (width + 1, m)
+    want = criteria_report(spec)
+    calls = (list(banded_choleskys), list(banded_solves))
+    prec = np.array(spec.precision)
+    prec.flags.writeable = False  # kept as it is, subnormals included
+    dense = GibbsModel(partition=spec.partition, precision=prec,
+                       mean=spec.mean, quartic=spec.quartic)
+    assert dense.band is None
+    assert criteria_report(dense) == want
+    assert (banded_choleskys[len(calls[0]):], banded_solves[len(calls[1]):]) \
+        == calls
+
+
+def test_a_wide_toeplitz_section_builds_one_dense_array():
+    # a band too wide for the banded routines takes the dense route; its
+    # band storage, one value a diagonal, adds no (b+1, m) array to it
+    m = 512
+    tracemalloc.start()
+    try:
+        mat = toeplitz_section(m, 3.0, {1: 1.0, m - 1: 0.5})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(mat, np.ndarray) and mat.shape == (m, m)
+    assert peak < 1.25 * m * m * 8, peak
 
 
 def test_model_digest_depends_on_partition():
