@@ -46,7 +46,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .model import (GibbsModel, LowerBand, charge, extreme_eigvalsh,
-                    per_object, toeplitz_band, toeplitz_section)
+                    per_chunk, per_object, toeplitz_band, toeplitz_section)
 
 
 class CertificateError(Exception):
@@ -227,41 +227,41 @@ def cross_block_norms(model: GibbsModel) -> np.ndarray:
 
     Every other partition, permuted singletons included, evaluates only
     block pairs with a nonzero cross entry; every other pair has
-    kappa = 0 exactly.  The coupled pairs are grouped by block shape, each
-    group's cross blocks are gathered into one (pairs, a, b) stack from
-    the index rows of partition.size_groups, and one batched
-    np.linalg.norm(stack, 2) call per shape gives their norms: the same
-    LAPACK SVD per matrix as np.linalg.norm(block, 2), so the same values.
-    Blocks are not padded to a common shape: padding moves the singular
-    values in the last bits.
+    kappa = 0 exactly.  Which pairs k < l are coupled is read once from
+    K's nonzeros, one CHUNK_BYTES row block at a time, into an n x n
+    boolean.  For each ordered pair of size groups of
+    partition.size_groups the coupled pairs, k from the first group and
+    l from the second, are gathered into one (pairs, a, b) stack of
+    cross blocks K_kl, each in its own k < l orientation, and one
+    batched np.linalg.svd(stack, compute_uv=False) call gives their
+    largest singular values: the same LAPACK SVD per matrix as
+    np.linalg.norm(block, 2), so the same values.  Blocks are not padded
+    to a common shape: padding moves the singular values in the last
+    bits.
     """
     part = model.partition
     if part.ordered_singletons:
         kappa = np.abs(model.precision)
         np.fill_diagonal(kappa, 0.0)
         return kappa
-    # group and slot of each block: block k is row slot[k] of the index
-    # array of size group group[k]
-    group, slot = np.empty((2, part.n), dtype=int)
-    for g, (ks, _) in enumerate(part.size_groups):
-        group[ks], slot[ks] = g, np.arange(len(ks))
     owner = part.coordinate_block
-    rows, cols = np.nonzero(model.precision)
-    first, second = owner[rows], owner[cols]
-    coupled = first < second  # K is symmetric, so each pair appears once
-    pairs = np.unique(first[coupled] * part.n + second[coupled])
-    ks, ls = np.divmod(pairs, part.n)
-    shapes = group[ks] * len(part.size_groups) + group[ls]
+    coupled = np.zeros((part.n, part.n), dtype=bool)
+    step = per_chunk(8 * part.dim)
+    for lo in range(0, part.dim, step):
+        rows, cols = np.nonzero(model.precision[lo:lo + step])
+        coupled[owner[rows + lo], owner[cols]] = True
+    coupled = np.triu(coupled, 1)  # K is symmetric: the pairs k < l
     kappa = np.zeros((part.n, part.n))
-    for shape in np.unique(shapes):
-        sel = shapes == shape
-        k, ell = ks[sel], ls[sel]
-        row_idx = part.size_groups[group[k[0]]][1][slot[k]]
-        col_idx = part.size_groups[group[ell[0]]][1][slot[ell]]
-        stack = model.precision[row_idx[:, :, None], col_idx[:, None, :]]
-        kappa[k, ell] = kappa[ell, k] = (
-            np.abs(stack[:, 0, 0]) if stack.shape[1:] == (1, 1)
-            else np.linalg.norm(stack, 2, axis=(1, 2)))
+    for ks, row_idx in part.size_groups:
+        for ls, col_idx in part.size_groups:
+            k, ell = np.nonzero(coupled[ks[:, None], ls])
+            if not k.size:
+                continue
+            stack = model.precision[row_idx[k, :, None], col_idx[ell, None, :]]
+            k, ell = ks[k], ls[ell]
+            kappa[k, ell] = kappa[ell, k] = (
+                np.abs(stack[:, 0, 0]) if stack.shape[1:] == (1, 1)
+                else np.linalg.svd(stack, compute_uv=False)[:, 0])
     return kappa
 
 

@@ -17,9 +17,11 @@ identity dD/dt = -I and exponential entropy decay under a certified
 constant on a time grid that it reads from K's spectrum, and runs an
 Euler-Maruyama particle simulator that covers quartic models as well.
 The simulator updates the particles in place, block of rows by block of
-rows, and draws each block's noise into one block-sized buffer just
-before adding it; the blocks are taken in row order, so the stream gives
-every particle the normals of one whole-step draw.
+rows.  Each block's drift is computed into one reused block-sized buffer,
+with a second, the noise buffer, as its scratch; the noise is then drawn
+into that buffer just before it is added.  The blocks are taken in row
+order, so the stream gives every particle the normals of one whole-step
+draw.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .criteria import Check, _checked_rho
 from .gaussian import (GaussianDist, _check_same_dim, gaussian_target,
                        tril_inverse)
 from .model import (GibbsModel, _is_integer, charge, extreme_eigvalsh,
-                    grad_potential, per_chunk, per_object)
+                    per_chunk, per_object)
 
 DISSIPATION_REL_TOL = 1e-5
 INTEGRAL_REL_TOL = 1e-4
@@ -327,15 +329,17 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
     Requires a finite dt below a tenth of the inverse curvature bound,
     and integer counts and checkpoints, the latter in [0, steps].  Steps
     update the particles in place, one block of rows at a time: the
-    block's drift, then its noise, drawn into one reused block-sized
-    buffer (a working set of about 2 n d floats, the particles and a
-    checkpoint's centered copy; 2.5 n d floats and steps n d operations
-    are charged).  The blocks are taken in row order, so
-    the stream and the particles are those of one draw per step.  At
-    each checkpoint step the empirical moments are recorded; for Gaussian
-    models they are compared against the closed-form moments within
-    tolerance bands of five times the Monte Carlo plus discretization
-    scale.
+    block's drift grad V = (x - m) K + 4 lambda x^3 goes into one reused
+    block-sized buffer (_drift), with the noise buffer as its scratch,
+    and is subtracted; then the block's noise is drawn into that noise
+    buffer and added.  No step allocates a block-sized array: the
+    working set is about 2 n d floats, the particles and a checkpoint's
+    centered copy; 2.5 n d floats and steps n d operations are charged.
+    The blocks are taken in row order, so the stream and the particles
+    are those of one draw per step.  At each checkpoint step the
+    empirical moments are recorded; for Gaussian models they are
+    compared against the closed-form moments within tolerance bands of
+    five times the Monte Carlo plus discretization scale.
     """
     if not (_is_integer(n) and n >= 1_000):
         raise ValueError("need an integer count of at least 1000 particles")
@@ -366,14 +370,15 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
         recorded.append(_checkpoint(model, p0, x, 0, 0.0, lam, dt, n))
     root = np.sqrt(2.0 * dt)
     rows = per_chunk(8 * model.dim)
-    noise = np.empty((min(rows, n), model.dim))
+    drift, noise = np.empty((2, min(rows, n), model.dim))
+    quartic4 = None if model.is_gaussian else 4.0 * model.quartic
     for step in range(1, steps + 1):
         for lo in range(0, n, rows):
             xs = x[lo:lo + rows]
-            grad = grad_potential(model, xs)
+            grad, buf = drift[:len(xs)], noise[:len(xs)]
+            _drift(xs, model.mean, model.precision, quartic4, buf, grad)
             grad *= dt  # in place, in the order of x - grad dt + root noise
             xs -= grad
-            buf = noise[:len(xs)]
             rng.standard_normal(out=buf)
             buf *= root
             xs += buf
@@ -382,6 +387,19 @@ def langevin_particles(model: GibbsModel, p0: GaussianDist, dt: float,
                                         lam, dt, n))
     return LangevinResult(particles=x, checkpoints=tuple(recorded),
                           dt=float(dt), steps=int(steps), seed=int(seed))
+
+
+def _drift(xs, mean, precision, quartic4, scratch, out) -> None:
+    """grad V at the rows xs, written into out: (xs - mean) precision,
+    plus quartic4 * (xs xs xs) unless quartic4 (4 lambda) is None.
+    scratch, of xs's shape, is overwritten; no array is allocated."""
+    np.subtract(xs, mean, out=scratch)
+    np.matmul(scratch, precision, out=out)
+    if quartic4 is not None:
+        np.multiply(xs, xs, out=scratch)
+        scratch *= xs
+        scratch *= quartic4
+        out += scratch
 
 
 def _checkpoint(model, p0, x, step, t, lam, dt, n) -> LangevinCheckpoint:

@@ -509,13 +509,6 @@ def toeplitz_section(m: int, diag: float, band: dict):
     return lower if _takes_band(m, len(lower.rows) - 1) else lower.dense()
 
 
-def grad_potential(model: GibbsModel, x: np.ndarray) -> np.ndarray:
-    """Gradient of the potential, vectorized over rows of x."""
-    x = np.asarray(x, dtype=float)
-    grad = (x - model.mean) @ model.precision
-    return grad if model.is_gaussian else grad + 4.0 * model.quartic * (x * x * x)
-
-
 def _float_array(doc: dict, key: str, dim: int, ndim: int) -> np.ndarray:
     """doc[key], a list of numbers (ndim 1) or a list of such lists
     (ndim 2), as a float array; zeros of length dim when key is absent.

@@ -1,7 +1,8 @@
 """Reference computations that the tests hold the package against.
 
 Grid quadrature of divergence and Fisher information, Fisher information
-of two Gaussians in closed form, the dense block Gibbs update and its
+of two Gaussians in closed form, the potential's gradient out of place
+(the Langevin simulator's drift), the dense block Gibbs update and its
 entropy drop, bisection on both certificate thresholds and the
 interaction matrix A^rho, the sorted-sample coupling for one-dimensional
 W2, a random attractive chain whose certified constant is known exactly,
@@ -104,6 +105,14 @@ def fisher(p: GaussianDist, q: GaussianDist) -> float:
     s = prec_q - np.linalg.inv(p.cov)
     v = prec_q @ (p.mean - q.mean)
     return max(float(np.sum((s @ p.cov) * s) + v @ v), 0.0)
+
+
+def grad_potential(model: GibbsModel, x: np.ndarray) -> np.ndarray:
+    """grad V = (x - m) K + 4 lambda x^3 at the rows of x, in fresh
+    arrays; a Gaussian model's is the linear term alone."""
+    x = np.asarray(x, dtype=float)
+    grad = (x - model.mean) @ model.precision
+    return grad if model.is_gaussian else grad + 4.0 * model.quartic * (x * x * x)
 
 
 def block_update(model: GibbsModel, k: int) -> tuple:

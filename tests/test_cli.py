@@ -1485,6 +1485,29 @@ def test_console_entry_point_passes_exit_codes(model_path, bad_model_path,
         assert proc.returncode == code
 
 
+@pytest.mark.parametrize("argv", [
+    ["criteria", "MODEL"],
+    ["toeplitz", "--m", "64", "--band", "1=1"],
+    *(["verify", "MODEL", sub, "--trials", "5", "--seed", "3"]
+      for sub in ("theorem1", "gibbs", "transport", "prop4", "dissipation")),
+], ids=lambda argv: argv[2] if argv[0] == "verify" else argv[0])
+def test_fresh_processes_give_the_same_bytes(argv, model_path):
+    # equal inputs, seeds and BLAS thread count give byte-identical stdout
+    # and equal exit codes, whatever the string hash seed of the process
+    root = Path(__file__).resolve().parents[1]
+    argv = [model_path if a == "MODEL" else a for a in argv]
+    runs = []
+    for hash_seed in ("0", "2718"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   PYTHONHASHSEED=hash_seed, OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-m", "lsicert.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
+
+
 def test_unknown_subcommand(capsys):
     assert cli.main(["frobnicate"]) == 1
 

@@ -28,11 +28,10 @@ from lsicert.fokker_planck import (
 from lsicert.gaussian import GaussianDist, gaussian_target, kl
 from lsicert.instances import (random_certified_model, random_gaussian,
                                random_quartic_model)
-from lsicert.model import (BlockPartition, GibbsModel, grad_potential,
-                           model_from_dict)
+from lsicert.model import BlockPartition, GibbsModel, model_from_dict
 
 from conftest import BAD_RHO, must_not_run
-from reference import fisher
+from reference import fisher, grad_potential
 
 
 def one_dim_model():
@@ -564,6 +563,19 @@ def quartic_2d():
                       quartic=np.array([0.2, 0.1]))
 
 
+def bench_model(quartic):
+    # a model of the benchmark's Langevin kind: dimension 8, blocks of
+    # sizes 1 and 2
+    make = random_quartic_model if quartic else random_certified_model
+    return make(np.random.default_rng(5), dim=8)
+
+
+def bench_start(model):
+    # the benchmark's start: K^-1 around the mean moved by 2
+    cov = np.linalg.inv(model.precision)
+    return GaussianDist(model.mean + 2.0, 0.5 * (cov + cov.T))
+
+
 @pytest.mark.parametrize("quartic, block_rows, n, steps, marks", [
     # quartic drift, one block per step
     (True, None, 1000, 2, [2]),
@@ -575,14 +587,22 @@ def quartic_2d():
     (False, 300, 1000, 6, [0, 3, 6]),
     # one step
     (True, None, 1000, 1, [1]),
+    # the benchmark's shape, on its d = 8 models: blocks of 4 096 rows and
+    # a partial last block of 3 616
+    pytest.param(False, None, 20_000, 60, [30, 60], id="bench-gaussian"),
+    pytest.param(True, None, 20_000, 60, [30, 60], id="bench-quartic"),
 ])
 def test_langevin_pipeline_matches_out_of_place_reference(
         model2d, monkeypatch, quartic, block_rows, n, steps, marks):
     if block_rows is not None:
         monkeypatch.setattr(lsimodel, "CHUNK_BYTES",
                             block_rows * 8 * 2)
-    model = quartic_2d() if quartic else model2d
-    p0 = GaussianDist(np.array([1.0, -1.0]), 0.5 * np.eye(2))
+    if n == 20_000:
+        model = bench_model(quartic)
+        p0 = bench_start(model)
+    else:
+        model = quartic_2d() if quartic else model2d
+        p0 = GaussianDist(np.array([1.0, -1.0]), 0.5 * np.eye(2))
     dt = 0.05 / curvature_bound(model, p0)
     res = langevin_particles(model, p0, dt=dt, steps=steps, n=n, seed=9,
                              checkpoints=marks)
@@ -596,41 +616,72 @@ def test_langevin_pipeline_matches_out_of_place_reference(
 
 def test_langevin_peak_memory_is_two_and_a_half_particle_arrays():
     # the bench-sized call: the particles and a checkpoint's centered copy,
-    # with one block of noise; measured 2.44 times the particles, where
-    # two whole-step noise buffers drawn on a worker thread took 4.24
-    rng = np.random.default_rng(8)
-    model = random_certified_model(rng, dim=8)
-    q = gaussian_target(model)
-    p0 = GaussianDist(q.mean + 2.0, q.cov)
-    dt = 0.05 / curvature_bound(model, p0)
+    # with one block each of drift and noise; measured 2.47 times the
+    # particles on both models, where two whole-step noise buffers drawn on
+    # a worker thread took 4.24 and a third block buffer takes 2.67
     n = 20_000
+    for make in (random_certified_model, random_quartic_model):
+        model = make(np.random.default_rng(8), dim=8)
+        p0 = bench_start(model)
+        dt = 0.05 / curvature_bound(model, p0)
+        tracemalloc.start()
+        try:
+            langevin_particles(model, p0, dt=dt, steps=60, n=n, seed=1,
+                               checkpoints=[30, 60])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * 8 * 8, (make.__name__, peak / (n * 8 * 8))
+
+
+@pytest.mark.parametrize("make", [random_certified_model,
+                                  random_quartic_model])
+def test_langevin_steps_allocate_no_block_temporaries(make, monkeypatch):
+    # from the first drift on, the steps write into the particles and the
+    # two block buffers only; a drift computed out of place allocated two
+    # (Gaussian) or six (quartic) 4 096 x 8 temporaries per block
+    model = make(np.random.default_rng(8), dim=8)
+    p0 = bench_start(model)
+    dt = 0.05 / curvature_bound(model, p0)
+    drift, start = fokker_planck._drift, []
+
+    def traced_drift(*args):
+        if not start:
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+        return drift(*args)
+
+    monkeypatch.setattr(fokker_planck, "_drift", traced_drift)
     tracemalloc.start()
     try:
-        langevin_particles(model, p0, dt=dt, steps=60, n=n, seed=1,
-                           checkpoints=[30, 60])
+        langevin_particles(model, p0, dt=dt, steps=5, n=20_000, seed=1,
+                           checkpoints=[])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * n * 8 * 8, peak / (n * 8 * 8)
+    # a block temporary takes CHUNK_BYTES (256 KiB); numpy's ufunc
+    # iterator takes a 64 KiB buffer to broadcast the mean and 4 lambda
+    assert peak - start[0] < lsimodel.CHUNK_BYTES // 2, peak - start[0]
 
 
 def test_langevin_gradient_error_stops_worker(model2d, monkeypatch):
     calls = []
+    drift = fokker_planck._drift
 
-    def failing_grad(model, x):
+    def failing_drift(*args):
         calls.append(threading.current_thread())
         if len(calls) == 5:
             raise RuntimeError("gradient failed")
-        return grad_potential(model, x)
+        return drift(*args)
 
     monkeypatch.setattr(lsimodel, "CHUNK_BYTES", 250 * 8 * 2)
-    monkeypatch.setattr(fokker_planck, "grad_potential", failing_grad)
+    monkeypatch.setattr(fokker_planck, "_drift", failing_drift)
     p0 = GaussianDist(np.zeros(2), np.eye(2))
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="gradient failed"):
         langevin_particles(model2d, p0, dt=0.01, steps=10, n=1000, seed=0)
     assert threading.active_count() == before
-    # the gradient runs on the calling thread only
+    # the drift runs on the calling thread only
     assert set(calls) == {threading.current_thread()}
 
 
